@@ -6,14 +6,18 @@ import math
 
 import numpy as np
 
-from .env import sample_categorical
+from .env import any_true, flat_index, sample_categorical
 
 
 def exp_weights(scores: np.ndarray) -> np.ndarray:
-    """Normalized exponential weights of `scores`, shifted by the max for stability."""
+    """Normalized exponential weights of `scores` along the last axis, shifted
+    by the max for stability."""
     scores = np.asarray(scores, dtype=float)
-    w = np.exp(scores - scores.max())
-    return w / w.sum()
+    keep = scores.ndim > 1  # rows broadcast against their own max and sum
+    w = scores - np.maximum.reduce(scores, -1, keepdims=keep)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, -1, keepdims=keep)
+    return w
 
 
 def exp3_probs(cum_losses: np.ndarray, eta: float) -> np.ndarray:
@@ -22,13 +26,16 @@ def exp3_probs(cum_losses: np.ndarray, eta: float) -> np.ndarray:
     return exp_weights(-eta * np.asarray(cum_losses, dtype=float))
 
 
-def importance_loss_estimate(p: np.ndarray, chosen: int, loss: float) -> np.ndarray:
-    """loss / p[chosen] at the chosen coordinate, zero elsewhere."""
+def importance_loss_estimate(p: np.ndarray, chosen, loss) -> np.ndarray:
+    """loss / p[chosen] at the chosen coordinate, zero elsewhere; row by row
+    for an (R, K) `p` with one chosen arm and one loss per row."""
     p = np.asarray(p, dtype=float)
-    if p[chosen] <= 0.0:
+    i = flat_index(p, chosen)
+    p_chosen = p.reshape(-1)[i]
+    if any_true(p_chosen <= 0.0):
         raise ZeroDivisionError("chosen arm has zero probability")
-    est = np.zeros_like(p)
-    est[chosen] = loss / p[chosen]
+    est = np.zeros(p.shape)
+    est.reshape(-1)[i] = loss / p_chosen
     return est
 
 
@@ -36,11 +43,16 @@ class Exp3State:
     """Exponential weights over importance-weighted loss estimates.
 
     With a known horizon the fixed rate sqrt(2 ln K / (n K)) is used; the
-    anytime variant recomputes eta_t = sqrt(ln K / (t K)) each round.
+    anytime variant recomputes eta_t = sqrt(ln K / (t K)) each round. With
+    `replicas` set, the state holds one row per replica and `select`/`update`
+    take and return one arm per row.
     """
 
+    feedback = "loss"
+    draws_per_select = 1
+
     def __init__(self, K: int, n: int | None = None, eta: float | None = None,
-                 anytime: bool = False):
+                 anytime: bool = False, replicas: int | None = None):
         self.K = K
         self.anytime = anytime
         if eta is not None:
@@ -51,8 +63,9 @@ class Exp3State:
             self.eta = math.sqrt(2.0 * math.log(K) / (n * K))
         else:
             raise ValueError("need a horizon, an explicit eta, or anytime=True")
-        self.cum_losses = np.zeros(K)
+        self.cum_losses = np.zeros(K if replicas is None else (replicas, K))
         self.t = 0  # rounds completed
+        self._drawn_from = None  # the distribution the last select() drew from
 
     def current_eta(self) -> float:
         if self.eta is not None:
@@ -62,16 +75,22 @@ class Exp3State:
 
     def probs(self) -> np.ndarray:
         if self.t == 0:
-            return np.full(self.K, 1.0 / self.K)
+            return np.full(self.cum_losses.shape, 1.0 / self.K)
         return exp3_probs(self.cum_losses, self.current_eta())
 
-    def select(self, rng: np.random.Generator) -> int:
-        return sample_categorical(self.probs(), rng)
+    def select(self, rng):
+        self._drawn_from = self.probs()
+        return sample_categorical(self._drawn_from, rng)
 
-    def update(self, chosen: int, loss: float, sampling_probs: np.ndarray | None = None) -> None:
-        """Apply the round's estimate; `sampling_probs` overrides the
-        importance weights when the arm was drawn from another distribution."""
-        p = self.probs() if sampling_probs is None else np.asarray(sampling_probs, float)
+    def update(self, chosen, loss, sampling_probs: np.ndarray | None = None) -> None:
+        """Apply the round's estimate, importance-weighted by the distribution
+        the last select() drew from; `sampling_probs` overrides it when the
+        arm was drawn from another distribution."""
+        if sampling_probs is not None:
+            p = np.asarray(sampling_probs, float)
+        else:
+            p = self.probs() if self._drawn_from is None else self._drawn_from
+        self._drawn_from = None
         self.cum_losses += importance_loss_estimate(p, chosen, loss)
         self.t += 1
 
@@ -91,50 +110,63 @@ def exp3p_params(n: int, K: int, delta: float | None = None) -> tuple[float, flo
     return beta, eta, gamma
 
 
-def exp3p_gain_estimate(p: np.ndarray, chosen: int, gain: float, beta: float) -> np.ndarray:
-    """(gain * 1{chosen=i} + beta) / p_i for every arm i."""
+def exp3p_gain_estimate(p: np.ndarray, chosen, gain, beta: float) -> np.ndarray:
+    """(gain * 1{chosen=i} + beta) / p_i for every arm i; row by row for an
+    (R, K) `p` with one chosen arm and one gain per row."""
     p = np.asarray(p, dtype=float)
     if beta > 1.0:
         raise ValueError("beta must be at most 1")
     if (p <= 0.0).any():
         raise ZeroDivisionError("all arm probabilities must be positive")
-    est = np.full_like(p, beta)
-    est[chosen] += gain
+    est = np.full(p.shape, beta)
+    est.reshape(-1)[flat_index(p, chosen)] += gain
     return est / p
 
 
 class Exp3PState:
-    """Gain-form exponential weights mixed with gamma/K uniform exploration."""
+    """Gain-form exponential weights mixed with gamma/K uniform exploration.
 
-    def __init__(self, K: int, eta: float, gamma: float, beta: float):
+    With `replicas` set, the state holds one row per replica.
+    """
+
+    feedback = "gain"
+    draws_per_select = 1
+
+    def __init__(self, K: int, eta: float, gamma: float, beta: float,
+                 replicas: int | None = None):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         self.K = K
         self.eta = eta
         self.gamma = gamma
         self.beta = beta
-        self.cum_gains = np.zeros(K)
+        self.cum_gains = np.zeros(K if replicas is None else (replicas, K))
         self.t = 0
+        self._drawn_from = None  # the distribution the last select() drew from
 
     @classmethod
-    def from_horizon(cls, K: int, n: int, delta: float | None = None) -> "Exp3PState":
+    def from_horizon(cls, K: int, n: int, delta: float | None = None,
+                     replicas: int | None = None) -> "Exp3PState":
         beta, eta, gamma = exp3p_params(n, K, delta)
-        return cls(K, eta, gamma, beta)
+        return cls(K, eta, gamma, beta, replicas)
 
     def probs(self) -> np.ndarray:
         soft = exp_weights(self.eta * self.cum_gains)
         return (1.0 - self.gamma) * soft + self.gamma / self.K
 
-    def select(self, rng: np.random.Generator) -> int:
-        return sample_categorical(self.probs(), rng)
+    def select(self, rng):
+        self._drawn_from = self.probs()
+        return sample_categorical(self._drawn_from, rng)
 
-    def update(self, chosen: int, gain: float) -> None:
-        p = self.probs()
+    def update(self, chosen, gain) -> None:
+        """Apply the round's estimate, weighted by the distribution the last
+        select() drew from."""
+        p = self.probs() if self._drawn_from is None else self._drawn_from
+        self._drawn_from = None
         self.cum_gains += exp3p_gain_estimate(p, chosen, gain, self.beta)
         self.t += 1
 
-    def update_loss(self, chosen: int, loss: float) -> None:
-        # losses are the module-wide convention; convert at the boundary
+    def update_loss(self, chosen, loss) -> None:
         self.update(chosen, 1.0 - loss)
 
 

@@ -20,11 +20,93 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_categorical(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn with probabilities p; one uniform draw per call."""
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    return min(idx, p.shape[0] - 1)
+_BLOCK = 4096  # doubles read from a replica's stream at a time
+
+
+class ReplicaDraws:
+    """Uniform doubles for replicas that advance in lockstep.
+
+    `random()` returns one double per replica: the next one of that
+    replica's own stream, exactly the double `stream.random()` would return.
+    Each stream is read in blocks of up to `_BLOCK` doubles
+    (`Generator.random(b)` yields the same doubles as b scalar calls), so a
+    replica's draws never depend on the batch it runs in. `total` is the
+    number of doubles each replica reads; a stream whose total fits in one
+    block is read once and not kept.
+    """
+
+    def __init__(self, streams, total: int):
+        self._left = total
+        first = min(total, _BLOCK)
+        self._streams = []
+        rows = []
+        for stream in streams:
+            rows.append(stream.random(first))
+            if total > first:
+                self._streams.append(stream)
+        if not rows:
+            raise ValueError("need at least one stream")
+        self.replicas = len(rows)
+        self._fill(rows)
+
+    def _fill(self, rows: list) -> None:
+        self._left -= len(rows[0])
+        self._rows = np.array(rows).T.copy()  # one contiguous row per call
+        self._next = 0
+
+    def random(self) -> np.ndarray:
+        if self._next == len(self._rows):
+            if self._left <= 0:
+                raise RuntimeError("replica streams read past their declared total")
+            size = min(self._left, _BLOCK)
+            self._fill([stream.random(size) for stream in self._streams])
+        u = self._rows[self._next]
+        self._next += 1
+        return u
+
+
+def as_arm(idx):
+    """A Python int for one replica's arm (a numpy scalar), the array as is
+    for many."""
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def any_true(mask) -> bool:
+    """`mask.any()`, without a reduction's overhead for one replica's scalar."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def flat_index(a: np.ndarray, chosen):
+    """Where each row's `chosen` entry sits in `a.reshape(-1)`: `chosen`
+    itself for a 1-D `a`, `r * K + chosen[r]` for an (R, K) one."""
+    if a.ndim == 1:
+        return chosen
+    rows, K = a.shape
+    return np.arange(0, rows * K, K) + chosen
+
+
+def _check_arms(arm, K: int) -> None:
+    if isinstance(arm, np.ndarray):
+        ok = arm.astype(np.uint64).max() < K  # a negative arm wraps to a huge one
+    else:
+        ok = 0 <= arm < K
+    if not ok:
+        raise IndexError(f"arm {arm} out of range for K={K}")
+
+
+def sample_categorical(p: np.ndarray, rng) -> int | np.ndarray:
+    """Index drawn with probabilities p; one uniform draw per call.
+
+    With an (R, K) `p` and lockstep draws (`ReplicaDraws`), row r is drawn
+    with the r-th double and an array of R indices is returned. The index is
+    the number of cumulative sums at or below u (`searchsorted(...,
+    side="right")`), capped at K - 1: the first sum above u once the last
+    sum is raised to +inf.
+    """
+    cum = np.asarray(p).cumsum(-1)
+    cum[..., -1] = np.inf
+    # transposed, the (K, R) sums broadcast against one u per replica
+    return as_arm((cum.T > rng.random()).argmax(0))
 
 
 class BernoulliArm:
@@ -35,8 +117,11 @@ class BernoulliArm:
             raise ValueError(f"Bernoulli mean {mean} outside [0, 1]")
         self.mean = float(mean)
 
+    def from_uniform(self, u: float) -> float:
+        return float(u < self.mean)
+
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.random() < self.mean)
+        return self.from_uniform(rng.random())
 
 
 class DiscreteArm:
@@ -50,18 +135,30 @@ class DiscreteArm:
         if abs(self.probs.sum() - 1.0) > 1e-9 or (self.probs < 0).any():
             raise ValueError("probs must be a probability vector")
         self.mean = float(self.support @ self.probs)
+        self._cdf = self.probs.cumsum()
+        self._cdf /= self._cdf[-1]
+
+    def from_uniform(self, u: float) -> float:
+        """The support value at u's quantile: the draw `rng.choice(support,
+        p=probs)` makes from the same uniform."""
+        return float(self.support[self._cdf.searchsorted(u, side="right")])
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self.support, p=self.probs))
+        return self.from_uniform(rng.random())
 
 
 class StochasticEnv:
-    """K arms with i.i.d. rewards in [0, 1]."""
+    """K arms with i.i.d. rewards in [0, 1].
+
+    Each arm turns one uniform double into a reward (`from_uniform`), which
+    lets replicas in lockstep draw their rewards from their own streams.
+    """
 
     def __init__(self, arms: Sequence):
         if len(arms) < 1:
             raise ValueError("need at least one arm")
         self.arms = list(arms)
+        self._all_bernoulli = all(isinstance(a, BernoulliArm) for a in self.arms)
         self.means = np.array([a.mean for a in arms], dtype=float)
         if self.means.min() < 0.0 or self.means.max() > 1.0:
             raise ValueError("arm means must lie in [0, 1]")
@@ -77,10 +174,16 @@ class StochasticEnv:
     def n_arms(self) -> int:
         return len(self.arms)
 
-    def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
-        if not 0 <= arm < self.n_arms:
-            raise IndexError(f"arm {arm} out of range for K={self.n_arms}")
-        return self.arms[arm].sample(rng)
+    def sample_reward(self, arm, rng):
+        """Reward of `arm`; with one arm per replica (an array) and lockstep
+        draws, one reward per replica."""
+        _check_arms(arm, self.n_arms)
+        if not isinstance(arm, np.ndarray):
+            return self.arms[arm].sample(rng)
+        u = rng.random()
+        if self._all_bernoulli:
+            return (u < self.means[arm]).astype(float)
+        return np.array([self.arms[a].from_uniform(x) for a, x in zip(arm.tolist(), u.tolist())])
 
     def sample_all_rewards(self, rng: np.random.Generator) -> np.ndarray:
         """One reward draw per arm (used by lower-bound experiments)."""
@@ -180,10 +283,3 @@ def pseudo_regret_oblivious(trace: RunTrace, adv: ObliviousAdversary) -> float:
     best = adv.loss_matrix[:n].sum(axis=0).min()
     return float(incurred - best)
 
-
-def losses_from_gains(gains: np.ndarray) -> np.ndarray:
-    return 1.0 - np.asarray(gains, dtype=float)
-
-
-def gains_from_losses(losses: np.ndarray) -> np.ndarray:
-    return 1.0 - np.asarray(losses, dtype=float)

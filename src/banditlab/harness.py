@@ -7,9 +7,11 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,10 @@ from .env import (
     ENV_STREAM_ID,
     NonObliviousAdversary,
     ObliviousAdversary,
+    ReplicaDraws,
     StochasticEnv,
     derive_stream,
+    flat_index,
     lower_bound_env,
 )
 
@@ -39,22 +43,26 @@ _EXPERIMENT_KEYS = {"policy", "horizon", "replicas", "seed", "workers"}
 _OUTPUT_KEYS = {"dir", "format", "basename"}
 _OVERLAY_KEYS = {"names"}
 
-_POLICY_KEYS = {
-    "ucb": {"alpha"},
-    "thompson": set(),
-    "eps-greedy": {"d_gap"},
-    "exp3": {"eta", "anytime"},
-    "exp3p": {"delta", "delta_free"},
-    "sexp3": set(),
-    "exp4": {"gamma", "eta"},
-    "theta-exp4": {"gamma"},
-    "banditron": {"gamma"},
-    "exp2-john": {"eta", "gamma"},
-    "osmd-msets": {"variant", "q", "eta"},
-    "osmd-ball": {"gamma", "eta"},
-    "osgd-2pt": {"delta", "eta"},
-    "osgd-1pt": {"delta", "eta"},
-    "sgs": {"c_l"},
+_FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
+
+# policy -> (its [policy] keys, the environment kinds it runs on). `_runner`
+# rejects any other pairing and dispatches run_replica on the same kinds.
+_POLICIES = {
+    "ucb": ({"alpha"}, _FINITE_KINDS),
+    "thompson": (set(), _FINITE_KINDS),
+    "eps-greedy": ({"d_gap"}, _FINITE_KINDS),
+    "exp3": ({"eta", "anytime"}, _FINITE_KINDS),
+    "exp3p": ({"delta", "delta_free"}, _FINITE_KINDS),
+    "sexp3": (set(), ("contextual",)),
+    "exp4": ({"gamma", "eta"}, ("contextual",)),
+    "theta-exp4": ({"gamma"}, ("contextual",)),
+    "banditron": ({"gamma"}, ("multiclass",)),
+    "exp2-john": ({"eta", "gamma"}, ("linear-points",)),
+    "osmd-msets": ({"variant", "q", "eta"}, ("semibandit",)),
+    "osmd-ball": ({"gamma", "eta"}, ("linear-ball",)),
+    "osgd-2pt": ({"delta", "eta"}, ("convex",)),
+    "osgd-1pt": ({"delta", "eta"}, ("convex",)),
+    "sgs": ({"c_l"}, ("unimodal",)),
 }
 
 _ENV_KEYS = {
@@ -94,11 +102,11 @@ def parse_config(text_or_path) -> dict:
     if "policy" not in exp:
         raise ConfigError("experiment.policy is required")
     policy = exp["policy"]
-    if policy not in _POLICY_KEYS:
+    if policy not in _POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
 
     pol = section("policy")
-    _reject_unknown("policy", pol, _POLICY_KEYS[policy])
+    _reject_unknown("policy", pol, _POLICIES[policy][0])
 
     envsec = section("environment")
     kind = envsec.get("kind")
@@ -119,12 +127,19 @@ def parse_config(text_or_path) -> dict:
     out = section("output")
     _reject_unknown("output", out, _OUTPUT_KEYS)
 
-    return {
+    def integer(key: str, default: str) -> int:
+        try:
+            return int(exp.get(key, default))
+        except ValueError:
+            raise ConfigError(f"experiment.{key} must be an integer, "
+                              f"got {exp[key]!r}") from None
+
+    config = {
         "policy": policy,
-        "horizon": int(exp.get("horizon", "1000")),
-        "replicas": int(exp.get("replicas", "1")),
-        "seed": int(exp.get("seed", "0")),
-        "workers": int(exp.get("workers", "1")),
+        "horizon": integer("horizon", "1000"),
+        "replicas": integer("replicas", "1"),
+        "seed": integer("seed", "0"),
+        "workers": integer("workers", "1"),
         "policy_params": pol,
         "env_kind": kind,
         "env_params": {k: v for k, v in envsec.items() if k != "kind"},
@@ -133,6 +148,18 @@ def parse_config(text_or_path) -> dict:
                    "format": out.get("format", "csv"),
                    "basename": out.get("basename", "report")},
     }
+    check_config(config)
+    return config
+
+
+def check_config(config: dict) -> None:
+    """Raise ConfigError, naming the key, for a config no replica can run."""
+    for key, least in (("horizon", 0), ("replicas", 1), ("seed", None), ("workers", 1)):
+        value = config.get(key, 1)  # only workers may be absent; it defaults to 1
+        if not isinstance(value, numbers.Integral) or (least is not None and value < least):
+            rule = "an integer" if least is None else f"an integer >= {least}"
+            raise ConfigError(f"experiment.{key} must be {rule}, got {value!r}")
+    _runner(config["policy"], config["env_kind"])
 
 
 def _reject_unknown(section: str, got: dict, allowed: set) -> None:
@@ -193,6 +220,10 @@ def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
             matrix = np.loadtxt(params["csv"], delimiter=",", ndmin=2)
         else:
             matrix = rng.random((n, int(params["k"])))
+        if matrix.shape[0] < n:
+            source = "losses" if "losses" in params else "csv"
+            raise ConfigError(f"environment.{source} has {matrix.shape[0]} rows, "
+                              f"fewer than the horizon {n}")
         adv = ObliviousAdversary(matrix[:n])
         return {"kind": kind, "adv": adv, "K": adv.n_arms}
     if kind == "nonoblivious":
@@ -305,165 +336,188 @@ def _convex_oracle(family: str, c: np.ndarray, radius: float):
     raise ConfigError(f"unknown convex family {family!r}")
 
 
-def _build_finite_policy(name: str, cfg: dict, K: int, n: int):
+def _finite_policy(name: str, cfg: dict, K: int, n: int, rng=None) -> partial:
+    """The constructor of a finite-arm policy with its config bound; `.func`
+    is the policy class. `rng` binarizes thompson's fractional rewards."""
     if name == "ucb":
-        return stochastic.UcbState(K, alpha=float(cfg.get("alpha", "2.5")))
+        return partial(stochastic.UcbState, K, alpha=float(cfg.get("alpha", "2.5")))
     if name == "thompson":
-        return stochastic.ThompsonState(K)
+        return partial(stochastic.ThompsonState, K, rng)
     if name == "eps-greedy":
-        return stochastic.EpsGreedyState(K, d_gap=float(cfg.get("d_gap", "0.1")))
+        return partial(stochastic.EpsGreedyState, K, d_gap=float(cfg.get("d_gap", "0.1")))
     if name == "exp3":
         anytime = cfg.get("anytime", "false").lower() == "true"
         eta = float(cfg["eta"]) if "eta" in cfg else None
-        return adversarial.Exp3State(K, n=n, eta=eta, anytime=anytime)
+        return partial(adversarial.Exp3State, K, n=n, eta=eta, anytime=anytime)
     if name == "exp3p":
         delta = None if cfg.get("delta_free", "false").lower() == "true" \
             else float(cfg.get("delta", "0.1"))
-        return adversarial.Exp3PState.from_horizon(K, n, delta)
-    raise ConfigError(f"policy {name!r} does not run on a finite-arm environment")
+        beta, eta, gamma = adversarial.exp3p_params(n, K, delta)
+        return partial(adversarial.Exp3PState, K, eta, gamma, beta)
+    raise ConfigError(f"{name!r} is not a finite-arm policy")
 
 
-def run_replica(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    """One replica; returns the cumulative pseudo-regret (or mistake) curve."""
-    name = config["policy"]
-    cfg = config["policy_params"]
-    n = config["horizon"]
+def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
+    """Play `policy` for n rounds on a finite-arm environment.
+
+    The policy holds one replica, and `rng` is its Generator, or R replicas,
+    and `rng` is a ReplicaDraws; the curve is (n,) or (R, n) to match.
+    A policy that learns from gains gets the reward, or 1 - loss from an
+    adversary; one that learns from losses gets the loss, or 1 - reward.
+    """
+    gain = policy.feedback == "gain"
     kind = env["kind"]
-
+    shape = () if isinstance(rng, np.random.Generator) else (rng.replicas,)
+    played = np.empty(shape + (n,))  # gap (stochastic) or loss of the arm played
     if kind == "stochastic":
         sto: StochasticEnv = env["env"]
-        policy = _build_finite_policy(name, cfg, sto.n_arms, n)
-        inc = np.empty(n)
         for t in range(n):
-            arm = policy.select(stream)
-            reward = sto.sample_reward(arm, stream)
-            if isinstance(policy, adversarial.Exp3PState):
-                policy.update(arm, reward)  # gains are rewards
-            elif isinstance(policy, adversarial.Exp3State):
-                policy.update(arm, 1.0 - reward)
-            elif isinstance(policy, stochastic.ThompsonState):
-                policy.update(arm, reward, stream)
-            else:
-                policy.update(arm, reward)
-            inc[t] = sto.gaps[arm]
-        return np.cumsum(inc)
+            arm = policy.select(rng)
+            reward = sto.sample_reward(arm, rng)
+            policy.update(arm, reward if gain else 1.0 - reward)
+            played[..., t] = sto.gaps[arm]
+        return np.cumsum(played, axis=-1)
 
     if kind == "oblivious":
         adv: ObliviousAdversary = env["adv"]
-        K = adv.n_arms
-        policy = _build_finite_policy(name, cfg, K, n)
-        col_cum = np.zeros(K)
-        curve = np.empty(n)
-        cum_chosen = 0.0
         for t in range(n):
-            arm = policy.select(stream)
-            losses = adv.loss_vector(t)
-            if isinstance(policy, adversarial.Exp3PState):
-                policy.update_loss(arm, losses[arm])
-            else:
-                policy.update(arm, losses[arm])
-            cum_chosen += losses[arm]
-            col_cum += losses
-            curve[t] = cum_chosen - col_cum.min()
-        return curve
+            arm = policy.select(rng)
+            loss = adv.loss_vector(t)[arm]
+            policy.update(arm, 1.0 - loss if gain else loss)
+            played[..., t] = loss
+        best = np.cumsum(adv.loss_matrix[:n], axis=0).min(axis=1)
+        return np.cumsum(played, axis=-1) - best
 
-    if kind == "nonoblivious":
-        adv: NonObliviousAdversary = env["adv"]
-        K = adv.n_arms
-        policy = _build_finite_policy(name, cfg, K, n)
-        history: list[int] = []
-        col_cum = np.zeros(K)
-        curve = np.empty(n)
-        cum_chosen = 0.0
-        for t in range(n):
-            losses = adv.loss_vector(tuple(history))
-            arm = policy.select(stream)
-            if isinstance(policy, adversarial.Exp3PState):
-                policy.update_loss(arm, losses[arm])
-            else:
-                policy.update(arm, losses[arm])
-            history.append(arm)
-            cum_chosen += losses[arm]
-            col_cum += losses
-            curve[t] = cum_chosen - col_cum.min()
-        return curve
-
-    if kind == "contextual":
-        return _run_contextual(name, cfg, env, n, stream)
-
-    if kind == "semibandit":
-        d, m = env["d"], env["m"]
-        variant = cfg.get("variant", "potential")
-        policy = mirror.OsmdMsets(d, m, n=n, variant=variant,
-                                  q=float(cfg.get("q", "2.0")),
-                                  eta=float(cfg["eta"]) if "eta" in cfg else None)
-        coord_cum = np.zeros(d)
-        curve = np.empty(n)
-        cum_incurred = 0.0
-        for t in range(n):
-            losses = stream.random(d)
-            _, incurred = policy.round(losses, stream)
-            cum_incurred += incurred
-            coord_cum += losses
-            curve[t] = cum_incurred - np.sort(coord_cum)[:m].sum()
-        return curve
-
-    if kind == "linear-points":
-        pts = env["points"]
-        policy = mirror.Exp2State(pts, n=n,
-                                  eta=float(cfg["eta"]) if "eta" in cfg else None,
-                                  gamma=float(cfg["gamma"]) if "gamma" in cfg else None)
-        cum_loss_vec = np.zeros(env["d"])
-        curve = np.empty(n)
-        cum_incurred = 0.0
-        for t in range(n):
-            ell = env["losses"][t]
-            idx = policy.select(stream)
-            scalar = float(pts[idx] @ ell)
-            policy.update(idx, scalar)
-            cum_incurred += scalar
-            cum_loss_vec += ell
-            curve[t] = cum_incurred - (pts @ cum_loss_vec).min()
-        return curve
-
-    if kind == "linear-ball":
-        d = env["d"]
-        policy = mirror.OsmdBall(d, n=n,
-                                 gamma=float(cfg["gamma"]) if "gamma" in cfg else None,
-                                 eta=float(cfg["eta"]) if "eta" in cfg else None)
-        cum_loss_vec = np.zeros(d)
-        curve = np.empty(n)
-        cum_incurred = 0.0
-        for t in range(n):
-            ell = env["losses"][t]
-            _, incurred = policy.round(ell, stream)
-            cum_incurred += incurred
-            cum_loss_vec += ell
-            curve[t] = cum_incurred + np.linalg.norm(cum_loss_vec)
-        return curve
-
-    if kind == "convex":
-        return _run_convex(name, cfg, env, n, stream)
-
-    if kind == "unimodal":
-        mu, mu_star = env["mu"], env["mu_star"]
-
-        def sample_losses(x: float, count: int, rng: np.random.Generator) -> np.ndarray:
-            return (rng.random(count) < mu(x)).astype(float)
-
-        played, _bracket = convex.run_sgs(sample_losses, n,
-                                          float(cfg.get("c_l", env["C_L"])), stream)
-        inc = np.array([mu(x) - mu_star for x in played])
-        return np.cumsum(inc)
-
-    if kind == "multiclass":
-        return _run_multiclass(cfg, env, n, stream)
-
-    raise ConfigError(f"no runner for environment kind {kind!r}")
+    # nonoblivious: each replica's adversary reacts to that replica's history
+    adv: NonObliviousAdversary = env["adv"]
+    histories = [[] for _ in range(shape[0] if shape else 1)]
+    cum_losses = np.zeros(shape + (adv.n_arms,))
+    best = np.empty(shape + (n,))
+    for t in range(n):
+        losses = np.array([adv.loss_vector(tuple(h)) for h in histories])
+        losses = losses.reshape(cum_losses.shape)
+        arm = policy.select(rng)
+        loss = losses.reshape(-1)[flat_index(losses, arm)]
+        policy.update(arm, 1.0 - loss if gain else loss)
+        for history, a in zip(histories, np.atleast_1d(arm).tolist()):
+            history.append(a)
+        played[..., t] = loss
+        cum_losses += losses
+        best[..., t] = cum_losses.min(axis=-1)
+    return np.cumsum(played, axis=-1) - best
 
 
-def _run_contextual(name: str, cfg: dict, env: dict, n: int,
-                    stream: np.random.Generator) -> np.ndarray:
+def _run_finite(config: dict, env: dict, streams) -> np.ndarray:
+    """One curve per stream for a finite-arm policy.
+
+    A policy class that declares `draws_per_select` reads that many doubles
+    per select(), so all its replicas advance in lockstep on one (R, K)
+    state. eps-greedy and thompson read a data-dependent number of doubles
+    per round and run one replica at a time.
+    """
+    name, cfg, n, K = config["policy"], config["policy_params"], config["horizon"], env["K"]
+    make = _finite_policy(name, cfg, K, n)
+    per_select = getattr(make.func, "draws_per_select", None)
+    if per_select is None:
+        return np.vstack([_finite_rounds(_finite_policy(name, cfg, K, n, stream)(), env, n, stream)
+                          for stream in streams])
+    draws = ReplicaDraws(streams, (per_select + (env["kind"] == "stochastic")) * n)
+    return _finite_rounds(make(replicas=draws.replicas), env, n, draws)
+
+
+def _one_at_a_time(run_one):
+    """A runner over many streams from one that runs a single replica."""
+    def run(config: dict, env: dict, streams) -> np.ndarray:
+        return np.vstack([run_one(config, env, stream) for stream in streams])
+    return run
+
+
+def run_replica(config: dict, env: dict, streams) -> np.ndarray:
+    """Cumulative pseudo-regret (or mistake) curves.
+
+    `streams` is one replica's Generator, for its 1-D curve, or an iterable
+    of per-replica Generators, for an (R, n) array with one row per stream.
+    ucb, exp3 and exp3p run all the replicas in lockstep; the other policies
+    run them one after another. Either way row r reads only its own stream.
+    """
+    runner = _runner(config["policy"], config["env_kind"])
+    single = isinstance(streams, np.random.Generator)
+    curves = runner(config, env, [streams] if single else streams)
+    return curves[0] if single else curves
+
+
+def _run_semibandit(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    cfg, n = config["policy_params"], config["horizon"]
+    d, m = env["d"], env["m"]
+    variant = cfg.get("variant", "potential")
+    policy = mirror.OsmdMsets(d, m, n=n, variant=variant,
+                              q=float(cfg.get("q", "2.0")),
+                              eta=float(cfg["eta"]) if "eta" in cfg else None)
+    coord_cum = np.zeros(d)
+    curve = np.empty(n)
+    cum_incurred = 0.0
+    for t in range(n):
+        losses = stream.random(d)
+        _, incurred = policy.round(losses, stream)
+        cum_incurred += incurred
+        coord_cum += losses
+        curve[t] = cum_incurred - np.sort(coord_cum)[:m].sum()
+    return curve
+
+
+def _run_linear_points(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    cfg, n = config["policy_params"], config["horizon"]
+    pts = env["points"]
+    policy = mirror.Exp2State(pts, n=n,
+                              eta=float(cfg["eta"]) if "eta" in cfg else None,
+                              gamma=float(cfg["gamma"]) if "gamma" in cfg else None)
+    cum_loss_vec = np.zeros(env["d"])
+    curve = np.empty(n)
+    cum_incurred = 0.0
+    for t in range(n):
+        ell = env["losses"][t]
+        idx = policy.select(stream)
+        scalar = float(pts[idx] @ ell)
+        policy.update(idx, scalar)
+        cum_incurred += scalar
+        cum_loss_vec += ell
+        curve[t] = cum_incurred - (pts @ cum_loss_vec).min()
+    return curve
+
+
+def _run_linear_ball(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    cfg, n = config["policy_params"], config["horizon"]
+    d = env["d"]
+    policy = mirror.OsmdBall(d, n=n,
+                             gamma=float(cfg["gamma"]) if "gamma" in cfg else None,
+                             eta=float(cfg["eta"]) if "eta" in cfg else None)
+    cum_loss_vec = np.zeros(d)
+    curve = np.empty(n)
+    cum_incurred = 0.0
+    for t in range(n):
+        ell = env["losses"][t]
+        _, incurred = policy.round(ell, stream)
+        cum_incurred += incurred
+        cum_loss_vec += ell
+        curve[t] = cum_incurred + np.linalg.norm(cum_loss_vec)
+    return curve
+
+
+def _run_unimodal(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    mu, mu_star = env["mu"], env["mu_star"]
+
+    def sample_losses(x: float, count: int, rng: np.random.Generator) -> np.ndarray:
+        return (rng.random(count) < mu(x)).astype(float)
+
+    played, _bracket = convex.run_sgs(sample_losses, config["horizon"],
+                                      float(config["policy_params"].get("c_l", env["C_L"])),
+                                      stream)
+    inc = np.array([mu(x) - mu_star for x in played])
+    return np.cumsum(inc)
+
+
+def _run_contextual(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    name, cfg, n = config["policy"], config["policy_params"], config["horizon"]
     K = env["K"]
     losses = env["losses"]
     curve = np.empty(n)
@@ -531,8 +585,8 @@ def _run_contextual(name: str, cfg: dict, env: dict, n: int,
     raise ConfigError(f"policy {name!r} does not run on a contextual environment")
 
 
-def _run_convex(name: str, cfg: dict, env: dict, n: int,
-                stream: np.random.Generator) -> np.ndarray:
+def _run_convex(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    name, cfg, n = config["policy"], config["policy_params"], config["horizon"]
     body: convex.ConvexBody = env["body"]
     d = body.dim
     R, r = body.outer_radius, body.inner_radius
@@ -573,8 +627,8 @@ def _run_convex(name: str, cfg: dict, env: dict, n: int,
     return curve
 
 
-def _run_multiclass(cfg: dict, env: dict, n: int,
-                    stream: np.random.Generator) -> np.ndarray:
+def _run_multiclass(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
+    cfg, n = config["policy_params"], config["horizon"]
     K, d = env["K"], env["d"]
     gamma = float(cfg.get("gamma", contextual.banditron_gamma(K, n)))
     policy = contextual.BanditronState(K, d, gamma)
@@ -593,6 +647,34 @@ def _run_multiclass(cfg: dict, env: dict, n: int,
         policy.update(x, yhat, Y, correct, p)
         mistakes[t] = 0.0 if correct else 1.0
     return np.cumsum(mistakes)
+
+
+# replica runner per environment kind (lower-bound builds a stochastic env);
+# each takes a list of streams and returns one curve per stream
+_RUNNERS = {
+    **dict.fromkeys(_FINITE_KINDS, _run_finite),
+    "contextual": _one_at_a_time(_run_contextual),
+    "semibandit": _one_at_a_time(_run_semibandit),
+    "linear-points": _one_at_a_time(_run_linear_points),
+    "linear-ball": _one_at_a_time(_run_linear_ball),
+    "convex": _one_at_a_time(_run_convex),
+    "unimodal": _one_at_a_time(_run_unimodal),
+    "multiclass": _one_at_a_time(_run_multiclass),
+}
+
+
+def _runner(policy: str, kind: str):
+    """The replica runner of `policy` on environment `kind`; ConfigError for
+    a pair that cannot run together, or an unknown name."""
+    if policy not in _POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}")
+    if kind not in _RUNNERS:
+        raise ConfigError(f"unknown environment kind {kind!r}")
+    kinds = _POLICIES[policy][1]
+    if kind not in kinds:
+        raise ConfigError(f"policy {policy!r} does not run on environment kind {kind!r} "
+                          f"(it runs on {', '.join(kinds)})")
+    return _RUNNERS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -660,32 +742,37 @@ class RegretReport:
 
 
 def run_experiment(config: dict) -> RegretReport:
-    """Execute all replicas of a validated config and aggregate the curves."""
+    """Execute all replicas of a config and aggregate the curves.
+
+    Replica r reads only `derive_stream(seed, r)`. With `workers` > 1 each
+    worker thread runs a contiguous slice of the replicas.
+    """
     start = time.perf_counter()
+    check_config(config)
     n = config["horizon"]
     replicas = config["replicas"]
     seed = config["seed"]
     env = build_environment(config["env_kind"], config["env_params"], n, seed)
+    overlays = {name: compute_overlay(name, config, env) for name in config["overlays"]}
 
-    def one(i: int) -> np.ndarray:
-        return run_replica(config, env, derive_stream(seed, i))
+    def run_slice(lo: int, hi: int) -> np.ndarray:
+        # streams are derived as the runner reaches them, not all up front
+        return run_replica(config, env, (derive_stream(seed, i) for i in range(lo, hi)))
 
-    workers = config.get("workers", 1)
-    if workers > 1 and replicas > 1:
+    workers = min(config.get("workers", 1), replicas)
+    if workers > 1:
+        cuts = [replicas * w // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(one, range(replicas)))
+            stacked = np.vstack(list(pool.map(run_slice, cuts[:-1], cuts[1:])))
     else:
-        curves = [one(i) for i in range(replicas)]
+        stacked = run_slice(0, replicas)
 
-    stacked = np.vstack(curves) if n > 0 else np.zeros((replicas, 0))
     mean_curve = stacked.mean(axis=0)
     if replicas > 1:
         sem_curve = stacked.std(axis=0, ddof=1) / math.sqrt(replicas)
     else:
         sem_curve = np.zeros(n)
     terminal = stacked[:, -1] if n > 0 else np.zeros(replicas)
-
-    overlays = {name: compute_overlay(name, config, env) for name in config["overlays"]}
     return RegretReport(
         policy=config["policy"],
         env_kind=config["env_kind"],
@@ -763,7 +850,16 @@ def bound(name: str, **params) -> float:
 
 
 def compute_overlay(name: str, config: dict, env: dict) -> float:
-    """Evaluate a bound with parameters pulled from the experiment config."""
+    """Evaluate a bound with parameters pulled from the experiment config;
+    ConfigError when the environment lacks what the bound needs."""
+    try:
+        return _resolve_overlay(name, config, env)
+    except KeyError as missing:
+        raise ConfigError(f"overlay {name!r} does not apply to environment kind "
+                          f"{config['env_kind']!r} (no {missing} there)") from None
+
+
+def _resolve_overlay(name: str, config: dict, env: dict) -> float:
     n = config["horizon"]
     cfg = config["policy_params"]
     if name == "ucb":

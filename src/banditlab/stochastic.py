@@ -7,19 +7,28 @@ from typing import Callable
 
 import numpy as np
 
+from .env import as_arm, flat_index
 
-def hoeffding_psi_star_inv(x: float) -> float:
-    """Inverse of the rate function 2*eps^2 that governs [0,1]-bounded rewards."""
-    if x < 0:
+
+def hoeffding_psi_star_inv(x):
+    """Inverse of the rate function 2*eps^2 that governs [0,1]-bounded rewards,
+    elementwise on arrays."""
+    x = np.asarray(x)
+    if x.min() < 0:
         raise ValueError("argument must be non-negative")
-    return math.sqrt(x / 2.0)
+    return np.sqrt(x / 2.0)
 
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """Confidence-radius shape: the inverse of the dual rate function."""
+    """Confidence-radius shape: the inverse of the dual rate function.
 
-    psi_star_inv: Callable[[float], float]
+    `psi_star_inv` gets the whole array of rates at once, one per arm (and
+    per replica), and must return the radii elementwise; a function of one
+    float, such as one built on `math.sqrt`, does not fit.
+    """
+
+    psi_star_inv: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
 
 
@@ -31,40 +40,41 @@ class UcbState:
 
     At round t the index of arm i is its empirical mean plus
     psi_star_inv(alpha * ln t / T_i); untried arms have index +inf and ties
-    go to the lowest arm index.
+    go to the lowest arm index. With `replicas` set, the state holds one row
+    per replica and `select`/`update` take and return one arm per row.
     """
 
-    def __init__(self, K: int, alpha: float = 2.5, psi: PsiSpec = HOEFFDING):
+    feedback = "gain"
+    draws_per_select = 0
+
+    def __init__(self, K: int, alpha: float = 2.5, psi: PsiSpec = HOEFFDING,
+                 replicas: int | None = None):
         if alpha <= 2.0:
             raise ValueError("alpha must exceed 2")
         self.K = K
         self.alpha = alpha
         self.psi = psi
-        self.counts = np.zeros(K, dtype=int)
-        self.means = np.zeros(K)
+        shape = (K,) if replicas is None else (replicas, K)
+        self.counts = np.zeros(shape, dtype=int)
+        self.means = np.zeros(shape)
         self.t = 0  # rounds completed
 
-    def select(self, rng=None, psi: PsiSpec | None = None) -> int:
-        t = self.t + 1
-        untried = np.flatnonzero(self.counts == 0)
-        if untried.size:
-            return int(untried[0])
+    def select(self, rng=None, psi: PsiSpec | None = None):
         psi = psi or self.psi
-        log_t = math.log(t)
-        radii = np.array(
-            [psi.psi_star_inv(self.alpha * log_t / c) for c in self.counts]
-        )
-        idx = self.means + radii
-        return int(idx.argmax())  # argmax takes the lowest index on ties
+        untried = self.counts == 0
+        rates = self.alpha * math.log(self.t + 1) / np.maximum(self.counts, 1)
+        idx = self.means + psi.psi_star_inv(rates)
+        idx[untried] = np.inf
+        return as_arm(idx.argmax(-1))  # argmax takes the lowest index on ties
 
-    def update(self, arm: int, reward: float) -> None:
-        self.counts[arm] += 1
-        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
+    def update(self, arm, reward) -> None:
+        i = flat_index(self.counts, arm)
+        counts, means = self.counts.reshape(-1), self.means.reshape(-1)
+        c = counts[i] + 1
+        m = means[i]
+        counts[i] = c
+        means[i] = m + (reward - m) / c
         self.t += 1
-
-
-def ucb_select(state: UcbState, psi: PsiSpec | None = None) -> int:
-    return state.select(psi=psi)
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -107,10 +117,17 @@ def ucb_bound(alpha: float, gaps, n: int) -> float:
 
 
 class ThompsonState:
-    """Per-arm Beta posteriors starting from the uniform prior Beta(1, 1)."""
+    """Per-arm Beta posteriors starting from the uniform prior Beta(1, 1).
 
-    def __init__(self, K: int):
+    `rng`, when given, binarizes fractional rewards that `update` receives
+    without an rng of its own.
+    """
+
+    feedback = "gain"
+
+    def __init__(self, K: int, rng: np.random.Generator | None = None):
         self.K = K
+        self.rng = rng
         self.successes = np.zeros(K)
         self.failures = np.zeros(K)
 
@@ -126,6 +143,7 @@ class ThompsonState:
         # Non-binary rewards in [0,1] are binarized with an auxiliary
         # Bernoulli(reward) draw, which keeps the Beta update conjugate.
         if reward not in (0.0, 1.0):
+            rng = rng or self.rng
             if rng is None:
                 raise ValueError("rng required to binarize a fractional reward")
             reward = float(rng.random() < reward)
@@ -135,16 +153,10 @@ class ThompsonState:
             self.failures[arm] += 1.0
 
 
-def thompson_step(state: ThompsonState, rng: np.random.Generator) -> int:
-    return state.select(rng)
-
-
-def thompson_update(state: ThompsonState, arm: int, reward: float, rng=None) -> None:
-    state.update(arm, reward, rng)
-
-
 class EpsGreedyState:
     """Greedy play with exploration probability min(1, K / (d_gap^2 * t))."""
+
+    feedback = "gain"
 
     def __init__(self, K: int, d_gap: float):
         if not 0.0 < d_gap < 1.0:
@@ -172,7 +184,3 @@ class EpsGreedyState:
         self.counts[arm] += 1
         self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
         self.t += 1
-
-
-def eps_greedy_step(state: EpsGreedyState, rng: np.random.Generator) -> int:
-    return state.select(rng)

@@ -1,0 +1,170 @@
+"""The replica engine's contract: reports are fixed by (config, seed), whatever
+the batch a replica runs in, and replica r reads only derive_stream(seed, r)."""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from banditlab import harness
+from banditlab.adversarial import (
+    Exp3PState,
+    Exp3State,
+    exp3p_gain_estimate,
+    importance_loss_estimate,
+)
+from banditlab.env import (
+    BernoulliArm,
+    DiscreteArm,
+    ReplicaDraws,
+    StochasticEnv,
+    derive_stream,
+    sample_categorical,
+)
+from banditlab.stochastic import UcbState
+
+# name: (policy, policy params, env kind, env params, horizon, replicas, seed)
+CASES = {
+    "ucb-stochastic": ("ucb", {"alpha": "2.5"}, "stochastic",
+                       {"means": "0.9, 0.6, 0.5"}, 400, 3, 11),
+    "ucb-lower-bound": ("ucb", {}, "lower-bound",
+                        {"k": "4", "eps": "0.2", "best": "1"}, 300, 4, 12),
+    "exp3-stochastic": ("exp3", {}, "stochastic",
+                        {"means": "0.7, 0.4, 0.5, 0.2, 0.6"}, 300, 3, 13),
+    "exp3-oblivious": ("exp3", {}, "oblivious", {"k": "10"}, 300, 3, 14),
+    "exp3-oblivious-eta": ("exp3", {"eta": "0.3"}, "oblivious", {"k": "3"}, 200, 3, 15),
+    "exp3-oblivious-anytime": ("exp3", {"anytime": "true"}, "oblivious", {"k": "5"},
+                               300, 3, 16),
+    "exp3p-stochastic": ("exp3p", {"delta": "0.1"}, "stochastic", {"means": "0.8, 0.5"},
+                         300, 3, 17),
+    "exp3p-oblivious": ("exp3p", {"delta_free": "true"}, "oblivious", {"k": "4"},
+                        300, 3, 18),
+    "exp3-nonoblivious": ("exp3", {}, "nonoblivious", {"k": "3", "adversary": "grudge"},
+                          200, 3, 19),
+    "eps-greedy-stochastic": ("eps-greedy", {"d_gap": "0.2"}, "stochastic",
+                              {"means": "0.9, 0.6, 0.5"}, 300, 3, 20),
+    "thompson-stochastic": ("thompson", {}, "stochastic", {"means": "0.9, 0.6, 0.5"},
+                            300, 3, 21),
+}
+
+# sha256 of the sorted-key JSON of content_dict(), captured from the
+# one-replica-at-a-time engine that preceded the lockstep one
+GOLDEN = {
+    "ucb-stochastic": "3868475990a8a5fe36daf7cb3c4ac1ba2cdd86f4fef5709f6b3ec72803f7e63f",
+    "ucb-lower-bound": "ff63a5ac5cb27d33ce6dfc7608be47e749cdf59558efb4cc2a9dba5baefff6ef",
+    "exp3-stochastic": "514961667773a7b4a3968429e73037312b238d83067aa928b86b44f56d8180df",
+    "exp3-oblivious": "e7fa93c9e405b93ab23763446a1eb79cd2eaa46df018fad923bc9ff1e4fc136a",
+    "exp3-oblivious-eta": "f2f46ed25ac1b20332dbd7d2316f0e7b339227fef54f2b449718401b8253d152",
+    "exp3-oblivious-anytime":
+        "c9e003666639e4d50ff724e2a140aa9a13850f6c2e5b485ee1152449f20a2ae9",
+    "exp3p-stochastic": "13d1e5baf43449fda635dcd6edbf171715ad68a9018d486accf4cd2d593ca99e",
+    "exp3p-oblivious": "8fe855dbe165cd465b375bf4c971e37c441d59a791b656f195440956a642b351",
+    "exp3-nonoblivious": "b2eda69e05b339466a8e7d9d12177af34c6db5a54bf072ad119faa27f36800e1",
+    "eps-greedy-stochastic":
+        "98a7534dcfb1f6e1e6f2942217b4c8117e7274bcb7afc4590df90634f17c11e5",
+    "thompson-stochastic": "220fc576a124d53dbeed1c400df2784c69bcd3e10cca3317caffe520259f286e",
+}
+
+
+def _config(policy, policy_params, kind, env_params, n, replicas, seed, workers=1):
+    return {"policy": policy, "horizon": n, "replicas": replicas, "seed": seed,
+            "workers": workers, "policy_params": dict(policy_params), "env_kind": kind,
+            "env_params": dict(env_params), "overlays": [],
+            "output": {"dir": ".", "format": "csv", "basename": "report"}}
+
+
+def _digest(report) -> str:
+    text = json.dumps(report.content_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_content_digest(name):
+    assert _digest(harness.run_experiment(_config(*CASES[name]))) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["ucb-stochastic", "exp3-oblivious-anytime",
+                                  "exp3p-stochastic", "exp3-nonoblivious",
+                                  "thompson-stochastic"])
+def test_rows_equal_single_stream_runs(name):
+    cfg = _config(*CASES[name])
+    env = harness.build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"],
+                                    cfg["seed"])
+    batch = harness.run_replica(cfg, env, [derive_stream(cfg["seed"], r) for r in range(5)])
+    assert batch.shape == (5, cfg["horizon"])
+    for r in range(5):
+        single = harness.run_replica(cfg, env, derive_stream(cfg["seed"], r))
+        assert single.shape == (cfg["horizon"],)
+        assert np.array_equal(batch[r], single)
+
+
+@pytest.mark.parametrize("name", ["exp3-stochastic", "ucb-lower-bound", "eps-greedy-stochastic"])
+def test_workers_match_serial(name):
+    policy, pp, kind, ep, n, _, seed = CASES[name]
+    serial = harness.run_experiment(_config(policy, pp, kind, ep, n, 5, seed, workers=1))
+    split = harness.run_experiment(_config(policy, pp, kind, ep, n, 5, seed, workers=2))
+    assert split.content_dict() == serial.content_dict()
+
+
+def test_replica_draws_match_scalar_draws_across_blocks():
+    total = 4100  # past the first block of 4096 doubles
+    draws = ReplicaDraws([derive_stream(3, r) for r in range(3)], total=total)
+    got = np.array([draws.random() for _ in range(total)])
+    for r in range(3):
+        stream = derive_stream(3, r)
+        assert np.array_equal(got[:, r], [stream.random() for _ in range(total)])
+    with pytest.raises(RuntimeError):
+        draws.random()
+
+
+def test_discrete_arm_draws_what_rng_choice_draws():
+    arm = DiscreteArm([0.1, 0.5, 0.75, 1.0], [0.15, 0.35, 0.2, 0.3])
+    for seed in range(5):
+        ours, choice = derive_stream(seed, 0), derive_stream(seed, 0)
+        assert [arm.sample(ours) for _ in range(200)] \
+            == [float(choice.choice(arm.support, p=arm.probs)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("policy", ["ucb", "exp3", "exp3p"])
+def test_lockstep_runs_discrete_arms(policy):
+    arms = [DiscreteArm([0.0, 0.5, 1.0], [0.2, 0.5, 0.3]), BernoulliArm(0.4)]
+    env = {"kind": "stochastic", "env": StochasticEnv(arms), "K": 2}
+    config = _config(policy, {}, "stochastic", {"means": "0.5"}, 150, 3, 0)
+    rows = harness.run_replica(config, env, [derive_stream(8, r) for r in range(3)])
+    singles = [harness.run_replica(config, env, derive_stream(8, r)) for r in range(3)]
+    assert np.array_equal(rows, np.vstack(singles))
+
+
+def test_sample_categorical_rows_match_one_row_at_a_time():
+    p = derive_stream(4, 0).dirichlet(np.ones(5), size=6)
+    draws = ReplicaDraws([derive_stream(5, r) for r in range(6)], total=1)
+    rows = sample_categorical(p, draws)
+    singles = [sample_categorical(p[r], derive_stream(5, r)) for r in range(6)]
+    assert rows.tolist() == singles
+    assert sample_categorical(np.array([0.0, 1.0]), derive_stream(5, 0)) == 1
+
+
+def test_lockstep_checks_hold_per_row():
+    env = StochasticEnv.bernoulli([0.5, 0.5])
+    draws = ReplicaDraws([derive_stream(1, r) for r in range(2)], total=1)
+    with pytest.raises(IndexError):
+        env.sample_reward(np.array([0, 2]), draws)
+    p = np.array([[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(ZeroDivisionError):
+        importance_loss_estimate(p, np.array([0, 1]), np.array([0.3, 0.3]))
+    est = importance_loss_estimate(p, np.array([1, 0]), np.array([0.3, 0.6]))
+    assert np.array_equal(est, [[0.0, 0.6], [0.6, 0.0]])
+    with pytest.raises(ZeroDivisionError):
+        exp3p_gain_estimate(p, np.array([0, 0]), np.array([1.0, 1.0]), 0.1)
+
+
+def test_batched_states_keep_one_row_per_replica():
+    ucb = UcbState(3, replicas=2)
+    ucb.update(np.array([0, 2]), np.array([1.0, 0.5]))
+    assert ucb.counts.tolist() == [[1, 0, 0], [0, 0, 1]]
+    assert ucb.means.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]
+    assert ucb.select().tolist() == [1, 0]
+    exp3 = Exp3State(2, n=10, replicas=3)
+    assert exp3.probs().shape == (3, 2)
+    exp3p = Exp3PState.from_horizon(2, 10, 0.1, replicas=3)
+    assert np.allclose(exp3p.probs().sum(axis=-1), 1.0)

@@ -227,3 +227,75 @@ def test_cli_sweep(tmp_path):
 def test_cli_selftest_and_oracle():
     assert cli.main(["selftest"]) == 0
     assert cli.main(["oracle", "--horizon", "4", "--replicas", "800"]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replicas", "0"), ("replicas", "2.5"), ("horizon", "-1"), ("horizon", "abc"),
+    ("seed", "x"), ("workers", "0"),
+])
+def test_parse_config_rejects_bad_experiment_values(key, value):
+    experiment = {"policy": "ucb", "horizon": "50", "replicas": "2", "seed": "1",
+                  "workers": "1", key: value}
+    text = "\n".join(["[experiment]", *(f"{k} = {v}" for k, v in experiment.items()),
+                      "[environment]", "kind = stochastic", "means = 0.9, 0.6"])
+    with pytest.raises(ConfigError, match=f"experiment.{key}"):
+        parse_config(text)
+
+
+def test_replicas_below_one_fail_in_run_experiment_too():
+    with pytest.raises(ConfigError, match="experiment.replicas"):
+        run_experiment(_config(replicas=0))
+
+
+@pytest.mark.parametrize("source", ["losses", "csv"])
+def test_short_oblivious_matrix_fails_at_build_time(tmp_path, source):
+    rows = ";".join(["0.1,0.9"] * 5)
+    if source == "csv":
+        path = tmp_path / "losses.csv"
+        path.write_text(rows.replace(";", "\n") + "\n")
+        params = {"csv": str(path)}
+    else:
+        params = {"losses": rows}
+    with pytest.raises(ConfigError, match=f"environment.{source}"):
+        build_environment("oblivious", params, 6, 0)
+    assert build_environment("oblivious", params, 5, 0)["adv"].horizon == 5
+
+
+def test_mismatched_overlay_fails_before_any_replica(monkeypatch):
+    def no_replicas(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(harness, "run_replica", no_replicas)
+    cfg = _config(policy="exp3", policy_params={}, env_kind="oblivious",
+                  env_params={"k": "2"}, overlays=["ucb"])
+    with pytest.raises(ConfigError, match="'ucb'"):
+        run_experiment(cfg)
+
+
+# one incompatible pair per runner family
+@pytest.mark.parametrize("policy, kind", [
+    ("ucb", "semibandit"), ("thompson", "multiclass"), ("sexp3", "stochastic"),
+    ("banditron", "oblivious"), ("exp2-john", "linear-ball"), ("osmd-msets", "contextual"),
+    ("osmd-ball", "linear-points"), ("osgd-2pt", "unimodal"), ("sgs", "convex"),
+])
+def test_parse_config_rejects_policy_env_pairs(policy, kind):
+    text = (f"[experiment]\npolicy = {policy}\nhorizon = 10\n\n"
+            f"[environment]\nkind = {kind}\n")
+    with pytest.raises(ConfigError, match=f"'{policy}'.*'{kind}'"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match=f"'{policy}'.*'{kind}'"):
+        run_experiment(_config(policy=policy, policy_params={}, env_kind=kind,
+                               env_params={}, overlays=[]))
+
+
+@pytest.mark.parametrize("policy, params", [
+    ("ucb", {}), ("eps-greedy", {"d_gap": "0.5"}), ("thompson", {}),
+])
+def test_gain_learners_read_oblivious_losses_as_losses(policy, params):
+    # arm 0 loses 0.1 and arm 1 loses 0.9 every round; playing arm 1 throughout
+    # would cost 0.8 n
+    n = 2000
+    cfg = _config(policy=policy, policy_params=params, env_kind="oblivious",
+                  env_params={"losses": ";".join(["0.1,0.9"] * n)}, overlays=[],
+                  horizon=n, replicas=2)
+    assert run_experiment(cfg).mean_terminal < 0.1 * n * 0.8

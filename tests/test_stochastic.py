@@ -7,6 +7,7 @@ from banditlab.env import StochasticEnv, derive_stream
 from banditlab.stochastic import (
     EpsGreedyState,
     HOEFFDING,
+    PsiSpec,
     ThompsonState,
     UcbState,
     hoeffding_psi_star_inv,
@@ -194,3 +195,27 @@ def test_psi_spec_is_pluggable():
     spec = HOEFFDING
     state = UcbState(2, psi=spec)
     assert state.psi.name == "hoeffding"
+
+
+def test_custom_psi_spec_gets_every_rate_at_once():
+    # a spec is applied elementwise to the array of rates, one per arm (and
+    # per replica): here a narrow linear radius in place of Hoeffding's
+    seen = []
+
+    def narrow(rates):
+        seen.append(np.shape(rates))
+        return rates / 100.0
+
+    spec = PsiSpec(narrow, name="narrow")
+    for replicas in (None, 3):
+        state = UcbState(3, alpha=3.0, psi=spec, replicas=replicas)
+        rows = 1 if replicas is None else replicas
+        arms = np.zeros(rows, dtype=int)
+        for arm, reward in ((0, 1.0), (0, 1.0), (0, 0.5), (1, 0.0), (2, 0.5)):
+            state.update(arm if replicas is None else arms + arm, reward)
+        rates = 3.0 * math.log(6) / np.array([3, 1, 1])
+        index = np.array([2.5 / 3, 0.0, 0.5]) + rates / 100.0
+        assert int(index.argmax()) == 0
+        assert np.atleast_1d(state.select()).tolist() == [0] * rows
+        assert seen[-1] == state.means.shape
+        assert np.atleast_1d(state.select(psi=HOEFFDING)).tolist() == [2] * rows
