@@ -17,7 +17,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", default=None, choices=["csv", "json", "svg"])
     p.add_argument("--replicas", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--assert-bounds", action="store_true",
                    help="exit nonzero when mean + 2 SEM exceeds any asserted overlay")
 
@@ -28,8 +27,6 @@ def _load_config(args) -> dict:
         config["replicas"] = args.replicas
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.workers is not None:
-        config["workers"] = args.workers
     if args.out is not None:
         config["output"]["dir"] = args.out
     if args.format is not None:

@@ -1,5 +1,6 @@
 """Experiment configuration, Monte Carlo runner, regret aggregation with bound
-overlays, and CSV/JSON/SVG emission."""
+overlays, and CSV/JSON/SVG emission. Each policy, environment kind and overlay
+is one entry of `_POLICIES`, `_ENV_KINDS` or `BOUNDS`."""
 from __future__ import annotations
 
 import configparser
@@ -9,10 +10,11 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,145 +38,132 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# typed config values
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a key that has none
+
+# one config key: how its text becomes a value, and the value it takes when
+# absent (None where the theorem's schedule applies)
+Key = namedtuple("Key", "parse default", defaults=(None,))
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+def _choice(*names: str) -> Callable:
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+    return parse
+
+
+def _list(cast: Callable) -> Callable:
+    return lambda text: [cast(s) for s in text.replace(";", ",").split(",") if s.strip()]
+
+
+def _matrix(text: str) -> np.ndarray:
+    rows = [r for r in text.split(";") if r.strip()]
+    return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def _resolve(section: str, keys: dict, given: dict) -> dict:
+    """Every key of `keys` with its typed value: the given text parsed, or the
+    key's default when absent. A value that is not text is taken as typed."""
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
+    typed = {}
+    for key, spec in keys.items():
+        value = given.get(key, spec.default)
+        if value is REQUIRED:
+            raise ConfigError(f"{section}.{key} is required")
+        if isinstance(value, str):
+            try:
+                value = spec.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from None
+        typed[key] = value
+    return typed
+
+
+# ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {"policy", "horizon", "replicas", "seed", "workers"}
-_OUTPUT_KEYS = {"dir", "format", "basename"}
-_OVERLAY_KEYS = {"names"}
-
-_FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
-
-# policy -> (its [policy] keys, the environment kinds it runs on). `_runner`
-# rejects any other pairing and dispatches run_replica on the same kinds.
-_POLICIES = {
-    "ucb": ({"alpha"}, _FINITE_KINDS),
-    "thompson": (set(), _FINITE_KINDS),
-    "eps-greedy": ({"d_gap"}, _FINITE_KINDS),
-    "exp3": ({"eta", "anytime"}, _FINITE_KINDS),
-    "exp3p": ({"delta", "delta_free"}, _FINITE_KINDS),
-    "sexp3": (set(), ("contextual",)),
-    "exp4": ({"gamma", "eta"}, ("contextual",)),
-    "theta-exp4": ({"gamma"}, ("contextual",)),
-    "banditron": ({"gamma"}, ("multiclass",)),
-    "exp2-john": ({"eta", "gamma"}, ("linear-points",)),
-    "osmd-msets": ({"variant", "q", "eta"}, ("semibandit",)),
-    "osmd-ball": ({"gamma", "eta"}, ("linear-ball",)),
-    "osgd-2pt": ({"delta", "eta"}, ("convex",)),
-    "osgd-1pt": ({"delta", "eta"}, ("convex",)),
-    "sgs": ({"c_l"}, ("unimodal",)),
-}
-
-_ENV_KEYS = {
-    "stochastic": {"means"},
-    "lower-bound": {"k", "eps", "best"},
-    "oblivious": {"k", "losses", "csv"},
-    "nonoblivious": {"k", "adversary"},
-    "contextual": {"k", "n_contexts", "n_sets", "set_sizes", "csv"},
-    "semibandit": {"d", "m"},
-    "linear-points": {"d", "n_points"},
-    "linear-ball": {"d", "loss"},
-    "convex": {"family", "d", "radius"},
-    "unimodal": {"xstar", "floor"},
-    "multiclass": {"k", "d", "csv"},
-}
+_EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000),
+                    "replicas": Key(int, 1), "seed": Key(int, 0)}
+_OUTPUT_KEYS = {"dir": Key(str, "."), "format": Key(_choice("csv", "json", "svg"), "csv"),
+                "basename": Key(str, "report")}
+# the entries of a config dict that are not [experiment] keys
+_SECTIONS = ("policy_params", "env_kind", "env_params", "overlays", "output")
 
 
 def parse_config(text_or_path) -> dict:
-    """Parse and validate an INI experiment description; unknown keys are errors."""
+    """Parse and validate an INI experiment description; unknown keys are errors.
+
+    The [policy] and [environment] values stay text; `check_config` gives
+    their typed values.
+    """
     parser = configparser.ConfigParser()
     text = str(text_or_path)
     if "\n" not in text and Path(text).exists():
         parser.read_string(Path(text).read_text())
     else:
         parser.read_string(text)
-
-    def section(name: str) -> dict:
-        return dict(parser[name]) if parser.has_section(name) else {}
-
-    known_sections = {"experiment", "policy", "environment", "overlays", "output"}
-    unknown = set(parser.sections()) - known_sections
+    sections = {name: dict(parser[name]) for name in parser.sections()}
+    unknown = set(sections) - {"experiment", "policy", "environment", "overlays", "output"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    exp = section("experiment")
-    _reject_unknown("experiment", exp, _EXPERIMENT_KEYS)
-    if "policy" not in exp:
-        raise ConfigError("experiment.policy is required")
-    policy = exp["policy"]
-    if policy not in _POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-
-    pol = section("policy")
-    _reject_unknown("policy", pol, _POLICIES[policy][0])
-
-    envsec = section("environment")
-    kind = envsec.get("kind")
-    if kind is None:
+    envsec = sections.get("environment", {})
+    if "kind" not in envsec:
         raise ConfigError("environment.kind is required")
-    if kind not in _ENV_KEYS:
-        raise ConfigError(f"unknown environment kind {kind!r}")
-    _reject_unknown("environment", {k: v for k, v in envsec.items() if k != "kind"},
-                    _ENV_KEYS[kind])
-
-    over = section("overlays")
-    _reject_unknown("overlays", over, _OVERLAY_KEYS)
-    names = [s.strip() for s in over.get("names", "").split(",") if s.strip()]
-    for name in names:
-        if name not in BOUNDS:
-            raise ConfigError(f"unknown overlay {name!r}")
-
-    out = section("output")
-    _reject_unknown("output", out, _OUTPUT_KEYS)
-
-    def integer(key: str, default: str) -> int:
-        try:
-            return int(exp.get(key, default))
-        except ValueError:
-            raise ConfigError(f"experiment.{key} must be an integer, "
-                              f"got {exp[key]!r}") from None
-
     config = {
-        "policy": policy,
-        "horizon": integer("horizon", "1000"),
-        "replicas": integer("replicas", "1"),
-        "seed": integer("seed", "0"),
-        "workers": integer("workers", "1"),
-        "policy_params": pol,
-        "env_kind": kind,
-        "env_params": {k: v for k, v in envsec.items() if k != "kind"},
-        "overlays": names,
-        "output": {"dir": out.get("dir", "."),
-                   "format": out.get("format", "csv"),
-                   "basename": out.get("basename", "report")},
+        **_resolve("experiment", _EXPERIMENT_KEYS, sections.get("experiment", {})),
+        "policy_params": sections.get("policy", {}),
+        "env_kind": envsec.pop("kind"),
+        "env_params": envsec,
+        "overlays": list(_resolve("overlays", {"names": Key(_list(str.strip), ())},
+                                  sections.get("overlays", {}))["names"]),
+        "output": _resolve("output", _OUTPUT_KEYS, sections.get("output", {})),
     }
     check_config(config)
     return config
 
 
-def check_config(config: dict) -> None:
-    """Raise ConfigError, naming the key, for a config no replica can run."""
-    for key, least in (("horizon", 0), ("replicas", 1), ("seed", None), ("workers", 1)):
-        value = config.get(key, 1)  # only workers may be absent; it defaults to 1
+def check_config(config: dict) -> dict:
+    """The config with every value typed and every default filled in.
+
+    Raises ConfigError, naming the key, for a config no replica can run.
+    """
+    experiment = _resolve("experiment", _EXPERIMENT_KEYS,
+                          {k: v for k, v in config.items() if k not in _SECTIONS})
+    for key, least in (("horizon", 0), ("replicas", 1), ("seed", None)):
+        value = experiment[key]
         if not isinstance(value, numbers.Integral) or (least is not None and value < least):
             rule = "an integer" if least is None else f"an integer >= {least}"
             raise ConfigError(f"experiment.{key} must be {rule}, got {value!r}")
-    _runner(config["policy"], config["env_kind"])
-
-
-def _reject_unknown(section: str, got: dict, allowed: set) -> None:
-    unknown = set(got) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-
-def _floats(text: str) -> list[float]:
-    return [float(s) for s in text.replace(";", ",").split(",") if s.strip()]
-
-
-def _matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[float(v) for v in r.split(",")] for r in rows])
+    policy, kind = experiment["policy"], config["env_kind"]
+    if policy not in _POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}")
+    if kind not in _ENV_KINDS:
+        raise ConfigError(f"unknown environment kind {kind!r}")
+    kinds = _POLICIES[policy].kinds
+    if kind not in kinds:
+        raise ConfigError(f"policy {policy!r} does not run on environment kind {kind!r} "
+                          f"(it runs on {', '.join(kinds)})")
+    for name in config["overlays"]:
+        if name not in BOUNDS:
+            raise ConfigError(f"unknown overlay {name!r}")
+    return {**config, **experiment,
+            "policy_params": _resolve("policy", _POLICIES[policy].keys,
+                                      config["policy_params"]),
+            "env_params": _resolve("environment", _ENV_KINDS[kind].keys, config["env_params"])}
 
 
 # ---------------------------------------------------------------------------
@@ -204,157 +193,172 @@ def load_context_csv(path, K: int) -> tuple[list, np.ndarray]:
     return contexts, mat
 
 
-def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
-    """Materialize the replica-independent part of the environment."""
-    rng = derive_stream(seed, ENV_STREAM_ID)
-    if kind == "stochastic":
-        env = StochasticEnv.bernoulli(_floats(params["means"]))
-        return {"kind": kind, "env": env, "K": env.n_arms}
-    if kind == "lower-bound":
-        env = lower_bound_env(int(params["k"]), float(params["eps"]), int(params["best"]))
-        return {"kind": "stochastic", "env": env, "K": env.n_arms}
-    if kind == "oblivious":
-        if "losses" in params:
-            matrix = _matrix(params["losses"])
-        elif "csv" in params:
-            matrix = np.loadtxt(params["csv"], delimiter=",", ndmin=2)
-        else:
-            matrix = rng.random((n, int(params["k"])))
-        if matrix.shape[0] < n:
-            source = "losses" if "losses" in params else "csv"
-            raise ConfigError(f"environment.{source} has {matrix.shape[0]} rows, "
-                              f"fewer than the horizon {n}")
-        adv = ObliviousAdversary(matrix[:n])
-        return {"kind": kind, "adv": adv, "K": adv.n_arms}
-    if kind == "nonoblivious":
-        K = int(params["k"])
-        name = params.get("adversary", "grudge")
-        if name != "grudge":
-            raise ConfigError(f"unknown non-oblivious adversary {name!r}")
+def _check_rows(key: str, rows: int, n: int) -> None:
+    if rows < n:
+        raise ConfigError(f"environment.{key} has {rows} rows, fewer than the horizon {n}")
 
-        def grudge(history):
-            # full loss on the arm played most so far, ties to the lowest index
-            losses = np.zeros(K)
-            if history:
-                losses[np.bincount(history, minlength=K).argmax()] = 1.0
-            return losses
 
-        return {"kind": kind, "adv": NonObliviousAdversary(grudge, K), "K": K}
-    if kind == "contextual":
-        K = int(params["k"])
-        if "csv" in params:
-            contexts, matrix = load_context_csv(params["csv"], K)
-            contexts = contexts[:n]
-            matrix = matrix[:n]
-        else:
-            n_contexts = int(params.get("n_contexts", "4"))
-            contexts = list(rng.integers(n_contexts, size=n))
-            matrix = rng.random((n, K))
-        n_sets = int(params.get("n_sets", "1"))
-        set_sizes = [int(s) for s in params.get("set_sizes", "").split(",") if s.strip()]
-        theta_streams = None
-        if n_sets > 1 or set_sizes:
-            if not set_sizes:
-                set_sizes = [4] * n_sets
-            theta_streams = {
-                f"set{j}": list(rng.integers(size_j, size=n))
-                for j, size_j in enumerate(set_sizes)
-            }
-        return {"kind": kind, "contexts": contexts, "losses": matrix, "K": K,
-                "theta_streams": theta_streams,
-                "n_contexts": len(set(contexts)),
-                "max_set_size": max(set_sizes) if set_sizes else len(set(contexts))}
-    if kind == "semibandit":
-        return {"kind": kind, "d": int(params["d"]), "m": int(params["m"])}
-    if kind == "linear-points":
-        d = int(params["d"])
-        n_points = int(params["n_points"])
-        while True:
-            pts = rng.standard_normal((n_points, d))
-            pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12)
-            pts *= rng.random((n_points, 1)) ** (1.0 / d)  # uniform in the unit ball
-            if np.linalg.matrix_rank(pts) == d:
-                break
+def _stochastic(env: StochasticEnv) -> dict:
+    return {"kind": "stochastic", "env": env, "K": env.n_arms}
+
+
+def _oblivious_env(p: dict, n: int, rng) -> dict:
+    if p["losses"] is not None:
+        matrix = p["losses"]
+        _check_rows("losses", matrix.shape[0], n)
+    elif p["csv"] is not None:
+        matrix = np.loadtxt(p["csv"], delimiter=",", ndmin=2)
+        _check_rows("csv", matrix.shape[0], n)
+    elif p["k"] is not None:
+        matrix = rng.random((n, p["k"]))
+    else:
+        raise ConfigError("environment.k, environment.losses or environment.csv is required")
+    adv = ObliviousAdversary(matrix[:n])
+    return {"kind": "oblivious", "adv": adv, "K": adv.n_arms}
+
+
+def _nonoblivious_env(p: dict, n: int, rng) -> dict:
+    K = p["k"]
+
+    def grudge(history):
+        # full loss on the arm played most so far, ties to the lowest index
+        losses = np.zeros(K)
+        if history:
+            losses[np.bincount(history, minlength=K).argmax()] = 1.0
+        return losses
+
+    return {"kind": "nonoblivious", "adv": NonObliviousAdversary(grudge, K), "K": K}
+
+
+def _contextual_env(p: dict, n: int, rng) -> dict:
+    K = p["k"]
+    if p["csv"] is not None:
+        contexts, matrix = load_context_csv(p["csv"], K)
+        _check_rows("csv", len(contexts), n)
+        contexts = contexts[:n]
+        matrix = matrix[:n]
+    else:
+        contexts = list(rng.integers(p["n_contexts"], size=n))
+        matrix = rng.random((n, K))
+    set_sizes = p["set_sizes"] or ([4] * p["n_sets"] if p["n_sets"] > 1 else [])
+    theta_streams = {f"set{j}": list(rng.integers(size_j, size=n))
+                     for j, size_j in enumerate(set_sizes)} if set_sizes else None
+    return {"kind": "contextual", "contexts": contexts, "losses": matrix, "K": K,
+            "theta_streams": theta_streams,
+            "n_contexts": len(set(contexts)),
+            "max_set_size": max(set_sizes) if set_sizes else len(set(contexts))}
+
+
+def _linear_points_env(p: dict, n: int, rng) -> dict:
+    d, n_points = p["d"], p["n_points"]
+    while True:
+        pts = rng.standard_normal((n_points, d))
+        pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12)
+        pts *= rng.random((n_points, 1)) ** (1.0 / d)  # uniform in the unit ball
+        if np.linalg.matrix_rank(pts) == d:
+            break
+    loss = rng.standard_normal(d)
+    loss /= np.linalg.norm(loss)
+    losses = np.tile(loss, (n, 1))
+    return {"kind": "linear-points", "points": pts, "losses": losses, "d": d, "N": n_points}
+
+
+def _linear_ball_env(p: dict, n: int, rng) -> dict:
+    d = p["d"]
+    if p["loss"] is not None:
+        loss = np.array(p["loss"])
+    else:
         loss = rng.standard_normal(d)
         loss /= np.linalg.norm(loss)
-        losses = np.tile(loss, (n, 1))
-        return {"kind": kind, "points": pts, "losses": losses, "d": d, "N": n_points}
-    if kind == "linear-ball":
-        d = int(params["d"])
-        if "loss" in params:
-            loss = np.array(_floats(params["loss"]))
-        else:
-            loss = rng.standard_normal(d)
-            loss /= np.linalg.norm(loss)
-        losses = np.tile(loss, (n, 1))
-        return {"kind": kind, "losses": losses, "d": d}
-    if kind == "convex":
-        d = int(params["d"])
-        radius = float(params.get("radius", "1.0"))
-        family = params.get("family", "absvalue")
-        dirs = rng.standard_normal((max(n, 1), d))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
-        body = convex.ConvexBody.ball(d, radius)
-        return {"kind": kind, "family": family, "directions": dirs, "body": body,
-                "d": d, "G": 1.0, "L": radius}
-    if kind == "unimodal":
-        xstar = float(params.get("xstar", "0.3"))
-        floor = float(params.get("floor", "0.3"))
+    losses = np.tile(loss, (n, 1))
+    return {"kind": "linear-ball", "losses": losses, "d": d}
 
-        def mu(x: float) -> float:
-            return min(1.0, max(0.0, floor + abs(x - xstar)))
 
-        return {"kind": kind, "mu": mu, "xstar": xstar, "mu_star": mu(xstar),
-                "C_L": 1.0, "C_H": 1.0}
-    if kind == "multiclass":
-        K = int(params["k"])
-        d = int(params["d"])
-        if "csv" in params:
-            xs, ys = load_multiclass_csv(params["csv"])
-            return {"kind": kind, "K": K, "d": xs.shape[1], "xs": xs[:n], "ys": ys[:n],
-                    "U": None}
-        # orthonormal class prototypes give unit-norm streams with margin 1
-        basis, _ = np.linalg.qr(rng.standard_normal((d, K)))
-        prototypes = basis.T
-        return {"kind": kind, "K": K, "d": d, "prototypes": prototypes,
-                "U": prototypes, "U_norm": math.sqrt(K)}
-    raise ConfigError(f"unknown environment kind {kind!r}")
+def _convex_env(p: dict, n: int, rng) -> dict:
+    d, radius = p["d"], p["radius"]
+    dirs = rng.standard_normal((max(n, 1), d))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
+    body = convex.ConvexBody.ball(d, radius)
+    return {"kind": "convex", "family": p["family"], "directions": dirs, "body": body,
+            "d": d, "G": 1.0, "L": radius}
+
+
+def _unimodal_env(p: dict, n: int, rng) -> dict:
+    xstar, floor = p["xstar"], p["floor"]
+
+    def mu(x: float) -> float:
+        return min(1.0, max(0.0, floor + abs(x - xstar)))
+
+    return {"kind": "unimodal", "mu": mu, "xstar": xstar, "mu_star": mu(xstar),
+            "C_L": 1.0, "C_H": 1.0}
+
+
+def _multiclass_env(p: dict, n: int, rng) -> dict:
+    K, d = p["k"], p["d"]
+    if p["csv"] is not None:
+        xs, ys = load_multiclass_csv(p["csv"])
+        _check_rows("csv", len(ys), n)
+        return {"kind": "multiclass", "K": K, "d": xs.shape[1], "xs": xs[:n], "ys": ys[:n],
+                "U": None}
+    # orthonormal class prototypes give unit-norm streams with margin 1
+    basis, _ = np.linalg.qr(rng.standard_normal((d, K)))
+    prototypes = basis.T
+    return {"kind": "multiclass", "K": K, "d": d, "prototypes": prototypes,
+            "U": prototypes, "U_norm": math.sqrt(K)}
+
+
+# the loss oracle of each convex family, from a direction c and the radius
+_CONVEX_ORACLES = {
+    "absvalue": lambda c, radius: convex.absvalue_oracle(c),
+    "linear": lambda c, radius: convex.linear_oracle(c),
+    "quadratic": convex.quadratic_oracle,
+}
+
+
+# an environment kind's [environment] keys and its builder, which materializes
+# the replica-independent part: build(params, n, rng) -> env
+EnvKind = namedtuple("EnvKind", "keys build")
+
+
+_ENV_KINDS = {
+    "stochastic": EnvKind({"means": Key(_list(float), REQUIRED)}, lambda p, n, rng:
+                          _stochastic(StochasticEnv.bernoulli(p["means"]))),
+    "lower-bound": EnvKind({"k": Key(int, REQUIRED), "eps": Key(float, REQUIRED),
+                            "best": Key(int, REQUIRED)}, lambda p, n, rng:
+                           _stochastic(lower_bound_env(p["k"], p["eps"], p["best"]))),
+    "oblivious": EnvKind({"k": Key(int), "losses": Key(_matrix), "csv": Key(str)},
+                         _oblivious_env),
+    "nonoblivious": EnvKind({"k": Key(int, REQUIRED),
+                             "adversary": Key(_choice("grudge"), "grudge")},
+                            _nonoblivious_env),
+    "contextual": EnvKind({"k": Key(int, REQUIRED), "n_contexts": Key(int, 4),
+                           "n_sets": Key(int, 1), "set_sizes": Key(_list(int), ()),
+                           "csv": Key(str)}, _contextual_env),
+    "semibandit": EnvKind({"d": Key(int, REQUIRED), "m": Key(int, REQUIRED)},
+                          lambda p, n, rng: {"d": p["d"], "m": p["m"]}),
+    "linear-points": EnvKind({"d": Key(int, REQUIRED), "n_points": Key(int, REQUIRED)},
+                             _linear_points_env),
+    "linear-ball": EnvKind({"d": Key(int, REQUIRED), "loss": Key(_list(float))}, _linear_ball_env),
+    "convex": EnvKind({"family": Key(_choice(*_CONVEX_ORACLES), "absvalue"),
+                       "d": Key(int, REQUIRED), "radius": Key(float, 1.0)}, _convex_env),
+    "unimodal": EnvKind({"xstar": Key(float, 0.3), "floor": Key(float, 0.3)}, _unimodal_env),
+    "multiclass": EnvKind({"k": Key(int, REQUIRED), "d": Key(int, REQUIRED),
+                           "csv": Key(str)}, _multiclass_env),
+}
+
+
+def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
+    """Materialize the replica-independent part of the environment."""
+    if kind not in _ENV_KINDS:
+        raise ConfigError(f"unknown environment kind {kind!r}")
+    entry = _ENV_KINDS[kind]
+    rng = derive_stream(seed, ENV_STREAM_ID)
+    return entry.build(_resolve("environment", entry.keys, params), n, rng)
 
 
 # ---------------------------------------------------------------------------
 # replica runners
 # ---------------------------------------------------------------------------
-
-
-def _convex_oracle(family: str, c: np.ndarray, radius: float):
-    if family == "absvalue":
-        return convex.absvalue_oracle(c)
-    if family == "linear":
-        return convex.linear_oracle(c)
-    if family == "quadratic":
-        return convex.quadratic_oracle(c, radius)
-    raise ConfigError(f"unknown convex family {family!r}")
-
-
-def _finite_policy(name: str, cfg: dict, K: int, n: int, rng=None) -> partial:
-    """The constructor of a finite-arm policy with its config bound; `.func`
-    is the policy class. `rng` binarizes thompson's fractional rewards."""
-    if name == "ucb":
-        return partial(stochastic.UcbState, K, alpha=float(cfg.get("alpha", "2.5")))
-    if name == "thompson":
-        return partial(stochastic.ThompsonState, K, rng)
-    if name == "eps-greedy":
-        return partial(stochastic.EpsGreedyState, K, d_gap=float(cfg.get("d_gap", "0.1")))
-    if name == "exp3":
-        anytime = cfg.get("anytime", "false").lower() == "true"
-        eta = float(cfg["eta"]) if "eta" in cfg else None
-        return partial(adversarial.Exp3State, K, n=n, eta=eta, anytime=anytime)
-    if name == "exp3p":
-        delta = None if cfg.get("delta_free", "false").lower() == "true" \
-            else float(cfg.get("delta", "0.1"))
-        beta, eta, gamma = adversarial.exp3p_params(n, K, delta)
-        return partial(adversarial.Exp3PState, K, eta, gamma, beta)
-    raise ConfigError(f"{name!r} is not a finite-arm policy")
 
 
 def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
@@ -407,7 +411,7 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
     return np.cumsum(played, axis=-1) - best
 
 
-def _run_finite(config: dict, env: dict, streams) -> np.ndarray:
+def _run_finite(state: Callable, p: dict, env: dict, n: int, streams) -> np.ndarray:
     """One curve per stream for a finite-arm policy.
 
     A policy class that declares `draws_per_select` reads that many doubles
@@ -415,62 +419,116 @@ def _run_finite(config: dict, env: dict, streams) -> np.ndarray:
     state. eps-greedy and thompson read a data-dependent number of doubles
     per round and run one replica at a time.
     """
-    name, cfg, n, K = config["policy"], config["policy_params"], config["horizon"], env["K"]
-    make = _finite_policy(name, cfg, K, n)
+    K = env["K"]
+    make = state(K, n, p, None)
     per_select = getattr(make.func, "draws_per_select", None)
     if per_select is None:
-        return np.vstack([_finite_rounds(_finite_policy(name, cfg, K, n, stream)(), env, n, stream)
+        return np.vstack([_finite_rounds(state(K, n, p, stream)(), env, n, stream)
                           for stream in streams])
     draws = ReplicaDraws(streams, (per_select + (env["kind"] == "stochastic")) * n)
     return _finite_rounds(make(replicas=draws.replicas), env, n, draws)
 
 
-def _one_at_a_time(run_one):
-    """A runner over many streams from one that runs a single replica."""
-    def run(config: dict, env: dict, streams) -> np.ndarray:
-        return np.vstack([run_one(config, env, stream) for stream in streams])
-    return run
+def _exp3p_state(K: int, n: int, p: dict, rng) -> partial:
+    delta = None if p["delta_free"] else p["delta"]
+    beta, eta, gamma = adversarial.exp3p_params(n, K, delta)
+    return partial(adversarial.Exp3PState, K, eta, gamma, beta)
 
 
-def run_replica(config: dict, env: dict, streams) -> np.ndarray:
-    """Cumulative pseudo-regret (or mistake) curves.
-
-    `streams` is one replica's Generator, for its 1-D curve, or an iterable
-    of per-replica Generators, for an (R, n) array with one row per stream.
-    ucb, exp3 and exp3p run all the replicas in lockstep; the other policies
-    run them one after another. Either way row r reads only its own stream.
-    """
-    runner = _runner(config["policy"], config["env_kind"])
-    single = isinstance(streams, np.random.Generator)
-    curves = runner(config, env, [streams] if single else streams)
-    return curves[0] if single else curves
-
-
-def _run_semibandit(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    cfg, n = config["policy_params"], config["horizon"]
-    d, m = env["d"], env["m"]
-    variant = cfg.get("variant", "potential")
-    policy = mirror.OsmdMsets(d, m, n=n, variant=variant,
-                              q=float(cfg.get("q", "2.0")),
-                              eta=float(cfg["eta"]) if "eta" in cfg else None)
-    coord_cum = np.zeros(d)
+def _run_sexp3(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+    K, losses, contexts = env["K"], env["losses"], env["contexts"]
+    policy = contextual.SExp3(K)
+    per_context = {}
     curve = np.empty(n)
     cum_incurred = 0.0
+    best_sum = 0.0
     for t in range(n):
-        losses = stream.random(d)
-        _, incurred = policy.round(losses, stream)
-        cum_incurred += incurred
-        coord_cum += losses
-        curve[t] = cum_incurred - np.sort(coord_cum)[:m].sum()
+        s = contexts[t]
+        arm = policy.select(s, stream)
+        loss = losses[t, arm]
+        policy.update(s, arm, loss)
+        cum_incurred += loss
+        cums = per_context.setdefault(s, np.zeros(K))
+        prev = cums.min()
+        cums += losses[t]
+        best_sum += cums.min() - prev
+        curve[t] = cum_incurred - best_sum
     return curve
 
 
-def _run_linear_points(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    cfg, n = config["policy_params"], config["horizon"]
+def _run_exp4(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+    K, losses = env["K"], env["losses"]
+    # built-in experts: one dirac expert per arm plus the uniform expert
+    advice_fixed = np.vstack([np.eye(K), np.full((1, K), 1.0 / K)])
+    N = advice_fixed.shape[0]
+    policy = contextual.Exp4State(N, K, n=n, gamma=p["gamma"], eta=p["eta"])
+    cum_expert = np.zeros(N)
+    curve = np.empty(n)
+    cum_incurred = 0.0
+    for t in range(n):
+        arm = policy.select(advice_fixed, stream)
+        loss = losses[t, arm]
+        policy.update(advice_fixed, arm, loss)
+        cum_incurred += loss
+        cum_expert += advice_fixed @ losses[t]
+        curve[t] = cum_incurred - cum_expert.min()
+    return curve
+
+
+def _theta_streams(env: dict) -> dict:
+    if env["theta_streams"] is None:
+        raise ConfigError("theta-exp4 and the theta overlay need environment.n_sets "
+                          "or environment.set_sizes")
+    return env["theta_streams"]
+
+
+def _run_theta_exp4(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+    K, losses, streams = env["K"], env["losses"], _theta_streams(env)
+    thetas = sorted(streams)
+    policy = contextual.ThetaExp4(thetas, K, n, env["max_set_size"], gamma=p["gamma"])
+    per_theta = {th: {} for th in thetas}
+    best_by_theta = {th: 0.0 for th in thetas}
+    curve = np.empty(n)
+    cum_incurred = 0.0
+    for t in range(n):
+        contexts = {th: streams[th][t] for th in thetas}
+        arm = policy.select(contexts, stream)
+        loss = losses[t, arm]
+        policy.update(contexts, arm, loss)
+        cum_incurred += loss
+        for th in thetas:
+            cums = per_theta[th].setdefault(contexts[th], np.zeros(K))
+            prev = cums.min()
+            cums += losses[t]
+            best_by_theta[th] += cums.min() - prev
+        curve[t] = cum_incurred - min(best_by_theta.values())
+    return curve
+
+
+def _run_banditron(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+    K, d = env["K"], env["d"]
+    gamma = p["gamma"] if p["gamma"] is not None else contextual.banditron_gamma(K, n)
+    policy = contextual.BanditronState(K, d, gamma)
+    mistakes = np.empty(n)
+    if "xs" in env:
+        xs, ys = env["xs"], env["ys"]
+        labels = lambda t: (xs[t], int(ys[t]))
+    else:
+        prototypes = env["prototypes"]
+        label_seq = stream.integers(K, size=n)
+        labels = lambda t: (prototypes[label_seq[t]], int(label_seq[t]))
+    for t in range(n):
+        x, y = labels(t)
+        Y, yhat, p_arms = policy.step(x, stream)
+        correct = Y == y
+        policy.update(x, yhat, Y, correct, p_arms)
+        mistakes[t] = 0.0 if correct else 1.0
+    return np.cumsum(mistakes)
+
+
+def _run_exp2(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
     pts = env["points"]
-    policy = mirror.Exp2State(pts, n=n,
-                              eta=float(cfg["eta"]) if "eta" in cfg else None,
-                              gamma=float(cfg["gamma"]) if "gamma" in cfg else None)
+    policy = mirror.Exp2State(pts, n=n, eta=p["eta"], gamma=p["gamma"])
     cum_loss_vec = np.zeros(env["d"])
     curve = np.empty(n)
     cum_incurred = 0.0
@@ -485,12 +543,24 @@ def _run_linear_points(config: dict, env: dict, stream: np.random.Generator) -> 
     return curve
 
 
-def _run_linear_ball(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    cfg, n = config["policy_params"], config["horizon"]
+def _run_osmd_msets(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+    d, m = env["d"], env["m"]
+    policy = mirror.OsmdMsets(d, m, n=n, variant=p["variant"], q=p["q"], eta=p["eta"])
+    coord_cum = np.zeros(d)
+    curve = np.empty(n)
+    cum_incurred = 0.0
+    for t in range(n):
+        losses = stream.random(d)
+        _, incurred = policy.round(losses, stream)
+        cum_incurred += incurred
+        coord_cum += losses
+        curve[t] = cum_incurred - np.sort(coord_cum)[:m].sum()
+    return curve
+
+
+def _run_osmd_ball(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
     d = env["d"]
-    policy = mirror.OsmdBall(d, n=n,
-                             gamma=float(cfg["gamma"]) if "gamma" in cfg else None,
-                             eta=float(cfg["eta"]) if "eta" in cfg else None)
+    policy = mirror.OsmdBall(d, n=n, gamma=p["gamma"], eta=p["eta"])
     cum_loss_vec = np.zeros(d)
     curve = np.empty(n)
     cum_incurred = 0.0
@@ -503,116 +573,31 @@ def _run_linear_ball(config: dict, env: dict, stream: np.random.Generator) -> np
     return curve
 
 
-def _run_unimodal(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    mu, mu_star = env["mu"], env["mu_star"]
-
-    def sample_losses(x: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        return (rng.random(count) < mu(x)).astype(float)
-
-    played, _bracket = convex.run_sgs(sample_losses, config["horizon"],
-                                      float(config["policy_params"].get("c_l", env["C_L"])),
-                                      stream)
-    inc = np.array([mu(x) - mu_star for x in played])
-    return np.cumsum(inc)
-
-
-def _run_contextual(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    name, cfg, n = config["policy"], config["policy_params"], config["horizon"]
-    K = env["K"]
-    losses = env["losses"]
-    curve = np.empty(n)
-    cum_incurred = 0.0
-
-    if name == "sexp3":
-        contexts = env["contexts"]
-        policy = contextual.SExp3(K)
-        per_context = {}
-        best_sum = 0.0
-        for t in range(n):
-            s = contexts[t]
-            arm = policy.select(s, stream)
-            loss = losses[t, arm]
-            policy.update(s, arm, loss)
-            cum_incurred += loss
-            cums = per_context.setdefault(s, np.zeros(K))
-            prev = cums.min()
-            cums += losses[t]
-            best_sum += cums.min() - prev
-            curve[t] = cum_incurred - best_sum
-        return curve
-
-    if name == "exp4":
-        # built-in experts: one dirac expert per arm plus the uniform expert
-        advice_fixed = np.vstack([np.eye(K), np.full((1, K), 1.0 / K)])
-        N = advice_fixed.shape[0]
-        gamma = float(cfg.get("gamma", "0.0"))
-        policy = contextual.Exp4State(N, K, n=n, gamma=gamma,
-                                      eta=float(cfg["eta"]) if "eta" in cfg else None)
-        cum_expert = np.zeros(N)
-        for t in range(n):
-            arm = policy.select(advice_fixed, stream)
-            loss = losses[t, arm]
-            policy.update(advice_fixed, arm, loss)
-            cum_incurred += loss
-            cum_expert += advice_fixed @ losses[t]
-            curve[t] = cum_incurred - cum_expert.min()
-        return curve
-
-    if name == "theta-exp4":
-        streams = env["theta_streams"]
-        if streams is None:
-            raise ConfigError("theta-exp4 needs environment n_sets or set_sizes")
-        thetas = sorted(streams)
-        policy = contextual.ThetaExp4(
-            thetas, K, n, env["max_set_size"],
-            gamma=float(cfg["gamma"]) if "gamma" in cfg else None)
-        per_theta = {th: {} for th in thetas}
-        best_by_theta = {th: 0.0 for th in thetas}
-        for t in range(n):
-            contexts = {th: streams[th][t] for th in thetas}
-            arm = policy.select(contexts, stream)
-            loss = losses[t, arm]
-            policy.update(contexts, arm, loss)
-            cum_incurred += loss
-            for th in thetas:
-                cums = per_theta[th].setdefault(contexts[th], np.zeros(K))
-                prev = cums.min()
-                cums += losses[t]
-                best_by_theta[th] += cums.min() - prev
-            curve[t] = cum_incurred - min(best_by_theta.values())
-        return curve
-
-    raise ConfigError(f"policy {name!r} does not run on a contextual environment")
-
-
-def _run_convex(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    name, cfg, n = config["policy"], config["policy_params"], config["horizon"]
-    body: convex.ConvexBody = env["body"]
-    d = body.dim
-    R, r = body.outer_radius, body.inner_radius
-    family = env["family"]
-    G, L = env["G"], env["L"]
-    if name == "osgd-2pt":
-        eta_d, delta_d = convex.osgd_two_point_schedule(n, d, R, G, r)
-        mode = "two-point"
-    elif name == "osgd-1pt":
-        delta_d, eta_d = convex.osgd_one_point_schedule(n, d, R, r, G, L)
-        mode = "one-point"
+def _osgd_params(mode: str, p: dict, n: int, env: dict) -> tuple[float, float]:
+    """(eta, delta) of an osgd run: its own, or what its mode's theorem prescribes."""
+    body = env["body"]
+    d, R, r = body.dim, body.outer_radius, body.inner_radius
+    if mode == "two-point":
+        eta, delta = convex.osgd_two_point_schedule(n, d, R, env["G"], r)
     else:
-        raise ConfigError(f"policy {name!r} does not run on a convex environment")
-    eta = float(cfg.get("eta", eta_d))
-    delta = float(cfg.get("delta", delta_d))
-    policy = convex.OsgdState(body, mode, eta, delta)
+        delta, eta = convex.osgd_one_point_schedule(n, d, R, r, env["G"], env["L"])
+    return (eta if p["eta"] is None else p["eta"]), (delta if p["delta"] is None else p["delta"])
 
+
+def _run_osgd(mode: str, p: dict, env: dict, n: int,
+              stream: np.random.Generator) -> np.ndarray:
+    body: convex.ConvexBody = env["body"]
+    R = body.outer_radius
+    family = env["family"]
+    policy = convex.OsgdState(body, mode, *_osgd_params(mode, p, n, env))
     dirs = env["directions"]
-    cum_c = np.zeros(d)
+    cum_c = np.zeros(body.dim)
     cum_sq = 0.0
     curve = np.empty(n)
     cum_incurred = 0.0
     for t in range(n):
         c = dirs[t]
-        oracle = _convex_oracle(family, c, R)
-        _, incurred = policy.round(oracle, stream)
+        _, incurred = policy.round(_CONVEX_ORACLES[family](c, R), stream)
         cum_incurred += incurred
         cum_c += c
         if family == "absvalue":
@@ -627,54 +612,78 @@ def _run_convex(config: dict, env: dict, stream: np.random.Generator) -> np.ndar
     return curve
 
 
-def _run_multiclass(config: dict, env: dict, stream: np.random.Generator) -> np.ndarray:
-    cfg, n = config["policy_params"], config["horizon"]
-    K, d = env["K"], env["d"]
-    gamma = float(cfg.get("gamma", contextual.banditron_gamma(K, n)))
-    policy = contextual.BanditronState(K, d, gamma)
-    mistakes = np.empty(n)
-    if "xs" in env:
-        xs, ys = env["xs"], env["ys"]
-        labels = lambda t: (xs[t], int(ys[t]))
-    else:
-        prototypes = env["prototypes"]
-        label_seq = stream.integers(K, size=n)
-        labels = lambda t: (prototypes[label_seq[t]], int(label_seq[t]))
-    for t in range(n):
-        x, y = labels(t)
-        Y, yhat, p = policy.step(x, stream)
-        correct = Y == y
-        policy.update(x, yhat, Y, correct, p)
-        mistakes[t] = 0.0 if correct else 1.0
-    return np.cumsum(mistakes)
+def _run_sgs(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+    mu, mu_star = env["mu"], env["mu_star"]
+
+    def sample_losses(x: float, count: int, rng: np.random.Generator) -> np.ndarray:
+        return (rng.random(count) < mu(x)).astype(float)
+
+    c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
+    played, _bracket = convex.run_sgs(sample_losses, n, c_l, stream)
+    inc = np.array([mu(x) - mu_star for x in played])
+    return np.cumsum(inc)
 
 
-# replica runner per environment kind (lower-bound builds a stochastic env);
-# each takes a list of streams and returns one curve per stream
-_RUNNERS = {
-    **dict.fromkeys(_FINITE_KINDS, _run_finite),
-    "contextual": _one_at_a_time(_run_contextual),
-    "semibandit": _one_at_a_time(_run_semibandit),
-    "linear-points": _one_at_a_time(_run_linear_points),
-    "linear-ball": _one_at_a_time(_run_linear_ball),
-    "convex": _one_at_a_time(_run_convex),
-    "unimodal": _one_at_a_time(_run_unimodal),
-    "multiclass": _one_at_a_time(_run_multiclass),
+# a policy's [policy] keys, the environment kinds it runs on, and how it plays:
+# a finite-arm policy has `state`, which binds its class to (K, n, params, rng)
+# and leaves `replicas` open; any other has `run`, which plays one replica:
+# run(params, env, n, stream) -> curve
+Policy = namedtuple("Policy", "keys kinds state run", defaults=(None, None))
+
+
+_FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
+
+_POLICIES = {
+    "ucb": Policy({"alpha": Key(float, 2.5)}, _FINITE_KINDS, state=lambda K, n, p, rng:
+                  partial(stochastic.UcbState, K, alpha=p["alpha"])),
+    # rng binarizes thompson's fractional rewards
+    "thompson": Policy({}, _FINITE_KINDS, state=lambda K, n, p, rng:
+                       partial(stochastic.ThompsonState, K, rng)),
+    "eps-greedy": Policy({"d_gap": Key(float, 0.1)}, _FINITE_KINDS, state=lambda K, n, p, rng:
+                         partial(stochastic.EpsGreedyState, K, d_gap=p["d_gap"])),
+    "exp3": Policy({"eta": Key(float), "anytime": Key(_flag, False)}, _FINITE_KINDS,
+                   state=lambda K, n, p, rng: partial(adversarial.Exp3State, K, n=n,
+                                                      eta=p["eta"], anytime=p["anytime"])),
+    "exp3p": Policy({"delta": Key(float, 0.1), "delta_free": Key(_flag, False)},
+                    _FINITE_KINDS, state=_exp3p_state),
+    "sexp3": Policy({}, ("contextual",), run=_run_sexp3),
+    "exp4": Policy({"gamma": Key(float, 0.0), "eta": Key(float)}, ("contextual",),
+                   run=_run_exp4),
+    "theta-exp4": Policy({"gamma": Key(float)}, ("contextual",), run=_run_theta_exp4),
+    "banditron": Policy({"gamma": Key(float)}, ("multiclass",), run=_run_banditron),
+    "exp2-john": Policy({"eta": Key(float), "gamma": Key(float)}, ("linear-points",),
+                        run=_run_exp2),
+    "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
+                          "q": Key(float, 2.0), "eta": Key(float)}, ("semibandit",),
+                         run=_run_osmd_msets),
+    "osmd-ball": Policy({"gamma": Key(float), "eta": Key(float)}, ("linear-ball",),
+                        run=_run_osmd_ball),
+    "osgd-2pt": Policy({"delta": Key(float), "eta": Key(float)}, ("convex",),
+                       run=partial(_run_osgd, "two-point")),
+    "osgd-1pt": Policy({"delta": Key(float), "eta": Key(float)}, ("convex",),
+                       run=partial(_run_osgd, "one-point")),
+    "sgs": Policy({"c_l": Key(float)}, ("unimodal",), run=_run_sgs),
 }
 
 
-def _runner(policy: str, kind: str):
-    """The replica runner of `policy` on environment `kind`; ConfigError for
-    a pair that cannot run together, or an unknown name."""
-    if policy not in _POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    if kind not in _RUNNERS:
-        raise ConfigError(f"unknown environment kind {kind!r}")
-    kinds = _POLICIES[policy][1]
-    if kind not in kinds:
-        raise ConfigError(f"policy {policy!r} does not run on environment kind {kind!r} "
-                          f"(it runs on {', '.join(kinds)})")
-    return _RUNNERS[kind]
+def run_replica(config: dict, env: dict, streams) -> np.ndarray:
+    """Cumulative pseudo-regret (or mistake) curves.
+
+    `streams` is one replica's Generator, for its 1-D curve, or an iterable
+    of per-replica Generators, for an (R, n) array with one row per stream.
+    ucb, exp3 and exp3p run all the replicas in lockstep; the other policies
+    run them one after another. Either way row r reads only its own stream.
+    """
+    config = check_config(config)
+    entry = _POLICIES[config["policy"]]
+    p, n = config["policy_params"], config["horizon"]
+    single = isinstance(streams, np.random.Generator)
+    streams = [streams] if single else streams
+    if entry.state is not None:
+        curves = _run_finite(entry.state, p, env, n, streams)
+    else:
+        curves = np.vstack([entry.run(p, env, n, stream) for stream in streams])
+    return curves[0] if single else curves
 
 
 # ---------------------------------------------------------------------------
@@ -744,28 +753,15 @@ class RegretReport:
 def run_experiment(config: dict) -> RegretReport:
     """Execute all replicas of a config and aggregate the curves.
 
-    Replica r reads only `derive_stream(seed, r)`. With `workers` > 1 each
-    worker thread runs a contiguous slice of the replicas.
+    Replica r reads only `derive_stream(seed, r)`.
     """
     start = time.perf_counter()
-    check_config(config)
-    n = config["horizon"]
-    replicas = config["replicas"]
-    seed = config["seed"]
+    config = check_config(config)
+    n, replicas, seed = config["horizon"], config["replicas"], config["seed"]
     env = build_environment(config["env_kind"], config["env_params"], n, seed)
     overlays = {name: compute_overlay(name, config, env) for name in config["overlays"]}
-
-    def run_slice(lo: int, hi: int) -> np.ndarray:
-        # streams are derived as the runner reaches them, not all up front
-        return run_replica(config, env, (derive_stream(seed, i) for i in range(lo, hi)))
-
-    workers = min(config.get("workers", 1), replicas)
-    if workers > 1:
-        cuts = [replicas * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stacked = np.vstack(list(pool.map(run_slice, cuts[:-1], cuts[1:])))
-    else:
-        stacked = run_slice(0, replicas)
+    # streams are derived as the runner reaches them, not all up front
+    stacked = run_replica(config, env, (derive_stream(seed, i) for i in range(replicas)))
 
     mean_curve = stacked.mean(axis=0)
     if replicas > 1:
@@ -788,129 +784,131 @@ def run_experiment(config: dict) -> RegretReport:
 
 
 def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
-    """Re-run the experiment for each value of one dotted config parameter."""
+    """Re-run the experiment for each value of one dotted config parameter.
+
+    Every cell is checked before the first one runs.
+    """
     if not values:
         raise ConfigError("sweep needs at least one grid value")
-    reports = []
+    section, _, key = param.partition(".")
+    cells = []
     for v in values:
-        cfg = json.loads(json.dumps(config))  # deep copy, keeps seeds identical per cell
-        section, _, key = param.partition(".")
-        if section == "experiment":
-            cfg[key] = type(config[key])(v)
+        cell = json.loads(json.dumps(config))  # deep copy, keeps seeds identical per cell
+        if section == "experiment" and key in _EXPERIMENT_KEYS:
+            cell[key] = str(v)
         elif section == "policy":
-            cfg["policy_params"][key] = str(v)
+            cell["policy_params"][key] = str(v)
         elif section == "environment":
-            cfg["env_params"][key] = str(v)
+            cell["env_params"][key] = str(v)
         else:
-            raise ConfigError(f"cannot sweep over {param!r}")
-        reports.append(run_experiment(cfg))
-    return reports
+            raise ConfigError(f"unknown key {param}")
+        cells.append(check_config(cell))
+    return [run_experiment(cell) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
 # bound registry
 # ---------------------------------------------------------------------------
 
-BOUNDS = {
-    "ucb": lambda *, alpha, gaps, n: stochastic.ucb_bound(alpha, gaps, n),
-    "kl-lower": lambda *, means: stochastic.kl_lower_bound_constant(means),
-    "exp3": lambda *, n, K: adversarial.exp3_bound(int(n), int(K)),
-    "exp3-anytime": lambda *, n, K: adversarial.exp3_bound(int(n), int(K), anytime=True),
-    "exp3p": lambda *, n, K, delta: adversarial.exp3p_bound(int(n), int(K), delta),
-    "exp3p-expected": lambda *, n, K: adversarial.exp3p_expected_bound(int(n), int(K)),
-    "minimax-lower": lambda *, n, K: adversarial.minimax_lower(int(n), int(K)),
-    "sexp3": lambda *, n, S, K: contextual.sexp3_bound(int(n), int(S), int(K)),
-    "exp4": lambda *, n, K, N: contextual.exp4_bound(int(n), int(K), int(N)),
-    "exp4-mixing": lambda *, n, K, N, gamma: contextual.exp4_mixing_bound(
-        int(n), int(K), int(N), gamma),
-    "theta": lambda *, n, S, K, n_theta: contextual.theta_bound(
-        int(n), int(S), int(K), int(n_theta)),
-    "banditron": lambda *, n, K, U_norm, avg_hinge=0.0: contextual.banditron_bound(
-        int(n), int(K), U_norm, avg_hinge),
-    "exp2-john": lambda *, n, d, N: mirror.exp2_bound(int(n), int(d), int(N)),
-    "osmd-negent": lambda *, n, d, m: mirror.osmd_negent_bound(int(n), int(d), int(m)),
-    "osmd-potential": lambda *, n, d, m, q=2.0: mirror.osmd_potential_bound(
-        int(n), int(d), int(m), q),
-    "osmd-ball": lambda *, n, d: mirror.ball_bound(int(n), int(d)),
-    "osgd-2pt": lambda *, n, d, R, G, delta, r: convex.osgd_two_point_bound(
-        int(n), int(d), R, G, delta, r),
-    "osgd-1pt": lambda *, n, d, R, r, G, L: convex.osgd_one_point_bound(
-        int(n), int(d), R, r, G, L),
-    "sgs": lambda *, n, C_L, C_H: convex.sgs_bound(int(n), C_L, C_H),
-}
 
-# overlays that cap the measured quantity from above and may be asserted
-ASSERTABLE_BOUNDS = set(BOUNDS) - {"kl-lower", "minimax-lower"}
+# a theorem's cap, a function of the keywords `bound` takes; how an experiment
+# resolves them, params(config, env) -> dict; and whether the measured regret
+# must stay below it (lower bounds are only plotted)
+Bound = namedtuple("Bound", "cap params asserted", defaults=(True,))
+
+
+def _policy_param(config: dict, key: str, low: float, high: float = math.inf) -> float:
+    """The run's [policy] `key`, for a theorem that covers it in (low, high]."""
+    p = config["policy_params"]
+    if key not in p:
+        raise ConfigError(f"policy {config['policy']!r} has no policy.{key}")
+    if p[key] is None or not low < p[key] <= high:
+        raise ConfigError(f"the theorem covers policy.{key} in ({low}, {high}], "
+                          f"not the run's {p[key]!r}")
+    return p[key]
+
+
+def _exp3p_delta(config: dict) -> float:
+    if config["policy_params"].get("delta_free"):
+        raise ConfigError("policy.delta_free = true gives the bound no delta")
+    return _policy_param(config, "delta", 0.0, 1.0)
+
+
+def _n_K(c: dict, env: dict) -> dict:
+    return {"n": c["horizon"], "K": env["K"]}
+
+
+def _convex(c: dict, env: dict) -> dict:
+    body = env["body"]
+    return {"n": c["horizon"], "d": body.dim, "R": body.outer_radius, "r": body.inner_radius,
+            "G": env["G"]}
+
+
+BOUNDS = {
+    "ucb": Bound(stochastic.ucb_bound, lambda c, env: {
+        "alpha": _policy_param(c, "alpha", 2.0), "gaps": env["env"].gaps, "n": c["horizon"]}),
+    "kl-lower": Bound(stochastic.kl_lower_bound_constant,
+                      lambda c, env: {"means": env["env"].means}, asserted=False),
+    "exp3": Bound(adversarial.exp3_bound, _n_K),
+    "exp3-anytime": Bound(partial(adversarial.exp3_bound, anytime=True), _n_K),
+    "exp3p": Bound(adversarial.exp3p_bound,
+                   lambda c, env: {**_n_K(c, env), "delta": _exp3p_delta(c)}),
+    "exp3p-expected": Bound(adversarial.exp3p_expected_bound, _n_K),
+    "minimax-lower": Bound(adversarial.minimax_lower, _n_K, asserted=False),
+    "sexp3": Bound(contextual.sexp3_bound,
+                   lambda c, env: {**_n_K(c, env), "S": env["n_contexts"]}),
+    "exp4": Bound(contextual.exp4_bound, lambda c, env: {**_n_K(c, env), "N": env["K"] + 1}),
+    "exp4-mixing": Bound(contextual.exp4_mixing_bound, lambda c, env: {
+        **_n_K(c, env), "N": env["K"] + 1, "gamma": _policy_param(c, "gamma", 0.0, 1.0)}),
+    "theta": Bound(lambda *, n, S, K, n_theta: contextual.theta_bound(n, S, K, n_theta),
+                   lambda c, env: {**_n_K(c, env), "S": env["max_set_size"],
+                                   "n_theta": len(_theta_streams(env))}),
+    "banditron": Bound(contextual.banditron_bound,
+                       lambda c, env: {**_n_K(c, env), "U_norm": env.get("U_norm", 0.0)}),
+    "exp2-john": Bound(mirror.exp2_bound,
+                       lambda c, env: {"n": c["horizon"], "d": env["d"], "N": env["N"]}),
+    "osmd-negent": Bound(mirror.osmd_negent_bound,
+                         lambda c, env: {"n": c["horizon"], "d": env["d"], "m": env["m"]}),
+    "osmd-potential": Bound(mirror.osmd_potential_bound, lambda c, env: {
+        "n": c["horizon"], "d": env["d"], "m": env["m"], "q": _policy_param(c, "q", 1.0)}),
+    "osmd-ball": Bound(mirror.ball_bound, lambda c, env: {"n": c["horizon"], "d": env["d"]}),
+    "osgd-2pt": Bound(convex.osgd_two_point_bound, lambda c, env: {**_convex(c, env), "delta":
+                      _osgd_params("two-point", c["policy_params"], c["horizon"], env)[1]}),
+    "osgd-1pt": Bound(convex.osgd_one_point_bound,
+                      lambda c, env: {**_convex(c, env), "L": env["L"]}),
+    "sgs": Bound(convex.sgs_bound,
+                 lambda c, env: {"n": c["horizon"], "C_L": env["C_L"], "C_H": env["C_H"]}),
+}
 
 
 def bound(name: str, **params) -> float:
     if name not in BOUNDS:
         raise ConfigError(f"unknown bound {name!r}")
-    return float(BOUNDS[name](**params))
+    return float(BOUNDS[name].cap(**params))
 
 
 def compute_overlay(name: str, config: dict, env: dict) -> float:
     """Evaluate a bound with parameters pulled from the experiment config;
-    ConfigError when the environment lacks what the bound needs."""
+    ConfigError when the environment or the policy lacks what the bound
+    needs, or sets it outside what the theorem covers."""
+    config = check_config(config)
+    if name not in BOUNDS:
+        raise ConfigError(f"unknown overlay {name!r}")
     try:
-        return _resolve_overlay(name, config, env)
+        params = BOUNDS[name].params(config, env)
     except KeyError as missing:
         raise ConfigError(f"overlay {name!r} does not apply to environment kind "
                           f"{config['env_kind']!r} (no {missing} there)") from None
-
-
-def _resolve_overlay(name: str, config: dict, env: dict) -> float:
-    n = config["horizon"]
-    cfg = config["policy_params"]
-    if name == "ucb":
-        return bound(name, alpha=float(cfg.get("alpha", "2.5")),
-                     gaps=env["env"].gaps, n=n)
-    if name == "kl-lower":
-        return bound(name, means=env["env"].means)
-    if name in ("exp3", "exp3-anytime", "exp3p-expected", "minimax-lower"):
-        return bound(name, n=n, K=env["K"])
-    if name == "exp3p":
-        return bound(name, n=n, K=env["K"], delta=float(cfg.get("delta", "0.1")))
-    if name == "sexp3":
-        return bound(name, n=n, S=env["n_contexts"], K=env["K"])
-    if name == "exp4":
-        return bound(name, n=n, K=env["K"], N=env["K"] + 1)
-    if name == "exp4-mixing":
-        return bound(name, n=n, K=env["K"], N=env["K"] + 1,
-                     gamma=float(cfg.get("gamma", "0.1")))
-    if name == "theta":
-        if env.get("theta_streams") is None:
-            raise ConfigError("the theta overlay needs n_sets or set_sizes")
-        return bound(name, n=n, S=env["max_set_size"], K=env["K"],
-                     n_theta=len(env["theta_streams"]))
-    if name == "banditron":
-        return bound(name, n=n, K=env["K"], U_norm=env.get("U_norm", 0.0))
-    if name == "exp2-john":
-        return bound(name, n=n, d=env["d"], N=env["N"])
-    if name in ("osmd-negent", "osmd-potential"):
-        return bound(name, n=n, d=env["d"], m=env["m"])
-    if name == "osmd-ball":
-        return bound(name, n=n, d=env["d"])
-    if name == "osgd-2pt":
-        body = env["body"]
-        _, delta_d = convex.osgd_two_point_schedule(n, body.dim, body.outer_radius,
-                                                    env["G"], body.inner_radius)
-        return bound(name, n=n, d=body.dim, R=body.outer_radius, G=env["G"],
-                     delta=float(cfg.get("delta", delta_d)), r=body.inner_radius)
-    if name == "osgd-1pt":
-        body = env["body"]
-        return bound(name, n=n, d=body.dim, R=body.outer_radius, r=body.inner_radius,
-                     G=env["G"], L=env["L"])
-    if name == "sgs":
-        return bound(name, n=n, C_L=env["C_L"], C_H=env["C_H"])
-    raise ConfigError(f"no overlay resolver for {name!r}")
+    except ConfigError as why:
+        raise ConfigError(f"overlay {name!r}: {why}") from None
+    return bound(name, **params)
 
 
 def assert_bounds(report: RegretReport) -> list[str]:
     """Names of asserted overlays violated by mean + 2 SEM."""
     cap = report.mean_terminal + 2.0 * report.sem_terminal
     return [name for name, value in report.overlays.items()
-            if name in ASSERTABLE_BOUNDS and cap > value]
+            if BOUNDS[name].asserted and cap > value]
 
 
 # ---------------------------------------------------------------------------

@@ -257,14 +257,6 @@ class Exp2State:
         self.t += 1
 
 
-def exp2_probs(state: Exp2State) -> np.ndarray:
-    return state.probs()
-
-
-def exp2_estimate(state: Exp2State, played: int, scalar_loss: float) -> np.ndarray:
-    return state.estimate(played, scalar_loss)
-
-
 def semibandit_estimate(x: np.ndarray, v: np.ndarray, losses: np.ndarray) -> np.ndarray:
     """Importance-weighted coordinate losses: loss_i * v_i / x_i, zero when inactive."""
     x = np.asarray(x, dtype=float)

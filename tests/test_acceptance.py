@@ -19,7 +19,7 @@ def _report(policy, env_kind, env_params, n, replicas, policy_params=None,
             overlays=(), seed=SEED):
     cfg = {
         "policy": policy, "horizon": n, "replicas": replicas, "seed": seed,
-        "workers": 1, "policy_params": policy_params or {}, "env_kind": env_kind,
+        "policy_params": policy_params or {}, "env_kind": env_kind,
         "env_params": env_params, "overlays": list(overlays),
         "output": {"dir": ".", "format": "csv", "basename": "report"},
     }

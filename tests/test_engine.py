@@ -23,7 +23,8 @@ from banditlab.env import (
 )
 from banditlab.stochastic import UcbState
 
-# name: (policy, policy params, env kind, env params, horizon, replicas, seed)
+# name: (policy, policy params, env kind, env params, horizon, replicas, seed[,
+#        overlays])
 CASES = {
     "ucb-stochastic": ("ucb", {"alpha": "2.5"}, "stochastic",
                        {"means": "0.9, 0.6, 0.5"}, 400, 3, 11),
@@ -45,6 +46,35 @@ CASES = {
                               {"means": "0.9, 0.6, 0.5"}, 300, 3, 20),
     "thompson-stochastic": ("thompson", {}, "stochastic", {"means": "0.9, 0.6, 0.5"},
                             300, 3, 21),
+    # from here on each case also resolves overlays, so that every BOUNDS name
+    # is resolved by some case
+    "ucb-stochastic-overlays": ("ucb", {"alpha": "3.0"}, "stochastic",
+                                {"means": "0.8, 0.5, 0.45"}, 200, 2, 22,
+                                ["ucb", "kl-lower", "exp3", "exp3-anytime", "exp3p-expected",
+                                 "minimax-lower"]),
+    "exp3p-oblivious-overlays": ("exp3p", {"delta": "0.05"}, "oblivious", {"k": "3"},
+                                 200, 2, 23, ["exp3p"]),
+    "sexp3-contextual": ("sexp3", {}, "contextual", {"k": "3", "n_contexts": "3"},
+                         200, 2, 24, ["sexp3"]),
+    "exp4-contextual": ("exp4", {"gamma": "0.2"}, "contextual", {"k": "3"}, 200, 2, 25,
+                        ["exp4", "exp4-mixing"]),
+    "theta-exp4-contextual": ("theta-exp4", {}, "contextual", {"k": "3", "n_sets": "2"},
+                              150, 2, 26, ["theta"]),
+    "banditron-multiclass": ("banditron", {}, "multiclass", {"k": "3", "d": "4"},
+                             300, 2, 27, ["banditron"]),
+    "exp2-john-linear-points": ("exp2-john", {}, "linear-points", {"d": "3", "n_points": "8"},
+                                150, 2, 28, ["exp2-john"]),
+    "osmd-msets-potential": ("osmd-msets", {"variant": "potential", "q": "2.0"}, "semibandit",
+                             {"d": "5", "m": "2"}, 150, 2, 29, ["osmd-potential"]),
+    "osmd-msets-negent": ("osmd-msets", {"variant": "negent"}, "semibandit",
+                          {"d": "5", "m": "2"}, 150, 2, 30, ["osmd-negent"]),
+    "osmd-ball-linear-ball": ("osmd-ball", {}, "linear-ball", {"d": "3"}, 200, 2, 31,
+                              ["osmd-ball"]),
+    "osgd-2pt-convex": ("osgd-2pt", {"delta": "0.01"}, "convex",
+                        {"family": "quadratic", "d": "2"}, 200, 2, 32, ["osgd-2pt"]),
+    "osgd-1pt-convex": ("osgd-1pt", {}, "convex", {"family": "linear", "d": "2"},
+                        200, 2, 33, ["osgd-1pt"]),
+    "sgs-unimodal": ("sgs", {}, "unimodal", {}, 2000, 2, 34, ["sgs"]),
 }
 
 # sha256 of the sorted-key JSON of content_dict(), captured from the
@@ -63,13 +93,32 @@ GOLDEN = {
     "eps-greedy-stochastic":
         "98a7534dcfb1f6e1e6f2942217b4c8117e7274bcb7afc4590df90634f17c11e5",
     "thompson-stochastic": "220fc576a124d53dbeed1c400df2784c69bcd3e10cca3317caffe520259f286e",
+    # captured from the engine that declared policies in several parallel tables
+    "ucb-stochastic-overlays":
+        "cd46433486a0548c6fb6064776e5e32e3bc8b3e1ad8f81c7fd624d07c1341e5f",
+    "exp3p-oblivious-overlays":
+        "034586b07899d48ca08e8e7f9188e2ca7012e806c01ea73e1587c4bc95b17747",
+    "sexp3-contextual": "3444791ca24a9a46da84f089474aacc4b9066675ead215afd74bcfc17e5424e1",
+    "exp4-contextual": "16ece34063cd533bfa30a207ed2473c37cf09d712142536274d34486c1130b5e",
+    "theta-exp4-contextual":
+        "bf58bf499471378b0a664de58633bf1a98fac70bd533e1ad002daa974952c03c",
+    "banditron-multiclass": "07dbe176ee6f2b5d44cb7b505217c82729d4a0def0b49eafaa606fb2f5aa7245",
+    "exp2-john-linear-points":
+        "ca1f9b86976f4c39ce4dd6e6125d29913c57e27f67c57e5403ef005ecc825563",
+    "osmd-msets-potential": "f53c0e1d1537070a95d9f04b766409dc3606fd134b292a14ae115ecd517d558f",
+    "osmd-msets-negent": "a278d3e386b5e2ae83e5bbb9185d34c499fcb9d608ee6b09a9e2ab79611bc515",
+    "osmd-ball-linear-ball":
+        "dbcb0954a8fea790352ad809201f9c9eaaa9285146da4abb5921712138916a92",
+    "osgd-2pt-convex": "14d6a6b9e04ec9601b8d5e067a0ae527a92ede6a14d8748f17fae157b35e6012",
+    "osgd-1pt-convex": "9dd81485cf57f107d9c69822df68e5efec5f1887880caed87f314641ed682bcd",
+    "sgs-unimodal": "9b3423d2ed29eb391c6f08eb9e095fc1c45001f0328c967a818d7b34a223a691",
 }
 
 
-def _config(policy, policy_params, kind, env_params, n, replicas, seed, workers=1):
+def _config(policy, policy_params, kind, env_params, n, replicas, seed, overlays=()):
     return {"policy": policy, "horizon": n, "replicas": replicas, "seed": seed,
-            "workers": workers, "policy_params": dict(policy_params), "env_kind": kind,
-            "env_params": dict(env_params), "overlays": [],
+            "policy_params": dict(policy_params), "env_kind": kind,
+            "env_params": dict(env_params), "overlays": list(overlays),
             "output": {"dir": ".", "format": "csv", "basename": "report"}}
 
 
@@ -81,6 +130,13 @@ def _digest(report) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_content_digest(name):
     assert _digest(harness.run_experiment(_config(*CASES[name]))) == GOLDEN[name]
+
+
+def test_every_policy_and_overlay_has_a_golden_case():
+    assert set(harness._POLICIES) <= {case[0] for case in CASES.values()}
+    assert set(harness.BOUNDS) <= {name for case in CASES.values() if len(case) > 7
+                                   for name in case[7]}
+    assert set(GOLDEN) == set(CASES)
 
 
 @pytest.mark.parametrize("name", ["ucb-stochastic", "exp3-oblivious-anytime",
@@ -96,14 +152,6 @@ def test_rows_equal_single_stream_runs(name):
         single = harness.run_replica(cfg, env, derive_stream(cfg["seed"], r))
         assert single.shape == (cfg["horizon"],)
         assert np.array_equal(batch[r], single)
-
-
-@pytest.mark.parametrize("name", ["exp3-stochastic", "ucb-lower-bound", "eps-greedy-stochastic"])
-def test_workers_match_serial(name):
-    policy, pp, kind, ep, n, _, seed = CASES[name]
-    serial = harness.run_experiment(_config(policy, pp, kind, ep, n, 5, seed, workers=1))
-    split = harness.run_experiment(_config(policy, pp, kind, ep, n, 5, seed, workers=2))
-    assert split.content_dict() == serial.content_dict()
 
 
 def test_replica_draws_match_scalar_draws_across_blocks():

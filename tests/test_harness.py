@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -45,7 +46,7 @@ format = csv
 
 def _config(**overrides):
     cfg = {
-        "policy": "ucb", "horizon": 500, "replicas": 4, "seed": 11, "workers": 1,
+        "policy": "ucb", "horizon": 500, "replicas": 4, "seed": 11,
         "policy_params": {"alpha": "2.5"}, "env_kind": "stochastic",
         "env_params": {"means": "0.9,0.6"}, "overlays": ["ucb"],
         "output": {"dir": ".", "format": "csv", "basename": "report"},
@@ -87,12 +88,6 @@ def test_same_config_gives_byte_identical_csv():
     a = render_csv(run_experiment(_config()))
     b = render_csv(run_experiment(_config()))
     assert a == b
-
-
-def test_parallel_matches_serial():
-    serial = run_experiment(_config(workers=1, replicas=6))
-    parallel = run_experiment(_config(workers=4, replicas=6))
-    assert serial.content_dict() == parallel.content_dict()
 
 
 def test_aggregation_is_exact_mean():
@@ -234,11 +229,12 @@ def test_cli_selftest_and_oracle():
     ("seed", "x"), ("workers", "0"),
 ])
 def test_parse_config_rejects_bad_experiment_values(key, value):
-    experiment = {"policy": "ucb", "horizon": "50", "replicas": "2", "seed": "1",
-                  "workers": "1", key: value}
+    experiment = {"policy": "ucb", "horizon": "50", "replicas": "2", "seed": "1", key: value}
     text = "\n".join(["[experiment]", *(f"{k} = {v}" for k, v in experiment.items()),
                       "[environment]", "kind = stochastic", "means = 0.9, 0.6"])
-    with pytest.raises(ConfigError, match=f"experiment.{key}"):
+    # workers, once the size of a thread pool, is an unknown key like any other
+    error = f"unknown key experiment.{key}" if key == "workers" else f"experiment.{key}"
+    with pytest.raises(ConfigError, match=error):
         parse_config(text)
 
 
@@ -247,36 +243,101 @@ def test_replicas_below_one_fail_in_run_experiment_too():
         run_experiment(_config(replicas=0))
 
 
-@pytest.mark.parametrize("source", ["losses", "csv"])
-def test_short_oblivious_matrix_fails_at_build_time(tmp_path, source):
-    rows = ";".join(["0.1,0.9"] * 5)
+# a row of each kind's csv (or inline losses), its other keys, and the
+# number of rounds its environment holds
+_SHORT_SOURCES = {
+    "oblivious": ("0.1,0.9", {}, lambda env: env["adv"].horizon),
+    "contextual": ("a,0.1,0.9", {"k": "2"}, lambda env: len(env["contexts"])),
+    "multiclass": ("1,0,0", {"k": "2", "d": "2"}, lambda env: len(env["ys"])),
+}
+
+
+@pytest.mark.parametrize("kind, source", [
+    ("oblivious", "losses"), ("oblivious", "csv"), ("contextual", "csv"), ("multiclass", "csv"),
+], ids=["losses", "csv", "contextual-csv", "multiclass-csv"])
+def test_short_oblivious_matrix_fails_at_build_time(tmp_path, kind, source):
+    row, params, rounds = _SHORT_SOURCES[kind]
     if source == "csv":
-        path = tmp_path / "losses.csv"
-        path.write_text(rows.replace(";", "\n") + "\n")
-        params = {"csv": str(path)}
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join([row] * 5) + "\n")
+        params = {**params, "csv": str(path)}
     else:
-        params = {"losses": rows}
+        params = {**params, "losses": ";".join([row] * 5)}
     with pytest.raises(ConfigError, match=f"environment.{source}"):
-        build_environment("oblivious", params, 6, 0)
-    assert build_environment("oblivious", params, 5, 0)["adv"].horizon == 5
+        build_environment(kind, params, 6, 0)
+    assert rounds(build_environment(kind, params, 5, 0)) == 5
 
 
-def test_mismatched_overlay_fails_before_any_replica(monkeypatch):
-    def no_replicas(*args):
+@pytest.fixture
+def no_replicas(monkeypatch):
+    def no_replica(*args):
         raise AssertionError("a replica ran")
 
-    monkeypatch.setattr(harness, "run_replica", no_replicas)
+    monkeypatch.setattr(harness, "run_replica", no_replica)
+
+
+def test_mismatched_overlay_fails_before_any_replica(no_replicas):
     cfg = _config(policy="exp3", policy_params={}, env_kind="oblivious",
                   env_params={"k": "2"}, overlays=["ucb"])
     with pytest.raises(ConfigError, match="'ucb'"):
         run_experiment(cfg)
 
 
-# one incompatible pair per runner family
+_SEMIBANDIT = {"d": "4", "m": "2"}
+
+
+@pytest.mark.parametrize("policy, params, kind, env_params, overlays, key", [
+    pytest.param("ucb", {"alpha": "abc"}, "stochastic", {"means": "0.9"}, [], "policy.alpha",
+                 id="alpha-abc"),
+    pytest.param("osmd-msets", {"eta": "abc"}, "semibandit", _SEMIBANDIT, [], "policy.eta",
+                 id="osmd-eta-abc"),
+    pytest.param("osmd-msets", {"variant": "nosuch"}, "semibandit", _SEMIBANDIT, [],
+                 "policy.variant", id="variant-nosuch"),
+    pytest.param("osmd-msets", {}, "semibandit", {"d": "abc", "m": "2"}, [],
+                 "environment.d", id="semibandit-d-abc"),
+    pytest.param("ucb", {}, "stochastic", {}, [], "environment.means", id="no-means"),
+    pytest.param("exp3", {"anytime": "yes"}, "oblivious", {"k": "3"}, [], "policy.anytime",
+                 id="anytime-yes"),
+    # an overlay reads the run's own value of a policy key, or refuses
+    pytest.param("exp4", {}, "contextual", {"k": "3"}, ["exp4-mixing"], "policy.gamma",
+                 id="exp4-mixing-without-gamma"),
+    pytest.param("sexp3", {}, "contextual", {"k": "3"}, ["exp4-mixing"], "policy.gamma",
+                 id="exp4-mixing-on-sexp3"),
+    pytest.param("exp3p", {"delta_free": "true"}, "oblivious", {"k": "3"}, ["exp3p"],
+                 "policy.delta_free", id="exp3p-delta-free"),
+    pytest.param("ucb", {"alpha": "1.5"}, "stochastic", {"means": "0.9"}, ["ucb"],
+                 "policy.alpha", id="ucb-alpha-uncovered"),
+])
+def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, env_params,
+                                            overlays, key):
+    cfg = _config(policy=policy, policy_params=params, env_kind=kind,
+                  env_params=env_params, overlays=overlays)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run_experiment(cfg)
+
+
+def test_osmd_potential_overlay_reads_the_runs_q():
+    cfg = _config(policy="osmd-msets", policy_params={"q": "3.0"}, env_kind="semibandit",
+                  env_params={"d": "6", "m": "2"}, overlays=["osmd-potential"], horizon=50)
+    env = build_environment("semibandit", cfg["env_params"], 50, cfg["seed"])
+    at_q3 = bound("osmd-potential", n=50, d=6, m=2, q=3.0)
+    assert harness.compute_overlay("osmd-potential", cfg, env) == at_q3
+    assert at_q3 != bound("osmd-potential", n=50, d=6, m=2)
+
+
+@pytest.mark.parametrize("param, values", [
+    ("experiment.nosuch", [1]), ("experiment.horizon", [10, "abc"]),
+    ("policy.nosuch", [1]), ("policy.alpha", [3.0, "abc"]), ("environment.means", ["x"]),
+])
+def test_sweep_checks_every_cell_before_the_first(no_replicas, param, values):
+    with pytest.raises(ConfigError, match=re.escape(param)):
+        sweep(_config(overlays=[]), param, values)
+
+
+# every (policy, kind) pair the policy table does not declare
 @pytest.mark.parametrize("policy, kind", [
-    ("ucb", "semibandit"), ("thompson", "multiclass"), ("sexp3", "stochastic"),
-    ("banditron", "oblivious"), ("exp2-john", "linear-ball"), ("osmd-msets", "contextual"),
-    ("osmd-ball", "linear-points"), ("osgd-2pt", "unimodal"), ("sgs", "convex"),
+    (policy, kind) for policy, entry in harness._POLICIES.items()
+    for kind in harness._ENV_KINDS if kind not in entry.kinds
 ])
 def test_parse_config_rejects_policy_env_pairs(policy, kind):
     text = (f"[experiment]\npolicy = {policy}\nhorizon = 10\n\n"

@@ -17,8 +17,6 @@ from banditlab.mirror import (
     ball_schedule,
     euclidean_ball,
     exp2_bound,
-    exp2_estimate,
-    exp2_probs,
     exp2_schedule,
     log_barrier_ball,
     negentropy_capped_simplex,
@@ -124,7 +122,7 @@ def test_zero_potential_curvature_bound():
 def test_exp2_probs_at_zero_eta():
     pts = np.vstack([np.eye(3), -np.eye(3)])
     state = Exp2State(pts, eta=1e-300, gamma=0.3)
-    p = exp2_probs(state)
+    p = state.probs()
     expected = 0.7 / 6 + 0.3 * state.design.weights
     assert np.allclose(p, expected, atol=1e-9)
 
