@@ -166,9 +166,6 @@ class Exp3PState:
         self.cum_gains += exp3p_gain_estimate(p, chosen, gain, self.beta)
         self.t += 1
 
-    def update_loss(self, chosen, loss) -> None:
-        self.update(chosen, 1.0 - loss)
-
 
 def exp3_bound(n: int, K: int, anytime: bool = False) -> float:
     if anytime:

@@ -91,22 +91,12 @@ def cmd_bound(args) -> int:
 
 def cmd_oracle(args) -> int:
     """Monte Carlo cumulative loss against the exact path-enumeration oracle."""
-    rng = derive_stream(args.seed, 0)
-    n, K = args.horizon, 2
-    losses = rng.random((n, K))
+    n, K, reps = args.horizon, 2, args.replicas
+    losses = derive_stream(args.seed, 0).random((n, K))
     exact_loss, exact_regret = adversarial.exact_expectation_oracle(
         lambda: adversarial.Exp3State(K, n=n), losses)
-    reps = args.replicas
-    totals = np.empty(reps)
-    for i in range(reps):
-        stream = derive_stream(args.seed, i + 1)
-        policy = adversarial.Exp3State(K, n=n)
-        total = 0.0
-        for t in range(n):
-            arm = policy.select(stream)
-            policy.update(arm, losses[t, arm])
-            total += losses[t, arm]
-        totals[i] = total
+    totals = harness.exp3_cumulative_losses(
+        losses, (derive_stream(args.seed, i + 1) for i in range(reps)))
     mc = totals.mean()
     sem = totals.std(ddof=1) / np.sqrt(reps)
     z = abs(mc - exact_loss) / max(sem, 1e-12)
@@ -161,7 +151,11 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except harness.ConfigError as exc:
+        print(f"banditlab: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -185,10 +185,6 @@ class StochasticEnv:
             return (u < self.means[arm]).astype(float)
         return np.array([self.arms[a].from_uniform(x) for a, x in zip(arm.tolist(), u.tolist())])
 
-    def sample_all_rewards(self, rng: np.random.Generator) -> np.ndarray:
-        """One reward draw per arm (used by lower-bound experiments)."""
-        return np.array([a.sample(rng) for a in self.arms])
-
 
 def lower_bound_env(K: int, eps: float, best: int) -> StochasticEnv:
     """Bernoulli instance with means (1-eps)/2 everywhere except (1+eps)/2 at `best`."""

@@ -4,6 +4,7 @@ is one entry of `_POLICIES`, `_ENV_KINDS` or `BOUNDS`."""
 from __future__ import annotations
 
 import configparser
+import copy
 import csv
 import io
 import json
@@ -69,6 +70,11 @@ def _list(cast: Callable) -> Callable:
 def _matrix(text: str) -> np.ndarray:
     rows = [r for r in text.split(";") if r.strip()]
     return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
 def _resolve(section: str, keys: dict, given: dict) -> dict:
@@ -160,10 +166,12 @@ def check_config(config: dict) -> dict:
     for name in config["overlays"]:
         if name not in BOUNDS:
             raise ConfigError(f"unknown overlay {name!r}")
-    return {**config, **experiment,
-            "policy_params": _resolve("policy", _POLICIES[policy].keys,
-                                      config["policy_params"]),
-            "env_params": _resolve("environment", _ENV_KINDS[kind].keys, config["env_params"])}
+    p = _resolve("policy", _POLICIES[policy].keys, config["policy_params"])
+    e = _resolve("environment", _ENV_KINDS[kind].keys, config["env_params"])
+    for check in (_POLICIES[policy].check, _ENV_KINDS[kind].check):
+        if check is not None:
+            check(p, e)
+    return {**config, **experiment, "policy_params": p, "env_params": e}
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +238,12 @@ def _nonoblivious_env(p: dict, n: int, rng) -> dict:
     return {"kind": "nonoblivious", "adv": NonObliviousAdversary(grudge, K), "K": K}
 
 
+def _set_sizes(p: dict) -> list:
+    """The sizes of a contextual environment's context sets; none unless
+    `set_sizes` is given or `n_sets` is above 1."""
+    return p["set_sizes"] or ([4] * p["n_sets"] if p["n_sets"] > 1 else [])
+
+
 def _contextual_env(p: dict, n: int, rng) -> dict:
     K = p["k"]
     if p["csv"] is not None:
@@ -240,7 +254,7 @@ def _contextual_env(p: dict, n: int, rng) -> dict:
     else:
         contexts = list(rng.integers(p["n_contexts"], size=n))
         matrix = rng.random((n, K))
-    set_sizes = p["set_sizes"] or ([4] * p["n_sets"] if p["n_sets"] > 1 else [])
+    set_sizes = _set_sizes(p)
     theta_streams = {f"set{j}": list(rng.integers(size_j, size=n))
                      for j, size_j in enumerate(set_sizes)} if set_sizes else None
     return {"kind": "contextual", "contexts": contexts, "losses": matrix, "K": K,
@@ -315,9 +329,11 @@ _CONVEX_ORACLES = {
 }
 
 
-# an environment kind's [environment] keys and its builder, which materializes
-# the replica-independent part: build(params, n, rng) -> env
-EnvKind = namedtuple("EnvKind", "keys build")
+# an environment kind's [environment] keys; its builder, which materializes
+# the replica-independent part: build(params, n, rng) -> env; and the check,
+# if any, of values its keys' types cannot rule out: check(policy params,
+# env params), raising ConfigError
+EnvKind = namedtuple("EnvKind", "keys build check", defaults=(None,))
 
 
 _ENV_KINDS = {
@@ -335,7 +351,10 @@ _ENV_KINDS = {
                            "n_sets": Key(int, 1), "set_sizes": Key(_list(int), ()),
                            "csv": Key(str)}, _contextual_env),
     "semibandit": EnvKind({"d": Key(int, REQUIRED), "m": Key(int, REQUIRED)},
-                          lambda p, n, rng: {"d": p["d"], "m": p["m"]}),
+                          lambda p, n, rng: {"d": p["d"], "m": p["m"]},
+                          check=lambda p, e: _require(
+                              1 <= e["m"] <= e["d"], f"environment.m must lie in 1.."
+                              f"environment.d = {e['d']}, got {e['m']!r}")),
     "linear-points": EnvKind({"d": Key(int, REQUIRED), "n_points": Key(int, REQUIRED)},
                              _linear_points_env),
     "linear-ball": EnvKind({"d": Key(int, REQUIRED), "loss": Key(_list(float))}, _linear_ball_env),
@@ -475,15 +494,17 @@ def _run_exp4(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.nda
     return curve
 
 
+_NO_SETS = ("theta-exp4 and the theta overlay need environment.n_sets above 1 "
+            "or environment.set_sizes")
+
+
 def _theta_streams(env: dict) -> dict:
-    if env["theta_streams"] is None:
-        raise ConfigError("theta-exp4 and the theta overlay need environment.n_sets "
-                          "or environment.set_sizes")
+    _require(env["theta_streams"] is not None, _NO_SETS)
     return env["theta_streams"]
 
 
 def _run_theta_exp4(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    K, losses, streams = env["K"], env["losses"], _theta_streams(env)
+    K, losses, streams = env["K"], env["losses"], env["theta_streams"]
     thetas = sorted(streams)
     policy = contextual.ThetaExp4(thetas, K, n, env["max_set_size"], gamma=p["gamma"])
     per_theta = {th: {} for th in thetas}
@@ -627,15 +648,17 @@ def _run_sgs(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndar
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays:
 # a finite-arm policy has `state`, which binds its class to (K, n, params, rng)
 # and leaves `replicas` open; any other has `run`, which plays one replica:
-# run(params, env, n, stream) -> curve
-Policy = namedtuple("Policy", "keys kinds state run", defaults=(None, None))
+# run(params, env, n, stream) -> curve. `check`, as for an environment kind.
+Policy = namedtuple("Policy", "keys kinds state run check", defaults=(None, None, None))
 
 
 _FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
 
 _POLICIES = {
     "ucb": Policy({"alpha": Key(float, 2.5)}, _FINITE_KINDS, state=lambda K, n, p, rng:
-                  partial(stochastic.UcbState, K, alpha=p["alpha"])),
+                  partial(stochastic.UcbState, K, alpha=p["alpha"]),
+                  check=lambda p, e: _require(
+                      p["alpha"] > 2, f"policy.alpha must exceed 2, got {p['alpha']!r}")),
     # rng binarizes thompson's fractional rewards
     "thompson": Policy({}, _FINITE_KINDS, state=lambda K, n, p, rng:
                        partial(stochastic.ThompsonState, K, rng)),
@@ -649,7 +672,8 @@ _POLICIES = {
     "sexp3": Policy({}, ("contextual",), run=_run_sexp3),
     "exp4": Policy({"gamma": Key(float, 0.0), "eta": Key(float)}, ("contextual",),
                    run=_run_exp4),
-    "theta-exp4": Policy({"gamma": Key(float)}, ("contextual",), run=_run_theta_exp4),
+    "theta-exp4": Policy({"gamma": Key(float)}, ("contextual",), run=_run_theta_exp4,
+                         check=lambda p, e: _require(_set_sizes(e), _NO_SETS)),
     "banditron": Policy({"gamma": Key(float)}, ("multiclass",), run=_run_banditron),
     "exp2-john": Policy({"eta": Key(float), "gamma": Key(float)}, ("linear-points",),
                         run=_run_exp2),
@@ -684,6 +708,19 @@ def run_replica(config: dict, env: dict, streams) -> np.ndarray:
     else:
         curves = np.vstack([entry.run(p, env, n, stream) for stream in streams])
     return curves[0] if single else curves
+
+
+def exp3_cumulative_losses(loss_matrix, streams) -> np.ndarray:
+    """Each stream's cumulative loss under default `exp3` on the oblivious
+    adversary `loss_matrix` (one row per round), one replica per stream: the
+    Monte Carlo side of `adversarial.exact_expectation_oracle`."""
+    matrix = np.asarray(loss_matrix, dtype=float)
+    n = len(matrix)
+    config = {"policy": "exp3", "horizon": n, "policy_params": {},
+              "env_kind": "oblivious", "env_params": {"losses": matrix}, "overlays": []}
+    env = build_environment("oblivious", config["env_params"], n, 0)
+    curves = run_replica(config, env, streams)
+    return curves[:, -1] + matrix.sum(axis=0).min()
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +830,7 @@ def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
     section, _, key = param.partition(".")
     cells = []
     for v in values:
-        cell = json.loads(json.dumps(config))  # deep copy, keeps seeds identical per cell
+        cell = copy.deepcopy(config)  # keeps seeds identical per cell
         if section == "experiment" and key in _EXPERIMENT_KEYS:
             cell[key] = str(v)
         elif section == "policy":
@@ -838,6 +875,15 @@ def _n_K(c: dict, env: dict) -> dict:
     return {"n": c["horizon"], "K": env["K"]}
 
 
+def _msets(c: dict, env: dict, variant: str) -> dict:
+    """n, d and m of an osmd-msets run, whose `variant` must be the theorem's."""
+    params = {"n": c["horizon"], "d": env["d"], "m": env["m"]}
+    ran = c["policy_params"].get("variant")
+    _require(ran == variant, f"the theorem covers policy.variant = {variant}, "
+                             f"not the run's {ran!r}")
+    return params
+
+
 def _convex(c: dict, env: dict) -> dict:
     body = env["body"]
     return {"n": c["horizon"], "d": body.dim, "R": body.outer_radius, "r": body.inner_radius,
@@ -867,10 +913,9 @@ BOUNDS = {
                        lambda c, env: {**_n_K(c, env), "U_norm": env.get("U_norm", 0.0)}),
     "exp2-john": Bound(mirror.exp2_bound,
                        lambda c, env: {"n": c["horizon"], "d": env["d"], "N": env["N"]}),
-    "osmd-negent": Bound(mirror.osmd_negent_bound,
-                         lambda c, env: {"n": c["horizon"], "d": env["d"], "m": env["m"]}),
+    "osmd-negent": Bound(mirror.osmd_negent_bound, partial(_msets, variant="negent")),
     "osmd-potential": Bound(mirror.osmd_potential_bound, lambda c, env: {
-        "n": c["horizon"], "d": env["d"], "m": env["m"], "q": _policy_param(c, "q", 1.0)}),
+        **_msets(c, env, "potential"), "q": _policy_param(c, "q", 1.0)}),
     "osmd-ball": Bound(mirror.ball_bound, lambda c, env: {"n": c["horizon"], "d": env["d"]}),
     "osgd-2pt": Bound(convex.osgd_two_point_bound, lambda c, env: {**_convex(c, env), "delta":
                       _osgd_params("two-point", c["policy_params"], c["horizon"], env)[1]}),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from banditlab import harness
 from banditlab.adversarial import (
     Exp3PState,
     Exp3State,
@@ -176,15 +177,7 @@ def test_monte_carlo_matches_oracle_three_sems():
     losses = rng.random((5, 2))
     exact_loss, _ = exact_expectation_oracle(lambda: Exp3State(2, n=5), losses)
     reps = 3000
-    totals = np.empty(reps)
-    for i in range(reps):
-        stream = derive_stream(6, i + 1)
-        policy = Exp3State(2, n=5)
-        total = 0.0
-        for t in range(5):
-            arm = policy.select(stream)
-            policy.update(arm, losses[t, arm])
-            total += losses[t, arm]
-        totals[i] = total
+    totals = harness.exp3_cumulative_losses(
+        losses, (derive_stream(6, i + 1) for i in range(reps)))
     sem = totals.std(ddof=1) / math.sqrt(reps)
     assert abs(totals.mean() - exact_loss) <= 3 * sem

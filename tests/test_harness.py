@@ -143,6 +143,15 @@ def test_sweep_grid():
         sweep(cfg, "experiment.horizon", [])
 
 
+def test_sweep_copies_typed_values():
+    # an inline loss matrix given as an array, as run_experiment accepts it
+    cfg = _config(policy="exp3", policy_params={}, env_kind="oblivious",
+                  env_params={"losses": np.full((20, 2), 0.5)}, overlays=[])
+    reports = sweep(cfg, "experiment.horizon", [10, 20])
+    assert [r.horizon for r in reports] == [10, 20]
+    assert cfg["horizon"] == 500 and isinstance(cfg["env_params"]["losses"], np.ndarray)
+
+
 def test_bound_dispatch():
     assert bound("exp3", n=100, K=2) == pytest.approx(16.651, abs=1e-3)
     assert bound("minimax-lower", n=400, K=2) == pytest.approx(1.4142, abs=1e-4)
@@ -219,9 +228,23 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "report_horizon_100.csv").exists()
 
 
-def test_cli_selftest_and_oracle():
+def test_cli_selftest_and_oracle(capsys):
     assert cli.main(["selftest"]) == 0
+    capsys.readouterr()
     assert cli.main(["oracle", "--horizon", "4", "--replicas", "800"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "exact expected loss 1.823660, exact pseudo-regret 0.251763",
+        "monte carlo 1.807343 +/- 0.010024 (800 replicas), z = 1.63",
+    ]
+
+
+def test_cli_reports_a_config_error_as_a_message(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_INI.format(out=tmp_path))
+    assert cli.main(["run", "--config", str(path), "--replicas", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("banditlab: ") and "experiment.replicas" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -307,6 +330,20 @@ _SEMIBANDIT = {"d": "4", "m": "2"}
                  "policy.delta_free", id="exp3p-delta-free"),
     pytest.param("ucb", {"alpha": "1.5"}, "stochastic", {"means": "0.9"}, ["ucb"],
                  "policy.alpha", id="ucb-alpha-uncovered"),
+    # values a key's type admits but the policy or environment cannot use
+    pytest.param("ucb", {"alpha": "1.5"}, "stochastic", {"means": "0.9"}, [],
+                 "policy.alpha", id="ucb-alpha-1.5"),
+    pytest.param("osmd-msets", {}, "semibandit", {"d": "4", "m": "5"}, [],
+                 "environment.m", id="semibandit-m-above-d"),
+    pytest.param("osmd-msets", {}, "semibandit", {"d": "4", "m": "0"}, [],
+                 "environment.m", id="semibandit-m-0"),
+    pytest.param("theta-exp4", {}, "contextual", {"k": "3"}, [], "environment.n_sets",
+                 id="theta-exp4-without-sets"),
+    # an osmd-msets overlay covers only its own variant
+    pytest.param("osmd-msets", {"variant": "potential"}, "semibandit", _SEMIBANDIT,
+                 ["osmd-negent"], "policy.variant", id="negent-overlay-on-potential"),
+    pytest.param("osmd-msets", {"variant": "negent"}, "semibandit", _SEMIBANDIT,
+                 ["osmd-potential"], "policy.variant", id="potential-overlay-on-negent"),
 ])
 def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, env_params,
                                             overlays, key):
