@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -221,24 +221,30 @@ class ObliviousAdversary:
 
 
 class NonObliviousAdversary:
-    """Adversary that may react to the full history of past actions.
+    """The grudge adversary: a loss of 1 on the arm played most so far, ties
+    to the lowest index, and all zeros before the first play.
 
-    `loss_fn` receives the tuple of actions played so far and must return a
-    length-K loss vector in [0, 1]; it never sees the forecaster's internal
-    randomness.
+    It reacts to past actions only through per-arm play counts, (K,) for one
+    replica or (R, K) for R replicas in lockstep, and never sees the
+    forecaster's internal randomness.
     """
 
-    def __init__(self, loss_fn: Callable[[tuple], np.ndarray], n_arms: int):
-        self.loss_fn = loss_fn
+    def __init__(self, n_arms: int, replicas: int | None = None):
         self.n_arms = n_arms
+        self.counts = np.zeros((n_arms,) if replicas is None else (replicas, n_arms), dtype=int)
+        self._played = False
 
-    def loss_vector(self, history: tuple) -> np.ndarray:
-        losses = np.asarray(self.loss_fn(history), dtype=float)
-        if losses.shape != (self.n_arms,):
-            raise ValueError(f"adversary returned shape {losses.shape}, expected ({self.n_arms},)")
-        if losses.min() < 0.0 or losses.max() > 1.0:
-            raise ValueError("adversary losses must lie in [0, 1]")
+    def loss_vector(self) -> np.ndarray:
+        losses = np.zeros(self.counts.shape)
+        if self._played:
+            losses.reshape(-1)[flat_index(losses, self.counts.argmax(-1))] = 1.0
         return losses
+
+    def observe(self, arms) -> None:
+        """One play per replica: an arm, or one arm per row of the counts."""
+        _check_arms(arms, self.n_arms)
+        self.counts.reshape(-1)[flat_index(self.counts, arms)] += 1
+        self._played = True
 
 
 @dataclass

@@ -225,19 +225,6 @@ def _oblivious_env(p: dict, n: int, rng) -> dict:
     return {"kind": "oblivious", "adv": adv, "K": adv.n_arms}
 
 
-def _nonoblivious_env(p: dict, n: int, rng) -> dict:
-    K = p["k"]
-
-    def grudge(history):
-        # full loss on the arm played most so far, ties to the lowest index
-        losses = np.zeros(K)
-        if history:
-            losses[np.bincount(history, minlength=K).argmax()] = 1.0
-        return losses
-
-    return {"kind": "nonoblivious", "adv": NonObliviousAdversary(grudge, K), "K": K}
-
-
 def _set_sizes(p: dict) -> list:
     """The sizes of a contextual environment's context sets; none unless
     `set_sizes` is given or `n_sets` is above 1."""
@@ -300,8 +287,9 @@ def _convex_env(p: dict, n: int, rng) -> dict:
 def _unimodal_env(p: dict, n: int, rng) -> dict:
     xstar, floor = p["xstar"], p["floor"]
 
-    def mu(x: float) -> float:
-        return min(1.0, max(0.0, floor + abs(x - xstar)))
+    def mu(x):
+        """The loss at a point x, or at each point of an array."""
+        return np.clip(floor + np.abs(x - xstar), 0.0, 1.0)
 
     return {"kind": "unimodal", "mu": mu, "xstar": xstar, "mu_star": mu(xstar),
             "C_L": 1.0, "C_H": 1.0}
@@ -329,6 +317,12 @@ _CONVEX_ORACLES = {
 }
 
 
+def _check_lower_bound(p: dict, e: dict) -> None:
+    _require(0 <= e["eps"] < 1, f"environment.eps must lie in [0, 1), got {e['eps']!r}")
+    _require(0 <= e["best"] < e["k"], f"environment.best must lie in 0..environment.k - 1 "
+             f"= {e['k'] - 1}, got {e['best']!r}")
+
+
 # an environment kind's [environment] keys; its builder, which materializes
 # the replica-independent part: build(params, n, rng) -> env; and the check,
 # if any, of values its keys' types cannot rule out: check(policy params,
@@ -341,12 +335,13 @@ _ENV_KINDS = {
                           _stochastic(StochasticEnv.bernoulli(p["means"]))),
     "lower-bound": EnvKind({"k": Key(int, REQUIRED), "eps": Key(float, REQUIRED),
                             "best": Key(int, REQUIRED)}, lambda p, n, rng:
-                           _stochastic(lower_bound_env(p["k"], p["eps"], p["best"]))),
+                           _stochastic(lower_bound_env(p["k"], p["eps"], p["best"])),
+                           check=_check_lower_bound),
     "oblivious": EnvKind({"k": Key(int), "losses": Key(_matrix), "csv": Key(str)},
                          _oblivious_env),
     "nonoblivious": EnvKind({"k": Key(int, REQUIRED),
                              "adversary": Key(_choice("grudge"), "grudge")},
-                            _nonoblivious_env),
+                            lambda p, n, rng: {"kind": "nonoblivious", "K": p["k"]}),
     "contextual": EnvKind({"k": Key(int, REQUIRED), "n_contexts": Key(int, 4),
                            "n_sets": Key(int, 1), "set_sizes": Key(_list(int), ()),
                            "csv": Key(str)}, _contextual_env),
@@ -411,19 +406,16 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
         best = np.cumsum(adv.loss_matrix[:n], axis=0).min(axis=1)
         return np.cumsum(played, axis=-1) - best
 
-    # nonoblivious: each replica's adversary reacts to that replica's history
-    adv: NonObliviousAdversary = env["adv"]
-    histories = [[] for _ in range(shape[0] if shape else 1)]
-    cum_losses = np.zeros(shape + (adv.n_arms,))
+    # nonoblivious: a fresh adversary per call, reacting to each replica's plays
+    adv = NonObliviousAdversary(env["K"], *shape)
+    cum_losses = np.zeros(adv.counts.shape)
     best = np.empty(shape + (n,))
     for t in range(n):
-        losses = np.array([adv.loss_vector(tuple(h)) for h in histories])
-        losses = losses.reshape(cum_losses.shape)
+        losses = adv.loss_vector()
         arm = policy.select(rng)
         loss = losses.reshape(-1)[flat_index(losses, arm)]
         policy.update(arm, 1.0 - loss if gain else loss)
-        for history, a in zip(histories, np.atleast_1d(arm).tolist()):
-            history.append(a)
+        adv.observe(arm)
         played[..., t] = loss
         cum_losses += losses
         best[..., t] = cum_losses.min(axis=-1)
@@ -641,8 +633,9 @@ def _run_sgs(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndar
 
     c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
     played, _bracket = convex.run_sgs(sample_losses, n, c_l, stream)
-    inc = np.array([mu(x) - mu_star for x in played])
-    return np.cumsum(inc)
+    inc = mu(played)
+    inc -= mu_star
+    return np.cumsum(inc, out=inc)  # in place: no second curve-sized array
 
 
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays:
@@ -663,23 +656,39 @@ _POLICIES = {
     "thompson": Policy({}, _FINITE_KINDS, state=lambda K, n, p, rng:
                        partial(stochastic.ThompsonState, K, rng)),
     "eps-greedy": Policy({"d_gap": Key(float, 0.1)}, _FINITE_KINDS, state=lambda K, n, p, rng:
-                         partial(stochastic.EpsGreedyState, K, d_gap=p["d_gap"])),
+                         partial(stochastic.EpsGreedyState, K, d_gap=p["d_gap"]),
+                         check=lambda p, e: _require(
+                             0 < p["d_gap"] < 1,
+                             f"policy.d_gap must lie in (0, 1), got {p['d_gap']!r}")),
     "exp3": Policy({"eta": Key(float), "anytime": Key(_flag, False)}, _FINITE_KINDS,
                    state=lambda K, n, p, rng: partial(adversarial.Exp3State, K, n=n,
-                                                      eta=p["eta"], anytime=p["anytime"])),
+                                                      eta=p["eta"], anytime=p["anytime"]),
+                   check=lambda p, e: _require(
+                       p["eta"] is None or p["eta"] > 0,
+                       f"policy.eta must be positive, got {p['eta']!r}")),
     "exp3p": Policy({"delta": Key(float, 0.1), "delta_free": Key(_flag, False)},
-                    _FINITE_KINDS, state=_exp3p_state),
+                    _FINITE_KINDS, state=_exp3p_state,
+                    check=lambda p, e: _require(
+                        p["delta_free"] or 0 < p["delta"] < 1,
+                        f"policy.delta must lie in (0, 1), got {p['delta']!r}")),
     "sexp3": Policy({}, ("contextual",), run=_run_sexp3),
     "exp4": Policy({"gamma": Key(float, 0.0), "eta": Key(float)}, ("contextual",),
                    run=_run_exp4),
     "theta-exp4": Policy({"gamma": Key(float)}, ("contextual",), run=_run_theta_exp4,
                          check=lambda p, e: _require(_set_sizes(e), _NO_SETS)),
-    "banditron": Policy({"gamma": Key(float)}, ("multiclass",), run=_run_banditron),
+    "banditron": Policy({"gamma": Key(float)}, ("multiclass",), run=_run_banditron,
+                        check=lambda p, e: _require(
+                            p["gamma"] is None or 0 < p["gamma"] < 0.5,
+                            f"policy.gamma must lie in (0, 1/2), got {p['gamma']!r}")),
     "exp2-john": Policy({"eta": Key(float), "gamma": Key(float)}, ("linear-points",),
                         run=_run_exp2),
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
                           "q": Key(float, 2.0), "eta": Key(float)}, ("semibandit",),
-                         run=_run_osmd_msets),
+                         run=_run_osmd_msets,
+                         check=lambda p, e: _require(
+                             p["variant"] != "potential" or p["q"] > 1,
+                             f"policy.q must exceed 1 for the potential variant, "
+                             f"got {p['q']!r}")),
     "osmd-ball": Policy({"gamma": Key(float), "eta": Key(float)}, ("linear-ball",),
                         run=_run_osmd_ball),
     "osgd-2pt": Policy({"delta": Key(float), "eta": Key(float)}, ("convex",),

@@ -46,6 +46,12 @@ CASES = {
                               {"means": "0.9, 0.6, 0.5"}, 300, 3, 20),
     "thompson-stochastic": ("thompson", {}, "stochastic", {"means": "0.9, 0.6, 0.5"},
                             300, 3, 21),
+    # the grudge adversary in lockstep, on (R, K) play counts, and one replica
+    # at a time, on (K,) ones
+    "ucb-nonoblivious": ("ucb", {}, "nonoblivious", {"k": "4", "adversary": "grudge"},
+                         200, 3, 35),
+    "eps-greedy-nonoblivious": ("eps-greedy", {"d_gap": "0.2"}, "nonoblivious", {"k": "3"},
+                                200, 3, 36),
     # from here on each case also resolves overlays, so that every BOUNDS name
     # is resolved by some case
     "ucb-stochastic-overlays": ("ucb", {"alpha": "3.0"}, "stochastic",
@@ -93,6 +99,10 @@ GOLDEN = {
     "eps-greedy-stochastic":
         "98a7534dcfb1f6e1e6f2942217b4c8117e7274bcb7afc4590df90634f17c11e5",
     "thompson-stochastic": "220fc576a124d53dbeed1c400df2784c69bcd3e10cca3317caffe520259f286e",
+    # captured from the adversary that reread each replica's whole history
+    "ucb-nonoblivious": "563cc4bb184cd33459a25f0ece0b6ba774b14427f0642a0caa2e4122327e719a",
+    "eps-greedy-nonoblivious":
+        "1d20e11d0095bcdf5d049d7b0cccc347cddf30b0ffc8bd6b7b4b65bda5fd5f31",
     # captured from the engine that declared policies in several parallel tables
     "ucb-stochastic-overlays":
         "cd46433486a0548c6fb6064776e5e32e3bc8b3e1ad8f81c7fd624d07c1341e5f",
@@ -140,7 +150,7 @@ def test_every_policy_and_overlay_has_a_golden_case():
 
 
 @pytest.mark.parametrize("name", ["ucb-stochastic", "exp3-oblivious-anytime",
-                                  "exp3p-stochastic", "exp3-nonoblivious",
+                                  "exp3p-stochastic", "exp3-nonoblivious", "ucb-nonoblivious",
                                   "thompson-stochastic"])
 def test_rows_equal_single_stream_runs(name):
     cfg = _config(*CASES[name])

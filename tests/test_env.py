@@ -122,25 +122,49 @@ def test_derive_stream_determinism_and_independence():
     assert abs(draws.mean() - 0.5) < 0.01
 
 
-def test_non_oblivious_adversary_contract():
-    # punishes whichever arm was played most so far
-    def grudge(history):
-        losses = np.zeros(3)
-        if history:
-            counts = np.bincount(history, minlength=3)
-            losses[counts.argmax()] = 1.0
-        return losses
+def _grudge_reference(history, K: int) -> np.ndarray:
+    """One-hot on the most-played arm of `history` (lowest index on ties);
+    zeros before the first play."""
+    losses = np.zeros(K)
+    if history:
+        losses[np.bincount(history, minlength=K).argmax()] = 1.0
+    return losses
 
-    adv = NonObliviousAdversary(grudge, n_arms=3)
-    assert np.array_equal(adv.loss_vector(()), np.zeros(3))
-    assert adv.loss_vector((1, 1, 2))[1] == 1.0
 
-    bad = NonObliviousAdversary(lambda h: np.array([2.0, 0.0, 0.0]), n_arms=3)
-    with pytest.raises(ValueError):
-        bad.loss_vector(())
-    short = NonObliviousAdversary(lambda h: np.zeros(2), n_arms=3)
-    with pytest.raises(ValueError):
-        short.loss_vector(())
+def test_non_oblivious_adversary_matches_history_reference():
+    R, K = 4, 3
+    rng = derive_stream(9, 0)
+    adv = NonObliviousAdversary(K, replicas=R)
+    histories = [[] for _ in range(R)]
+    for _ in range(50):
+        losses = adv.loss_vector()
+        assert losses.shape == (R, K)
+        for r in range(R):
+            assert np.array_equal(losses[r], _grudge_reference(histories[r], K))
+        arms = rng.integers(K, size=R)
+        adv.observe(arms)
+        for history, arm in zip(histories, arms.tolist()):
+            history.append(arm)
+
+    one = NonObliviousAdversary(K)
+    assert np.array_equal(one.loss_vector(), np.zeros(K))
+    for arm in (1, 1, 2, 2, 0):
+        one.observe(arm)
+    assert np.array_equal(one.loss_vector(), [0.0, 1.0, 0.0])  # tie 1-2 goes to 1
+
+
+def test_non_oblivious_adversary_rejects_out_of_range_arms():
+    # a flat index past a row's end would land in the next replica's row
+    adv = NonObliviousAdversary(3, replicas=4)
+    for bad in (3, -1):
+        for row in range(4):
+            arms = np.zeros(4, dtype=int)
+            arms[row] = bad
+            with pytest.raises(IndexError):
+                adv.observe(arms)
+        with pytest.raises(IndexError):
+            NonObliviousAdversary(3).observe(bad)
+    assert not adv.counts.any()
 
 
 def test_gain_loss_duality_action_distributions():

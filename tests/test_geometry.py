@@ -118,6 +118,16 @@ def test_capped_projection_potential_symmetric():
     assert np.allclose(x, 0.5, atol=1e-9)
 
 
+def test_capped_projection_potential_brackets_past_the_domain_end():
+    # the dual search steps past psi's domain u < 0; such coordinates saturate
+    psi = power_potential(2.0)
+    small = project_capped_simplex_potential(np.array([3e-4, 5.7e-3, 1.38e-2]), 1.0, psi)
+    assert abs(small.sum() - 1.0) <= 1e-10 and (small > 0).all()
+    # the root lies past the pole of the first coordinate, which stays at 1
+    x = project_capped_simplex_potential(np.array([1.0, 1e-4, 1e-4]), 2.0, psi)
+    assert np.allclose(x, [1.0, 0.5, 0.5], atol=1e-9)
+
+
 def test_capped_projection_exp_matches_negent():
     rng = derive_stream(7, 0)
     psi = exp_potential()

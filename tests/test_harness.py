@@ -339,6 +339,24 @@ _SEMIBANDIT = {"d": "4", "m": "2"}
                  "environment.m", id="semibandit-m-0"),
     pytest.param("theta-exp4", {}, "contextual", {"k": "3"}, [], "environment.n_sets",
                  id="theta-exp4-without-sets"),
+    pytest.param("exp3p", {"delta": "1.5"}, "oblivious", {"k": "3"}, [], "policy.delta",
+                 id="exp3p-delta-1.5"),
+    pytest.param("exp3p", {"delta": "0"}, "oblivious", {"k": "3"}, [], "policy.delta",
+                 id="exp3p-delta-0"),
+    pytest.param("eps-greedy", {"d_gap": "1.5"}, "stochastic", {"means": "0.9"}, [],
+                 "policy.d_gap", id="eps-greedy-d_gap-1.5"),
+    pytest.param("exp3", {"eta": "-1"}, "oblivious", {"k": "3"}, [], "policy.eta",
+                 id="exp3-eta-negative"),
+    pytest.param("osmd-msets", {"variant": "potential", "q": "0.5"}, "semibandit",
+                 _SEMIBANDIT, [], "policy.q", id="osmd-potential-q-0.5"),
+    pytest.param("banditron", {"gamma": "0.9"}, "multiclass", {"k": "3", "d": "4"}, [],
+                 "policy.gamma", id="banditron-gamma-0.9"),
+    pytest.param("ucb", {}, "lower-bound", {"k": "2", "eps": "1.5", "best": "0"}, [],
+                 "environment.eps", id="lower-bound-eps-1.5"),
+    pytest.param("ucb", {}, "lower-bound", {"k": "2", "eps": "0.2", "best": "5"}, [],
+                 "environment.best", id="lower-bound-best-5"),
+    pytest.param("ucb", {}, "lower-bound", {"k": "2", "eps": "0.2", "best": "-1"}, [],
+                 "environment.best", id="lower-bound-best-negative"),
     # an osmd-msets overlay covers only its own variant
     pytest.param("osmd-msets", {"variant": "potential"}, "semibandit", _SEMIBANDIT,
                  ["osmd-negent"], "policy.variant", id="negent-overlay-on-potential"),
@@ -351,6 +369,18 @@ def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, e
                   env_params=env_params, overlays=overlays)
     with pytest.raises(ConfigError, match=re.escape(key)):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("policy, params, kind, env_params", [
+    ("exp3p", {"delta": "1.5", "delta_free": "true"}, "oblivious", {"k": "3"}),
+    ("osmd-msets", {"variant": "negent", "q": "0.5"}, "semibandit", _SEMIBANDIT),
+    ("exp3", {}, "oblivious", {"k": "3"}),
+    ("banditron", {}, "multiclass", {"k": "3", "d": "4"}),
+    ("ucb", {}, "lower-bound", {"k": "2", "eps": "0", "best": "1"}),
+])
+def test_range_checks_admit_unset_and_boundary_values(policy, params, kind, env_params):
+    harness.check_config(_config(policy=policy, policy_params=params, env_kind=kind,
+                                 env_params=env_params, overlays=[]))
 
 
 def test_osmd_potential_overlay_reads_the_runs_q():
