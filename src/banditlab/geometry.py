@@ -139,19 +139,13 @@ def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_T
     if m > d:
         raise ValueError("cap total m exceeds the dimension")
     duals = psi.psi_inv(w)
-    # above edge, every duals - lam lies in psi's domain (a Python max: numpy's
-    # reduction costs more on a handful of coordinates)
-    edge = max(duals.tolist()) - psi.a
+    # a coordinate whose dual reaches psi_inv(1) saturates at 1 (psi(cap) is
+    # exactly 1); the clamp keeps psi inside its domain u < a when the bracket
+    # search steps lam far down
+    cap = float(psi.psi_inv(1.0))
 
     def value(lam: float) -> np.ndarray:
-        if lam > edge:
-            return psi.psi(duals - lam)
-        # a coordinate at or past the domain's end a saturates: min(1, +inf) = 1
-        u = duals - lam
-        inside = u < psi.a
-        vals = np.full(d, np.inf)
-        vals[inside] = psi.psi(u[inside])
-        return vals
+        return psi.psi(np.minimum(duals - lam, cap))
 
     def total(lam: float) -> float:
         return float(np.minimum(1.0, value(lam)).sum())

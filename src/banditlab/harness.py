@@ -407,15 +407,15 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
         return np.cumsum(played, axis=-1) - best
 
     # nonoblivious: a fresh adversary per call, reacting to each replica's plays
-    adv = NonObliviousAdversary(env["K"], *shape)
-    cum_losses = np.zeros(adv.counts.shape)
+    grudge = NonObliviousAdversary(env["K"], *shape)
+    cum_losses = np.zeros(grudge.counts.shape)
     best = np.empty(shape + (n,))
     for t in range(n):
-        losses = adv.loss_vector()
+        losses = grudge.loss_vector()
         arm = policy.select(rng)
         loss = losses.reshape(-1)[flat_index(losses, arm)]
         policy.update(arm, 1.0 - loss if gain else loss)
-        adv.observe(arm)
+        grudge.observe(arm)
         played[..., t] = loss
         cum_losses += losses
         best[..., t] = cum_losses.min(axis=-1)
