@@ -87,16 +87,16 @@ class LossOracle:
         return True
 
 
-def linear_oracle(c) -> LossOracle:
+def linear_oracle(c, radius: float = 1.0) -> LossOracle:
     c = np.asarray(c, dtype=float)
     return LossOracle(lambda x: float(c @ x), G=float(np.linalg.norm(c)),
-                      L=float(np.linalg.norm(c)))
+                      L=radius * float(np.linalg.norm(c)))
 
 
-def absvalue_oracle(c) -> LossOracle:
+def absvalue_oracle(c, radius: float = 1.0) -> LossOracle:
     c = np.asarray(c, dtype=float)
     return LossOracle(lambda x: abs(float(c @ x)), G=float(np.linalg.norm(c)),
-                      L=float(np.linalg.norm(c)))
+                      L=radius * float(np.linalg.norm(c)))
 
 
 def quadratic_oracle(c, radius: float = 1.0) -> LossOracle:
@@ -266,7 +266,7 @@ def run_sgs(sample_losses: Callable[[float, int, np.random.Generator], np.ndarra
         points = state.stage_points()
         per_point = state.plays_per_point()
         stage_len = min(4 * per_point, n - spent)
-        order = np.tile(points, per_point)[:stage_len]
+        order = np.tile(points, math.ceil(stage_len / 4))[:stage_len]  # never past the budget
         played[spent:spent + stage_len] = order
         totals = np.zeros(4)
         for j, x in enumerate(points):

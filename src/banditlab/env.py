@@ -204,7 +204,7 @@ class ObliviousAdversary:
         m = np.asarray(loss_matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("loss matrix must be 2-dimensional (rounds x arms)")
-        if m.min() < 0.0 or m.max() > 1.0:
+        if not np.all((m >= 0.0) & (m <= 1.0)):  # an empty matrix passes; nan fails
             raise ValueError("losses must lie in [0, 1]")
         self.loss_matrix = m
 

@@ -44,9 +44,10 @@ class ConfigError(ValueError):
 
 REQUIRED = object()  # the default of a key that has none
 
-# one config key: how its text becomes a value, and the value it takes when
-# absent (None where the theorem's schedule applies)
-Key = namedtuple("Key", "parse default", defaults=(None,))
+# one config key: how its text becomes a value; the value it takes when
+# absent (None where the theorem's schedule applies); and for a number, the
+# interval, as "(0, 1)" or "[1, inf)", that it or each of its entries lies in
+Key = namedtuple("Key", "parse default within", defaults=(None, None))
 
 
 def _flag(text: str) -> bool:
@@ -79,7 +80,8 @@ def _require(ok, message: str) -> None:
 
 def _resolve(section: str, keys: dict, given: dict) -> dict:
     """Every key of `keys` with its typed value: the given text parsed, or the
-    key's default when absent. A value that is not text is taken as typed."""
+    key's default when absent. A value that is not text is taken as typed.
+    Either way a number must lie in its key's interval."""
     unknown = sorted(set(given) - set(keys))
     if unknown:
         raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
@@ -93,6 +95,18 @@ def _resolve(section: str, keys: dict, given: dict) -> dict:
                 value = spec.parse(value)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from None
+        if value is not None and spec.within is not None:  # nan lies in no interval
+            lo, hi = map(float, spec.within[1:-1].split(","))
+            try:
+                a = np.asarray(value, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                a = np.asarray(np.nan)
+            inside = (a > lo if spec.within[0] == "(" else a >= lo) \
+                & (a < hi if spec.within[-1] == ")" else a <= hi)
+            integer = spec.parse is int
+            if not inside.all() or (integer and not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{section}.{key} must lie in {spec.within}"
+                                  f"{' as an integer' if integer else ''}, got {value!r}")
         typed[key] = value
     return typed
 
@@ -101,8 +115,8 @@ def _resolve(section: str, keys: dict, given: dict) -> dict:
 # configuration
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000),
-                    "replicas": Key(int, 1), "seed": Key(int, 0)}
+_EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000, "[0, inf)"),
+                    "replicas": Key(int, 1, "[1, inf)"), "seed": Key(int, 0, "(-inf, inf)")}
 _OUTPUT_KEYS = {"dir": Key(str, "."), "format": Key(_choice("csv", "json", "svg"), "csv"),
                 "basename": Key(str, "report")}
 # the entries of a config dict that are not [experiment] keys
@@ -149,11 +163,6 @@ def check_config(config: dict) -> dict:
     """
     experiment = _resolve("experiment", _EXPERIMENT_KEYS,
                           {k: v for k, v in config.items() if k not in _SECTIONS})
-    for key, least in (("horizon", 0), ("replicas", 1), ("seed", None)):
-        value = experiment[key]
-        if not isinstance(value, numbers.Integral) or (least is not None and value < least):
-            rule = "an integer" if least is None else f"an integer >= {least}"
-            raise ConfigError(f"experiment.{key} must be {rule}, got {value!r}")
     policy, kind = experiment["policy"], config["env_kind"]
     if policy not in _POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
@@ -168,9 +177,9 @@ def check_config(config: dict) -> dict:
             raise ConfigError(f"unknown overlay {name!r}")
     p = _resolve("policy", _POLICIES[policy].keys, config["policy_params"])
     e = _resolve("environment", _ENV_KINDS[kind].keys, config["env_params"])
-    for check in (_POLICIES[policy].check, _ENV_KINDS[kind].check):
+    for check in (_ENV_KINDS[kind].check, _POLICIES[policy].check):
         if check is not None:
-            check(p, e)
+            check(p, e, experiment["horizon"])
     return {**config, **experiment, "policy_params": p, "env_params": e}
 
 
@@ -212,15 +221,14 @@ def _stochastic(env: StochasticEnv) -> dict:
 
 def _oblivious_env(p: dict, n: int, rng) -> dict:
     if p["losses"] is not None:
-        matrix = p["losses"]
-        _check_rows("losses", matrix.shape[0], n)
+        key, matrix = "losses", p["losses"]
     elif p["csv"] is not None:
-        matrix = np.loadtxt(p["csv"], delimiter=",", ndmin=2)
-        _check_rows("csv", matrix.shape[0], n)
+        key, matrix = "csv", np.loadtxt(p["csv"], delimiter=",", ndmin=2)
     elif p["k"] is not None:
-        matrix = rng.random((n, p["k"]))
+        key, matrix = "k", rng.random((n, p["k"]))
     else:
         raise ConfigError("environment.k, environment.losses or environment.csv is required")
+    _check_rows(key, matrix.shape[0], n)
     adv = ObliviousAdversary(matrix[:n])
     return {"kind": "oblivious", "adv": adv, "K": adv.n_arms}
 
@@ -275,13 +283,18 @@ def _linear_ball_env(p: dict, n: int, rng) -> dict:
     return {"kind": "linear-ball", "losses": losses, "d": d}
 
 
+def _convex_ball(p: dict) -> dict:
+    """The convex kind's body, a ball of the given radius, and the constants
+    G = 1 and L = radius that its schedules and bounds read."""
+    return {"body": convex.ConvexBody.ball(p["d"], p["radius"]), "G": 1.0, "L": p["radius"]}
+
+
 def _convex_env(p: dict, n: int, rng) -> dict:
-    d, radius = p["d"], p["radius"]
+    d = p["d"]
     dirs = rng.standard_normal((max(n, 1), d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
-    body = convex.ConvexBody.ball(d, radius)
-    return {"kind": "convex", "family": p["family"], "directions": dirs, "body": body,
-            "d": d, "G": 1.0, "L": radius}
+    return {"kind": "convex", "family": p["family"], "directions": dirs, "d": d,
+            **_convex_ball(p)}
 
 
 def _unimodal_env(p: dict, n: int, rng) -> dict:
@@ -310,55 +323,84 @@ def _multiclass_env(p: dict, n: int, rng) -> dict:
 
 
 # the loss oracle of each convex family, from a direction c and the radius
-_CONVEX_ORACLES = {
-    "absvalue": lambda c, radius: convex.absvalue_oracle(c),
-    "linear": lambda c, radius: convex.linear_oracle(c),
-    "quadratic": convex.quadratic_oracle,
-}
+_CONVEX_ORACLES = {"absvalue": convex.absvalue_oracle, "linear": convex.linear_oracle,
+                   "quadratic": convex.quadratic_oracle}
 
 
-def _check_lower_bound(p: dict, e: dict) -> None:
-    _require(0 <= e["eps"] < 1, f"environment.eps must lie in [0, 1), got {e['eps']!r}")
-    _require(0 <= e["best"] < e["k"], f"environment.best must lie in 0..environment.k - 1 "
-             f"= {e['k'] - 1}, got {e['best']!r}")
+def _check_linear_ball(p: dict, e: dict, n: int) -> None:
+    loss = e["loss"]
+    _require(loss is None or (len(loss) == e["d"] and np.linalg.norm(loss) <= 1 + 1e-9),
+             f"environment.loss must have environment.d = {e['d']} entries and norm at "
+             f"most 1, got {loss!r}")
 
 
 # an environment kind's [environment] keys; its builder, which materializes
 # the replica-independent part: build(params, n, rng) -> env; and the check,
-# if any, of values its keys' types cannot rule out: check(policy params,
-# env params), raising ConfigError
+# if any, of the rules that span keys: check(policy params, env params,
+# horizon), raising ConfigError
 EnvKind = namedtuple("EnvKind", "keys build check", defaults=(None,))
 
 
 _ENV_KINDS = {
-    "stochastic": EnvKind({"means": Key(_list(float), REQUIRED)}, lambda p, n, rng:
+    "stochastic": EnvKind({"means": Key(_list(float), REQUIRED, "[0, 1]")}, lambda p, n, rng:
                           _stochastic(StochasticEnv.bernoulli(p["means"]))),
-    "lower-bound": EnvKind({"k": Key(int, REQUIRED), "eps": Key(float, REQUIRED),
-                            "best": Key(int, REQUIRED)}, lambda p, n, rng:
+    "lower-bound": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
+                            "eps": Key(float, REQUIRED, "[0, 1)"),
+                            "best": Key(int, REQUIRED, "[0, inf)")}, lambda p, n, rng:
                            _stochastic(lower_bound_env(p["k"], p["eps"], p["best"])),
-                           check=_check_lower_bound),
-    "oblivious": EnvKind({"k": Key(int), "losses": Key(_matrix), "csv": Key(str)},
-                         _oblivious_env),
-    "nonoblivious": EnvKind({"k": Key(int, REQUIRED),
+                           check=lambda p, e, n: _require(
+                               e["best"] < e["k"], f"environment.best must lie below "
+                               f"environment.k = {e['k']}, got {e['best']!r}")),
+    "oblivious": EnvKind({"k": Key(int, None, "[2, inf)"), "losses": Key(_matrix, None, "[0, 1]"),
+                          "csv": Key(str)}, _oblivious_env),
+    "nonoblivious": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                              "adversary": Key(_choice("grudge"), "grudge")},
                             lambda p, n, rng: {"kind": "nonoblivious", "K": p["k"]}),
-    "contextual": EnvKind({"k": Key(int, REQUIRED), "n_contexts": Key(int, 4),
-                           "n_sets": Key(int, 1), "set_sizes": Key(_list(int), ()),
-                           "csv": Key(str)}, _contextual_env),
-    "semibandit": EnvKind({"d": Key(int, REQUIRED), "m": Key(int, REQUIRED)},
+    "contextual": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
+                           "n_contexts": Key(int, 4, "[1, inf)"),
+                           "n_sets": Key(int, 1, "[1, inf)"),
+                           "set_sizes": Key(_list(int), (), "[1, inf)"), "csv": Key(str)},
+                          _contextual_env),
+    "semibandit": EnvKind({"d": Key(int, REQUIRED, "[1, inf)"),
+                           "m": Key(int, REQUIRED, "[1, inf)")},
                           lambda p, n, rng: {"d": p["d"], "m": p["m"]},
-                          check=lambda p, e: _require(
-                              1 <= e["m"] <= e["d"], f"environment.m must lie in 1.."
+                          check=lambda p, e, n: _require(
+                              e["m"] <= e["d"], f"environment.m must be at most "
                               f"environment.d = {e['d']}, got {e['m']!r}")),
-    "linear-points": EnvKind({"d": Key(int, REQUIRED), "n_points": Key(int, REQUIRED)},
-                             _linear_points_env),
-    "linear-ball": EnvKind({"d": Key(int, REQUIRED), "loss": Key(_list(float))}, _linear_ball_env),
+    # fewer points than dimensions never span the space the builder redraws for
+    "linear-points": EnvKind({"d": Key(int, REQUIRED, "[1, inf)"),
+                              "n_points": Key(int, REQUIRED, "[2, inf)")}, _linear_points_env,
+                             check=lambda p, e, n: _require(
+                                 e["n_points"] >= e["d"], f"environment.n_points must be at "
+                                 f"least environment.d = {e['d']}, got {e['n_points']!r}")),
+    "linear-ball": EnvKind({"d": Key(int, REQUIRED, "[1, inf)"),
+                            "loss": Key(_list(float), None, "[-1, 1]")}, _linear_ball_env,
+                           check=_check_linear_ball),
     "convex": EnvKind({"family": Key(_choice(*_CONVEX_ORACLES), "absvalue"),
-                       "d": Key(int, REQUIRED), "radius": Key(float, 1.0)}, _convex_env),
-    "unimodal": EnvKind({"xstar": Key(float, 0.3), "floor": Key(float, 0.3)}, _unimodal_env),
-    "multiclass": EnvKind({"k": Key(int, REQUIRED), "d": Key(int, REQUIRED),
-                           "csv": Key(str)}, _multiclass_env),
+                       "d": Key(int, REQUIRED, "[1, inf)"),
+                       "radius": Key(float, 1.0, "(0, inf)")}, _convex_env),
+    "unimodal": EnvKind({"xstar": Key(float, 0.3, "[0, 1]"), "floor": Key(float, 0.3, "[0, 1]")},
+                        _unimodal_env),
+    # the synthetic stream needs k orthonormal prototypes in d dimensions
+    "multiclass": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"), "d": Key(int, REQUIRED, "[1, inf)"),
+                           "csv": Key(str)}, _multiclass_env,
+                          check=lambda p, e, n: _require(
+                              e["csv"] is not None or e["d"] >= e["k"],
+                              f"environment.d must be at least environment.k = {e['k']} "
+                              f"without environment.csv, got {e['d']!r}")),
 }
+
+
+def _arms(e: dict) -> tuple[str, int | None]:
+    """The [environment] key that sets a finite-arm environment's number of
+    arms, in its builder's order, and that number (None when no key is set)."""
+    if "means" in e:
+        return "means", len(e["means"])
+    if e.get("losses") is not None:
+        return "losses", np.shape(e["losses"])[-1]
+    if e.get("csv") is not None:
+        return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
+    return "k", e["k"]
 
 
 def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
@@ -366,8 +408,12 @@ def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
     if kind not in _ENV_KINDS:
         raise ConfigError(f"unknown environment kind {kind!r}")
     entry = _ENV_KINDS[kind]
-    rng = derive_stream(seed, ENV_STREAM_ID)
-    return entry.build(_resolve("environment", entry.keys, params), n, rng)
+    p = _resolve("environment", entry.keys, params)
+    if kind in _FINITE_KINDS:
+        # with one arm there is nothing to learn, and exp3's and exp3p's rates take ln K = 0
+        key, K = _arms(p)
+        _require(K is None or K >= 2, f"environment.{key} gives {K} arm(s), fewer than 2")
+    return entry.build(p, n, derive_stream(seed, ENV_STREAM_ID))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +684,53 @@ def _run_sgs(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndar
     return np.cumsum(inc, out=inc)  # in place: no second curve-sized array
 
 
+def _check_exp3p(p: dict, e: dict, n: int) -> None:
+    _require(p["delta_free"] or 0 < p["delta"] < 1, f"policy.delta must lie in (0, 1) "
+             f"unless policy.delta_free = true, got {p['delta']!r}")
+    K = _arms(e)[1]
+    if n and (K or 0) >= 2:  # build_environment refuses fewer arms
+        beta, _, gamma = adversarial.exp3p_params(n, K, None if p["delta_free"] else p["delta"])
+        _require(max(beta, gamma) <= 1, f"experiment.horizon = {n} is too short for exp3p "
+                 f"on {K} arms: its schedule gives gamma = {gamma:.4g} and beta = {beta:.4g} "
+                 f"(beta grows as policy.delta falls), and both must be at most 1")
+
+
+def _check_schedule(p: dict, key: str, n: int, schedule: Callable, ok: Callable,
+                    rule: str) -> None:
+    """ConfigError unless policy.`key`, or when it is unset the value
+    `schedule(n)` its theorem prescribes, passes `ok`, which `rule` states."""
+    if p[key] is not None:
+        _require(ok(p[key]), f"policy.{key} {rule}, got {p[key]!r}")
+    elif n:  # nothing runs at horizon 0
+        value = schedule(n)
+        _require(ok(value), f"experiment.horizon = {n} is too short for the schedule of "
+                 f"policy.{key}: it gives {value:.4g}, and policy.{key} {rule}; set "
+                 f"policy.{key} or a longer horizon")
+
+
+def _check_banditron(p: dict, e: dict, n: int) -> None:
+    _check_schedule(p, "gamma", n, lambda n: contextual.banditron_gamma(e["k"], n),
+                    lambda gamma: gamma < 0.5, f"must lie below 1/2 (environment.k = {e['k']})")
+
+
+def _check_exp2(p: dict, e: dict, n: int) -> None:
+    _check_schedule(p, "gamma", n, lambda n: mirror.exp2_schedule(n, e["d"], e["n_points"])[1],
+                    lambda gamma: gamma <= 1, f"must be at most 1 (environment.d = {e['d']}, "
+                                              f"environment.n_points = {e['n_points']})")
+
+
+def _check_osmd_ball(p: dict, e: dict, n: int) -> None:
+    _check_schedule(p, "eta", n, lambda n: mirror.ball_schedule(n, e["d"])[1],
+                    lambda eta: eta * e["d"] <= 0.5,
+                    f"times environment.d = {e['d']} must be at most 1/2")
+
+
+def _check_osgd(mode: str, p: dict, e: dict, n: int) -> None:
+    _check_schedule(p, "delta", n, lambda n: _osgd_params(mode, p, n, _convex_ball(e))[1],
+                    lambda delta: delta < e["radius"], f"must lie below environment.radius "
+                    f"= {e['radius']!r} (environment.d = {e['d']})")
+
+
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays:
 # a finite-arm policy has `state`, which binds its class to (K, n, params, rng)
 # and leaves `replicas` open; any other has `run`, which plays one replica:
@@ -648,54 +741,48 @@ Policy = namedtuple("Policy", "keys kinds state run check", defaults=(None, None
 _FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
 
 _POLICIES = {
-    "ucb": Policy({"alpha": Key(float, 2.5)}, _FINITE_KINDS, state=lambda K, n, p, rng:
-                  partial(stochastic.UcbState, K, alpha=p["alpha"]),
-                  check=lambda p, e: _require(
-                      p["alpha"] > 2, f"policy.alpha must exceed 2, got {p['alpha']!r}")),
+    "ucb": Policy({"alpha": Key(float, 2.5, "(2, inf)")}, _FINITE_KINDS,
+                  state=lambda K, n, p, rng: partial(stochastic.UcbState, K, alpha=p["alpha"])),
     # rng binarizes thompson's fractional rewards
     "thompson": Policy({}, _FINITE_KINDS, state=lambda K, n, p, rng:
                        partial(stochastic.ThompsonState, K, rng)),
-    "eps-greedy": Policy({"d_gap": Key(float, 0.1)}, _FINITE_KINDS, state=lambda K, n, p, rng:
-                         partial(stochastic.EpsGreedyState, K, d_gap=p["d_gap"]),
-                         check=lambda p, e: _require(
-                             0 < p["d_gap"] < 1,
-                             f"policy.d_gap must lie in (0, 1), got {p['d_gap']!r}")),
-    "exp3": Policy({"eta": Key(float), "anytime": Key(_flag, False)}, _FINITE_KINDS,
-                   state=lambda K, n, p, rng: partial(adversarial.Exp3State, K, n=n,
-                                                      eta=p["eta"], anytime=p["anytime"]),
-                   check=lambda p, e: _require(
-                       p["eta"] is None or p["eta"] > 0,
-                       f"policy.eta must be positive, got {p['eta']!r}")),
-    "exp3p": Policy({"delta": Key(float, 0.1), "delta_free": Key(_flag, False)},
-                    _FINITE_KINDS, state=_exp3p_state,
-                    check=lambda p, e: _require(
-                        p["delta_free"] or 0 < p["delta"] < 1,
-                        f"policy.delta must lie in (0, 1), got {p['delta']!r}")),
+    "eps-greedy": Policy({"d_gap": Key(float, 0.1, "(0, 1)")}, _FINITE_KINDS,
+                         state=lambda K, n, p, rng:
+                         partial(stochastic.EpsGreedyState, K, d_gap=p["d_gap"])),
+    "exp3": Policy({"eta": Key(float, None, "(0, inf)"), "anytime": Key(_flag, False)},
+                   _FINITE_KINDS, state=lambda K, n, p, rng: partial(
+                       adversarial.Exp3State, K, n=n, eta=p["eta"], anytime=p["anytime"])),
+    # delta is read only without delta_free, so its range is a rule across keys
+    "exp3p": Policy({"delta": Key(float, 0.1, "(-inf, inf)"), "delta_free": Key(_flag, False)},
+                    _FINITE_KINDS, state=_exp3p_state, check=_check_exp3p),
     "sexp3": Policy({}, ("contextual",), run=_run_sexp3),
-    "exp4": Policy({"gamma": Key(float, 0.0), "eta": Key(float)}, ("contextual",),
-                   run=_run_exp4),
-    "theta-exp4": Policy({"gamma": Key(float)}, ("contextual",), run=_run_theta_exp4,
-                         check=lambda p, e: _require(_set_sizes(e), _NO_SETS)),
-    "banditron": Policy({"gamma": Key(float)}, ("multiclass",), run=_run_banditron,
-                        check=lambda p, e: _require(
-                            p["gamma"] is None or 0 < p["gamma"] < 0.5,
-                            f"policy.gamma must lie in (0, 1/2), got {p['gamma']!r}")),
-    "exp2-john": Policy({"eta": Key(float), "gamma": Key(float)}, ("linear-points",),
-                        run=_run_exp2),
+    "exp4": Policy({"gamma": Key(float, 0.0, "[0, 1]"), "eta": Key(float, None, "(0, inf)")},
+                   ("contextual",), run=_run_exp4),
+    "theta-exp4": Policy({"gamma": Key(float, None, "(0, 1]")}, ("contextual",),
+                         run=_run_theta_exp4,
+                         check=lambda p, e, n: _require(_set_sizes(e), _NO_SETS)),
+    "banditron": Policy({"gamma": Key(float, None, "(0, 0.5)")}, ("multiclass",),
+                        run=_run_banditron, check=_check_banditron),
+    "exp2-john": Policy({"eta": Key(float, None, "(0, inf)"), "gamma": Key(float, None, "(0, 1]")},
+                        ("linear-points",), run=_run_exp2, check=_check_exp2),
+    # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
-                          "q": Key(float, 2.0), "eta": Key(float)}, ("semibandit",),
+                          "q": Key(float, 2.0, "(-inf, inf)"),
+                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",),
                          run=_run_osmd_msets,
-                         check=lambda p, e: _require(
+                         check=lambda p, e, n: _require(
                              p["variant"] != "potential" or p["q"] > 1,
                              f"policy.q must exceed 1 for the potential variant, "
                              f"got {p['q']!r}")),
-    "osmd-ball": Policy({"gamma": Key(float), "eta": Key(float)}, ("linear-ball",),
-                        run=_run_osmd_ball),
-    "osgd-2pt": Policy({"delta": Key(float), "eta": Key(float)}, ("convex",),
-                       run=partial(_run_osgd, "two-point")),
-    "osgd-1pt": Policy({"delta": Key(float), "eta": Key(float)}, ("convex",),
-                       run=partial(_run_osgd, "one-point")),
-    "sgs": Policy({"c_l": Key(float)}, ("unimodal",), run=_run_sgs),
+    "osmd-ball": Policy({"gamma": Key(float, None, "(0, 1)"), "eta": Key(float, None, "(0, 0.5]")},
+                        ("linear-ball",), run=_run_osmd_ball, check=_check_osmd_ball),
+    "osgd-2pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
+                       ("convex",), run=partial(_run_osgd, "two-point"),
+                       check=partial(_check_osgd, "two-point")),
+    "osgd-1pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
+                       ("convex",), run=partial(_run_osgd, "one-point"),
+                       check=partial(_check_osgd, "one-point")),
+    "sgs": Policy({"c_l": Key(float, None, "(0, inf)")}, ("unimodal",), run=_run_sgs),
 }
 
 
@@ -712,7 +799,9 @@ def run_replica(config: dict, env: dict, streams) -> np.ndarray:
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(streams, np.random.Generator)
     streams = [streams] if single else streams
-    if entry.state is not None:
+    if n == 0:  # no round to play, so no policy to build
+        curves = np.empty((sum(1 for _ in streams), 0))
+    elif entry.state is not None:
         curves = _run_finite(entry.state, p, env, n, streams)
     else:
         curves = np.vstack([entry.run(p, env, n, stream) for stream in streams])

@@ -51,6 +51,10 @@ def test_oracle_families():
     assert lin.query(np.array([1.0, 0.0])) == pytest.approx(0.6)
     ab = absvalue_oracle(c)
     assert ab.query(np.array([-1.0, 0.0])) == pytest.approx(0.6)
+    # |c . x| reaches radius |c| on the ball
+    for oracle in (linear_oracle, absvalue_oracle):
+        assert oracle(c).L == pytest.approx(1.0)
+        assert oracle(c, radius=4.0).L == pytest.approx(abs(oracle(c).query(4.0 * c)))
     quad = quadratic_oracle(np.zeros(2), radius=1.0)
     assert quad.query(np.array([0.5, 0.0])) == pytest.approx(0.25)
     rng = derive_stream(1, 0)
@@ -222,6 +226,12 @@ def test_run_sgs_budget_and_bracket():
     assert played.shape == (30_000,)
     assert bracket[0] <= 0.3 <= bracket[1]
     assert bracket[1] - bracket[0] < 1.0
+
+
+def test_run_sgs_cuts_a_long_stage_at_the_budget():
+    # C_L = 0.0011 asks for about 4e8 plays of each point in the first stage
+    played, _ = run_sgs(lambda x, count, stream: np.zeros(count), 30, 0.0011, derive_stream(6, 0))
+    assert np.array_equal(played, np.resize(SgsState(30, 0.0011).stage_points(), 30))
 
 
 def test_sgs_bound_value():

@@ -309,64 +309,138 @@ def test_mismatched_overlay_fails_before_any_replica(no_replicas):
 _SEMIBANDIT = {"d": "4", "m": "2"}
 
 
-@pytest.mark.parametrize("policy, params, kind, env_params, overlays, key", [
+@pytest.mark.parametrize("policy, params, kind, env_params, overlays, key, horizon", [
     pytest.param("ucb", {"alpha": "abc"}, "stochastic", {"means": "0.9"}, [], "policy.alpha",
-                 id="alpha-abc"),
+                 500, id="alpha-abc"),
     pytest.param("osmd-msets", {"eta": "abc"}, "semibandit", _SEMIBANDIT, [], "policy.eta",
-                 id="osmd-eta-abc"),
+                 500, id="osmd-eta-abc"),
     pytest.param("osmd-msets", {"variant": "nosuch"}, "semibandit", _SEMIBANDIT, [],
-                 "policy.variant", id="variant-nosuch"),
+                 "policy.variant", 500, id="variant-nosuch"),
     pytest.param("osmd-msets", {}, "semibandit", {"d": "abc", "m": "2"}, [],
-                 "environment.d", id="semibandit-d-abc"),
-    pytest.param("ucb", {}, "stochastic", {}, [], "environment.means", id="no-means"),
+                 "environment.d", 500, id="semibandit-d-abc"),
+    pytest.param("ucb", {}, "stochastic", {}, [], "environment.means", 500, id="no-means"),
     pytest.param("exp3", {"anytime": "yes"}, "oblivious", {"k": "3"}, [], "policy.anytime",
-                 id="anytime-yes"),
+                 500, id="anytime-yes"),
     # an overlay reads the run's own value of a policy key, or refuses
     pytest.param("exp4", {}, "contextual", {"k": "3"}, ["exp4-mixing"], "policy.gamma",
-                 id="exp4-mixing-without-gamma"),
+                 500, id="exp4-mixing-without-gamma"),
     pytest.param("sexp3", {}, "contextual", {"k": "3"}, ["exp4-mixing"], "policy.gamma",
-                 id="exp4-mixing-on-sexp3"),
+                 500, id="exp4-mixing-on-sexp3"),
     pytest.param("exp3p", {"delta_free": "true"}, "oblivious", {"k": "3"}, ["exp3p"],
-                 "policy.delta_free", id="exp3p-delta-free"),
+                 "policy.delta_free", 500, id="exp3p-delta-free"),
     pytest.param("ucb", {"alpha": "1.5"}, "stochastic", {"means": "0.9"}, ["ucb"],
-                 "policy.alpha", id="ucb-alpha-uncovered"),
+                 "policy.alpha", 500, id="ucb-alpha-uncovered"),
     # values a key's type admits but the policy or environment cannot use
     pytest.param("ucb", {"alpha": "1.5"}, "stochastic", {"means": "0.9"}, [],
-                 "policy.alpha", id="ucb-alpha-1.5"),
+                 "policy.alpha", 500, id="ucb-alpha-1.5"),
     pytest.param("osmd-msets", {}, "semibandit", {"d": "4", "m": "5"}, [],
-                 "environment.m", id="semibandit-m-above-d"),
+                 "environment.m", 500, id="semibandit-m-above-d"),
     pytest.param("osmd-msets", {}, "semibandit", {"d": "4", "m": "0"}, [],
-                 "environment.m", id="semibandit-m-0"),
+                 "environment.m", 500, id="semibandit-m-0"),
     pytest.param("theta-exp4", {}, "contextual", {"k": "3"}, [], "environment.n_sets",
-                 id="theta-exp4-without-sets"),
+                 500, id="theta-exp4-without-sets"),
     pytest.param("exp3p", {"delta": "1.5"}, "oblivious", {"k": "3"}, [], "policy.delta",
-                 id="exp3p-delta-1.5"),
+                 500, id="exp3p-delta-1.5"),
     pytest.param("exp3p", {"delta": "0"}, "oblivious", {"k": "3"}, [], "policy.delta",
-                 id="exp3p-delta-0"),
+                 500, id="exp3p-delta-0"),
     pytest.param("eps-greedy", {"d_gap": "1.5"}, "stochastic", {"means": "0.9"}, [],
-                 "policy.d_gap", id="eps-greedy-d_gap-1.5"),
+                 "policy.d_gap", 500, id="eps-greedy-d_gap-1.5"),
     pytest.param("exp3", {"eta": "-1"}, "oblivious", {"k": "3"}, [], "policy.eta",
-                 id="exp3-eta-negative"),
+                 500, id="exp3-eta-negative"),
     pytest.param("osmd-msets", {"variant": "potential", "q": "0.5"}, "semibandit",
-                 _SEMIBANDIT, [], "policy.q", id="osmd-potential-q-0.5"),
+                 _SEMIBANDIT, [], "policy.q", 500, id="osmd-potential-q-0.5"),
     pytest.param("banditron", {"gamma": "0.9"}, "multiclass", {"k": "3", "d": "4"}, [],
-                 "policy.gamma", id="banditron-gamma-0.9"),
+                 "policy.gamma", 500, id="banditron-gamma-0.9"),
     pytest.param("ucb", {}, "lower-bound", {"k": "2", "eps": "1.5", "best": "0"}, [],
-                 "environment.eps", id="lower-bound-eps-1.5"),
+                 "environment.eps", 500, id="lower-bound-eps-1.5"),
     pytest.param("ucb", {}, "lower-bound", {"k": "2", "eps": "0.2", "best": "5"}, [],
-                 "environment.best", id="lower-bound-best-5"),
+                 "environment.best", 500, id="lower-bound-best-5"),
     pytest.param("ucb", {}, "lower-bound", {"k": "2", "eps": "0.2", "best": "-1"}, [],
-                 "environment.best", id="lower-bound-best-negative"),
+                 "environment.best", 500, id="lower-bound-best-negative"),
     # an osmd-msets overlay covers only its own variant
     pytest.param("osmd-msets", {"variant": "potential"}, "semibandit", _SEMIBANDIT,
-                 ["osmd-negent"], "policy.variant", id="negent-overlay-on-potential"),
+                 ["osmd-negent"], "policy.variant", 500, id="negent-overlay-on-potential"),
     pytest.param("osmd-msets", {"variant": "negent"}, "semibandit", _SEMIBANDIT,
-                 ["osmd-potential"], "policy.variant", id="potential-overlay-on-negent"),
+                 ["osmd-potential"], "policy.variant", 500, id="potential-overlay-on-negent"),
+    # a number outside its key's declared range, whatever the policy
+    pytest.param("exp4", {"gamma": "1.5"}, "contextual", {"k": "3"}, [], "policy.gamma", 50,
+                 id="exp4-gamma-1.5"),
+    pytest.param("exp4", {"gamma": "-0.5"}, "contextual", {"k": "3"}, [], "policy.gamma", 50,
+                 id="exp4-gamma-negative"),
+    pytest.param("exp4", {"eta": "nan"}, "contextual", {"k": "3"}, [], "policy.eta", 20,
+                 id="exp4-eta-nan"),
+    pytest.param("exp2-john", {"gamma": "1.5"}, "linear-points", {"d": "3", "n_points": "6"},
+                 [], "policy.gamma", 50, id="exp2-gamma-1.5"),
+    pytest.param("exp2-john", {"gamma": "-0.5"}, "linear-points", {"d": "3", "n_points": "6"},
+                 [], "policy.gamma", 20, id="exp2-gamma-negative"),
+    pytest.param("osmd-ball", {"gamma": "1.5"}, "linear-ball", {"d": "3"}, [], "policy.gamma",
+                 50, id="osmd-ball-gamma-1.5"),
+    pytest.param("osmd-ball", {"eta": "inf"}, "linear-ball", {"d": "3"}, [], "policy.eta", 20,
+                 id="osmd-ball-eta-inf"),
+    pytest.param("osmd-msets", {"eta": "-1"}, "semibandit", _SEMIBANDIT, [], "policy.eta", 20,
+                 id="osmd-msets-eta-negative"),
+    pytest.param("osgd-2pt", {"delta": "-0.1"}, "convex", {"d": "3"}, [], "policy.delta", 20,
+                 id="osgd-delta-negative"),
+    pytest.param("sgs", {"c_l": "-1"}, "unimodal", {}, [], "policy.c_l", 20, id="sgs-c_l-negative"),
+    pytest.param("sgs", {}, "unimodal", {"xstar": "nan"}, [], "environment.xstar", 20,
+                 id="sgs-xstar-nan"),
+    pytest.param("sgs", {}, "unimodal", {"floor": "2"}, [], "environment.floor", 20,
+                 id="sgs-floor-2"),
+    pytest.param("ucb", {}, "stochastic", {"means": "0.9,1.5"}, [], "environment.means", 20,
+                 id="means-1.5"),
+    pytest.param("ucb", {}, "stochastic", {"means": "nan,0.5"}, [], "environment.means", 20,
+                 id="means-nan"),
+    pytest.param("osgd-1pt", {}, "convex", {"d": "3", "radius": "-1"}, [], "environment.radius",
+                 20, id="convex-radius-negative"),
+    pytest.param("exp3", {}, "oblivious", {"k": "0"}, [], "environment.k", 20, id="oblivious-k-0"),
+    pytest.param("exp3", {}, "nonoblivious", {"k": "0"}, [], "environment.k", 20,
+                 id="nonoblivious-k-0"),
+    # one arm: exp3's and exp3p's rates take ln K = 0
+    pytest.param("exp3", {}, "oblivious", {"k": "1"}, [], "environment.k", 20,
+                 id="exp3-one-arm"),
+    pytest.param("exp3", {}, "nonoblivious", {"k": "1"}, [], "environment.k", 20,
+                 id="exp3-nonoblivious-one-arm"),
+    pytest.param("exp3p", {}, "stochastic", {"means": "0.5"}, [], "environment.means", 20,
+                 id="exp3p-one-mean"),
+    pytest.param("exp3", {}, "oblivious", {"losses": ";".join(["0.5"] * 20)}, [],
+                 "environment.losses", 20, id="exp3-one-loss-column"),
+    # rules that span keys
+    pytest.param("exp2-john", {}, "linear-points", {"d": "3", "n_points": "2"}, [],
+                 "environment.n_points", 20, id="exp2-fewer-points-than-d"),
+    pytest.param("banditron", {}, "multiclass", {"k": "3", "d": "2"}, [], "environment.d", 50,
+                 id="multiclass-d-below-k"),
+    pytest.param("osmd-ball", {}, "linear-ball", {"d": "3", "loss": "0.5,0.5"}, [],
+                 "environment.loss", 20, id="linear-ball-loss-length"),
+    pytest.param("osmd-ball", {}, "linear-ball", {"d": "2", "loss": "0.8,0.8"}, [],
+                 "environment.loss", 20, id="linear-ball-loss-norm"),
+    pytest.param("osmd-ball", {}, "linear-ball", {"d": "2", "loss": "3,4"}, [],
+                 "environment.loss", 20, id="linear-ball-loss-3-4"),
+    pytest.param("osgd-2pt", {"delta": "1.0"}, "convex", {"d": "3"}, [], "policy.delta", 20,
+                 id="osgd-delta-at-radius"),
+    pytest.param("osgd-1pt", {"delta": "2"}, "convex", {"d": "3", "radius": "1.5"}, [],
+                 "environment.radius", 20, id="osgd-delta-above-radius"),
+    pytest.param("osmd-ball", {"eta": "0.2"}, "linear-ball", {"d": "5"}, [], "policy.eta", 100,
+                 id="osmd-ball-eta-times-d"),
+    # a default schedule outside its constructor's domain at a short horizon
+    pytest.param("banditron", {}, "multiclass", {"k": "5", "d": "5"}, [], "experiment.horizon",
+                 30, id="banditron-schedule-short"),
+    pytest.param("banditron", {}, "multiclass", {"k": "5", "d": "5"}, [], "policy.gamma",
+                 30, id="banditron-schedule-names-gamma"),
+    pytest.param("osmd-ball", {}, "linear-ball", {"d": "8"}, [], "experiment.horizon", 30,
+                 id="osmd-ball-schedule-short"),
+    pytest.param("osmd-ball", {}, "linear-ball", {"d": "8"}, [], "policy.eta", 30,
+                 id="osmd-ball-schedule-names-eta"),
+    pytest.param("exp3p", {}, "oblivious", {"k": "3"}, [], "experiment.horizon", 3,
+                 id="exp3p-schedule-short"),
+    pytest.param("exp2-john", {}, "linear-points", {"d": "3", "n_points": "20"}, [],
+                 "policy.gamma", 1, id="exp2-schedule-short"),
+    pytest.param("osgd-1pt", {}, "convex", {"d": "10"}, [], "experiment.horizon", 1,
+                 id="osgd-schedule-short"),
 ])
 def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, env_params,
-                                            overlays, key):
+                                            overlays, key, horizon):
     cfg = _config(policy=policy, policy_params=params, env_kind=kind,
-                  env_params=env_params, overlays=overlays)
+                  env_params=env_params, overlays=overlays, horizon=horizon)
     with pytest.raises(ConfigError, match=re.escape(key)):
         run_experiment(cfg)
 
@@ -377,10 +451,38 @@ def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, e
     ("exp3", {}, "oblivious", {"k": "3"}),
     ("banditron", {}, "multiclass", {"k": "3", "d": "4"}),
     ("ucb", {}, "lower-bound", {"k": "2", "eps": "0", "best": "1"}),
+    ("exp4", {"gamma": "0"}, "contextual", {"k": "3"}),
+    ("exp4", {"gamma": "1"}, "contextual", {"k": "3"}),
+    ("ucb", {}, "stochastic", {"means": "0,1"}),
+    ("theta-exp4", {"gamma": "1"}, "contextual", {"k": "3", "n_sets": "2"}),
+    ("exp2-john", {"gamma": "1"}, "linear-points", {"d": "3", "n_points": "3"}),
+    ("osmd-ball", {"eta": "0.1"}, "linear-ball", {"d": "5", "loss": "0.6,0,0,0,-0.8"}),
+    ("osmd-msets", {"eta": "0"}, "semibandit", {"d": "4", "m": "4"}),
+    ("sgs", {}, "unimodal", {"xstar": "1", "floor": "0"}),
+    ("exp3p", {"delta": "-3", "delta_free": "true"}, "oblivious", {"k": "3"}),
 ])
 def test_range_checks_admit_unset_and_boundary_values(policy, params, kind, env_params):
     harness.check_config(_config(policy=policy, policy_params=params, env_kind=kind,
                                  env_params=env_params, overlays=[]))
+
+
+def test_one_column_csv_fails_before_any_replica(no_replicas, tmp_path):
+    path = tmp_path / "losses.csv"
+    path.write_text("0.5\n" * 20)
+    cfg = _config(policy="exp3", policy_params={}, env_kind="oblivious",
+                  env_params={"csv": str(path)}, overlays=[], horizon=20)
+    with pytest.raises(ConfigError, match="environment.csv"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("family", ["absvalue", "linear"])
+def test_osgd_one_point_runs_on_a_wide_ball(family):
+    # |c . x| reaches radius |c| on the ball; the gradient cap must allow it
+    cfg = _config(policy="osgd-1pt", policy_params={}, env_kind="convex",
+                  env_params={"family": family, "d": "3", "radius": "4"}, overlays=["osgd-1pt"],
+                  horizon=30, replicas=10)
+    report = run_experiment(cfg)
+    assert np.isfinite(report.mean_curve).all() and report.overlays["osgd-1pt"] > 0
 
 
 def test_osmd_potential_overlay_reads_the_runs_q():
@@ -427,3 +529,146 @@ def test_gain_learners_read_oblivious_losses_as_losses(policy, params):
                   env_params={"losses": ";".join(["0.1,0.9"] * n)}, overlays=[],
                   horizon=n, replicas=2)
     assert run_experiment(cfg).mean_terminal < 0.1 * n * 0.8
+
+
+# a config of each environment kind that every policy on it runs at the fuzz
+# horizon; the walk below changes one key at a time
+_FUZZ_ENV = {
+    "stochastic": {"means": "0.9,0.6"}, "lower-bound": {"k": "2", "eps": "0.2", "best": "0"},
+    "oblivious": {"k": "3"}, "nonoblivious": {"k": "3"}, "contextual": {"k": "3", "n_sets": "2"},
+    "semibandit": {"d": "4", "m": "2"}, "linear-points": {"d": "3", "n_points": "6"},
+    "linear-ball": {"d": "3"}, "convex": {"d": "3"}, "unimodal": {},
+    "multiclass": {"k": "3", "d": "4"},
+}
+_FUZZ_HORIZON = 30
+_FUZZ_PAIRS = [(policy, kind) for policy, entry in harness._POLICIES.items()
+               for kind in entry.kinds]
+
+
+def _fuzz_keys(policy, kind):
+    """(section name, config entry, key, Key, integral) of every key the pair
+    reads that holds a number, or a list or matrix of numbers; a numeric key
+    must declare its range."""
+    tables = [("experiment", None, harness._EXPERIMENT_KEYS),
+              ("policy", "policy_params", harness._POLICIES[policy].keys),
+              ("environment", "env_params", harness._ENV_KINDS[kind].keys)]
+    for section, entry, keys in tables:
+        for key, spec in keys.items():
+            try:
+                sample = np.asarray(spec.parse("1"))
+            except ValueError:
+                continue  # a flag or one of a fixed set of names
+            if sample.dtype.kind not in "if":
+                continue  # text
+            assert spec.within is not None, f"{section}.{key} declares no range"
+            yield section, entry, key, spec, sample.dtype.kind == "i"
+
+
+def _interval(within):
+    lo, hi = map(float, within[1:-1].split(","))
+    return lo, hi, within[0] == "[", within[-1] == "]"
+
+
+def _fuzz_config(policy, kind, entry, key, value):
+    cfg = _config(policy=policy, policy_params={}, env_kind=kind,
+                  env_params=dict(_FUZZ_ENV[kind]), overlays=[], horizon=_FUZZ_HORIZON,
+                  replicas=2)
+    (cfg if entry is None else cfg[entry])[key] = value
+    return cfg
+
+
+def _shaped(spec, kind, key, entries):
+    """The key's value from `entries`, repeated as needed: a number, a list as
+    long as the base config's (or environment.d), or a matrix with the fuzz
+    horizon's rows and 3 columns."""
+    rank = np.ndim(spec.parse("1"))
+    if rank == 0:
+        return entries[0]
+    if rank == 2:
+        return np.resize(np.asarray(entries, dtype=float), (_FUZZ_HORIZON, 3))
+    base = _FUZZ_ENV[kind].get(key)
+    length = len(base.split(",")) if base else int(_FUZZ_ENV[kind].get("d", 2))
+    return [entries[i % len(entries)] for i in range(length)]
+
+
+def _as_text(value):
+    if isinstance(value, np.ndarray):
+        return ";".join(",".join(str(float(v)) for v in row) for row in value)
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("policy, kind", _FUZZ_PAIRS)
+def test_values_outside_a_keys_range_fail_before_any_replica(no_replicas, policy, kind):
+    """Just outside each end of every key's range, and nan and +-inf: a
+    ConfigError that names the key, as text and as a typed value alike. In a
+    list or matrix, every other entry lies inside the range."""
+    for section, entry, key, spec, integral in _fuzz_keys(policy, kind):
+        lo, hi, lo_closed, hi_closed = _interval(spec.within)
+        inside = (lo + hi) / 2 if math.isfinite(lo + hi) else lo + 1 if math.isfinite(lo) else 0
+
+        def past(end, way):  # the next value beyond a closed end
+            return end + way if integral else np.nextafter(end, way * np.inf)
+
+        outside = [math.nan, math.inf, -math.inf]
+        if math.isfinite(lo):
+            outside.append(past(lo, -1) if lo_closed else lo)
+        if math.isfinite(hi):
+            outside.append(past(hi, 1) if hi_closed else hi)
+        for bad in outside:
+            bad = int(bad) if integral and math.isfinite(bad) else float(bad)
+            typed = _shaped(spec, kind, key, [bad, int(inside) if integral else inside])
+            for value in (typed, _as_text(typed)):
+                cfg = _fuzz_config(policy, kind, entry, key, value)
+                with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+                    run_experiment(cfg)
+
+
+def _draws(rng, within, integral, default, size):
+    """Values of `size` numbers inside the range: its closed finite ends, then
+    three random draws, uniform between finite ends. From one finite end (or
+    the default) a draw is log-uniform over four decades, and the bounds of
+    that span come first."""
+    lo, hi, lo_closed, hi_closed = _interval(within)
+    default = default if isinstance(default, (int, float)) else 0
+    ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed))
+            if closed and math.isfinite(end)]
+    if integral:  # every integer range here is [lo, inf) or (-inf, inf)
+        draws = (lo if math.isfinite(lo) else default - 3) + rng.integers(0, 8, size=(3, size))
+    elif math.isfinite(lo) and math.isfinite(hi):
+        draws = rng.uniform(lo, hi, size=(3, size))
+    else:
+        start = lo if math.isfinite(lo) else default
+        sign = 1 if math.isfinite(lo) else rng.choice([-1, 1])
+        scale = sign * max(1.0, abs(start))
+        ends += [start + scale * 1e-3, start + scale * 10]
+        draws = start + scale * 10 ** rng.uniform(-3, 1, size=(3, size))
+    values = [[end] for end in ends] + [list(draw) for draw in draws]
+    return [[int(v) for v in value] for value in values] if integral else values
+
+
+@pytest.mark.parametrize("policy, kind", _FUZZ_PAIRS)
+def test_values_inside_a_keys_range_run(monkeypatch, policy, kind):
+    """Random values inside every key's range, and its closed finite ends, one
+    key at a time: the run finishes with finite curves, or a rule that spans
+    keys refuses the value with a ConfigError before any replica runs."""
+    rng = np.random.default_rng([7, _FUZZ_PAIRS.index((policy, kind))])
+    ran = []
+    run_replica_ = harness.run_replica
+    monkeypatch.setattr(harness, "run_replica", lambda *a: ran.append(1) or run_replica_(*a))
+    for section, entry, key, spec, integral in _fuzz_keys(policy, kind):
+        size = 1 if np.ndim(spec.parse("1")) == 0 else 4
+        for entries in _draws(rng, spec.within, integral, spec.default, size):
+            value = _shaped(spec, kind, key, entries)
+            cfg = _fuzz_config(policy, kind, entry, key, _as_text(value))
+            ran.clear()
+            try:
+                report = run_experiment(cfg)
+            except ConfigError as why:
+                # not the key's own parse or range, but a rule that spans keys
+                name, why = f"{section}.{key}", str(why)
+                assert not ran and name in why, (value, why)
+                assert not why.startswith((f"{name} = '", f"{name} must lie in {spec.within},"))
+                continue
+            assert np.isfinite(report.mean_curve).all(), (section, key, value)
