@@ -28,6 +28,16 @@ def expert_loss_estimates(advice: np.ndarray, arm_estimates: np.ndarray) -> np.n
     return advice @ arm_estimates
 
 
+def _round(policy, x, rng: np.random.Generator):
+    """Play one round on x = (what select and update read, the arms' losses);
+    returns (arm, loss)."""
+    given, losses = x
+    arm = policy.select(given, rng)
+    loss = losses[arm]
+    policy.update(given, arm, loss)
+    return arm, loss
+
+
 class Exp4State:
     """Exponential weights over experts, with optional uniform mixing.
 
@@ -37,34 +47,25 @@ class Exp4State:
     """
 
     def __init__(self, N: int, K: int, n: int | None = None, eta: float | None = None,
-                 gamma: float = 0.0, anytime: bool = False):
+                 gamma: float = 0.0):
         self.N = N
         self.K = K
         self.gamma = gamma
-        self.anytime = anytime
         if eta is not None:
             self.eta = eta
         elif gamma > 0.0:
             self.eta = gamma / K
-        elif anytime:
-            self.eta = None
         elif n is not None:
             self.eta = math.sqrt(2.0 * math.log(N) / (n * K))
         else:
-            raise ValueError("need a horizon, an explicit eta, gamma > 0, or anytime=True")
+            raise ValueError("need a horizon, an explicit eta, or gamma > 0")
         self.cum_expert_losses = np.zeros(N)
         self.t = 0
-
-    def current_eta(self) -> float:
-        if self.eta is not None:
-            return self.eta
-        t = max(self.t, 1)
-        return math.sqrt(math.log(self.N) / (t * self.K))
 
     def expert_probs(self) -> np.ndarray:
         if self.t == 0:
             return np.full(self.N, 1.0 / self.N)
-        return exp_weights(-self.current_eta() * self.cum_expert_losses)
+        return exp_weights(-self.eta * self.cum_expert_losses)
 
     def arm_probs(self, advice: np.ndarray) -> np.ndarray:
         return exp4_arm_probs(self.expert_probs(), advice, self.gamma)
@@ -77,6 +78,8 @@ class Exp4State:
         arm_est = importance_loss_estimate(p, chosen, loss)
         self.cum_expert_losses += expert_loss_estimates(advice, arm_est)
         self.t += 1
+
+    round = _round  # x = (advice, losses)
 
 
 def exp3_external_step(state: Exp3State, q: np.ndarray, chosen: int, loss: float,
@@ -114,6 +117,8 @@ class SExp3:
     def external_update(self, context, q: np.ndarray, chosen: int, loss: float,
                         eps: float = 0.0) -> None:
         exp3_external_step(self._instance(context), q, chosen, loss, eps)
+
+    round = _round  # x = (context, losses)
 
 
 def theta_gamma(n: int, max_context_set_size: int, K: int, n_theta: int) -> float:
@@ -162,6 +167,8 @@ class ThetaExp4:
         floor = self.gamma / self.K
         for theta in self.thetas:
             self.experts[theta].external_update(contexts[theta], p, chosen, loss, eps=floor)
+
+    round = _round  # x = (one context per set, losses)
 
 
 def banditron_probs(yhat: int, gamma: float, K: int) -> np.ndarray:
@@ -213,14 +220,20 @@ class BanditronState:
     def update(self, x: np.ndarray, yhat: int, Y: int, correct: bool, p: np.ndarray) -> None:
         self.W = banditron_update(self.W, x, yhat, Y, correct, p)
 
+    def round(self, x, rng: np.random.Generator):
+        """Predict on x = (features, label); the loss is the mistake indicator."""
+        features, label = x
+        Y, yhat, p = self.step(features, rng)
+        correct = Y == label
+        self.update(features, yhat, Y, correct, p)
+        return Y, 0.0 if correct else 1.0
+
 
 def sexp3_bound(n: int, S: int, K: int) -> float:
     return math.sqrt(2.0 * n * S * K * math.log(K))
 
 
-def exp4_bound(n: int, K: int, N: int, anytime: bool = False) -> float:
-    if anytime:
-        return 2.0 * math.sqrt(n * K * math.log(N))
+def exp4_bound(n: int, K: int, N: int) -> float:
     return math.sqrt(2.0 * n * K * math.log(N))
 
 

@@ -75,7 +75,6 @@ class LossOracle:
     query: Callable[[np.ndarray], float]
     G: float
     L: float
-    convex: bool = True
 
     def spot_check_lipschitz(self, body: ConvexBody, rng: np.random.Generator,
                              trials: int = 50) -> bool:

@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -175,6 +175,9 @@ def check_config(config: dict) -> dict:
     for name in config["overlays"]:
         if name not in BOUNDS:
             raise ConfigError(f"unknown overlay {name!r}")
+    if config["overlays"] and experiment["horizon"] < 1:  # a theorem's cap needs a round
+        raise ConfigError(f"overlays need experiment.horizon of at least 1, "
+                          f"got {experiment['horizon']!r}")
     p = _resolve("policy", _POLICIES[policy].keys, config["policy_params"])
     e = _resolve("environment", _ENV_KINDS[kind].keys, config["env_params"])
     for check in (_ENV_KINDS[kind].check, _POLICIES[policy].check):
@@ -486,50 +489,63 @@ def _run_finite(state: Callable, p: dict, env: dict, n: int, streams) -> np.ndar
     return _finite_rounds(make(replicas=draws.replicas), env, n, draws)
 
 
+def _rounds(make: Callable, seen: Callable, best: Callable | None, p: dict, env: dict,
+            n: int, streams) -> np.ndarray:
+    """One curve per stream for a policy that plays one replica at a time.
+
+    Each stream gets its own policy, `make(p, env, n)`. `seen(env, n, stream)`
+    yields each round's x, and `policy.round(x, stream)` plays it and returns
+    (action, loss). `best(env, xs)` is the competitor's cumulative loss after
+    each round on the xs this replica saw; without one the curve counts losses.
+    """
+    def curve(stream: np.random.Generator) -> np.ndarray:
+        policy = make(p, env, n)
+        xs, paid = [], np.empty(n)
+        for t, x in enumerate(seen(env, n, stream)):
+            xs.append(x)
+            paid[t] = policy.round(x, stream)[1]
+        return np.cumsum(paid) if best is None else np.cumsum(paid) - best(env, xs)
+
+    # a call per stream frees each replica's policy before the next is built
+    return np.vstack([curve(stream) for stream in streams])
+
+
+def _hindsight(rows, value: Callable) -> np.ndarray:
+    """value(the sum of the rows so far), after each row: the best fixed
+    action's cumulative loss when its loss is linear in the row."""
+    cum = np.zeros(np.shape(rows[0]))
+    out = np.empty(len(rows))
+    for t, row in enumerate(rows):
+        cum += row
+        out[t] = value(cum)
+    return out
+
+
+def _per_context_best(K: int, rounds) -> np.ndarray:
+    """The cumulative loss of the best arm for each context in hindsight,
+    after each of the (context, arm losses) rounds."""
+    cums, out, total = {}, np.empty(len(rounds)), 0.0
+    for t, (context, losses) in enumerate(rounds):
+        cum = cums.setdefault(context, np.zeros(K))
+        prev = cum.min()
+        cum += losses
+        total += cum.min() - prev
+        out[t] = total
+    return out
+
+
 def _exp3p_state(K: int, n: int, p: dict, rng) -> partial:
     delta = None if p["delta_free"] else p["delta"]
     beta, eta, gamma = adversarial.exp3p_params(n, K, delta)
     return partial(adversarial.Exp3PState, K, eta, gamma, beta)
 
 
-def _run_sexp3(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    K, losses, contexts = env["K"], env["losses"], env["contexts"]
-    policy = contextual.SExp3(K)
-    per_context = {}
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    best_sum = 0.0
-    for t in range(n):
-        s = contexts[t]
-        arm = policy.select(s, stream)
-        loss = losses[t, arm]
-        policy.update(s, arm, loss)
-        cum_incurred += loss
-        cums = per_context.setdefault(s, np.zeros(K))
-        prev = cums.min()
-        cums += losses[t]
-        best_sum += cums.min() - prev
-        curve[t] = cum_incurred - best_sum
-    return curve
-
-
-def _run_exp4(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    K, losses = env["K"], env["losses"]
-    # built-in experts: one dirac expert per arm plus the uniform expert
-    advice_fixed = np.vstack([np.eye(K), np.full((1, K), 1.0 / K)])
-    N = advice_fixed.shape[0]
-    policy = contextual.Exp4State(N, K, n=n, gamma=p["gamma"], eta=p["eta"])
-    cum_expert = np.zeros(N)
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    for t in range(n):
-        arm = policy.select(advice_fixed, stream)
-        loss = losses[t, arm]
-        policy.update(advice_fixed, arm, loss)
-        cum_incurred += loss
-        cum_expert += advice_fixed @ losses[t]
-        curve[t] = cum_incurred - cum_expert.min()
-    return curve
+def _expert_rounds(env: dict, n: int, stream) -> Iterator:
+    """exp4's built-in experts, one dirac expert per arm plus the uniform
+    expert, beside each round's arm losses."""
+    K = env["K"]
+    advice = np.vstack([np.eye(K), np.full((1, K), 1.0 / K)])
+    return ((advice, losses) for losses in env["losses"])
 
 
 _NO_SETS = ("theta-exp4 and the theta overlay need environment.n_sets above 1 "
@@ -541,95 +557,27 @@ def _theta_streams(env: dict) -> dict:
     return env["theta_streams"]
 
 
-def _run_theta_exp4(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    K, losses, streams = env["K"], env["losses"], env["theta_streams"]
-    thetas = sorted(streams)
-    policy = contextual.ThetaExp4(thetas, K, n, env["max_set_size"], gamma=p["gamma"])
-    per_theta = {th: {} for th in thetas}
-    best_by_theta = {th: 0.0 for th in thetas}
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    for t in range(n):
-        contexts = {th: streams[th][t] for th in thetas}
-        arm = policy.select(contexts, stream)
-        loss = losses[t, arm]
-        policy.update(contexts, arm, loss)
-        cum_incurred += loss
-        for th in thetas:
-            cums = per_theta[th].setdefault(contexts[th], np.zeros(K))
-            prev = cums.min()
-            cums += losses[t]
-            best_by_theta[th] += cums.min() - prev
-        curve[t] = cum_incurred - min(best_by_theta.values())
-    return curve
+def _theta_rounds(env: dict, n: int, stream) -> Iterator:
+    sets = env["theta_streams"]
+    return (({theta: sets[theta][t] for theta in sorted(sets)}, losses)
+            for t, losses in enumerate(env["losses"]))
 
 
-def _run_banditron(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    K, d = env["K"], env["d"]
-    gamma = p["gamma"] if p["gamma"] is not None else contextual.banditron_gamma(K, n)
-    policy = contextual.BanditronState(K, d, gamma)
-    mistakes = np.empty(n)
+def _theta_best(env: dict, xs: list) -> np.ndarray:
+    """The cumulative loss of the best context set, each of whose contexts
+    plays its best arm in hindsight, after each round."""
+    return np.min([_per_context_best(env["K"], [(contexts[theta], losses)
+                                                for contexts, losses in xs])
+                   for theta in env["theta_streams"]], axis=0)
+
+
+def _labelled(env: dict, n: int, stream) -> Iterator:
+    """Each round's (features, label): the csv's rows, or the prototypes of
+    labels drawn from the replica's stream before round 1."""
     if "xs" in env:
-        xs, ys = env["xs"], env["ys"]
-        labels = lambda t: (xs[t], int(ys[t]))
-    else:
-        prototypes = env["prototypes"]
-        label_seq = stream.integers(K, size=n)
-        labels = lambda t: (prototypes[label_seq[t]], int(label_seq[t]))
-    for t in range(n):
-        x, y = labels(t)
-        Y, yhat, p_arms = policy.step(x, stream)
-        correct = Y == y
-        policy.update(x, yhat, Y, correct, p_arms)
-        mistakes[t] = 0.0 if correct else 1.0
-    return np.cumsum(mistakes)
-
-
-def _run_exp2(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    pts = env["points"]
-    policy = mirror.Exp2State(pts, n=n, eta=p["eta"], gamma=p["gamma"])
-    cum_loss_vec = np.zeros(env["d"])
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    for t in range(n):
-        ell = env["losses"][t]
-        idx = policy.select(stream)
-        scalar = float(pts[idx] @ ell)
-        policy.update(idx, scalar)
-        cum_incurred += scalar
-        cum_loss_vec += ell
-        curve[t] = cum_incurred - (pts @ cum_loss_vec).min()
-    return curve
-
-
-def _run_osmd_msets(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    d, m = env["d"], env["m"]
-    policy = mirror.OsmdMsets(d, m, n=n, variant=p["variant"], q=p["q"], eta=p["eta"])
-    coord_cum = np.zeros(d)
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    for t in range(n):
-        losses = stream.random(d)
-        _, incurred = policy.round(losses, stream)
-        cum_incurred += incurred
-        coord_cum += losses
-        curve[t] = cum_incurred - np.sort(coord_cum)[:m].sum()
-    return curve
-
-
-def _run_osmd_ball(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
-    d = env["d"]
-    policy = mirror.OsmdBall(d, n=n, gamma=p["gamma"], eta=p["eta"])
-    cum_loss_vec = np.zeros(d)
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    for t in range(n):
-        ell = env["losses"][t]
-        _, incurred = policy.round(ell, stream)
-        cum_incurred += incurred
-        cum_loss_vec += ell
-        curve[t] = cum_incurred + np.linalg.norm(cum_loss_vec)
-    return curve
+        return zip(env["xs"], env["ys"].tolist())
+    labels = stream.integers(env["K"], size=n)
+    return ((env["prototypes"][y], int(y)) for y in labels)
 
 
 def _osgd_params(mode: str, p: dict, n: int, env: dict) -> tuple[float, float]:
@@ -643,45 +591,47 @@ def _osgd_params(mode: str, p: dict, n: int, env: dict) -> tuple[float, float]:
     return (eta if p["eta"] is None else p["eta"]), (delta if p["delta"] is None else p["delta"])
 
 
-def _run_osgd(mode: str, p: dict, env: dict, n: int,
-              stream: np.random.Generator) -> np.ndarray:
-    body: convex.ConvexBody = env["body"]
+def _osgd_best(env: dict, xs: list) -> np.ndarray:
+    """The best fixed point's cumulative loss on the directions of the rounds."""
+    body, dirs = env["body"], env["directions"][:len(xs)]
     R = body.outer_radius
-    family = env["family"]
-    policy = convex.OsgdState(body, mode, *_osgd_params(mode, p, n, env))
-    dirs = env["directions"]
-    cum_c = np.zeros(body.dim)
-    cum_sq = 0.0
-    curve = np.empty(n)
-    cum_incurred = 0.0
-    for t in range(n):
-        c = dirs[t]
-        _, incurred = policy.round(_CONVEX_ORACLES[family](c, R), stream)
-        cum_incurred += incurred
+    if env["family"] == "absvalue":
+        return np.zeros(len(dirs))
+    if env["family"] == "linear":
+        return _hindsight(dirs, lambda cum: -R * float(np.linalg.norm(cum)))
+    # quadratic: sum_t ||x - c_t||^2 minimized at the projected mean
+    out, cum_c, cum_sq = np.empty(len(dirs)), np.zeros(body.dim), 0.0
+    for t, c in enumerate(dirs):
         cum_c += c
-        if family == "absvalue":
-            comparator = 0.0
-        elif family == "linear":
-            comparator = -R * float(np.linalg.norm(cum_c))
-        else:  # quadratic: sum_t ||x - c_t||^2 minimized at the projected mean
-            cum_sq += float(c @ c)
-            x_star = body.project(cum_c / (t + 1))
-            comparator = (t + 1) * float(x_star @ x_star) - 2.0 * float(x_star @ cum_c) + cum_sq
-        curve[t] = cum_incurred - comparator
-    return curve
+        cum_sq += float(c @ c)
+        x_star = body.project(cum_c / (t + 1))
+        out[t] = (t + 1) * float(x_star @ x_star) - 2.0 * float(x_star @ cum_c) + cum_sq
+    return out
 
 
-def _run_sgs(p: dict, env: dict, n: int, stream: np.random.Generator) -> np.ndarray:
+def _osgd(mode: str) -> Callable:
+    return partial(_rounds,
+                   lambda p, env, n: convex.OsgdState(env["body"], mode,
+                                                      *_osgd_params(mode, p, n, env)),
+                   lambda env, n, stream: (_CONVEX_ORACLES[env["family"]](
+                       c, env["body"].outer_radius) for c in env["directions"][:n]),
+                   _osgd_best)
+
+
+def _run_sgs(p: dict, env: dict, n: int, streams) -> np.ndarray:
     mu, mu_star = env["mu"], env["mu_star"]
+    c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
 
     def sample_losses(x: float, count: int, rng: np.random.Generator) -> np.ndarray:
         return (rng.random(count) < mu(x)).astype(float)
 
-    c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
-    played, _bracket = convex.run_sgs(sample_losses, n, c_l, stream)
-    inc = mu(played)
-    inc -= mu_star
-    return np.cumsum(inc, out=inc)  # in place: no second curve-sized array
+    def curve(stream: np.random.Generator) -> np.ndarray:
+        played, _bracket = convex.run_sgs(sample_losses, n, c_l, stream)
+        inc = mu(played)
+        inc -= mu_star
+        return np.cumsum(inc, out=inc)  # in place: no second curve-sized array
+
+    return np.vstack([curve(stream) for stream in streams])
 
 
 def _check_exp3p(p: dict, e: dict, n: int) -> None:
@@ -731,58 +681,92 @@ def _check_osgd(mode: str, p: dict, e: dict, n: int) -> None:
                     f"= {e['radius']!r} (environment.d = {e['d']})")
 
 
-# a policy's [policy] keys, the environment kinds it runs on, and how it plays:
-# a finite-arm policy has `state`, which binds its class to (K, n, params, rng)
-# and leaves `replicas` open; any other has `run`, which plays one replica:
-# run(params, env, n, stream) -> curve. `check`, as for an environment kind.
-Policy = namedtuple("Policy", "keys kinds state run check", defaults=(None, None, None))
+def _check_sgs(p: dict, e: dict, n: int) -> None:
+    if p["c_l"] is not None and n:  # nothing runs at horizon 0
+        try:
+            convex.sgs_stage_plan(1, p["c_l"], n)
+        except (ZeroDivisionError, OverflowError):
+            raise ConfigError(f"policy.c_l = {p['c_l']!r} gives stage 1 of the golden section "
+                              f"search no finite number of plays") from None
+
+
+# a policy's [policy] keys, the environment kinds it runs on, and how it plays
+# its replicas: run(params, env, n, streams) -> (R, n) curves, `_run_finite`
+# bound to a function of (K, n, params, rng) that binds a finite-arm class, or
+# `_rounds` for one replica at a time. `check`, as for an environment kind.
+Policy = namedtuple("Policy", "keys kinds run check", defaults=(None,))
 
 
 _FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
 
 _POLICIES = {
-    "ucb": Policy({"alpha": Key(float, 2.5, "(2, inf)")}, _FINITE_KINDS,
-                  state=lambda K, n, p, rng: partial(stochastic.UcbState, K, alpha=p["alpha"])),
+    "ucb": Policy({"alpha": Key(float, 2.5, "(2, inf)")}, _FINITE_KINDS, partial(
+        _run_finite, lambda K, n, p, rng: partial(stochastic.UcbState, K, alpha=p["alpha"]))),
     # rng binarizes thompson's fractional rewards
-    "thompson": Policy({}, _FINITE_KINDS, state=lambda K, n, p, rng:
-                       partial(stochastic.ThompsonState, K, rng)),
-    "eps-greedy": Policy({"d_gap": Key(float, 0.1, "(0, 1)")}, _FINITE_KINDS,
-                         state=lambda K, n, p, rng:
-                         partial(stochastic.EpsGreedyState, K, d_gap=p["d_gap"])),
+    "thompson": Policy({}, _FINITE_KINDS, partial(
+        _run_finite, lambda K, n, p, rng: partial(stochastic.ThompsonState, K, rng))),
+    "eps-greedy": Policy({"d_gap": Key(float, 0.1, "(0, 1)")}, _FINITE_KINDS, partial(
+        _run_finite, lambda K, n, p, rng: partial(stochastic.EpsGreedyState, K,
+                                                  d_gap=p["d_gap"]))),
     "exp3": Policy({"eta": Key(float, None, "(0, inf)"), "anytime": Key(_flag, False)},
-                   _FINITE_KINDS, state=lambda K, n, p, rng: partial(
-                       adversarial.Exp3State, K, n=n, eta=p["eta"], anytime=p["anytime"])),
+                   _FINITE_KINDS, partial(_run_finite, lambda K, n, p, rng: partial(
+                       adversarial.Exp3State, K, n=n, eta=p["eta"], anytime=p["anytime"]))),
     # delta is read only without delta_free, so its range is a rule across keys
     "exp3p": Policy({"delta": Key(float, 0.1, "(-inf, inf)"), "delta_free": Key(_flag, False)},
-                    _FINITE_KINDS, state=_exp3p_state, check=_check_exp3p),
-    "sexp3": Policy({}, ("contextual",), run=_run_sexp3),
+                    _FINITE_KINDS, partial(_run_finite, _exp3p_state), check=_check_exp3p),
+    "sexp3": Policy({}, ("contextual",), partial(
+        _rounds, lambda p, env, n: contextual.SExp3(env["K"]),
+        lambda env, n, stream: zip(env["contexts"], env["losses"]),
+        lambda env, xs: _per_context_best(env["K"], xs))),
     "exp4": Policy({"gamma": Key(float, 0.0, "[0, 1]"), "eta": Key(float, None, "(0, inf)")},
-                   ("contextual",), run=_run_exp4),
-    "theta-exp4": Policy({"gamma": Key(float, None, "(0, 1]")}, ("contextual",),
-                         run=_run_theta_exp4,
-                         check=lambda p, e, n: _require(_set_sizes(e), _NO_SETS)),
-    "banditron": Policy({"gamma": Key(float, None, "(0, 0.5)")}, ("multiclass",),
-                        run=_run_banditron, check=_check_banditron),
+                   ("contextual",), partial(
+                       _rounds, lambda p, env, n: contextual.Exp4State(
+                           env["K"] + 1, env["K"], n=n, gamma=p["gamma"], eta=p["eta"]),
+                       _expert_rounds,
+                       lambda env, xs: _hindsight([a @ losses for a, losses in xs], np.min))),
+    "theta-exp4": Policy({"gamma": Key(float, None, "(0, 1]")}, ("contextual",), partial(
+        _rounds, lambda p, env, n: contextual.ThetaExp4(
+            sorted(env["theta_streams"]), env["K"], n, env["max_set_size"], gamma=p["gamma"]),
+        _theta_rounds, _theta_best), check=lambda p, e, n: _require(_set_sizes(e), _NO_SETS)),
+    "banditron": Policy({"gamma": Key(float, None, "(0, 0.5)")}, ("multiclass",), partial(
+        _rounds, lambda p, env, n: contextual.BanditronState(env["K"], env["d"], (
+            contextual.banditron_gamma(env["K"], n) if p["gamma"] is None else p["gamma"])),
+        _labelled, None), check=_check_banditron),
     "exp2-john": Policy({"eta": Key(float, None, "(0, inf)"), "gamma": Key(float, None, "(0, 1]")},
-                        ("linear-points",), run=_run_exp2, check=_check_exp2),
+                        ("linear-points",), partial(
+                            _rounds, lambda p, env, n: mirror.Exp2State(
+                                env["points"], n=n, eta=p["eta"], gamma=p["gamma"]),
+                            lambda env, n, stream: env["losses"],
+                            lambda env, xs: _hindsight(xs, lambda c: (env["points"] @ c).min())),
+                        check=_check_exp2),
     # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
                           "q": Key(float, 2.0, "(-inf, inf)"),
-                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",),
-                         run=_run_osmd_msets,
+                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",), partial(
+                             _rounds, lambda p, env, n: mirror.OsmdMsets(
+                                 env["d"], env["m"], n=n, variant=p["variant"], q=p["q"],
+                                 eta=p["eta"]),
+                             # each round's d coordinate losses, from the replica's stream
+                             lambda env, n, stream: (stream.random(env["d"]) for _ in range(n)),
+                             lambda env, xs: _hindsight(
+                                 xs, lambda c: np.sort(c)[:env["m"]].sum())),
                          check=lambda p, e, n: _require(
                              p["variant"] != "potential" or p["q"] > 1,
                              f"policy.q must exceed 1 for the potential variant, "
                              f"got {p['q']!r}")),
     "osmd-ball": Policy({"gamma": Key(float, None, "(0, 1)"), "eta": Key(float, None, "(0, 0.5]")},
-                        ("linear-ball",), run=_run_osmd_ball, check=_check_osmd_ball),
+                        ("linear-ball",), partial(
+                            _rounds, lambda p, env, n: mirror.OsmdBall(
+                                env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
+                            lambda env, n, stream: env["losses"],
+                            lambda env, xs: _hindsight(xs, lambda c: -np.linalg.norm(c))),
+                        check=_check_osmd_ball),
     "osgd-2pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
-                       ("convex",), run=partial(_run_osgd, "two-point"),
-                       check=partial(_check_osgd, "two-point")),
+                       ("convex",), _osgd("two-point"), check=partial(_check_osgd, "two-point")),
     "osgd-1pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
-                       ("convex",), run=partial(_run_osgd, "one-point"),
-                       check=partial(_check_osgd, "one-point")),
-    "sgs": Policy({"c_l": Key(float, None, "(0, inf)")}, ("unimodal",), run=_run_sgs),
+                       ("convex",), _osgd("one-point"), check=partial(_check_osgd, "one-point")),
+    "sgs": Policy({"c_l": Key(float, None, "(0, inf)")}, ("unimodal",), _run_sgs,
+                  check=_check_sgs),
 }
 
 
@@ -795,16 +779,13 @@ def run_replica(config: dict, env: dict, streams) -> np.ndarray:
     run them one after another. Either way row r reads only its own stream.
     """
     config = check_config(config)
-    entry = _POLICIES[config["policy"]]
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(streams, np.random.Generator)
     streams = [streams] if single else streams
     if n == 0:  # no round to play, so no policy to build
         curves = np.empty((sum(1 for _ in streams), 0))
-    elif entry.state is not None:
-        curves = _run_finite(entry.state, p, env, n, streams)
     else:
-        curves = np.vstack([entry.run(p, env, n, stream) for stream in streams])
+        curves = _POLICIES[config["policy"]].run(p, env, n, streams)
     return curves[0] if single else curves
 
 

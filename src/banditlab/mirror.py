@@ -216,10 +216,10 @@ class Exp2State:
     """Exponential weights over a finite point set with design-based exploration."""
 
     def __init__(self, points, n: int | None = None, eta: float | None = None,
-                 gamma: float | None = None, design_tol: float = 1e-7):
+                 gamma: float | None = None):
         self.points = np.asarray(points, dtype=float)
         self.N, self.d = self.points.shape
-        self.design: DesignWeights = doptimal_design(self.points, tol=design_tol)
+        self.design: DesignWeights = doptimal_design(self.points)
         if eta is None or gamma is None:
             if n is None:
                 raise ValueError("need a horizon to derive eta and gamma")
@@ -255,6 +255,12 @@ class Exp2State:
     def update(self, played: int, scalar_loss: float) -> None:
         self.cum_estimate += self.estimate(played, scalar_loss)
         self.t += 1
+
+    def round(self, loss_vector: np.ndarray, rng: np.random.Generator):
+        idx = self.select(rng)
+        scalar = float(self.points[idx] @ loss_vector)
+        self.update(idx, scalar)
+        return idx, scalar
 
 
 def semibandit_estimate(x: np.ndarray, v: np.ndarray, losses: np.ndarray) -> np.ndarray:

@@ -149,9 +149,7 @@ def test_every_policy_and_overlay_has_a_golden_case():
     assert set(GOLDEN) == set(CASES)
 
 
-@pytest.mark.parametrize("name", ["ucb-stochastic", "exp3-oblivious-anytime",
-                                  "exp3p-stochastic", "exp3-nonoblivious", "ucb-nonoblivious",
-                                  "thompson-stochastic"])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_rows_equal_single_stream_runs(name):
     cfg = _config(*CASES[name])
     env = harness.build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"],
@@ -162,6 +160,15 @@ def test_rows_equal_single_stream_runs(name):
         single = harness.run_replica(cfg, env, derive_stream(cfg["seed"], r))
         assert single.shape == (cfg["horizon"],)
         assert np.array_equal(batch[r], single)
+
+
+@pytest.mark.parametrize("overlay", sorted(harness.BOUNDS))
+def test_overlays_need_a_round(no_replicas, overlay):
+    # a theorem's cap at n = 0 takes log 0 or divides by 0, or reads 0
+    case = next(case for case in CASES.values() if len(case) > 7 and overlay in case[7])
+    cfg = _config(*case[:4], 0, *case[5:7], [overlay])
+    with pytest.raises(harness.ConfigError, match="experiment.horizon"):
+        harness.run_experiment(cfg)
 
 
 def test_replica_draws_match_scalar_draws_across_blocks():

@@ -291,14 +291,6 @@ def test_short_oblivious_matrix_fails_at_build_time(tmp_path, kind, source):
     assert rounds(build_environment(kind, params, 5, 0)) == 5
 
 
-@pytest.fixture
-def no_replicas(monkeypatch):
-    def no_replica(*args):
-        raise AssertionError("a replica ran")
-
-    monkeypatch.setattr(harness, "run_replica", no_replica)
-
-
 def test_mismatched_overlay_fails_before_any_replica(no_replicas):
     cfg = _config(policy="exp3", policy_params={}, env_kind="oblivious",
                   env_params={"k": "2"}, overlays=["ucb"])
@@ -382,6 +374,13 @@ _SEMIBANDIT = {"d": "4", "m": "2"}
     pytest.param("osgd-2pt", {"delta": "-0.1"}, "convex", {"d": "3"}, [], "policy.delta", 20,
                  id="osgd-delta-negative"),
     pytest.param("sgs", {"c_l": "-1"}, "unimodal", {}, [], "policy.c_l", 20, id="sgs-c_l-negative"),
+    # stage 1 of the search asks for 2 / eps^2 plays; eps^2 underflows or overflows here
+    pytest.param("sgs", {"c_l": "1e-200"}, "unimodal", {}, [], "policy.c_l", 20,
+                 id="sgs-c_l-1e-200"),
+    pytest.param("sgs", {"c_l": "1e-160"}, "unimodal", {}, [], "policy.c_l", 20,
+                 id="sgs-c_l-1e-160"),
+    pytest.param("sgs", {"c_l": "1e155"}, "unimodal", {}, [], "policy.c_l", 20,
+                 id="sgs-c_l-1e155"),
     pytest.param("sgs", {}, "unimodal", {"xstar": "nan"}, [], "environment.xstar", 20,
                  id="sgs-xstar-nan"),
     pytest.param("sgs", {}, "unimodal", {"floor": "2"}, [], "environment.floor", 20,
