@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import adversarial, contextual, convex, mirror, stochastic
+from . import adversarial, contextual, convex, geometry, mirror, stochastic
 from .env import (
     ENV_STREAM_ID,
     NonObliviousAdversary,
@@ -272,7 +272,9 @@ def _linear_points_env(p: dict, n: int, rng) -> dict:
     loss = rng.standard_normal(d)
     loss /= np.linalg.norm(loss)
     losses = np.tile(loss, (n, 1))
-    return {"kind": "linear-points", "points": pts, "losses": losses, "d": d, "N": n_points}
+    # the design depends on the points alone, so every replica shares it
+    return {"kind": "linear-points", "points": pts, "design": geometry.doptimal_design(pts),
+            "losses": losses, "d": d, "N": n_points}
 
 
 def _linear_ball_env(p: dict, n: int, rng) -> dict:
@@ -495,43 +497,56 @@ def _rounds(make: Callable, seen: Callable, best: Callable | None, p: dict, env:
 
     Each stream gets its own policy, `make(p, env, n)`. `seen(env, n, stream)`
     yields each round's x, and `policy.round(x, stream)` plays it and returns
-    (action, loss). `best(env, xs)` is the competitor's cumulative loss after
-    each round on the xs this replica saw; without one the curve counts losses.
+    (action, loss). `best(env)` makes the replica's competitor: a fold that
+    takes each x as it comes and returns the competitor's cumulative loss so
+    far, so no x outlives its round. Without one the curve counts losses.
     """
     def curve(stream: np.random.Generator) -> np.ndarray:
         policy = make(p, env, n)
-        xs, paid = [], np.empty(n)
+        fold = None if best is None else best(env)
+        paid, held = np.empty(n), np.empty(n)
         for t, x in enumerate(seen(env, n, stream)):
-            xs.append(x)
             paid[t] = policy.round(x, stream)[1]
-        return np.cumsum(paid) if best is None else np.cumsum(paid) - best(env, xs)
+            if fold is not None:
+                held[t] = fold(x)
+        np.cumsum(paid, out=paid)  # in place: no third curve-sized array
+        if fold is not None:
+            paid -= held
+        return paid
 
     # a call per stream frees each replica's policy before the next is built
     return np.vstack([curve(stream) for stream in streams])
 
 
-def _hindsight(rows, value: Callable) -> np.ndarray:
-    """value(the sum of the rows so far), after each row: the best fixed
-    action's cumulative loss when its loss is linear in the row."""
-    cum = np.zeros(np.shape(rows[0]))
-    out = np.empty(len(rows))
-    for t, row in enumerate(rows):
-        cum += row
-        out[t] = value(cum)
-    return out
+def _hindsight(value: Callable, row: Callable = lambda x: x) -> Callable:
+    """A fold over the rounds: fed each round's x, it returns value(the sum
+    of the rows `row(x)` so far), the best fixed action's cumulative loss
+    when its loss is linear in the row."""
+    cum = 0.0
+
+    def step(x) -> float:
+        nonlocal cum
+        cum = cum + row(x)
+        return value(cum)
+
+    return step
 
 
-def _per_context_best(K: int, rounds) -> np.ndarray:
-    """The cumulative loss of the best arm for each context in hindsight,
-    after each of the (context, arm losses) rounds."""
-    cums, out, total = {}, np.empty(len(rounds)), 0.0
-    for t, (context, losses) in enumerate(rounds):
+def _per_context_best(K: int) -> Callable:
+    """A fold over (context, arm losses) rounds: the cumulative loss of the
+    best arm for each context in hindsight, after each round."""
+    cums, total = {}, 0.0
+
+    def step(x) -> float:
+        nonlocal total
+        context, losses = x
         cum = cums.setdefault(context, np.zeros(K))
         prev = cum.min()
         cum += losses
         total += cum.min() - prev
-        out[t] = total
-    return out
+        return total
+
+    return step
 
 
 def _exp3p_state(K: int, n: int, p: dict, rng) -> partial:
@@ -563,12 +578,11 @@ def _theta_rounds(env: dict, n: int, stream) -> Iterator:
             for t, losses in enumerate(env["losses"]))
 
 
-def _theta_best(env: dict, xs: list) -> np.ndarray:
-    """The cumulative loss of the best context set, each of whose contexts
-    plays its best arm in hindsight, after each round."""
-    return np.min([_per_context_best(env["K"], [(contexts[theta], losses)
-                                                for contexts, losses in xs])
-                   for theta in env["theta_streams"]], axis=0)
+def _theta_best(env: dict) -> Callable:
+    """A fold: the cumulative loss of the best context set, each of whose
+    contexts plays its best arm in hindsight, after each round."""
+    folds = {theta: _per_context_best(env["K"]) for theta in env["theta_streams"]}
+    return lambda x: min(fold((x[0][theta], x[1])) for theta, fold in folds.items())
 
 
 def _labelled(env: dict, n: int, stream) -> Iterator:
@@ -591,22 +605,29 @@ def _osgd_params(mode: str, p: dict, n: int, env: dict) -> tuple[float, float]:
     return (eta if p["eta"] is None else p["eta"]), (delta if p["delta"] is None else p["delta"])
 
 
-def _osgd_best(env: dict, xs: list) -> np.ndarray:
-    """The best fixed point's cumulative loss on the directions of the rounds."""
-    body, dirs = env["body"], env["directions"][:len(xs)]
+def _osgd_best(env: dict) -> Callable:
+    """A fold: the best fixed point's cumulative loss on the directions of
+    the rounds so far. It reads each round's direction from `env`, not from
+    the loss oracle it is fed."""
+    body, dirs = env["body"], iter(env["directions"])
     R = body.outer_radius
     if env["family"] == "absvalue":
-        return np.zeros(len(dirs))
+        return lambda oracle: 0.0
     if env["family"] == "linear":
-        return _hindsight(dirs, lambda cum: -R * float(np.linalg.norm(cum)))
+        return _hindsight(lambda cum: -R * float(np.linalg.norm(cum)), lambda oracle: next(dirs))
     # quadratic: sum_t ||x - c_t||^2 minimized at the projected mean
-    out, cum_c, cum_sq = np.empty(len(dirs)), np.zeros(body.dim), 0.0
-    for t, c in enumerate(dirs):
+    cum_c, cum_sq, t = np.zeros(body.dim), 0.0, 0
+
+    def step(oracle) -> float:
+        nonlocal cum_c, cum_sq, t
+        c = next(dirs)
         cum_c += c
         cum_sq += float(c @ c)
-        x_star = body.project(cum_c / (t + 1))
-        out[t] = (t + 1) * float(x_star @ x_star) - 2.0 * float(x_star @ cum_c) + cum_sq
-    return out
+        t += 1
+        x_star = body.project(cum_c / t)
+        return t * float(x_star @ x_star) - 2.0 * float(x_star @ cum_c) + cum_sq
+
+    return step
 
 
 def _osgd(mode: str) -> Callable:
@@ -616,6 +637,21 @@ def _osgd(mode: str) -> Callable:
                    lambda env, n, stream: (_CONVEX_ORACLES[env["family"]](
                        c, env["body"].outer_radius) for c in env["directions"][:n]),
                    _osgd_best)
+
+
+def _run_exp2(p: dict, env: dict, n: int, streams) -> np.ndarray:
+    """All replicas of exp2-john in lockstep on one (R, d) state, each round
+    reading one double from each replica's stream. Every replica sees the
+    same losses, so the competitor is taken once for all of them."""
+    draws = ReplicaDraws(streams, n)
+    policy = mirror.Exp2State(env["points"], env["design"], n=n, eta=p["eta"],
+                              gamma=p["gamma"], replicas=draws.replicas)
+    losses = env["losses"][:n]
+    paid = np.empty((draws.replicas, n))
+    for t, loss in enumerate(losses):
+        paid[:, t] = policy.round(loss, draws)[1]
+    best = _hindsight(lambda c: (env["points"] @ c).min())
+    return np.cumsum(paid, axis=-1) - [best(loss) for loss in losses]
 
 
 def _run_sgs(p: dict, env: dict, n: int, streams) -> np.ndarray:
@@ -692,8 +728,9 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
 
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays
 # its replicas: run(params, env, n, streams) -> (R, n) curves, `_run_finite`
-# bound to a function of (K, n, params, rng) that binds a finite-arm class, or
-# `_rounds` for one replica at a time. `check`, as for an environment kind.
+# bound to a function of (K, n, params, rng) that binds a finite-arm class,
+# `_run_exp2` for exp2-john's lockstep rows, or `_rounds` for one replica at a
+# time. `check`, as for an environment kind.
 Policy = namedtuple("Policy", "keys kinds run check", defaults=(None,))
 
 
@@ -717,13 +754,13 @@ _POLICIES = {
     "sexp3": Policy({}, ("contextual",), partial(
         _rounds, lambda p, env, n: contextual.SExp3(env["K"]),
         lambda env, n, stream: zip(env["contexts"], env["losses"]),
-        lambda env, xs: _per_context_best(env["K"], xs))),
+        lambda env: _per_context_best(env["K"]))),
     "exp4": Policy({"gamma": Key(float, 0.0, "[0, 1]"), "eta": Key(float, None, "(0, inf)")},
                    ("contextual",), partial(
                        _rounds, lambda p, env, n: contextual.Exp4State(
                            env["K"] + 1, env["K"], n=n, gamma=p["gamma"], eta=p["eta"]),
                        _expert_rounds,
-                       lambda env, xs: _hindsight([a @ losses for a, losses in xs], np.min))),
+                       lambda env: _hindsight(np.min, lambda x: x[0] @ x[1]))),
     "theta-exp4": Policy({"gamma": Key(float, None, "(0, 1]")}, ("contextual",), partial(
         _rounds, lambda p, env, n: contextual.ThetaExp4(
             sorted(env["theta_streams"]), env["K"], n, env["max_set_size"], gamma=p["gamma"]),
@@ -733,12 +770,7 @@ _POLICIES = {
             contextual.banditron_gamma(env["K"], n) if p["gamma"] is None else p["gamma"])),
         _labelled, None), check=_check_banditron),
     "exp2-john": Policy({"eta": Key(float, None, "(0, inf)"), "gamma": Key(float, None, "(0, 1]")},
-                        ("linear-points",), partial(
-                            _rounds, lambda p, env, n: mirror.Exp2State(
-                                env["points"], n=n, eta=p["eta"], gamma=p["gamma"]),
-                            lambda env, n, stream: env["losses"],
-                            lambda env, xs: _hindsight(xs, lambda c: (env["points"] @ c).min())),
-                        check=_check_exp2),
+                        ("linear-points",), _run_exp2, check=_check_exp2),
     # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
                           "q": Key(float, 2.0, "(-inf, inf)"),
@@ -748,8 +780,7 @@ _POLICIES = {
                                  eta=p["eta"]),
                              # each round's d coordinate losses, from the replica's stream
                              lambda env, n, stream: (stream.random(env["d"]) for _ in range(n)),
-                             lambda env, xs: _hindsight(
-                                 xs, lambda c: np.sort(c)[:env["m"]].sum())),
+                             lambda env: _hindsight(lambda c: np.sort(c)[:env["m"]].sum())),
                          check=lambda p, e, n: _require(
                              p["variant"] != "potential" or p["q"] > 1,
                              f"policy.q must exceed 1 for the potential variant, "
@@ -759,7 +790,7 @@ _POLICIES = {
                             _rounds, lambda p, env, n: mirror.OsmdBall(
                                 env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
                             lambda env, n, stream: env["losses"],
-                            lambda env, xs: _hindsight(xs, lambda c: -np.linalg.norm(c))),
+                            lambda env: _hindsight(lambda c: -np.linalg.norm(c))),
                         check=_check_osmd_ball),
     "osgd-2pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
                        ("convex",), _osgd("two-point"), check=partial(_check_osgd, "two-point")),
@@ -775,8 +806,8 @@ def run_replica(config: dict, env: dict, streams) -> np.ndarray:
 
     `streams` is one replica's Generator, for its 1-D curve, or an iterable
     of per-replica Generators, for an (R, n) array with one row per stream.
-    ucb, exp3 and exp3p run all the replicas in lockstep; the other policies
-    run them one after another. Either way row r reads only its own stream.
+    ucb, exp3, exp3p and exp2-john run all the replicas in lockstep; the
+    other policies run them one after another. Either way row r reads only its own stream.
     """
     config = check_config(config)
     p, n = config["policy_params"], config["horizon"]

@@ -12,7 +12,6 @@ from .adversarial import exp_weights
 from .env import sample_categorical
 from .geometry import (
     DesignWeights,
-    doptimal_design,
     madow_sample,
     project_capped_simplex_negent,
     project_capped_simplex_potential,
@@ -213,13 +212,23 @@ def exp2_schedule(n: int, d: int, N: int) -> tuple[float, float]:
 
 
 class Exp2State:
-    """Exponential weights over a finite point set with design-based exploration."""
+    """Exponential weights over a finite point set with design-based exploration.
 
-    def __init__(self, points, n: int | None = None, eta: float | None = None,
-                 gamma: float | None = None):
+    `design` is the D-optimal design of the points (`geometry.doptimal_design`),
+    a function of the points alone, so one design serves every replica. With
+    `replicas` set, the state holds one row of cumulative estimates per
+    replica, and `select`/`update` take and return one point and one scalar
+    loss per row. Each row's products are taken one row at a time
+    (`np.matmul` over a leading axis), so a row's bits do not depend on the
+    batch it runs in.
+    """
+
+    def __init__(self, points, design: DesignWeights, n: int | None = None,
+                 eta: float | None = None, gamma: float | None = None,
+                 replicas: int | None = None):
         self.points = np.asarray(points, dtype=float)
         self.N, self.d = self.points.shape
-        self.design: DesignWeights = doptimal_design(self.points)
+        self.design = design
         if eta is None or gamma is None:
             if n is None:
                 raise ValueError("need a horizon to derive eta and gamma")
@@ -230,35 +239,48 @@ class Exp2State:
             raise ValueError("gamma must be positive so the design matrix is invertible")
         self.eta = eta
         self.gamma = gamma
-        self.cum_estimate = np.zeros(self.d)
+        self.cum_estimate = np.zeros(self.d if replicas is None else (replicas, self.d))
         self.t = 0
+        self._drawn_from = None  # the distribution the last select() drew from
 
     def probs(self) -> np.ndarray:
-        scores = self.points @ self.cum_estimate
+        scores = np.matmul(self.points, self.cum_estimate[..., None])[..., 0]
         soft = exp_weights(-self.eta * scores)
         return (1.0 - self.gamma) * soft + self.gamma * self.design.weights
 
-    def select(self, rng: np.random.Generator) -> int:
-        return sample_categorical(self.probs(), rng)
+    def select(self, rng):
+        self._drawn_from = self.probs()
+        return sample_categorical(self._drawn_from, rng)
 
     def sampling_matrix(self, p: np.ndarray) -> np.ndarray:
-        return self.points.T @ (p[:, None] * self.points)
+        return np.matmul(self.points.T, p[..., None] * self.points)
 
-    def estimate(self, played: int, scalar_loss: float, p: np.ndarray | None = None) -> np.ndarray:
-        if not -1.0 <= scalar_loss <= 1.0:
+    def estimate(self, played, scalar_loss, p: np.ndarray | None = None) -> np.ndarray:
+        """scalar_loss P(p)^-1 x_played, the unbiased estimate of the loss
+        vector, for the point played from `p` (by default, the current probs)."""
+        scalar_loss = np.asarray(scalar_loss, dtype=float)
+        # written so that nan fails it too
+        if (~((-1.0 <= scalar_loss) & (scalar_loss <= 1.0))).any():
             raise ValueError("scalar loss must lie in [-1, 1]")
         if p is None:
             p = self.probs()
         P = self.sampling_matrix(p)
-        return scalar_loss * np.linalg.solve(P, self.points[played])
+        return scalar_loss[..., None] * np.linalg.solve(P, self.points[played][..., None])[..., 0]
 
-    def update(self, played: int, scalar_loss: float) -> None:
-        self.cum_estimate += self.estimate(played, scalar_loss)
+    def update(self, played, scalar_loss) -> None:
+        """Apply the round's estimate, weighted by the distribution the last
+        select() drew from."""
+        p = self.probs() if self._drawn_from is None else self._drawn_from
+        self._drawn_from = None
+        self.cum_estimate += self.estimate(played, scalar_loss, p)
         self.t += 1
 
-    def round(self, loss_vector: np.ndarray, rng: np.random.Generator):
+    def round(self, loss_vector: np.ndarray, rng):
+        """Select, pay the played point's loss, and update; returns (the index
+        of the point played, its scalar loss), one of each per row."""
         idx = self.select(rng)
-        scalar = float(self.points[idx] @ loss_vector)
+        played = self.points[idx]
+        scalar = np.matmul(played[..., None, :], loss_vector[:, None])[..., 0, 0]
         self.update(idx, scalar)
         return idx, scalar
 

@@ -2,11 +2,12 @@
 the batch a replica runs in, and replica r reads only derive_stream(seed, r)."""
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from banditlab import harness
+from banditlab import geometry, harness
 from banditlab.adversarial import (
     Exp3PState,
     Exp3State,
@@ -160,6 +161,41 @@ def test_rows_equal_single_stream_runs(name):
         single = harness.run_replica(cfg, env, derive_stream(cfg["seed"], r))
         assert single.shape == (cfg["horizon"],)
         assert np.array_equal(batch[r], single)
+
+
+def test_one_design_per_experiment(monkeypatch):
+    # the design depends on the environment's points alone
+    calls = []
+    design = geometry.doptimal_design
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "doptimal_design", counted)
+    harness.run_experiment(_config("exp2-john", {}, "linear-points",
+                                   {"d": "3", "n_points": "8"}, 50, 4, 28))
+    assert len(calls) == 1
+
+
+def test_replica_memory_holds_no_round_inputs():
+    # the competitor folds each round's losses as they come, so one replica
+    # keeps its curve-sized arrays (8 B per round each) and no round's losses
+    def peak(n: int) -> int:
+        cfg = _config("osmd-msets", {"variant": "negent"}, "semibandit",
+                      {"d": "6", "m": "2"}, n, 1, 3)
+        env = harness.build_environment("semibandit", cfg["env_params"], n, 3)
+        harness.run_replica(cfg, env, derive_stream(3, 0))  # warm every cache first
+        tracemalloc.start()
+        try:
+            harness.run_replica(cfg, env, derive_stream(3, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 500
+    per_round = (peak(4 * n) - peak(n)) / (3 * n)
+    assert per_round < 24
 
 
 @pytest.mark.parametrize("overlay", sorted(harness.BOUNDS))

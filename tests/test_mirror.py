@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from banditlab.adversarial import Exp3State, importance_loss_estimate
-from banditlab.env import derive_stream
-from banditlab.geometry import madow_start_intervals
+from banditlab.env import ReplicaDraws, derive_stream
+from banditlab.geometry import doptimal_design, madow_start_intervals
 from banditlab.mirror import (
     Exp2State,
     MirrorDescentSimplex,
@@ -121,7 +121,7 @@ def test_zero_potential_curvature_bound():
 
 def test_exp2_probs_at_zero_eta():
     pts = np.vstack([np.eye(3), -np.eye(3)])
-    state = Exp2State(pts, eta=1e-300, gamma=0.3)
+    state = Exp2State(pts, doptimal_design(pts), eta=1e-300, gamma=0.3)
     p = state.probs()
     expected = 0.7 / 6 + 0.3 * state.design.weights
     assert np.allclose(p, expected, atol=1e-9)
@@ -129,7 +129,7 @@ def test_exp2_probs_at_zero_eta():
 
 def test_exp2_estimate_canonical_basis():
     pts = np.eye(3)
-    state = Exp2State(pts, eta=0.1, gamma=0.5)
+    state = Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.5)
     uniform = np.full(3, 1.0 / 3.0)
     est = state.estimate(1, 0.6, p=uniform)
     assert np.allclose(est, 3 * 0.6 * pts[1])
@@ -138,7 +138,7 @@ def test_exp2_estimate_canonical_basis():
 def test_exp2_estimate_exactly_unbiased():
     rng = derive_stream(5, 0)
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
-    state = Exp2State(pts, eta=0.2, gamma=0.2)
+    state = Exp2State(pts, doptimal_design(pts), eta=0.2, gamma=0.2)
     ell = np.array([0.3, -0.5])
     p = state.probs()
     mean = np.zeros(2)
@@ -147,6 +147,43 @@ def test_exp2_estimate_exactly_unbiased():
     assert np.allclose(mean, ell, atol=1e-10)
     with pytest.raises(ValueError):
         state.estimate(0, 1.5)
+
+
+def test_exp2_rows_match_one_row_states():
+    # each row's probs, plays, scalar losses and estimates carry the bits a
+    # one-row state computes for the same stream
+    R, n = 4, 300
+    for seed in range(4):
+        rng = derive_stream(40 + seed, 0)
+        pts = rng.standard_normal((12, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts *= rng.random((12, 1)) ** (1.0 / 3.0)
+        losses = rng.standard_normal((n, 3))
+        losses /= np.linalg.norm(losses, axis=1, keepdims=True)
+        design = doptimal_design(pts)
+        batch = Exp2State(pts, design, n=n, replicas=R)
+        draws = ReplicaDraws([derive_stream(seed, r) for r in range(R)], n)
+        rows = [Exp2State(pts, design, n=n) for _ in range(R)]
+        streams = [derive_stream(seed, r) for r in range(R)]
+        for loss in losses:
+            assert np.array_equal(batch.probs(), [row.probs() for row in rows])
+            idx, paid = batch.round(loss, draws)
+            played = [row.round(loss, stream) for row, stream in zip(rows, streams)]
+            assert np.array_equal(idx, [i for i, _ in played])
+            assert np.array_equal(paid, [s for _, s in played])
+            assert np.array_equal(batch.cum_estimate, [row.cum_estimate for row in rows])
+
+
+def test_exp2_scalar_loss_range_holds_per_row():
+    pts = np.vstack([np.eye(3), -np.eye(3)])
+    state = Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.3, replicas=3)
+    played = np.array([0, 4, 2])
+    for bad in (np.nan, 1.5):
+        with pytest.raises(ValueError, match="scalar loss"):
+            state.estimate(played, np.array([0.2, bad, -0.4]))
+        with pytest.raises(ValueError, match="scalar loss"):
+            state.update(played, np.array([bad, 0.0, 0.0]))
+    assert np.array_equal(state.cum_estimate, np.zeros((3, 3)))
 
 
 def test_exp2_schedule():
