@@ -32,7 +32,9 @@ class ReplicaDraws:
     (`Generator.random(b)` yields the same doubles as b scalar calls), so a
     replica's draws never depend on the batch it runs in. `total` is the
     number of doubles each replica reads; a stream whose total fits in one
-    block is read once and not kept.
+    block is read once and not kept. A block holds one row per replica, and
+    each stream's next block is read straight into its row, so a replica
+    holds one block at a time.
     """
 
     def __init__(self, streams, total: int):
@@ -47,22 +49,41 @@ class ReplicaDraws:
         if not rows:
             raise ValueError("need at least one stream")
         self.replicas = len(rows)
-        self._fill(rows)
-
-    def _fill(self, rows: list) -> None:
-        self._left -= len(rows[0])
-        self._rows = np.array(rows).T.copy()  # one contiguous row per call
+        self._rows = np.array(rows)
+        self._left -= first
         self._next = 0
 
-    def random(self) -> np.ndarray:
-        if self._next == len(self._rows):
-            if self._left <= 0:
-                raise RuntimeError("replica streams read past their declared total")
-            size = min(self._left, _BLOCK)
-            self._fill([stream.random(size) for stream in self._streams])
-        u = self._rows[self._next]
-        self._next += 1
-        return u
+    def _refill(self) -> None:
+        if self._left <= 0:
+            raise RuntimeError("replica streams read past their declared total")
+        size = min(self._left, _BLOCK)
+        self._rows = None  # free the spent block before reading the next
+        self._rows = np.empty((self.replicas, size))
+        for stream, row in zip(self._streams, self._rows):
+            stream.random(size, out=row)
+        self._left -= size
+        self._next = 0
+
+    def random(self, k: int | None = None) -> np.ndarray:
+        """The next double of each replica, as an (R,) array; with `k`, the
+        next k doubles of each, as a C-contiguous (R, k) array, exactly what
+        `stream.random(k)` would return for each row."""
+        if k is None:
+            if self._next == self._rows.shape[1]:
+                self._refill()
+            u = self._rows[:, self._next]
+            self._next += 1
+            return u
+        parts = []
+        while k > 0:
+            if self._next == self._rows.shape[1]:
+                self._refill()
+            take = min(k, self._rows.shape[1] - self._next)
+            # a copy, so that a refill frees the spent block
+            parts.append(self._rows[:, self._next:self._next + take].copy())
+            self._next += take
+            k -= take
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
 def as_arm(idx):

@@ -3,6 +3,7 @@ capped-simplex Bregman projections, and systematic m-subset sampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -108,23 +109,65 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
 
     The optimum is x_i = min(1, c * w_i); sorting w descending identifies how
     many coordinates saturate at 1, then c is the exact normalizer for the rest.
+    `w` is one point (d,) or one point per row (R, d); each row takes the first
+    k at which c_k = (m - k) / (sum of all but its k largest weights) leaves its
+    k-th largest weight at most 1.
     """
     w = np.asarray(w, dtype=float)
-    d = w.shape[0]
+    d = w.shape[-1]
     if m > d:
         raise ValueError("cap total m exceeds the dimension")
     if (w <= 0.0).any():
         raise ValueError("weights must be strictly positive")
-    order = np.argsort(-w)
-    ws = w[order]
-    suffix = np.cumsum(ws[::-1])[::-1]
-    for k in range(d):
-        c = (m - k) / suffix[k]
-        if c * ws[k] <= 1.0:
-            x = np.minimum(1.0, c * w)
-            x[order[:k]] = 1.0
-            return x
-    return np.ones(d)  # m == d
+    W = w.reshape(-1, d)
+    rows = np.arange(len(W))[:, None]
+    order = np.argsort(-W, axis=-1)
+    ws = W[rows, order]  # each row sorted descending
+    suffix = np.add.accumulate(ws[:, ::-1], axis=-1)[:, ::-1]
+    c = (m - np.arange(d)) / suffix
+    fits = c * ws <= 1.0
+    k = fits.argmax(-1)[:, None]  # the first k that fits (0 when none does)
+    xs = np.minimum(1.0, c[rows, k] * ws)
+    xs[np.arange(d) < k] = 1.0
+    xs[~fits.any(-1)] = 1.0  # m == d
+    x = np.empty_like(W)
+    x[rows, order] = xs
+    return x.reshape(w.shape)
+
+
+def _free_sums(a: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Each row's sum of its entries where `free` holds, as an (R, 1) column,
+    with the bits of the sum of that row's compacted 1-D array. Below 8 terms
+    numpy adds in order, so a zero in place of each other entry changes
+    nothing; from 8 on its pairwise sum groups terms by position, so rows are
+    summed in C-contiguous blocks of rows with the same count."""
+    if a.shape[-1] < 8:
+        return np.add.reduce(np.where(free, a, 0.0), -1, keepdims=True)
+    counts = np.count_nonzero(free, axis=-1)
+    sums = np.empty((len(counts), 1))
+    for c in np.unique(counts):
+        at = counts == c
+        sums[at, 0] = a[at][free[at]].reshape(-1, c).sum(-1) if c else 0.0
+    return sums
+
+
+def _bracket(passes: Callable, held: np.ndarray, sign: float, side: str) -> np.ndarray:
+    """Each row's first of the points 0, sign, 3 sign, 7 sign, ... (200 at
+    most) at which `passes(point)`, taken for every row at once, holds;
+    `held` is whether 0 passes."""
+    end = np.zeros(len(held))
+    open_ = ~held
+    at, step = 0.0, 1.0
+    for _ in range(199):
+        if not np.count_nonzero(open_):
+            return end
+        at += sign * step
+        step *= 2.0
+        end[open_] = at
+        open_ &= ~passes(at)
+    if np.count_nonzero(open_):
+        raise ConvergenceError(f"no {side} bracket for the projection dual")
+    return end
 
 
 def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_TOL,
@@ -133,90 +176,106 @@ def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_T
 
     Solves sum_i min(1, psi(psi_inv(w_i) - lam)) = m for the single dual
     variable lam by Newton steps safeguarded with a bisection bracket.
+    `w` is one point (d,) or one point per row (R, d). Every row keeps its
+    own bracket and dual and stops at its own tolerance or bracket width, so
+    it gets the bits it would get alone; the rows still running are kept
+    together, and a row leaves them when it stops.
     """
     w = np.asarray(w, dtype=float)
-    d = w.shape[0]
+    d = w.shape[-1]
     if m > d:
         raise ValueError("cap total m exceeds the dimension")
-    duals = psi.psi_inv(w)
+    duals = psi.psi_inv(w.reshape(-1, d))
     # a coordinate whose dual reaches psi_inv(1) saturates at 1 (psi(cap) is
     # exactly 1); the clamp keeps psi inside its domain u < a when the bracket
     # search steps lam far down
     cap = float(psi.psi_inv(1.0))
 
-    def value(lam: float) -> np.ndarray:
-        return psi.psi(np.minimum(duals - lam, cap))
+    def value(u: np.ndarray) -> np.ndarray:
+        return np.minimum(1.0, psi.psi(np.minimum(u, cap)))
 
-    def total(lam: float) -> float:
-        return float(np.minimum(1.0, value(lam)).sum())
+    def total(lam) -> np.ndarray:
+        return np.add.reduce(value(duals - lam), -1)
 
-    lo, hi = 0.0, 0.0
-    step = 1.0
-    for _ in range(200):
-        if total(lo) >= m:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise ConvergenceError("no lower bracket for the projection dual")
-    step = 1.0
-    for _ in range(200):
-        if total(hi) <= m:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise ConvergenceError("no upper bracket for the projection dual")
+    held = total(0.0)  # for both ends
+    lo = _bracket(lambda lam: total(lam) >= m, held >= m, -1.0, "lower")[:, None]
+    hi = _bracket(lambda lam: total(lam) <= m, held <= m, 1.0, "upper")[:, None]
     lam = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        vals = value(lam)
-        err = float(np.minimum(1.0, vals).sum()) - m
-        if abs(err) <= tol:
-            return np.minimum(1.0, vals)
-        if err > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        free = vals < 1.0
-        slope = float(psi.psi_prime(duals[free] - lam).sum())
-        nxt = lam + err / slope if slope > 0.0 else lam
-        lam = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        if hi - lo < 1e-16 * max(1.0, abs(hi)):
-            break
-    if abs(total(lam) - m) > 1e-6:
-        raise ConvergenceError("projection dual solve did not converge")
-    return np.minimum(1.0, value(lam))
+    out = np.empty_like(duals)
+    live, D = np.arange(len(duals)), duals  # the rows still running
+    ended = []  # (rows, lam) of rows that stopped on the bracket width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            u = D - lam
+            x = value(u)
+            err = np.add.reduce(x, -1, keepdims=True) - m
+            done = np.abs(err) <= tol
+            up = err > 0.0
+            lo = np.where(up, lam, lo)
+            hi = np.where(up, hi, lam)
+            # a row without slope has lam at one end of its bracket, so its
+            # step (inf or nan) falls outside the bracket and the row bisects
+            nxt = lam + err / _free_sums(psi.psi_prime(u), x < 1.0)
+            lam = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            narrow = hi - lo < 1e-16 * np.maximum(1.0, np.abs(hi))
+            # a row done at this lam has its answer; the step past it is void
+            stop = done | narrow
+            if np.count_nonzero(stop):
+                done, narrow, stop = done[:, 0], narrow[:, 0] & ~done[:, 0], stop[:, 0]
+                out[live[done]] = x[done]
+                ended.append((live[narrow], lam[narrow]))
+                keep = ~stop
+                live, D, lo, hi, lam = (a[keep] for a in (live, D, lo, hi, lam))
+                if not live.size:
+                    break
+    ended.append((live, lam))  # rows the iteration budget ran out on
+    for rows, lam in ended:
+        if rows.size:
+            x = value(duals[rows] - lam)
+            if (np.abs(np.add.reduce(x, -1) - m) > 1e-6).any():
+                raise ConvergenceError("projection dual solve did not converge")
+            out[rows] = x
+    return out.reshape(w.shape)
 
 
 def _madow_cumulative(x, m: int | None) -> tuple[np.ndarray, int]:
+    """Each row's cumulative sums 0, x_1, x_1 + x_2, ..., pinned to end at m
+    (by default the rounded sum of the first row: one m for every row)."""
     x = np.asarray(x, dtype=float)
     if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
         raise ValueError("coordinates must lie in [0, 1]")
-    total = x.sum()
+    total = np.add.reduce(x, -1)
     if m is None:
-        m = int(round(total))
-    if abs(total - m) > 1e-6:
-        raise ValueError(f"coordinates sum to {total}, expected the integer {m}")
-    cum = np.concatenate(([0.0], np.cumsum(np.clip(x, 0.0, 1.0))))
+        m = int(round(float(total.flat[0])))
+    off = ~(np.abs(total - m) <= 1e-6)  # written so that nan is off too
+    if off.any():
+        raise ValueError(f"coordinates sum to {np.ravel(total)[np.ravel(off)][0]}, "
+                         f"expected the integer {m}")
+    cum = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    # the running sums of x clipped to [0, 1]
+    np.add.accumulate(np.minimum(np.maximum(x, 0.0), 1.0), axis=-1, out=cum[..., 1:])
     # pin the endpoint and keep the array monotone against rounding drift
-    cum = np.minimum(cum, float(m))
-    cum[-1] = m
+    np.minimum(cum, float(m), out=cum)
+    cum[..., -1] = m
     return cum, m
 
 
-def _madow_pick(cum: np.ndarray, m: int, u: float) -> np.ndarray:
-    idx = np.searchsorted(cum, u + np.arange(m), side="right") - 1
-    v = np.zeros(cum.shape[0] - 1)
-    v[idx] = 1.0
-    return v
+def _madow_pick(cum: np.ndarray, m: int, u) -> np.ndarray:
+    """The indicator of the items i whose [cum_i, cum_{i+1}) holds one of the
+    thresholds u, u + 1, ..., u + m - 1, with one start u per row: those
+    where the count of thresholds below the sums steps up."""
+    thresholds = np.add.outer(u, np.arange(m))
+    below = np.add.reduce(thresholds[..., None, :] < cum[..., None], -1)
+    return (below[..., 1:] > below[..., :-1]).astype(float)
 
 
-def madow_sample(x, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+def madow_sample(x, rng, m: int | None = None) -> np.ndarray:
     """Systematic sampling of an m-subset with inclusion probabilities exactly x.
 
     A single uniform start u spawns thresholds u, u+1, ..., u+m-1; item i is
     selected when a threshold lands in [cum_{i-1}, cum_i). Requires x in [0,1]^d
-    with integer coordinate sum m.
+    with integer coordinate sum m. With an (R, d) `x` and lockstep draws
+    (`ReplicaDraws`), row r starts at the r-th double.
     """
     cum, m = _madow_cumulative(x, m)
     return _madow_pick(cum, m, rng.random())

@@ -654,6 +654,27 @@ def _run_exp2(p: dict, env: dict, n: int, streams) -> np.ndarray:
     return np.cumsum(paid, axis=-1) - [best(loss) for loss in losses]
 
 
+def _run_osmd(p: dict, env: dict, n: int, streams) -> np.ndarray:
+    """All replicas of osmd-msets in lockstep on one (R, d) point. Each round,
+    each replica reads its d coordinate losses and then its Madow start from
+    its own stream; the competitor, the best m-set on the losses so far, is
+    taken per replica as the rounds come."""
+    d, m = env["d"], env["m"]
+    draws = ReplicaDraws(streams, (d + 1) * n)
+    policy = mirror.OsmdMsets(d, m, n=n, variant=p["variant"], q=p["q"], eta=p["eta"],
+                              replicas=draws.replicas)
+    paid, held = np.empty((draws.replicas, n)), np.empty((draws.replicas, n))
+    cum = np.zeros((draws.replicas, d))
+    for t in range(n):
+        losses = draws.random(d)
+        paid[:, t] = policy.round(losses, draws)[1]
+        cum += losses
+        held[:, t] = np.add.reduce(np.sort(cum)[:, :m], -1)
+    np.cumsum(paid, axis=-1, out=paid)  # in place: no third curve-sized array
+    paid -= held
+    return paid
+
+
 def _run_sgs(p: dict, env: dict, n: int, streams) -> np.ndarray:
     mu, mu_star = env["mu"], env["mu_star"]
     c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
@@ -729,8 +750,9 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays
 # its replicas: run(params, env, n, streams) -> (R, n) curves, `_run_finite`
 # bound to a function of (K, n, params, rng) that binds a finite-arm class,
-# `_run_exp2` for exp2-john's lockstep rows, or `_rounds` for one replica at a
-# time. `check`, as for an environment kind.
+# `_run_exp2` and `_run_osmd` for the lockstep rows of exp2-john and
+# osmd-msets, or `_rounds` for one replica at a time. `check`, as for an
+# environment kind.
 Policy = namedtuple("Policy", "keys kinds run check", defaults=(None,))
 
 
@@ -774,13 +796,7 @@ _POLICIES = {
     # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
                           "q": Key(float, 2.0, "(-inf, inf)"),
-                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",), partial(
-                             _rounds, lambda p, env, n: mirror.OsmdMsets(
-                                 env["d"], env["m"], n=n, variant=p["variant"], q=p["q"],
-                                 eta=p["eta"]),
-                             # each round's d coordinate losses, from the replica's stream
-                             lambda env, n, stream: (stream.random(env["d"]) for _ in range(n)),
-                             lambda env: _hindsight(lambda c: np.sort(c)[:env["m"]].sum())),
+                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",), _run_osmd,
                          check=lambda p, e, n: _require(
                              p["variant"] != "potential" or p["q"] > 1,
                              f"policy.q must exceed 1 for the potential variant, "
@@ -806,8 +822,9 @@ def run_replica(config: dict, env: dict, streams) -> np.ndarray:
 
     `streams` is one replica's Generator, for its 1-D curve, or an iterable
     of per-replica Generators, for an (R, n) array with one row per stream.
-    ucb, exp3, exp3p and exp2-john run all the replicas in lockstep; the
-    other policies run them one after another. Either way row r reads only its own stream.
+    ucb, exp3, exp3p, exp2-john and osmd-msets run all the replicas in
+    lockstep; the other policies run them one after another. Either way row
+    r reads only its own stream.
     """
     config = check_config(config)
     p, n = config["policy_params"], config["horizon"]

@@ -174,7 +174,10 @@ def log_barrier_ball(radius: float) -> LegendreSpec:
 
 
 def omd_step(x: np.ndarray, gradient: np.ndarray, eta: float, spec: LegendreSpec) -> np.ndarray:
-    """Dual gradient step followed by the Bregman projection."""
+    """Dual gradient step followed by the Bregman projection. With a spec
+    whose maps and projection act row by row, as the capped-simplex ones do,
+    x and the gradient may be (R, d), and any row that leaves the dual
+    domain fails the whole step."""
     u = spec.grad_F(np.asarray(x, dtype=float)) - eta * np.asarray(gradient, dtype=float)
     if not spec.dual_domain_check(u):
         raise DomainError("dual step left the gradient image; lower eta or rescale losses")
@@ -286,16 +289,16 @@ class Exp2State:
 
 
 def semibandit_estimate(x: np.ndarray, v: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """Importance-weighted coordinate losses: loss_i * v_i / x_i, zero when inactive."""
+    """Importance-weighted coordinate losses: loss_i * v_i / x_i, zero when
+    inactive; one estimate per row of (R, d) arguments. Any row's active
+    coordinate below `X_FLOOR` fails the whole call."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     losses = np.asarray(losses, dtype=float)
     active = v > 0.0
     if (x[active] < X_FLOOR).any():
         raise ZeroDivisionError("active coordinate fell below the importance floor")
-    est = np.zeros_like(x)
-    est[active] = losses[active] / x[active]
-    return est
+    return np.divide(losses, x, out=np.zeros(x.shape), where=active)
 
 
 def osmd_negent_eta(n: int, d: int, m: int) -> float:
@@ -311,10 +314,15 @@ class OsmdMsets:
 
     Plays a random m-set whose inclusion probabilities match the current
     fractional point, so the played set is an unbiased perturbation of it.
+    With `replicas` set, the point is (R, d), one row per replica, and
+    `select`/`round` take lockstep draws (`ReplicaDraws`): each row's Madow
+    start is the next double of its own stream. Madow sampling, the
+    estimate, the dual step and both projections act on each row as they
+    would on that row alone, so a row has the same bits in any batch.
     """
 
     def __init__(self, d: int, m: int, n: int | None = None, variant: str = "negent",
-                 q: float = 2.0, eta: float | None = None):
+                 q: float = 2.0, eta: float | None = None, replicas: int | None = None):
         if not 1 <= m <= d:
             raise ValueError("need 1 <= m <= d")
         self.d = d
@@ -333,10 +341,10 @@ class OsmdMsets:
                 raise ValueError("need a horizon or an explicit eta")
             eta = default_eta
         self.eta = eta
-        self.x = np.full(d, m / d)
+        self.x = np.full(d if replicas is None else (replicas, d), m / d)
         self.t = 0
 
-    def select(self, rng: np.random.Generator) -> np.ndarray:
+    def select(self, rng) -> np.ndarray:
         return madow_sample(self.x, rng, self.m)
 
     def update(self, v: np.ndarray, losses: np.ndarray) -> None:
@@ -346,9 +354,12 @@ class OsmdMsets:
             self.x = np.maximum(x, X_FLOOR)
         self.t += 1
 
-    def round(self, losses: np.ndarray, rng: np.random.Generator):
+    def round(self, losses: np.ndarray, rng):
+        """Select, pay the played set's loss and update; returns (the played
+        indicator, its loss), one of each per row."""
         v = self.select(rng)
-        incurred = float(v @ losses)
+        # one dot product per row: the bits of `v @ losses` for each
+        incurred = np.matmul(v[..., None, :], losses[..., :, None])[..., 0, 0]
         self.update(v, losses)
         return v, incurred
 
