@@ -95,8 +95,7 @@ def cmd_oracle(args) -> int:
     losses = derive_stream(args.seed, 0).random((n, K))
     exact_loss, exact_regret = adversarial.exact_expectation_oracle(
         lambda: adversarial.Exp3State(K, n=n), losses)
-    totals = harness.exp3_cumulative_losses(
-        losses, (derive_stream(args.seed, i + 1) for i in range(reps)))
+    totals = harness.exp3_cumulative_losses(losses, args.seed, range(1, reps + 1))
     mc = totals.mean()
     sem = totals.std(ddof=1) / np.sqrt(reps)
     z = abs(mc - exact_loss) / max(sem, 1e-12)

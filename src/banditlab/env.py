@@ -12,45 +12,112 @@ ENV_STREAM_ID = 2**63  # reserved stream for config-level (replica-independent) 
 def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     """Return the RNG stream for (master_seed, stream_id).
 
-    Streams are backed by the counter-based Philox generator keyed on both
-    integers, so the draw sequence depends only on the pair and never on
-    scheduling or on draws made from other streams.
+    Streams are backed by the counter-based Philox4x64-10 generator keyed on
+    `[master_seed % 2**64, stream_id % 2**64]`, so the draw sequence depends
+    only on the pair and never on scheduling or on draws made from other
+    streams. `philox_doubles` computes the same doubles without a Generator.
     """
     key = np.array([master_seed % 2**64, stream_id % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10 (Salmon et al. 2011): the round multipliers and Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_PHILOX_CHUNK = 2**14  # counters per pass; larger passes leave the cache
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the 128-bit products m * x, for a constant
+    m and a uint64 array x, from 32-bit halves."""
+    mh, ml = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    xh, xl = x >> _U32, x & _LOW32
+    hl, lh = xh * ml, xl * mh
+    mid = ((xl * ml) >> _U32) + (hl & _LOW32) + (lh & _LOW32)
+    return xh * mh + (hl >> _U32) + (lh >> _U32) + (mid >> _U32), x * np.uint64(m)
+
+
+def _philox_blocks(seed: int, ids: np.ndarray, blocks: int) -> np.ndarray:
+    """The first `blocks` Philox4x64-10 outputs of each key (seed, id), as
+    an (R, 4 blocks) uint64 array. The counter is (c, 0, 0, 0) for c = 1, 2,
+    ..., and each output's four words are read in order."""
+    key0, key1 = seed % 2**64, ids[:, None]
+    zero = np.zeros((1, 1), np.uint64)
+    # rows and counters broadcast: the first round's words depend on one of them
+    c = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero]
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ np.uint64(key0), lo1, hi0 ^ c[3] ^ key1, lo0]
+        key0 = (key0 + _PHILOX_W[0]) % 2**64  # a Python int: no scalar overflow
+        key1 = key1 + np.uint64(_PHILOX_W[1])  # an array wraps silently
+    return np.stack(np.broadcast_arrays(*c), axis=-1).reshape(len(ids), 4 * blocks)
+
+
+def philox_doubles(seed: int, ids, k: int) -> np.ndarray:
+    """The first k doubles of the stream `derive_stream(seed, i)` for every
+    i in `ids`, as an (R, k) array, bit for bit what `.random(k)` returns:
+    each double is `(u64 >> 11) * 2**-53`."""
+    ids = np.array([i % 2**64 for i in ids], dtype=np.uint64)
+    blocks = -(-k // 4)
+    out = np.empty((len(ids), k))
+    step = max(1, _PHILOX_CHUNK // max(blocks, 1))
+    for lo in range(0, len(ids), step):
+        u = _philox_blocks(seed, ids[lo:lo + step], blocks)[:, :k]
+        np.multiply(u >> np.uint64(11), 2.0**-53, out=out[lo:lo + step])
+    return out
+
+
 _BLOCK = 4096  # doubles read from a replica's stream at a time
+# The kernel costs about 0.5 ms a call plus 0.2-0.3 us per stream and counter
+# of four doubles, a Generator about 10-18 us per stream plus 0.06 us per
+# counter; up to 64 doubles per stream the two meet near 32 streams (README,
+# "Replica streams").
+KERNEL_MIN_STREAMS = 32
+KERNEL_MAX_DOUBLES = 64
 
 
 class ReplicaDraws:
     """Uniform doubles for replicas that advance in lockstep.
 
-    `random()` returns one double per replica: the next one of that
-    replica's own stream, exactly the double `stream.random()` would return.
-    Each stream is read in blocks of up to `_BLOCK` doubles
-    (`Generator.random(b)` yields the same doubles as b scalar calls), so a
-    replica's draws never depend on the batch it runs in. `total` is the
-    number of doubles each replica reads; a stream whose total fits in one
-    block is read once and not kept. A block holds one row per replica, and
-    each stream's next block is read straight into its row, so a replica
-    holds one block at a time.
+    Replica r reads the stream `derive_stream(seed, ids[r])`. `random()`
+    returns one double per replica: the next one of that replica's own
+    stream, exactly the double `stream.random()` would return. `total` is
+    the number of doubles each replica reads.
+
+    This is the one place that decides how those doubles are made. A wide
+    batch of short streams, at least `KERNEL_MIN_STREAMS` of them reading at
+    most `KERNEL_MAX_DOUBLES` each, is computed whole by `philox_doubles` in
+    one array pass. Every other batch builds each replica's Generator and
+    reads it in blocks of up to `_BLOCK` doubles (`Generator.random(b)`
+    yields the same doubles as b scalar calls); a stream whose total fits in
+    one block is read once and not kept. A block holds one row per replica,
+    and each stream's next block is read straight into its row, so a replica
+    holds one block at a time. Either way a replica's draws never depend on
+    the batch it runs in.
     """
 
-    def __init__(self, streams, total: int):
-        self._left = total
-        first = min(total, _BLOCK)
-        self._streams = []
-        rows = []
-        for stream in streams:
-            rows.append(stream.random(first))
-            if total > first:
-                self._streams.append(stream)
-        if not rows:
+    def __init__(self, seed: int, ids, total: int):
+        ids = list(ids)
+        if not ids:
             raise ValueError("need at least one stream")
-        self.replicas = len(rows)
-        self._rows = np.array(rows)
-        self._left -= first
+        self.replicas = len(ids)
+        self._streams = []
+        if self.replicas >= KERNEL_MIN_STREAMS and total <= KERNEL_MAX_DOUBLES:
+            self._rows = philox_doubles(seed, ids, total)
+            self._left = 0
+        else:
+            first = min(total, _BLOCK)
+            rows = []
+            for i in ids:
+                stream = derive_stream(seed, i)
+                rows.append(stream.random(first))
+                if total > first:
+                    self._streams.append(stream)
+            self._rows = np.array(rows)
+            self._left = total - first
         self._next = 0
 
     def _refill(self) -> None:

@@ -65,25 +65,24 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
         w[j] = 1.0
         return DesignWeights(w, pts.T @ (w[:, None] * pts))
     w = np.full(N, 1.0 / N)
+    cap = d * (1.0 + tol)
     for _ in range(max_iter):
         P = pts.T @ (w[:, None] * pts)
         lev = np.einsum("ij,ji->i", pts, np.linalg.solve(P, pts.T))
         j_fw = int(lev.argmax())
         g_fw = lev[j_fw]
-        if g_fw <= d * (1.0 + tol):
+        if g_fw <= cap:
             return DesignWeights(w, P)
-        support = np.flatnonzero(w > 0)
-        j_aw = int(support[lev[support].argmin()])
+        j_aw = int(np.where(w > 0, lev, np.inf).argmin())  # least leverage in the support
         g_aw = lev[j_aw]
         if g_fw - d >= d - g_aw:
             # toward step: exact line search for log det
-            s = (g_fw - d) / (g_fw * (d - 1.0)) if d > 1 else 1.0
+            s = (g_fw - d) / (g_fw * (d - 1.0))
             lam = s / (1.0 + s)
             w = (1.0 - lam) * w
             w[j_fw] += lam
         else:
-            s = (d - g_aw) / (g_aw * (d - 1.0)) if d > 1 else w[j_aw]
-            s = min(s, w[j_aw])
+            s = min((d - g_aw) / (g_aw * (d - 1.0)), w[j_aw])
             w = w.copy()
             w[j_aw] -= s
             w /= 1.0 - s

@@ -473,8 +473,8 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
     return np.cumsum(played, axis=-1) - best
 
 
-def _run_finite(state: Callable, p: dict, env: dict, n: int, streams) -> np.ndarray:
-    """One curve per stream for a finite-arm policy.
+def _run_finite(state: Callable, p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
+    """One curve per stream id for a finite-arm policy.
 
     A policy class that declares `draws_per_select` reads that many doubles
     per select(), so all its replicas advance in lockstep on one (R, K)
@@ -485,21 +485,22 @@ def _run_finite(state: Callable, p: dict, env: dict, n: int, streams) -> np.ndar
     make = state(K, n, p, None)
     per_select = getattr(make.func, "draws_per_select", None)
     if per_select is None:
-        return np.vstack([_finite_rounds(state(K, n, p, stream)(), env, n, stream)
-                          for stream in streams])
-    draws = ReplicaDraws(streams, (per_select + (env["kind"] == "stochastic")) * n)
+        streams = (derive_stream(seed, i) for i in ids)
+        return np.vstack([_finite_rounds(state(K, n, p, s)(), env, n, s) for s in streams])
+    draws = ReplicaDraws(seed, ids, (per_select + (env["kind"] == "stochastic")) * n)
     return _finite_rounds(make(replicas=draws.replicas), env, n, draws)
 
 
 def _rounds(make: Callable, seen: Callable, best: Callable | None, p: dict, env: dict,
-            n: int, streams) -> np.ndarray:
-    """One curve per stream for a policy that plays one replica at a time.
+            n: int, seed: int, ids) -> np.ndarray:
+    """One curve per stream id for a policy that plays one replica at a time.
 
-    Each stream gets its own policy, `make(p, env, n)`. `seen(env, n, stream)`
-    yields each round's x, and `policy.round(x, stream)` plays it and returns
-    (action, loss). `best(env)` makes the replica's competitor: a fold that
-    takes each x as it comes and returns the competitor's cumulative loss so
-    far, so no x outlives its round. Without one the curve counts losses.
+    Each stream, `derive_stream(seed, i)`, gets its own policy,
+    `make(p, env, n)`. `seen(env, n, stream)` yields each round's x, and
+    `policy.round(x, stream)` plays it and returns (action, loss).
+    `best(env)` makes the replica's competitor: a fold that takes each x as
+    it comes and returns the competitor's cumulative loss so far, so no x
+    outlives its round. Without one the curve counts losses.
     """
     def curve(stream: np.random.Generator) -> np.ndarray:
         policy = make(p, env, n)
@@ -515,7 +516,7 @@ def _rounds(make: Callable, seen: Callable, best: Callable | None, p: dict, env:
         return paid
 
     # a call per stream frees each replica's policy before the next is built
-    return np.vstack([curve(stream) for stream in streams])
+    return np.vstack([curve(derive_stream(seed, i)) for i in ids])
 
 
 def _hindsight(value: Callable, row: Callable = lambda x: x) -> Callable:
@@ -639,11 +640,11 @@ def _osgd(mode: str) -> Callable:
                    _osgd_best)
 
 
-def _run_exp2(p: dict, env: dict, n: int, streams) -> np.ndarray:
+def _run_exp2(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
     """All replicas of exp2-john in lockstep on one (R, d) state, each round
     reading one double from each replica's stream. Every replica sees the
     same losses, so the competitor is taken once for all of them."""
-    draws = ReplicaDraws(streams, n)
+    draws = ReplicaDraws(seed, ids, n)
     policy = mirror.Exp2State(env["points"], env["design"], n=n, eta=p["eta"],
                               gamma=p["gamma"], replicas=draws.replicas)
     losses = env["losses"][:n]
@@ -654,13 +655,13 @@ def _run_exp2(p: dict, env: dict, n: int, streams) -> np.ndarray:
     return np.cumsum(paid, axis=-1) - [best(loss) for loss in losses]
 
 
-def _run_osmd(p: dict, env: dict, n: int, streams) -> np.ndarray:
+def _run_osmd(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
     """All replicas of osmd-msets in lockstep on one (R, d) point. Each round,
     each replica reads its d coordinate losses and then its Madow start from
     its own stream; the competitor, the best m-set on the losses so far, is
     taken per replica as the rounds come."""
     d, m = env["d"], env["m"]
-    draws = ReplicaDraws(streams, (d + 1) * n)
+    draws = ReplicaDraws(seed, ids, (d + 1) * n)
     policy = mirror.OsmdMsets(d, m, n=n, variant=p["variant"], q=p["q"], eta=p["eta"],
                               replicas=draws.replicas)
     paid, held = np.empty((draws.replicas, n)), np.empty((draws.replicas, n))
@@ -675,7 +676,7 @@ def _run_osmd(p: dict, env: dict, n: int, streams) -> np.ndarray:
     return paid
 
 
-def _run_sgs(p: dict, env: dict, n: int, streams) -> np.ndarray:
+def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
     mu, mu_star = env["mu"], env["mu_star"]
     c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
 
@@ -688,7 +689,7 @@ def _run_sgs(p: dict, env: dict, n: int, streams) -> np.ndarray:
         inc -= mu_star
         return np.cumsum(inc, out=inc)  # in place: no second curve-sized array
 
-    return np.vstack([curve(stream) for stream in streams])
+    return np.vstack([curve(derive_stream(seed, i)) for i in ids])
 
 
 def _check_exp3p(p: dict, e: dict, n: int) -> None:
@@ -748,7 +749,7 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
 
 
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays
-# its replicas: run(params, env, n, streams) -> (R, n) curves, `_run_finite`
+# its replicas: run(params, env, n, seed, ids) -> (R, n) curves, `_run_finite`
 # bound to a function of (K, n, params, rng) that binds a finite-arm class,
 # `_run_exp2` and `_run_osmd` for the lockstep rows of exp2-john and
 # osmd-msets, or `_rounds` for one replica at a time. `check`, as for an
@@ -817,36 +818,37 @@ _POLICIES = {
 }
 
 
-def run_replica(config: dict, env: dict, streams) -> np.ndarray:
+def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     """Cumulative pseudo-regret (or mistake) curves.
 
-    `streams` is one replica's Generator, for its 1-D curve, or an iterable
-    of per-replica Generators, for an (R, n) array with one row per stream.
-    ucb, exp3, exp3p, exp2-john and osmd-msets run all the replicas in
-    lockstep; the other policies run them one after another. Either way row
-    r reads only its own stream.
+    `ids` is one replica's stream id, for its 1-D curve, or a sequence of
+    ids, for an (R, n) array with one row per id; row r reads only the
+    stream `derive_stream(seed, ids[r])`. ucb, exp3, exp3p, exp2-john and
+    osmd-msets run all the replicas in lockstep on `ReplicaDraws`; the other
+    policies run them one after another, each on its own Generator.
     """
     config = check_config(config)
     p, n = config["policy_params"], config["horizon"]
-    single = isinstance(streams, np.random.Generator)
-    streams = [streams] if single else streams
+    single = isinstance(ids, numbers.Integral)
+    ids = [ids] if single else ids
     if n == 0:  # no round to play, so no policy to build
-        curves = np.empty((sum(1 for _ in streams), 0))
+        curves = np.empty((len(ids), 0))
     else:
-        curves = _POLICIES[config["policy"]].run(p, env, n, streams)
+        curves = _POLICIES[config["policy"]].run(p, env, n, seed, ids)
     return curves[0] if single else curves
 
 
-def exp3_cumulative_losses(loss_matrix, streams) -> np.ndarray:
-    """Each stream's cumulative loss under default `exp3` on the oblivious
-    adversary `loss_matrix` (one row per round), one replica per stream: the
-    Monte Carlo side of `adversarial.exact_expectation_oracle`."""
+def exp3_cumulative_losses(loss_matrix, seed: int, ids) -> np.ndarray:
+    """Each replica's cumulative loss under default `exp3` on the oblivious
+    adversary `loss_matrix` (one row per round), replica r on the stream
+    `derive_stream(seed, ids[r])`: the Monte Carlo side of
+    `adversarial.exact_expectation_oracle`."""
     matrix = np.asarray(loss_matrix, dtype=float)
     n = len(matrix)
     config = {"policy": "exp3", "horizon": n, "policy_params": {},
               "env_kind": "oblivious", "env_params": {"losses": matrix}, "overlays": []}
     env = build_environment("oblivious", config["env_params"], n, 0)
-    curves = run_replica(config, env, streams)
+    curves = run_replica(config, env, seed, ids)
     return curves[:, -1] + matrix.sum(axis=0).min()
 
 
@@ -924,8 +926,7 @@ def run_experiment(config: dict) -> RegretReport:
     n, replicas, seed = config["horizon"], config["replicas"], config["seed"]
     env = build_environment(config["env_kind"], config["env_params"], n, seed)
     overlays = {name: compute_overlay(name, config, env) for name in config["overlays"]}
-    # streams are derived as the runner reaches them, not all up front
-    stacked = run_replica(config, env, (derive_stream(seed, i) for i in range(replicas)))
+    stacked = run_replica(config, env, seed, range(replicas))
 
     mean_curve = stacked.mean(axis=0)
     if replicas > 1:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from . import adversarial, contextual, convex, geometry, mirror
-from .env import derive_stream
+from .env import ENV_STREAM_ID, KERNEL_MAX_DOUBLES, derive_stream, philox_doubles
 
 SELFTEST_SEED = 20240601
 
@@ -196,6 +196,20 @@ def check_sgs_bracket_identities(seed: int = SELFTEST_SEED):
     return worst <= 1e-12, f"max golden-ratio deviation {worst:.2e}"
 
 
+def check_philox_kernel_agreement(seed: int = SELFTEST_SEED):
+    """The vectorized Philox kernel returns the doubles of numpy's Philox
+    streams bit for bit, so a numpy whose Philox or `random()` conversion
+    differs fails here instead of silently changing reports."""
+    rng = derive_stream(seed, 8)
+    ids = [0, 1, ENV_STREAM_ID, 2**64 - 1] + rng.integers(0, 2**64, 28, dtype=np.uint64).tolist()
+    keys = (seed, ENV_STREAM_ID, 2**64 - 1)
+    differ = sum(not np.array_equal(row, derive_stream(key, i).random(KERNEL_MAX_DOUBLES))
+                 for key in keys
+                 for row, i in zip(philox_doubles(key, ids, KERNEL_MAX_DOUBLES), ids))
+    return differ == 0, (f"{differ} of {len(keys) * len(ids)} streams differ "
+                         f"in their first {KERNEL_MAX_DOUBLES} doubles")
+
+
 def _random_capped_point(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Random point of [0,1]^d with coordinate sum exactly m."""
     if m >= d:
@@ -223,6 +237,7 @@ CHECKS = [
     ("madow-inclusion", check_madow_inclusion),
     ("exp3-omd-agreement", check_exp3_omd_agreement),
     ("sgs-bracket-identities", check_sgs_bracket_identities),
+    ("philox-kernel-agreement", check_philox_kernel_agreement),
 ]
 
 

@@ -68,8 +68,7 @@ def test_criterion_03_exp3_exact_oracle():
                 lambda: Exp3State(2, n=n), losses)
             assert exact_regret <= math.sqrt(2 * n * 2 * math.log(2)) + 1e-9
             totals = harness.exp3_cumulative_losses(
-                losses, (derive_stream(SEED, checked * replicas + i + 1)
-                         for i in range(replicas)))
+                losses, SEED, range(checked * replicas + 1, (checked + 1) * replicas + 1))
             sem = totals.std(ddof=1) / math.sqrt(replicas)
             assert abs(totals.mean() - exact_loss) <= 3 * sem
             checked += 1
@@ -102,8 +101,7 @@ def test_criterion_05_minimax_lower_bound_construction():
         params = {"k": K, "eps": eps, "best": best}
         cfg = _config("exp3", "lower-bound", params, n, replicas)
         env = harness.build_environment("lower-bound", params, n, SEED)
-        curves = harness.run_replica(
-            cfg, env, (derive_stream(SEED, r) for r in range(best, replicas, K)))
+        curves = harness.run_replica(cfg, env, SEED, range(best, replicas, K))
         values[best::K] = curves[:, -1]
     mean = values.mean()
     sem = values.std(ddof=1) / math.sqrt(replicas)

@@ -177,7 +177,6 @@ def test_monte_carlo_matches_oracle_three_sems():
     losses = rng.random((5, 2))
     exact_loss, _ = exact_expectation_oracle(lambda: Exp3State(2, n=5), losses)
     reps = 3000
-    totals = harness.exp3_cumulative_losses(
-        losses, (derive_stream(6, i + 1) for i in range(reps)))
+    totals = harness.exp3_cumulative_losses(losses, 6, range(1, reps + 1))
     sem = totals.std(ddof=1) / math.sqrt(reps)
     assert abs(totals.mean() - exact_loss) <= 3 * sem

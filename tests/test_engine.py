@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from banditlab import env as env_module
 from banditlab import geometry, harness
 from banditlab.adversarial import (
     Exp3PState,
@@ -15,6 +16,7 @@ from banditlab.adversarial import (
     importance_loss_estimate,
 )
 from banditlab.env import (
+    KERNEL_MIN_STREAMS,
     BernoulliArm,
     DiscreteArm,
     ReplicaDraws,
@@ -155,12 +157,32 @@ def test_rows_equal_single_stream_runs(name):
     cfg = _config(*CASES[name])
     env = harness.build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"],
                                     cfg["seed"])
-    batch = harness.run_replica(cfg, env, [derive_stream(cfg["seed"], r) for r in range(5)])
+    batch = harness.run_replica(cfg, env, cfg["seed"], range(5))
     assert batch.shape == (5, cfg["horizon"])
     for r in range(5):
-        single = harness.run_replica(cfg, env, derive_stream(cfg["seed"], r))
+        single = harness.run_replica(cfg, env, cfg["seed"], r)
         assert single.shape == (cfg["horizon"],)
         assert np.array_equal(batch[r], single)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items()
+                                        if case[0] in ("ucb", "exp3", "exp3p", "exp2-john",
+                                                       "osmd-msets")))
+def test_kernel_rows_equal_single_stream_runs(monkeypatch, name):
+    # at 8 rounds every lockstep policy reads at most KERNEL_MAX_DOUBLES doubles
+    # per replica, so a batch of KERNEL_MIN_STREAMS comes from the Philox
+    # kernel and one replica from its Generator
+    cfg = _config(*CASES[name][:4], 8, KERNEL_MIN_STREAMS, CASES[name][6])
+    env = harness.build_environment(cfg["env_kind"], cfg["env_params"], 8, cfg["seed"])
+    derived = []
+    monkeypatch.setattr(env_module, "derive_stream",
+                        lambda seed, i, derive=derive_stream: derived.append(i) or derive(seed, i))
+    ids = range(2**63 - 5, 2**63 - 5 + KERNEL_MIN_STREAMS)
+    batch = harness.run_replica(cfg, env, cfg["seed"], ids)
+    assert derived == []
+    for row, i in zip(batch, ids):
+        assert np.array_equal(row, harness.run_replica(cfg, env, cfg["seed"], i))
+    assert len(derived) == KERNEL_MIN_STREAMS
 
 
 def test_one_design_per_experiment(monkeypatch):
@@ -185,10 +207,10 @@ def test_replica_memory_holds_no_round_inputs():
         cfg = _config("osmd-msets", {"variant": "negent"}, "semibandit",
                       {"d": "6", "m": "2"}, n, 1, 3)
         env = harness.build_environment("semibandit", cfg["env_params"], n, 3)
-        harness.run_replica(cfg, env, derive_stream(3, 0))  # warm every cache first
+        harness.run_replica(cfg, env, 3, 0)  # warm every cache first
         tracemalloc.start()
         try:
-            harness.run_replica(cfg, env, derive_stream(3, 0))
+            harness.run_replica(cfg, env, 3, 0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,7 +231,7 @@ def test_overlays_need_a_round(no_replicas, overlay):
 
 def test_replica_draws_match_scalar_draws_across_blocks():
     total = 4100  # past the first block of 4096 doubles
-    draws = ReplicaDraws([derive_stream(3, r) for r in range(3)], total=total)
+    draws = ReplicaDraws(3, range(3), total=total)
     got = np.array([draws.random() for _ in range(total)])
     for r in range(3):
         stream = derive_stream(3, r)
@@ -231,14 +253,14 @@ def test_lockstep_runs_discrete_arms(policy):
     arms = [DiscreteArm([0.0, 0.5, 1.0], [0.2, 0.5, 0.3]), BernoulliArm(0.4)]
     env = {"kind": "stochastic", "env": StochasticEnv(arms), "K": 2}
     config = _config(policy, {}, "stochastic", {"means": "0.5"}, 150, 3, 0)
-    rows = harness.run_replica(config, env, [derive_stream(8, r) for r in range(3)])
-    singles = [harness.run_replica(config, env, derive_stream(8, r)) for r in range(3)]
+    rows = harness.run_replica(config, env, 8, range(3))
+    singles = [harness.run_replica(config, env, 8, r) for r in range(3)]
     assert np.array_equal(rows, np.vstack(singles))
 
 
 def test_sample_categorical_rows_match_one_row_at_a_time():
     p = derive_stream(4, 0).dirichlet(np.ones(5), size=6)
-    draws = ReplicaDraws([derive_stream(5, r) for r in range(6)], total=1)
+    draws = ReplicaDraws(5, range(6), total=1)
     rows = sample_categorical(p, draws)
     singles = [sample_categorical(p[r], derive_stream(5, r)) for r in range(6)]
     assert rows.tolist() == singles
@@ -247,7 +269,7 @@ def test_sample_categorical_rows_match_one_row_at_a_time():
 
 def test_lockstep_checks_hold_per_row():
     env = StochasticEnv.bernoulli([0.5, 0.5])
-    draws = ReplicaDraws([derive_stream(1, r) for r in range(2)], total=1)
+    draws = ReplicaDraws(1, range(2), total=1)
     with pytest.raises(IndexError):
         env.sample_reward(np.array([0, 2]), draws)
     p = np.array([[0.5, 0.5], [1.0, 0.0]])

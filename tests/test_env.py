@@ -1,14 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from banditlab import env as env_module
 from banditlab.adversarial import Exp3State, exp_weights, importance_loss_estimate
 from banditlab.env import (
+    ENV_STREAM_ID,
+    KERNEL_MAX_DOUBLES,
+    KERNEL_MIN_STREAMS,
     NonObliviousAdversary,
     ObliviousAdversary,
+    ReplicaDraws,
     RunTrace,
     StochasticEnv,
     derive_stream,
     lower_bound_env,
+    philox_doubles,
     pseudo_regret_oblivious,
     pseudo_regret_stochastic,
 )
@@ -120,6 +128,49 @@ def test_derive_stream_determinism_and_independence():
     assert not np.array_equal(a, c)
     draws = derive_stream(123, 5).random(10**5)
     assert abs(draws.mean() - 0.5) < 0.01
+
+
+def _generator_doubles(seed: int, ids, k: int) -> np.ndarray:
+    return np.array([derive_stream(seed, i).random(k) for i in ids])
+
+
+@pytest.mark.parametrize("k", [*range(1, 10), KERNEL_MAX_DOUBLES])
+def test_philox_kernel_matches_numpy_philox(k):
+    rng = derive_stream(31, k)
+    ids = [ENV_STREAM_ID, 2**64 - 1, 0, *rng.integers(0, 2**64, 12, dtype=np.uint64).tolist(),
+           # Python ints past uint64, reduced mod 2**64 as derive_stream does
+           2**64, 2**64 + 7, 2**70 + 3, -1]
+    seeds = [ENV_STREAM_ID, 2**64 - 1, 2**64 + 11,
+             *rng.integers(0, 2**64, 3, dtype=np.uint64).tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no scalar uint64 overflow in the key schedule
+        for seed in seeds:
+            got = philox_doubles(seed, ids, k)
+            assert got.shape == (len(ids), k)
+            assert np.array_equal(got, _generator_doubles(seed, ids, k))
+
+
+def test_philox_kernel_passes_join_where_rows_split(monkeypatch):
+    monkeypatch.setattr(env_module, "_PHILOX_CHUNK", 8)  # 9 doubles: 2 rows per pass
+    ids = range(2**63 - 3, 2**63 + 4)
+    assert np.array_equal(philox_doubles(5, ids, 9), _generator_doubles(5, ids, 9))
+
+
+@pytest.mark.parametrize("R", [KERNEL_MIN_STREAMS - 1, KERNEL_MIN_STREAMS])
+@pytest.mark.parametrize("total", [KERNEL_MAX_DOUBLES, KERNEL_MAX_DOUBLES + 1])
+def test_replica_draws_read_the_same_doubles_on_both_sides_of_the_rule(monkeypatch, R, total):
+    ids = [3 * r + 2**63 for r in range(R)]
+    derived = []
+    derive = env_module.derive_stream
+    monkeypatch.setattr(env_module, "derive_stream",
+                        lambda seed, i: derived.append(i) or derive(seed, i))
+    draws = ReplicaDraws(7, ids, total)
+    on_kernel = R >= KERNEL_MIN_STREAMS and total <= KERNEL_MAX_DOUBLES
+    assert len(derived) == (0 if on_kernel else R)
+    got = np.hstack([draws.random(5), *(draws.random()[:, None] for _ in range(total - 5))])
+    assert np.array_equal(got, _generator_doubles(7, ids, total))
+    with pytest.raises(RuntimeError):
+        draws.random()
 
 
 def _grudge_reference(history, K: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from banditlab import harness
 from banditlab.env import derive_stream
 from banditlab.geometry import (
+    DESIGN_TOL,
+    MAX_ITER,
     doptimal_design,
     madow_inclusion_probabilities,
     madow_sample,
@@ -75,6 +78,47 @@ def test_design_canonical_basis():
     assert np.allclose(design.design_matrix, np.eye(4) / 4, atol=1e-6)
     lev = design.leverage(np.eye(4))
     assert np.allclose(lev, 4.0, atol=1e-5)
+
+
+def _frozen_design(pts, tol=DESIGN_TOL, max_iter=MAX_ITER):
+    """Reference copy of doptimal_design's Frank-Wolfe loop for d > 1, with
+    the support as an index array and the certificate rebuilt each step."""
+    N, d = pts.shape
+    w = np.full(N, 1.0 / N)
+    for _ in range(max_iter):
+        P = pts.T @ (w[:, None] * pts)
+        lev = np.einsum("ij,ji->i", pts, np.linalg.solve(P, pts.T))
+        j_fw = int(lev.argmax())
+        g_fw = lev[j_fw]
+        if g_fw <= d * (1.0 + tol):
+            return w, P
+        support = np.flatnonzero(w > 0)
+        j_aw = int(support[lev[support].argmin()])
+        g_aw = lev[j_aw]
+        if g_fw - d >= d - g_aw:
+            s = (g_fw - d) / (g_fw * (d - 1.0)) if d > 1 else 1.0
+            lam = s / (1.0 + s)
+            w = (1.0 - lam) * w
+            w[j_fw] += lam
+        else:
+            s = (d - g_aw) / (g_aw * (d - 1.0)) if d > 1 else w[j_aw]
+            s = min(s, w[j_aw])
+            w = w.copy()
+            w[j_aw] -= s
+            w /= 1.0 - s
+    raise AssertionError("the frozen loop ran out of iterations")
+
+
+def test_design_keeps_the_bits_of_the_frozen_loop():
+    # the point sets of 50 linear-points environments (d = 3, 20 points),
+    # drawn from stream ENV_STREAM_ID of seeds 0-49
+    for seed in range(50):
+        pts = harness.build_environment("linear-points", {"d": "3", "n_points": "20"},
+                                        1, seed)["points"]
+        design = doptimal_design(pts)
+        w, P = _frozen_design(pts)
+        assert np.array_equal(design.weights, w)
+        assert np.array_equal(design.design_matrix, P)
 
 
 def test_design_one_dimensional():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from banditlab import cli, harness
-from banditlab.env import derive_stream
 from banditlab.harness import (
     ConfigError,
     RegretReport,
@@ -93,7 +92,7 @@ def test_same_config_gives_byte_identical_csv():
 def test_aggregation_is_exact_mean():
     cfg = _config(replicas=5, overlays=[])
     env = build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"], cfg["seed"])
-    curves = [run_replica(cfg, env, derive_stream(cfg["seed"], i)) for i in range(5)]
+    curves = [run_replica(cfg, env, cfg["seed"], i) for i in range(5)]
     report = run_experiment(cfg)
     assert np.allclose(report.mean_curve, np.mean(curves, axis=0), atol=1e-12)
     sem = np.std(curves, axis=0, ddof=1) / math.sqrt(5)

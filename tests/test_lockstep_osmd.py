@@ -153,7 +153,7 @@ def test_madow_rows_match_one_row_draws():
     R, d, m = 7, 6, 2
     x = np.vstack([project_capped_simplex_negent(_weights(rng, 1, d)[0], m) for _ in range(R)])
     x[0] = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]  # a binary row picks itself
-    draws = ReplicaDraws([derive_stream(5, r) for r in range(R)], 1)
+    draws = ReplicaDraws(5, range(R), 1)
     rows = madow_sample(x, draws, m)
     singles = [madow_sample(x[r], derive_stream(5, r), m) for r in range(R)]
     assert np.array_equal(rows, singles)
@@ -184,7 +184,7 @@ def test_madow_thresholds_on_the_sums_pick_the_later_item():
 def test_osmd_rows_match_one_row_states(variant):
     R, d, m, n = 4, 7, 3, 300
     batch = OsmdMsets(d, m, n=n, variant=variant, replicas=R)
-    draws = ReplicaDraws([derive_stream(6, r) for r in range(R)], (d + 1) * n)
+    draws = ReplicaDraws(6, range(R), (d + 1) * n)
     rows = [OsmdMsets(d, m, n=n, variant=variant) for _ in range(R)]
     streams = [derive_stream(6, r) for r in range(R)]
     for _ in range(n):
@@ -197,7 +197,7 @@ def test_osmd_rows_match_one_row_states(variant):
 
 def test_replica_draws_read_blocks_of_k_across_block_ends():
     R, k, reads = 3, 7, 1200  # 8400 doubles: two block ends of 4096, neither at a read's end
-    draws = ReplicaDraws([derive_stream(4, r) for r in range(R)], k * reads)
+    draws = ReplicaDraws(4, range(R), k * reads)
     got = [draws.random(k) for _ in range(reads)]
     assert all(block.shape == (R, k) and block.flags.c_contiguous for block in got)
     for r in range(R):
@@ -222,7 +222,7 @@ def test_estimate_floor_holds_per_row():
 
 def test_madow_sum_check_holds_per_row():
     x = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.4]])
-    draws = ReplicaDraws([derive_stream(2, r) for r in range(3)], 2)
+    draws = ReplicaDraws(2, range(3), 2)
     with pytest.raises(ValueError, match="expected the integer 2"):
         madow_sample(x, draws, 2)
     x[2, 3] = np.nan

@@ -162,7 +162,7 @@ def test_exp2_rows_match_one_row_states():
         losses /= np.linalg.norm(losses, axis=1, keepdims=True)
         design = doptimal_design(pts)
         batch = Exp2State(pts, design, n=n, replicas=R)
-        draws = ReplicaDraws([derive_stream(seed, r) for r in range(R)], n)
+        draws = ReplicaDraws(seed, range(R), n)
         rows = [Exp2State(pts, design, n=n) for _ in range(R)]
         streams = [derive_stream(seed, r) for r in range(R)]
         for loss in losses:

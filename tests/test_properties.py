@@ -22,7 +22,7 @@ def test_exp3p_probs_keep_their_floor_every_round():
         K, n, R = int(rng.integers(2, 8)), int(rng.integers(20, 200)), 3
         delta = float(rng.uniform(0.01, 0.99))
         policy = Exp3PState.from_horizon(K, n, delta, replicas=R)
-        draws = ReplicaDraws([derive_stream(PROPERTY_SEED + trial, r) for r in range(R)], n)
+        draws = ReplicaDraws(PROPERTY_SEED + trial, range(R), n)
         floor = policy.gamma / K
         gains = rng.random((n, K))  # one gain sequence, as an oblivious adversary plays
         for t in range(n):
