@@ -14,7 +14,7 @@ from .env import derive_stream
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to an INI experiment file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", default=None, choices=["csv", "json", "svg"])
+    p.add_argument("--format", default=None, choices=list(harness.RENDERERS))
     p.add_argument("--replicas", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--assert-bounds", action="store_true",

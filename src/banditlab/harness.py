@@ -6,7 +6,6 @@ from __future__ import annotations
 import configparser
 import copy
 import csv
-import io
 import json
 import math
 import numbers
@@ -117,9 +116,8 @@ def _resolve(section: str, keys: dict, given: dict) -> dict:
 
 _EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000, "[0, inf)"),
                     "replicas": Key(int, 1, "[1, inf)"), "seed": Key(int, 0, "(-inf, inf)")}
-_OUTPUT_KEYS = {"dir": Key(str, "."), "format": Key(_choice("csv", "json", "svg"), "csv"),
-                "basename": Key(str, "report")}
-# the entries of a config dict that are not [experiment] keys
+# the entries of a config dict that are not [experiment] keys; the [output]
+# keys, `_OUTPUT_KEYS`, sit with the renderers under emission
 _SECTIONS = ("policy_params", "env_kind", "env_params", "overlays", "output")
 
 
@@ -1089,39 +1087,58 @@ def assert_bounds(report: RegretReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def emit(report: RegretReport, fmt: str, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path.write_text(render_csv(report))
-    elif fmt == "json":
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    elif fmt == "svg":
-        path.write_text(render_svg(report))
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    return path
+# Each renderer turns a curve into Python floats with `tolist()` and formats
+# them in one pass, so no numpy scalar is made per round. The CSV and SVG
+# passes go in blocks of `_BLOCK` rounds, so a long curve's floats and row
+# strings are never alive all at once. tests/test_emit.py pins their bytes
+# against frozen per-round renderers.
+_BLOCK = 4096
+
+
+def _blocks(*curves) -> Iterator[tuple]:
+    """For each block of `_BLOCK` rounds: its first index, then each curve's
+    values in it as Python floats."""
+    for lo in range(0, len(curves[0]), _BLOCK):
+        yield (lo, *(np.asarray(c[lo:lo + _BLOCK], dtype=float).tolist() for c in curves))
 
 
 def render_csv(report: RegretReport) -> str:
-    buf = io.StringIO()
-    overlay_names = sorted(report.overlays)
-    buf.write(f"# {report.schema}\n")
-    cols = ["round", "mean_regret", "sem"] + [f"overlay_{n}" for n in overlay_names]
-    buf.write(",".join(cols) + "\n")
-    for t in range(report.horizon):
-        row = [str(t + 1), repr(float(report.mean_curve[t])), repr(float(report.sem_curve[t]))]
-        row += [repr(float(report.overlays[n])) for n in overlay_names]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    """The schema line, the column names, then one row per round: the round,
+    the mean regret, its SEM and each overlay's value, overlays by name."""
+    names = sorted(report.overlays)
+    columns = ",".join(["round", "mean_regret", "sem"] + [f"overlay_{k}" for k in names])
+    tail = "".join(f",{float(report.overlays[k])!r}" for k in names)
+    parts = [f"# {report.schema}\n{columns}\n"]
+    for lo, means, sems in _blocks(report.mean_curve, report.sem_curve):
+        parts.append("".join([f"{t},{mean!r},{sem!r}{tail}\n"
+                              for t, mean, sem in zip(range(lo + 1, lo + _BLOCK + 1), means, sems)]))
+    return "".join(parts)
+
+
+def render_json(report: RegretReport) -> str:
+    """`report.to_dict()` exactly as `json.dumps(..., indent=2, sort_keys=True)`
+    writes it. `indent` selects the pure-Python encoder, so each curve goes
+    through the C encoder instead, with the indent as its item separator; both
+    write floats with `float.__repr__`, and NaN and Infinity alike."""
+    fields = report.to_dict()
+    entries = []
+    for key in sorted(fields):
+        value = fields.pop(key)  # a curve's floats go once its text is made
+        if isinstance(value, list) and value:
+            items = json.dumps(value, separators=(",\n    ", ": "))[1:-1]
+            text = f"[\n    {items}\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        entries.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def render_svg(report: RegretReport, width: int = 640, height: int = 400) -> str:
     """Self-contained line chart: the regret curve plus horizontal overlays."""
     margin = 50
     n = max(report.horizon, 1)
-    values = list(report.mean_curve) if report.horizon else [0.0]
-    ymax = max([max(values), *report.overlays.values(), 1e-12])
+    values = report.mean_curve.tolist() if report.horizon else [0.0]
+    ymax = max([max(values), *report.overlays.values(), 1e-12])  # Python's: a leading nan stays
     xs = lambda t: margin + (width - 2 * margin) * t / n
     ys = lambda v: height - margin - (height - 2 * margin) * v / ymax
     parts = [
@@ -1141,11 +1158,15 @@ def render_svg(report: RegretReport, width: int = 640, height: int = 400) -> str
             f'<text x="{margin - 6}" y="{ys(frac * ymax):.1f}" font-size="10" '
             f'text-anchor="end">{frac * ymax:.3g}</text>')
     if report.horizon:
-        pts = " ".join(f"{xs(t + 1):.2f},{ys(v):.2f}"
-                       for t, v in enumerate(report.mean_curve))
+        # xs and ys on whole arrays: (width - 2 * margin) * t / n on ints
+        # below 2**53 rounds as Python's int true division does, and every
+        # other step is the same IEEE operation as on one float
+        pts = " ".join(" ".join([f"{x:.2f},{y:.2f}" for x, y in zip(px, py)]) for _, px, py
+                       in _blocks(xs(np.arange(1, report.mean_curve.size + 1)),
+                                  ys(report.mean_curve)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" '
                      f'stroke-width="1.5"/>')
-    for i, (name, value) in enumerate(sorted(report.overlays.items())):
+    for name, value in sorted(report.overlays.items()):
         if value <= ymax:
             y = ys(value)
             parts.append(f'<line x1="{margin}" y1="{y:.2f}" x2="{width - margin}" '
@@ -1157,3 +1178,19 @@ def render_svg(report: RegretReport, width: int = 640, height: int = 400) -> str
                  f'(n={report.horizon}, replicas={report.replicas})</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# the output formats, each with the renderer of a whole report as its text
+RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
+_OUTPUT_KEYS = {"dir": Key(str, "."), "format": Key(_choice(*RENDERERS), "csv"),
+                "basename": Key(str, "report")}
+
+
+def emit(report: RegretReport, fmt: str, path) -> Path:
+    """Write the report's `fmt` rendering to `path`, making its directory."""
+    if fmt not in RENDERERS:
+        raise ConfigError(f"unknown output format {fmt!r}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(RENDERERS[fmt](report))
+    return path
