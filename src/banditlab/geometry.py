@@ -116,7 +116,7 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
     d = w.shape[-1]
     if m > d:
         raise ValueError("cap total m exceeds the dimension")
-    if (w <= 0.0).any():
+    if not (w > 0.0).all():  # written so that nan fails too
         raise ValueError("weights must be strictly positive")
     W = w.reshape(-1, d)
     rows = np.arange(len(W))[:, None]
@@ -135,18 +135,18 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
 
 
 def _free_sums(a: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Each row's sum of its entries where `free` holds, as an (R, 1) column,
-    with the bits of the sum of that row's compacted 1-D array. Below 8 terms
-    numpy adds in order, so a zero in place of each other entry changes
-    nothing; from 8 on its pairwise sum groups terms by position, so rows are
-    summed in C-contiguous blocks of rows with the same count."""
+    """Each row's sum of its entries where `free` holds, with the bits of the
+    sum of that row's compacted 1-D array. Below 8 terms numpy adds in order,
+    so a zero in place of each other entry changes nothing; from 8 on its
+    pairwise sum groups terms by position, so rows are summed in C-contiguous
+    blocks of rows with the same count."""
     if a.shape[-1] < 8:
-        return np.add.reduce(np.where(free, a, 0.0), -1, keepdims=True)
+        return np.add.reduce(np.where(free, a, 0.0), -1)
     counts = np.count_nonzero(free, axis=-1)
-    sums = np.empty((len(counts), 1))
+    sums = np.empty(len(counts))
     for c in np.unique(counts):
         at = counts == c
-        sums[at, 0] = a[at][free[at]].reshape(-1, c).sum(-1) if c else 0.0
+        sums[at] = a[at][free[at]].reshape(-1, c).sum(-1) if c else 0.0
     return sums
 
 
@@ -175,16 +175,27 @@ def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_T
 
     Solves sum_i min(1, psi(psi_inv(w_i) - lam)) = m for the single dual
     variable lam by Newton steps safeguarded with a bisection bracket.
-    `w` is one point (d,) or one point per row (R, d). Every row keeps its
-    own bracket and dual and stops at its own tolerance or bracket width, so
-    it gets the bits it would get alone; the rows still running are kept
-    together, and a row leaves them when it stops.
+    `w` is one point (d,) or one point per row (R, d), every weight > 0.
+    Every row keeps its own bracket and dual and stops at its own tolerance
+    or bracket width, so it gets the bits it would get alone; the rows still
+    running are kept together, and a row leaves them when it stops.
+
+    Each Newton iteration evaluates psi, psi' and the two row sums on the
+    running rows' (k, d) array; each row's bracket, dual and stopping rules
+    then run on Python floats. Python's float + - * / and comparisons are the
+    same correctly rounded IEEE-754 double operations as numpy's float64
+    ufuncs, so a row's dual has the bits the array form gives it.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
     if m > d:
         raise ValueError("cap total m exceeds the dimension")
+    if not (w > 0.0).all():  # written so that nan fails too
+        raise ValueError("weights must be strictly positive")
     duals = psi.psi_inv(w.reshape(-1, d))
+    out = np.empty_like(duals)
+    if not len(duals):
+        return out.reshape(w.shape)
     # a coordinate whose dual reaches psi_inv(1) saturates at 1 (psi(cap) is
     # exactly 1); the clamp keeps psi inside its domain u < a when the bracket
     # search steps lam far down
@@ -197,43 +208,59 @@ def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_T
         return np.add.reduce(value(duals - lam), -1)
 
     held = total(0.0)  # for both ends
-    lo = _bracket(lambda lam: total(lam) >= m, held >= m, -1.0, "lower")[:, None]
-    hi = _bracket(lambda lam: total(lam) <= m, held <= m, 1.0, "upper")[:, None]
-    lam = 0.5 * (lo + hi)
-    out = np.empty_like(duals)
+    lo = _bracket(lambda lam: total(lam) >= m, held >= m, -1.0, "lower").tolist()
+    hi = _bracket(lambda lam: total(lam) <= m, held <= m, 1.0, "upper").tolist()
+    lam = [0.5 * (a + b) for a, b in zip(lo, hi)]
     live, D = np.arange(len(duals)), duals  # the rows still running
     ended = []  # (rows, lam) of rows that stopped on the bracket width
+    # psi' may be inf or nan on a saturated coordinate, which no slope reads
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            u = D - lam
+            u = D - np.array(lam)[:, None]
             x = value(u)
-            err = np.add.reduce(x, -1, keepdims=True) - m
-            done = np.abs(err) <= tol
-            up = err > 0.0
-            lo = np.where(up, lam, lo)
-            hi = np.where(up, hi, lam)
-            # a row without slope has lam at one end of its bracket, so its
-            # step (inf or nan) falls outside the bracket and the row bisects
-            nxt = lam + err / _free_sums(psi.psi_prime(u), x < 1.0)
-            lam = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            narrow = hi - lo < 1e-16 * np.maximum(1.0, np.abs(hi))
-            # a row done at this lam has its answer; the step past it is void
-            stop = done | narrow
-            if np.count_nonzero(stop):
-                done, narrow, stop = done[:, 0], narrow[:, 0] & ~done[:, 0], stop[:, 0]
+            sums = np.add.reduce(x, -1).tolist()
+            slopes = _free_sums(psi.psi_prime(u), x < 1.0).tolist()
+            running = enumerate(zip(sums, slopes, lo, hi, lam))
+            # row i's bracket is [a, b] and its dual c; lo, hi and lam are
+            # rebuilt from the rows that keep running
+            done, narrow, ends, keep, lo, hi, lam = [], [], [], [], [], [], []
+            for i, (s, slope, a, b, c) in running:
+                err = s - m
+                if abs(err) <= tol:  # x is the answer at this lam
+                    done.append(i)
+                    continue
+                if err > 0.0:
+                    a = c
+                else:
+                    b = c
+                # a row without slope has lam at one end of its bracket, so the
+                # array form's inf or nan step fell outside it: the row bisects
+                nxt = c + err / slope if slope else a
+                c = nxt if a < nxt < b else 0.5 * (a + b)
+                scale = abs(b)  # the width rule is b - a < 1e-16 max(1, |b|)
+                if b - a < 1e-16 * (scale if scale > 1.0 else 1.0):
+                    narrow.append(i)
+                    ends.append(c)
+                else:
+                    keep.append(i)
+                    lo.append(a)
+                    hi.append(b)
+                    lam.append(c)
+            if done:
                 out[live[done]] = x[done]
-                ended.append((live[narrow], lam[narrow]))
-                keep = ~stop
-                live, D, lo, hi, lam = (a[keep] for a in (live, D, lo, hi, lam))
-                if not live.size:
-                    break
-    ended.append((live, lam))  # rows the iteration budget ran out on
+            if narrow:
+                ended.append((live[narrow], np.array(ends)[:, None]))
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live, D = live[keep], D[keep]
+        else:  # rows the iteration budget ran out on
+            ended.append((live, np.array(lam)[:, None]))
     for rows, lam in ended:
-        if rows.size:
-            x = value(duals[rows] - lam)
-            if (np.abs(np.add.reduce(x, -1) - m) > 1e-6).any():
-                raise ConvergenceError("projection dual solve did not converge")
-            out[rows] = x
+        x = value(duals[rows] - lam)
+        if (np.abs(np.add.reduce(x, -1) - m) > 1e-6).any():
+            raise ConvergenceError("projection dual solve did not converge")
+        out[rows] = x
     return out.reshape(w.shape)
 
 

@@ -210,6 +210,27 @@ def check_philox_kernel_agreement(seed: int = SELFTEST_SEED):
                          f"in their first {KERNEL_MAX_DOUBLES} doubles")
 
 
+def check_projection_rows_agreement(seed: int = SELFTEST_SEED):
+    """Each row of a batched capped-simplex projection equals the projection
+    of that row alone, bit for bit, so a numpy whose ufunc loops give
+    different bits for different array lengths fails here instead of
+    silently changing lockstep reports."""
+    rng = derive_stream(seed, 9)
+    projections = [geometry.project_capped_simplex_negent]
+    projections += [lambda w, m, psi=psi: geometry.project_capped_simplex_potential(w, m, psi)
+                    for psi in (mirror.power_potential(2.0), mirror.exp_potential())]
+    differ = rows = 0
+    for d in (2, 6, 11):
+        for m in sorted({1, d // 2, d}):
+            w = np.exp(rng.normal(-1.0, 1.5, size=(20, d)))
+            for project in projections:
+                batch = project(w, m)
+                differ += sum(not np.array_equal(row, project(w[r], m))
+                              for r, row in enumerate(batch))
+                rows += len(w)
+    return differ == 0, f"{differ} of {rows} projected rows differ from their one-row projections"
+
+
 def _random_capped_point(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Random point of [0,1]^d with coordinate sum exactly m."""
     if m >= d:
@@ -238,6 +259,7 @@ CHECKS = [
     ("exp3-omd-agreement", check_exp3_omd_agreement),
     ("sgs-bracket-identities", check_sgs_bracket_identities),
     ("philox-kernel-agreement", check_philox_kernel_agreement),
+    ("projection-rows-agreement", check_projection_rows_agreement),
 ]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,40 @@ def test_capped_projection_potential_brackets_past_the_domain_end():
     # the root lies past the pole of the first coordinate, which stays at 1
     x = project_capped_simplex_potential(np.array([1.0, 1e-4, 1e-4]), 2.0, psi)
     assert np.allclose(x, [1.0, 0.5, 0.5], atol=1e-9)
+
+
+def test_capped_projection_potential_returns_an_empty_batch_at_once():
+    calls = []
+    psi = power_potential(2.0)
+
+    def counted(u):
+        calls.append(u.shape)
+        return psi.psi(u)
+
+    spec = dataclasses.replace(psi, psi=counted)
+    x = project_capped_simplex_potential(np.empty((0, 4)), 2.0, spec)
+    assert x.shape == (0, 4)
+    assert calls == []  # not one per Newton iteration of the budget
+
+
+BAD_WEIGHTS = [[0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [0.5, 0.0, 0.5], [-np.inf, 0.5, 0.5]]
+
+
+@pytest.mark.parametrize("project", [
+    project_capped_simplex_negent,
+    lambda w, m: project_capped_simplex_potential(w, m, power_potential(2.0)),
+    lambda w, m: project_capped_simplex_potential(w, m, exp_potential()),
+], ids=["negent", "power-2", "exp"])
+@pytest.mark.parametrize("bad", BAD_WEIGHTS, ids=["nan", "negative", "zero", "-inf"])
+def test_capped_projections_refuse_a_weight_that_is_not_positive(project, bad):
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        project(np.array(bad), 1.0)
+    batch = np.full((4, 3), 0.4)
+    batch[2] = bad  # one bad row fails the batch
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        project(batch, 1.0)
+    batch[2] = 0.4
+    assert np.allclose(project(batch, 1.0), 1.0 / 3.0)
 
 
 def test_capped_projection_exp_matches_negent():

@@ -1,9 +1,12 @@
 """osmd-msets in lockstep: the batched capped-simplex projections, Madow
 sampling and estimate act on each row as the one-row forms act on that row
 alone, and their checks hold per row."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from banditlab import geometry, selftest
 from banditlab.env import ReplicaDraws, derive_stream
 from banditlab.geometry import (
     ConvergenceError,
@@ -136,6 +139,47 @@ def test_potential_rows_match_past_the_tolerance(psi):
                                          for row in w])
 
 
+# d = 4 rows that take each branch of the batched solve: one already on the
+# capped simplex, rows that search for a lower or an upper bracket, rows of
+# 1e-8 weights whose Newton steps leave the bracket (some with no free
+# coordinate, so no slope), and rows with m = d
+MIXED = {
+    2: [[0.5, 0.5, 0.5, 0.5], [0.1, 0.05, 0.2, 0.02], [3.0, 5.0, 0.7, 2.0],
+        [1e-3, 40.0, 0.2, 0.9], [1e-8, 1e-8, 1e-8, 1e-8], [1e-8, 2e-8, 5e-9, 1e-8]],
+    4: [[0.3, 0.01, 2.0, 0.5], [1e-8, 1e-8, 1e-8, 1e-8]],
+}
+
+
+@pytest.mark.parametrize("psi", POTENTIALS, ids=lambda psi: psi.name)
+@pytest.mark.parametrize("m", sorted(MIXED))
+def test_potential_mixed_rows_match_alone_and_in_any_batch(psi, m):
+    mixed = np.array(MIXED[m])
+    refs = np.array([_reference_potential(row, m, psi) for row in mixed])
+    assert np.array_equal(project_capped_simplex_potential(mixed, m, psi), refs)
+    wide = _weights(derive_stream(95, m), 50, 4)
+    at = np.arange(len(mixed)) * 7 + 3  # spread through the batch
+    wide[at] = mixed
+    assert np.array_equal(project_capped_simplex_potential(wide, m, psi)[at], refs)
+    for row, ref in zip(mixed, refs):
+        assert np.array_equal(project_capped_simplex_potential(row[None], m, psi), ref[None])
+        assert np.array_equal(project_capped_simplex_potential(row, m, psi), ref)
+
+
+@pytest.mark.parametrize("psi", [power_potential(1.5), exp_potential()], ids=lambda psi: psi.name)
+def test_potential_row_on_the_capped_simplex_stops_at_once(psi):
+    # psi(psi_inv(0.5)) is 0.5 here, so the row sums to m at lam = 0: no
+    # bracket search, and it stops in the first Newton iteration
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape)
+        return psi.psi(u)
+
+    x = project_capped_simplex_potential(np.full(4, 0.5), 2, dataclasses.replace(psi, psi=counted))
+    assert np.array_equal(x, np.full(4, 0.5))
+    assert calls == [(1, 4), (1, 4)]  # the sum at lam = 0, then the first iteration
+
+
 def test_negent_rows_match_the_one_row_projection():
     rng = derive_stream(92, 0)
     for d in range(2, 12):
@@ -239,3 +283,18 @@ def test_dual_domain_check_holds_per_row():
         omd_step(x, gradient, 0.1, spec)
     gradient[1, 0] = 0.0
     assert np.allclose(omd_step(x, gradient, 0.1, spec), 0.5)
+
+
+@pytest.mark.parametrize("name, moved", [("project_capped_simplex_negent", 160),
+                                         ("project_capped_simplex_potential", 320)])
+def test_projection_selftest_fails_when_a_batched_row_moves(monkeypatch, name, moved):
+    assert selftest.check_projection_rows_agreement()[0]
+    project = getattr(geometry, name)
+
+    def off_in_batches(w, *args):
+        x = project(w, *args)
+        return np.nextafter(x, 2.0) if x.ndim == 2 else x  # one ulp, batches only
+
+    monkeypatch.setattr(geometry, name, off_in_batches)
+    passed, detail = selftest.check_projection_rows_agreement()
+    assert not passed and detail.startswith(f"{moved} of 480 ")
