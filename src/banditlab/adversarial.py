@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .env import any_true, flat_index, sample_categorical
+from .env import ZERO, any_true, flat_index, sample_categorical
 
 
 def exp_weights(scores: np.ndarray) -> np.ndarray:
@@ -26,16 +26,24 @@ def exp3_probs(cum_losses: np.ndarray, eta: float) -> np.ndarray:
     return exp_weights(-eta * np.asarray(cum_losses, dtype=float))
 
 
+def _importance_weight(p: np.ndarray, chosen, loss):
+    """The flat index of each row's chosen entry of `p` (see `flat_index`)
+    and loss / p[chosen] there; every row's probability is checked before
+    the caller writes anything."""
+    i = flat_index(p, chosen)
+    p_chosen = p.take(i)
+    if any_true(p_chosen <= ZERO):
+        raise ZeroDivisionError("chosen arm has zero probability")
+    return i, loss / p_chosen
+
+
 def importance_loss_estimate(p: np.ndarray, chosen, loss) -> np.ndarray:
     """loss / p[chosen] at the chosen coordinate, zero elsewhere; row by row
     for an (R, K) `p` with one chosen arm and one loss per row."""
     p = np.asarray(p, dtype=float)
-    i = flat_index(p, chosen)
-    p_chosen = p.reshape(-1)[i]
-    if any_true(p_chosen <= 0.0):
-        raise ZeroDivisionError("chosen arm has zero probability")
+    i, weight = _importance_weight(p, chosen, loss)
     est = np.zeros(p.shape)
-    est.reshape(-1)[i] = loss / p_chosen
+    est.put(i, weight)
     return est
 
 
@@ -91,7 +99,12 @@ class Exp3State:
         else:
             p = self.probs() if self._drawn_from is None else self._drawn_from
         self._drawn_from = None
-        self.cum_losses += importance_loss_estimate(p, chosen, loss)
+        # Only the chosen entries move: the estimate is +0.0 elsewhere, and
+        # x + 0.0 == x for every x but -0.0, which a sum that starts at
+        # +0.0 never holds. So adding there alone keeps every bit.
+        i, weight = _importance_weight(p, chosen, loss)
+        cum = self.cum_losses
+        cum.put(i, cum.take(i) + weight)
         self.t += 1
 
 

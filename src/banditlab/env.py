@@ -1,6 +1,7 @@
 """Environments, adversaries, regret accounting and reproducible RNG streams."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -153,29 +154,63 @@ class ReplicaDraws:
         return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
+def _constant(value) -> np.ndarray:
+    a = np.array(value)
+    a.flags.writeable = False
+    return a
+
+
+# The constants that per-round code hands to ufuncs, as read-only 0-d arrays.
+# numpy turns a Python scalar operand into an array on every call, which adds
+# 40-90% to a ufunc on a few elements; an int costs more than a float.
+ONE, TWO, ZERO, INF = (_constant(v) for v in (1, 2.0, 0.0, np.inf))
+
+
 def as_arm(idx):
     """A Python int for one replica's arm (a numpy scalar), the array as is
     for many."""
     return int(idx) if idx.ndim == 0 else idx
 
 
+def largest(a: np.ndarray):
+    """`a.max()` as a Python scalar, nan included: the entry that `argmax`
+    picks, which is the first nan if there is one. A method call on a small
+    array costs a fraction of a reduction's set-up."""
+    return a.item(a.argmax())
+
+
+def smallest(a: np.ndarray):
+    """`a.min()` as a Python scalar, nan included, as `largest` is."""
+    return a.item(a.argmin())
+
+
 def any_true(mask) -> bool:
-    """`mask.any()`, without a reduction's overhead for one replica's scalar."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+    """`mask.any()`: one replica's scalar as is; for many, argmax finds the
+    first True entry, if there is one (and an empty mask has none)."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.size and largest(mask))
+
+
+@functools.lru_cache(maxsize=16)
+def _row_starts(rows: int, K: int) -> np.ndarray:
+    """r * K for each row r, built once per shape and read-only."""
+    starts = np.arange(0, rows * K, K)
+    starts.flags.writeable = False
+    return starts
 
 
 def flat_index(a: np.ndarray, chosen):
-    """Where each row's `chosen` entry sits in `a.reshape(-1)`: `chosen`
-    itself for a 1-D `a`, `r * K + chosen[r]` for an (R, K) one."""
+    """Where each row's `chosen` entry sits in `a.reshape(-1)`, the index
+    that `take` and `put` read: `chosen` itself for a 1-D `a`, `r * K +
+    chosen[r]` for an (R, K) one."""
     if a.ndim == 1:
         return chosen
     rows, K = a.shape
-    return np.arange(0, rows * K, K) + chosen
+    return _row_starts(rows, K) + chosen
 
 
 def _check_arms(arm, K: int) -> None:
     if isinstance(arm, np.ndarray):
-        ok = arm.astype(np.uint64).max() < K  # a negative arm wraps to a huge one
+        ok = largest(arm.astype(np.uint64)) < K  # a negative arm wraps to a huge one
     else:
         ok = 0 <= arm < K
     if not ok:
@@ -191,8 +226,8 @@ def sample_categorical(p: np.ndarray, rng) -> int | np.ndarray:
     side="right")`), capped at K - 1: the first sum above u once the last
     sum is raised to +inf.
     """
-    cum = np.asarray(p).cumsum(-1)
-    cum[..., -1] = np.inf
+    cum = np.add.accumulate(p, -1)  # what cumsum calls, without its wrapper
+    cum[..., -1] = INF
     # transposed, the (K, R) sums broadcast against one u per replica
     return as_arm((cum.T > rng.random()).argmax(0))
 
@@ -270,7 +305,7 @@ class StochasticEnv:
             return self.arms[arm].sample(rng)
         u = rng.random()
         if self._all_bernoulli:
-            return (u < self.means[arm]).astype(float)
+            return (u < self.means.take(arm)).astype(float)
         return np.array([self.arms[a].from_uniform(x) for a, x in zip(arm.tolist(), u.tolist())])
 
 
@@ -325,13 +360,14 @@ class NonObliviousAdversary:
     def loss_vector(self) -> np.ndarray:
         losses = np.zeros(self.counts.shape)
         if self._played:
-            losses.reshape(-1)[flat_index(losses, self.counts.argmax(-1))] = 1.0
+            losses.put(flat_index(losses, self.counts.argmax(-1)), 1.0)
         return losses
 
     def observe(self, arms) -> None:
         """One play per replica: an arm, or one arm per row of the counts."""
         _check_arms(arms, self.n_arms)
-        self.counts.reshape(-1)[flat_index(self.counts, arms)] += 1
+        i = flat_index(self.counts, arms)
+        self.counts.put(i, self.counts.take(i) + ONE)
         self._played = True
 
 

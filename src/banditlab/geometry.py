@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from .env import largest
+
 DESIGN_TOL = 1e-7
 PROJECTION_TOL = 1e-10
 MAX_ITER = 10**5
@@ -103,6 +105,14 @@ def mvee(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER):
     return E, design.weights
 
 
+_SUM_SAFE = float(np.finfo(float).max) / 2  # d weights, each below this over d, sum to a finite total
+
+
+def _suffix_sums(ws: np.ndarray) -> np.ndarray:
+    """Each row's sums of its last k entries, for k = d, ..., 1."""
+    return np.add.accumulate(ws[:, ::-1], axis=-1)[:, ::-1]
+
+
 def project_capped_simplex_negent(w, m: float) -> np.ndarray:
     """Entropy projection onto {x in [0,1]^d : sum x = m} by waterfilling.
 
@@ -110,7 +120,9 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
     many coordinates saturate at 1, then c is the exact normalizer for the rest.
     `w` is one point (d,) or one point per row (R, d); each row takes the first
     k at which c_k = (m - k) / (sum of all but its k largest weights) leaves its
-    k-th largest weight at most 1.
+    k-th largest weight at most 1. The projection does not change when a row
+    is scaled, so a row whose weights sum past the largest double is divided
+    by its largest weight first; every other row keeps its bits.
     """
     w = np.asarray(w, dtype=float)
     d = w.shape[-1]
@@ -122,7 +134,13 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
     rows = np.arange(len(W))[:, None]
     order = np.argsort(-W, axis=-1)
     ws = W[rows, order]  # each row sorted descending
-    suffix = np.add.accumulate(ws[:, ::-1], axis=-1)[:, ::-1]
+    if len(W) and largest(ws[:, 0]) > _SUM_SAFE / d:  # some row's sum may overflow
+        with np.errstate(over="ignore"):
+            huge = _suffix_sums(ws)[:, 0] == np.inf
+        if not (ws[huge, 0] < np.inf).all():
+            raise ValueError("weights must be finite")
+        ws[huge] /= ws[huge, :1]
+    suffix = _suffix_sums(ws)
     c = (m - np.arange(d)) / suffix
     fits = c * ws <= 1.0
     k = fits.argmax(-1)[:, None]  # the first k that fits (0 when none does)

@@ -435,40 +435,50 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
     gain = policy.feedback == "gain"
     kind = env["kind"]
     shape = () if isinstance(rng, np.random.Generator) else (rng.replicas,)
-    played = np.empty(shape + (n,))  # gap (stochastic) or loss of the arm played
+    # a round's records fill one row of an (n, R) array, which is summed down
+    # its columns (the same additions as along the rows of its transpose) and
+    # returned as an (R, n) curve in C order
     if kind == "stochastic":
         sto: StochasticEnv = env["env"]
+        arms = np.empty((n,) + shape, dtype=np.intp)  # the arm played; its gap after the loop
         for t in range(n):
             arm = policy.select(rng)
             reward = sto.sample_reward(arm, rng)
             policy.update(arm, reward if gain else 1.0 - reward)
-            played[..., t] = sto.gaps[arm]
-        return np.cumsum(played, axis=-1)
+            arms[t] = arm
+        played = sto.gaps.take(arms)
+        del arms  # at most two curve-sized arrays at a time
+        return np.ascontiguousarray(np.cumsum(played, axis=0, out=played).T)
 
+    played = np.empty((n,) + shape)  # loss of the arm played
     if kind == "oblivious":
         adv: ObliviousAdversary = env["adv"]
         for t in range(n):
             arm = policy.select(rng)
-            loss = adv.loss_vector(t)[arm]
+            loss = adv.loss_vector(t).take(arm)
             policy.update(arm, 1.0 - loss if gain else loss)
-            played[..., t] = loss
+            played[t] = loss
         best = np.cumsum(adv.loss_matrix[:n], axis=0).min(axis=1)
-        return np.cumsum(played, axis=-1) - best
+        np.cumsum(played, axis=0, out=played)
+        return np.subtract(played.T, best, out=np.empty(shape + (n,)))
 
     # nonoblivious: a fresh adversary per call, reacting to each replica's plays
     grudge = NonObliviousAdversary(env["K"], *shape)
     cum_losses = np.zeros(grudge.counts.shape)
-    best = np.empty(shape + (n,))
+    best = np.empty((n,) + shape)
     for t in range(n):
         losses = grudge.loss_vector()
         arm = policy.select(rng)
-        loss = losses.reshape(-1)[flat_index(losses, arm)]
+        loss = losses.take(flat_index(losses, arm))
         policy.update(arm, 1.0 - loss if gain else loss)
         grudge.observe(arm)
-        played[..., t] = loss
+        played[t] = loss
         cum_losses += losses
-        best[..., t] = cum_losses.min(axis=-1)
-    return np.cumsum(played, axis=-1) - best
+        np.minimum.reduce(cum_losses, -1, out=best[t, ...])  # a 0-d view for one replica
+    np.cumsum(played, axis=0, out=played)
+    played -= best
+    del best  # at most two curve-sized arrays at a time
+    return np.ascontiguousarray(played.T)
 
 
 def _run_finite(state: Callable, p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:

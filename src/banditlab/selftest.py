@@ -7,8 +7,16 @@ import math
 
 import numpy as np
 
-from . import adversarial, contextual, convex, geometry, mirror
-from .env import ENV_STREAM_ID, KERNEL_MAX_DOUBLES, derive_stream, philox_doubles
+from . import adversarial, contextual, convex, geometry, mirror, stochastic
+from .env import (
+    ENV_STREAM_ID,
+    KERNEL_MAX_DOUBLES,
+    NonObliviousAdversary,
+    ReplicaDraws,
+    StochasticEnv,
+    derive_stream,
+    philox_doubles,
+)
 
 SELFTEST_SEED = 20240601
 
@@ -231,6 +239,68 @@ def check_projection_rows_agreement(seed: int = SELFTEST_SEED):
     return differ == 0, f"{differ} of {rows} projected rows differ from their one-row projections"
 
 
+def finite_rows_mismatch(make, kind: str, K: int, n: int, R: int, seed: int):
+    """Play `make(R)`, a finite-arm state with one row per replica, in
+    lockstep on `ReplicaDraws` beside R one-row states `make(None)`, each on
+    its own `derive_stream(seed, r)`, for n rounds on a `kind` environment
+    ("stochastic", "oblivious" or "nonoblivious") with K arms. Returns the
+    first (round, attribute) at which some row's arm or state differs from
+    its one-row state's, or None when every row keeps its bits every round.
+    """
+    rng = derive_stream(seed, ENV_STREAM_ID)
+    env = StochasticEnv.bernoulli(rng.random(K))
+    matrix = rng.random((n, K))
+    batch = make(R)
+    per_round = batch.draws_per_select + (kind == "stochastic")
+    # each player: a state, its source of doubles and its grudge adversary
+    players = [(batch, ReplicaDraws(seed, range(R), per_round * n), NonObliviousAdversary(K, R))]
+    players += [(make(None), derive_stream(seed, r), NonObliviousAdversary(K)) for r in range(R)]
+    gain = batch.feedback == "gain"
+
+    def feedback(arm, rows, adversary, t):
+        if kind == "stochastic":
+            reward = env.sample_reward(arm, rows)
+            return reward if gain else 1.0 - reward
+        if kind == "oblivious":
+            loss = matrix[t][arm]
+        else:
+            losses = adversary.loss_vector()
+            loss = losses[arm] if losses.ndim == 1 else losses[np.arange(R), arm]
+            adversary.observe(arm)
+        return 1.0 - loss if gain else loss
+
+    for t in range(n):
+        arms = [state.select(rows) for state, rows, _ in players]
+        if arms[0].tolist() != arms[1:]:
+            return t, "arm"
+        for (state, rows, adversary), arm in zip(players, arms):
+            state.update(arm, feedback(arm, rows, adversary, t))
+        for name, value in vars(batch).items():
+            for r, (single, _, _) in enumerate(players[1:]):
+                theirs = vars(single)[name]
+                if not (np.array_equal(value[r], theirs) if isinstance(value, np.ndarray)
+                        else value == theirs):
+                    return t, name
+    return None
+
+
+def check_finite_rows_agreement(seed: int = SELFTEST_SEED):
+    """Each row of a lockstep ucb, exp3 and exp3p run keeps the arms and
+    state arrays of a one-row run on its own stream, bit for bit, every
+    round, so a numpy whose small-array ufunc loops round differently fails
+    here instead of silently changing lockstep reports."""
+    K, n, R = 5, 200, 4
+    makes = {"ucb": lambda r: stochastic.UcbState(K, replicas=r),
+             "exp3": lambda r: adversarial.Exp3State(K, n=n, replicas=r),
+             "exp3p": lambda r: adversarial.Exp3PState.from_horizon(K, n, 0.1, replicas=r)}
+    kinds = ("stochastic", "oblivious", "nonoblivious")
+    differ = [f"{name} on {kind} at round {at[0]} ({at[1]})"
+              for name, make in makes.items() for kind in kinds
+              if (at := finite_rows_mismatch(make, kind, K, n, R, seed)) is not None]
+    return not differ, "; ".join(differ) or (
+        f"{len(makes) * len(kinds)} runs of {R} rows match one-row runs for {n} rounds")
+
+
 def _random_capped_point(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Random point of [0,1]^d with coordinate sum exactly m."""
     if m >= d:
@@ -260,6 +330,7 @@ CHECKS = [
     ("sgs-bracket-identities", check_sgs_bracket_identities),
     ("philox-kernel-agreement", check_philox_kernel_agreement),
     ("projection-rows-agreement", check_projection_rows_agreement),
+    ("finite-rows-agreement", check_finite_rows_agreement),
 ]
 
 

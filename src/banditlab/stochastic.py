@@ -7,16 +7,16 @@ from typing import Callable
 
 import numpy as np
 
-from .env import as_arm, flat_index
+from .env import INF, ONE, TWO, as_arm, flat_index, smallest
 
 
 def hoeffding_psi_star_inv(x):
     """Inverse of the rate function 2*eps^2 that governs [0,1]-bounded rewards,
     elementwise on arrays."""
     x = np.asarray(x)
-    if x.min() < 0:
+    if smallest(x) < 0:
         raise ValueError("argument must be non-negative")
-    return np.sqrt(x / 2.0)
+    return np.sqrt(x / TWO)
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,20 @@ class UcbState:
 
     def select(self, rng=None, psi: PsiSpec | None = None):
         psi = psi or self.psi
-        untried = self.counts == 0
-        rates = self.alpha * math.log(self.t + 1) / np.maximum(self.counts, 1)
+        counts = self.counts
+        # a float divisor spares the ufunc a cast; the quotients are the same
+        rates = self.alpha * math.log(self.t + 1) / np.maximum(counts, ONE).astype(float)
         idx = self.means + psi.psi_star_inv(rates)
-        idx[untried] = np.inf
+        np.putmask(idx, np.logical_not(counts), INF)  # untried arms
         return as_arm(idx.argmax(-1))  # argmax takes the lowest index on ties
 
     def update(self, arm, reward) -> None:
-        i = flat_index(self.counts, arm)
-        counts, means = self.counts.reshape(-1), self.means.reshape(-1)
-        c = counts[i] + 1
-        m = means[i]
-        counts[i] = c
-        means[i] = m + (reward - m) / c
+        counts, means = self.counts, self.means
+        i = flat_index(counts, arm)
+        c = counts.take(i) + ONE
+        m = means.take(i)
+        counts.put(i, c)
+        means.put(i, m + (reward - m) / c)
         self.t += 1
 
 

@@ -258,3 +258,20 @@ def test_trace_determinism_bytes():
     assert t1.actions == t2.actions
     assert t1.losses == t2.losses
     assert np.array_equal(t1.counts(2), t2.counts(2))
+
+
+def test_round_helpers_match_the_reductions_they_replace():
+    rng = derive_stream(44, 0)
+    arrays = [rng.random((3, 5)), rng.integers(-4, 9, size=7), np.array([2.0, np.nan, -1.0, np.nan]),
+              np.array(3.5), np.array([-0.0, 0.0])]
+    for a in arrays:
+        assert np.array_equal(env_module.largest(a), a.max(), equal_nan=True)
+        assert np.array_equal(env_module.smallest(a), a.min(), equal_nan=True)
+    for mask in (np.zeros(0, bool), np.zeros((2, 3), bool), np.eye(3, dtype=bool), np.array(True),
+                 np.array(False), np.array([False, False, True])):
+        assert env_module.any_true(mask) is bool(mask.any())
+    starts = env_module.flat_index(np.zeros((4, 3)), np.zeros(4, dtype=int))
+    assert starts.tolist() == [0, 3, 6, 9]
+    with pytest.raises(ValueError):  # the cached row starts are read-only
+        env_module._row_starts(4, 3)[0] = 1
+    assert env_module.flat_index(np.zeros(3), 2) == 2

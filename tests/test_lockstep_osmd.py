@@ -192,6 +192,23 @@ def test_negent_rows_match_the_one_row_projection():
                 assert np.array_equal(rows, [_reference_negent(row, m) for row in batch])
 
 
+def test_negent_rescales_only_the_rows_whose_sums_overflow():
+    # 1e308 + 1e308 is past the largest double; the projection does not change
+    # when a row is scaled, so the row projects as its weights over 1e308 do
+    alone = project_capped_simplex_negent([1e308, 1e308, 1.0], 1)
+    assert np.array_equal(alone, project_capped_simplex_negent([1.0, 1.0, 1.0 / 1e308], 1))
+    assert alone.sum() == 1.0
+    batch = _weights(derive_stream(94, 0), 6, 3)
+    batch[2] = [1e308, 1e308, 1.0]
+    batch[4] = [1e308, 1.0, 1.0]  # near the largest double, but its sum is finite
+    rows = project_capped_simplex_negent(batch, 1)
+    assert np.array_equal(rows[2], alone)
+    for r in (0, 1, 3, 4, 5):
+        assert np.array_equal(rows[r], _reference_negent(batch[r], 1))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        project_capped_simplex_negent([1.0, np.inf, 1.0], 1)
+
+
 def test_madow_rows_match_one_row_draws():
     rng = derive_stream(93, 0)
     R, d, m = 7, 6, 2
