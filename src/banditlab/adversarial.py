@@ -129,11 +129,13 @@ def exp3p_gain_estimate(p: np.ndarray, chosen, gain, beta: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if beta > 1.0:
         raise ValueError("beta must be at most 1")
-    if (p <= 0.0).any():
+    if any_true(p <= ZERO):
         raise ZeroDivisionError("all arm probabilities must be positive")
-    est = np.full(p.shape, beta)
-    est.reshape(-1)[flat_index(p, chosen)] += gain
-    return est / p
+    # the bits of (beta + gain * 1{chosen=i}) / p_i, without a dense sum
+    est = beta / p
+    i = flat_index(p, chosen)
+    est.put(i, (beta + gain) / p.take(i))
+    return est
 
 
 class Exp3PState:

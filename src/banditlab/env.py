@@ -363,12 +363,14 @@ class NonObliviousAdversary:
             losses.put(flat_index(losses, self.counts.argmax(-1)), 1.0)
         return losses
 
-    def observe(self, arms) -> None:
-        """One play per replica: an arm, or one arm per row of the counts."""
+    def observe(self, arms):
+        """One play per replica: an arm, or one arm per row of the counts.
+        Returns their `flat_index` in the counts, and so in a loss vector."""
         _check_arms(arms, self.n_arms)
         i = flat_index(self.counts, arms)
         self.counts.put(i, self.counts.take(i) + ONE)
         self._played = True
+        return i
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .env import (
     ReplicaDraws,
     StochasticEnv,
     derive_stream,
-    flat_index,
     lower_bound_env,
 )
 
@@ -217,7 +216,7 @@ def _check_rows(key: str, rows: int, n: int) -> None:
 
 
 def _stochastic(env: StochasticEnv) -> dict:
-    return {"kind": "stochastic", "env": env, "K": env.n_arms}
+    return {"kind": "stochastic", "env": env, "K": env.n_arms, "draws_per_round": 1}
 
 
 def _oblivious_env(p: dict, n: int, rng) -> dict:
@@ -338,9 +337,10 @@ def _check_linear_ball(p: dict, e: dict, n: int) -> None:
 
 
 # an environment kind's [environment] keys; its builder, which materializes
-# the replica-independent part: build(params, n, rng) -> env; and the check,
-# if any, of the rules that span keys: check(policy params, env params,
-# horizon), raising ConfigError
+# the replica-independent part: build(params, n, rng) -> env, with the
+# doubles each replica's stream gives the environment per round, if any, as
+# env["draws_per_round"]; and the check, if any, of the rules that span keys:
+# check(policy params, env params, horizon), raising ConfigError
 EnvKind = namedtuple("EnvKind", "keys build check", defaults=(None,))
 
 
@@ -366,7 +366,7 @@ _ENV_KINDS = {
                           _contextual_env),
     "semibandit": EnvKind({"d": Key(int, REQUIRED, "[1, inf)"),
                            "m": Key(int, REQUIRED, "[1, inf)")},
-                          lambda p, n, rng: {"d": p["d"], "m": p["m"]},
+                          lambda p, n, rng: {"d": p["d"], "m": p["m"], "draws_per_round": p["d"]},
                           check=lambda p, e, n: _require(
                               e["m"] <= e["d"], f"environment.m must be at most "
                               f"environment.d = {e['d']}, got {e['m']!r}")),
@@ -469,9 +469,8 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
     for t in range(n):
         losses = grudge.loss_vector()
         arm = policy.select(rng)
-        loss = losses.take(flat_index(losses, arm))
+        loss = losses.take(grudge.observe(arm))  # where the plays sit in losses too
         policy.update(arm, 1.0 - loss if gain else loss)
-        grudge.observe(arm)
         played[t] = loss
         cum_losses += losses
         np.minimum.reduce(cum_losses, -1, out=best[t, ...])  # a 0-d view for one replica
@@ -495,36 +494,53 @@ def _run_finite(state: Callable, p: dict, env: dict, n: int, seed: int, ids) -> 
     if per_select is None:
         streams = (derive_stream(seed, i) for i in ids)
         return np.vstack([_finite_rounds(state(K, n, p, s)(), env, n, s) for s in streams])
-    draws = ReplicaDraws(seed, ids, (per_select + (env["kind"] == "stochastic")) * n)
+    draws = ReplicaDraws(seed, ids, (per_select + env.get("draws_per_round", 0)) * n)
     return _finite_rounds(make(replicas=draws.replicas), env, n, draws)
 
 
 def _rounds(make: Callable, seen: Callable, best: Callable | None, p: dict, env: dict,
             n: int, seed: int, ids) -> np.ndarray:
-    """One curve per stream id for a policy that plays one replica at a time.
+    """One curve per stream id for a policy that plays `round(x, rng)`.
 
-    Each stream, `derive_stream(seed, i)`, gets its own policy,
-    `make(p, env, n)`. `seen(env, n, stream)` yields each round's x, and
-    `policy.round(x, stream)` plays it and returns (action, loss).
-    `best(env)` makes the replica's competitor: a fold that takes each x as
-    it comes and returns the competitor's cumulative loss so far, so no x
-    outlives its round. Without one the curve counts losses.
+    `make(p, env, n)` binds the policy's class. A class that declares
+    `draws_per_round` plays all replicas in lockstep: one state with
+    `replicas=R`, on `ReplicaDraws` that also give the environment its
+    `env["draws_per_round"]`. Any other class plays one replica at a time,
+    each on its own `derive_stream(seed, i)`. `seen(env, n, rng)` yields each
+    round's x, and `policy.round(x, rng)` plays it and returns (action,
+    loss), a loss per row in lockstep. `best(env)` makes the competitor, once
+    per run on the first batch's rounds (replicas played one at a time all
+    see the same rounds): a fold that takes each x as it comes and returns
+    the competitor's cumulative loss so far, for all rows or per row, so no
+    x outlives its round. Without one the curve counts losses.
     """
-    def curve(stream: np.random.Generator) -> np.ndarray:
-        policy = make(p, env, n)
-        fold = None if best is None else best(env)
-        paid, held = np.empty(n), np.empty(n)
-        for t, x in enumerate(seen(env, n, stream)):
-            paid[t] = policy.round(x, stream)[1]
+    build = make(p, env, n)
+    per_round = getattr(build.func, "draws_per_round", None)
+    if per_round is None:
+        batches = (derive_stream(seed, i) for i in ids)
+    else:
+        batches = [ReplicaDraws(seed, ids, (per_round + env.get("draws_per_round", 0)) * n)]
+    curves, held = [], None
+    for rng in batches:
+        shape = () if per_round is None else (rng.replicas,)
+        policy = build(replicas=rng.replicas) if shape else build()
+        fold = best(env) if best is not None and held is None else None
+        # a round's losses fill one row of an (n, R) array, or one entry of an
+        # (n,) one, summed down its columns
+        paid = np.empty((n,) + shape)
+        if fold is not None:
+            held = np.empty((n,) + shape)
+        for t, x in enumerate(seen(env, n, rng)):
+            paid[t] = policy.round(x, rng)[1]
             if fold is not None:
                 held[t] = fold(x)
-        np.cumsum(paid, out=paid)  # in place: no third curve-sized array
-        if fold is not None:
+        del policy  # freed before the next replica's is built
+        np.cumsum(paid, axis=0, out=paid)  # in place: no third curve-sized array
+        if held is not None:
             paid -= held
-        return paid
-
-    # a call per stream frees each replica's policy before the next is built
-    return np.vstack([curve(derive_stream(seed, i)) for i in ids])
+        curves.append(paid.T)
+    del held  # at most two curve-sized arrays at a time
+    return np.vstack(curves) if per_round is None else np.ascontiguousarray(curves[0])
 
 
 def _hindsight(value: Callable, row: Callable = lambda x: x) -> Callable:
@@ -641,47 +657,11 @@ def _osgd_best(env: dict) -> Callable:
 
 def _osgd(mode: str) -> Callable:
     return partial(_rounds,
-                   lambda p, env, n: convex.OsgdState(env["body"], mode,
-                                                      *_osgd_params(mode, p, n, env)),
+                   lambda p, env, n: partial(convex.OsgdState, env["body"], mode,
+                                             *_osgd_params(mode, p, n, env)),
                    lambda env, n, stream: (_CONVEX_ORACLES[env["family"]](
                        c, env["body"].outer_radius) for c in env["directions"][:n]),
                    _osgd_best)
-
-
-def _run_exp2(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
-    """All replicas of exp2-john in lockstep on one (R, d) state, each round
-    reading one double from each replica's stream. Every replica sees the
-    same losses, so the competitor is taken once for all of them."""
-    draws = ReplicaDraws(seed, ids, n)
-    policy = mirror.Exp2State(env["points"], env["design"], n=n, eta=p["eta"],
-                              gamma=p["gamma"], replicas=draws.replicas)
-    losses = env["losses"][:n]
-    paid = np.empty((draws.replicas, n))
-    for t, loss in enumerate(losses):
-        paid[:, t] = policy.round(loss, draws)[1]
-    best = _hindsight(lambda c: (env["points"] @ c).min())
-    return np.cumsum(paid, axis=-1) - [best(loss) for loss in losses]
-
-
-def _run_osmd(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
-    """All replicas of osmd-msets in lockstep on one (R, d) point. Each round,
-    each replica reads its d coordinate losses and then its Madow start from
-    its own stream; the competitor, the best m-set on the losses so far, is
-    taken per replica as the rounds come."""
-    d, m = env["d"], env["m"]
-    draws = ReplicaDraws(seed, ids, (d + 1) * n)
-    policy = mirror.OsmdMsets(d, m, n=n, variant=p["variant"], q=p["q"], eta=p["eta"],
-                              replicas=draws.replicas)
-    paid, held = np.empty((draws.replicas, n)), np.empty((draws.replicas, n))
-    cum = np.zeros((draws.replicas, d))
-    for t in range(n):
-        losses = draws.random(d)
-        paid[:, t] = policy.round(losses, draws)[1]
-        cum += losses
-        held[:, t] = np.add.reduce(np.sort(cum)[:, :m], -1)
-    np.cumsum(paid, axis=-1, out=paid)  # in place: no third curve-sized array
-    paid -= held
-    return paid
 
 
 def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
@@ -759,9 +739,10 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays
 # its replicas: run(params, env, n, seed, ids) -> (R, n) curves, `_run_finite`
 # bound to a function of (K, n, params, rng) that binds a finite-arm class,
-# `_run_exp2` and `_run_osmd` for the lockstep rows of exp2-john and
-# osmd-msets, or `_rounds` for one replica at a time. `check`, as for an
-# environment kind.
+# `_rounds` bound to a function of (params, env, n) that binds a `round(x,
+# rng)` class, with its rounds and competitor, or `_run_sgs`. Either class
+# plays its replicas in lockstep if it declares how many doubles it reads.
+# `check`, as for an environment kind.
 Policy = namedtuple("Policy", "keys kinds run check", defaults=(None,))
 
 
@@ -783,37 +764,45 @@ _POLICIES = {
     "exp3p": Policy({"delta": Key(float, 0.1, "(-inf, inf)"), "delta_free": Key(_flag, False)},
                     _FINITE_KINDS, partial(_run_finite, _exp3p_state), check=_check_exp3p),
     "sexp3": Policy({}, ("contextual",), partial(
-        _rounds, lambda p, env, n: contextual.SExp3(env["K"]),
+        _rounds, lambda p, env, n: partial(contextual.SExp3, env["K"]),
         lambda env, n, stream: zip(env["contexts"], env["losses"]),
         lambda env: _per_context_best(env["K"]))),
     "exp4": Policy({"gamma": Key(float, 0.0, "[0, 1]"), "eta": Key(float, None, "(0, inf)")},
                    ("contextual",), partial(
-                       _rounds, lambda p, env, n: contextual.Exp4State(
-                           env["K"] + 1, env["K"], n=n, gamma=p["gamma"], eta=p["eta"]),
+                       _rounds, lambda p, env, n: partial(
+                           contextual.Exp4State, env["K"] + 1, env["K"], n=n,
+                           gamma=p["gamma"], eta=p["eta"]),
                        _expert_rounds,
                        lambda env: _hindsight(np.min, lambda x: x[0] @ x[1]))),
     "theta-exp4": Policy({"gamma": Key(float, None, "(0, 1]")}, ("contextual",), partial(
-        _rounds, lambda p, env, n: contextual.ThetaExp4(
-            sorted(env["theta_streams"]), env["K"], n, env["max_set_size"], gamma=p["gamma"]),
+        _rounds, lambda p, env, n: partial(contextual.ThetaExp4, sorted(
+            env["theta_streams"]), env["K"], n, env["max_set_size"], gamma=p["gamma"]),
         _theta_rounds, _theta_best), check=lambda p, e, n: _require(_set_sizes(e), _NO_SETS)),
     "banditron": Policy({"gamma": Key(float, None, "(0, 0.5)")}, ("multiclass",), partial(
-        _rounds, lambda p, env, n: contextual.BanditronState(env["K"], env["d"], (
+        _rounds, lambda p, env, n: partial(contextual.BanditronState, env["K"], env["d"], (
             contextual.banditron_gamma(env["K"], n) if p["gamma"] is None else p["gamma"])),
         _labelled, None), check=_check_banditron),
     "exp2-john": Policy({"eta": Key(float, None, "(0, inf)"), "gamma": Key(float, None, "(0, 1]")},
-                        ("linear-points",), _run_exp2, check=_check_exp2),
+                        ("linear-points",), partial(
+        _rounds, lambda p, env, n: partial(mirror.Exp2State, env["points"], env["design"], n=n,
+                                           eta=p["eta"], gamma=p["gamma"]),
+        lambda env, n, rng: env["losses"][:n],
+        lambda env: _hindsight(lambda c: (env["points"] @ c).min())), check=_check_exp2),
     # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
                           "q": Key(float, 2.0, "(-inf, inf)"),
-                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",), _run_osmd,
-                         check=lambda p, e, n: _require(
-                             p["variant"] != "potential" or p["q"] > 1,
-                             f"policy.q must exceed 1 for the potential variant, "
-                             f"got {p['q']!r}")),
+                          "eta": Key(float, None, "[0, inf)")}, ("semibandit",), partial(
+        _rounds, lambda p, env, n: partial(mirror.OsmdMsets, env["d"], env["m"], n=n,
+                                           variant=p["variant"], q=p["q"], eta=p["eta"]),
+        lambda env, n, rng: (rng.random(env["d"]) for _ in range(n)),
+        # each replica draws its own losses, so each row has its own best m-set
+        lambda env: _hindsight(lambda c: np.add.reduce(np.sort(c)[..., :env["m"]], -1))),
+        check=lambda p, e, n: _require(p["variant"] != "potential" or p["q"] > 1, f"policy.q "
+                                       f"must exceed 1 for the potential variant, got {p['q']!r}")),
     "osmd-ball": Policy({"gamma": Key(float, None, "(0, 1)"), "eta": Key(float, None, "(0, 0.5]")},
                         ("linear-ball",), partial(
-                            _rounds, lambda p, env, n: mirror.OsmdBall(
-                                env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
+                            _rounds, lambda p, env, n: partial(
+                                mirror.OsmdBall, env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
                             lambda env, n, stream: env["losses"],
                             lambda env: _hindsight(lambda c: -np.linalg.norm(c))),
                         check=_check_osmd_ball),
@@ -831,9 +820,11 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
 
     `ids` is one replica's stream id, for its 1-D curve, or a sequence of
     ids, for an (R, n) array with one row per id; row r reads only the
-    stream `derive_stream(seed, ids[r])`. ucb, exp3, exp3p, exp2-john and
-    osmd-msets run all the replicas in lockstep on `ReplicaDraws`; the other
-    policies run them one after another, each on its own Generator.
+    stream `derive_stream(seed, ids[r])`. A policy whose class declares the
+    doubles it reads per select or round (`draws_per_select`,
+    `draws_per_round`: ucb, exp3, exp3p, exp2-john and osmd-msets) runs all
+    the replicas in lockstep on `ReplicaDraws`; the others run them one
+    after another, each on its own Generator.
     """
     config = check_config(config)
     p, n = config["policy_params"], config["horizon"]

@@ -226,6 +226,8 @@ class Exp2State:
     batch it runs in.
     """
 
+    draws_per_round = 1  # one double per round, the point's draw, so replicas run in lockstep
+
     def __init__(self, points, design: DesignWeights, n: int | None = None,
                  eta: float | None = None, gamma: float | None = None,
                  replicas: int | None = None):
@@ -320,6 +322,8 @@ class OsmdMsets:
     estimate, the dual step and both projections act on each row as they
     would on that row alone, so a row has the same bits in any batch.
     """
+
+    draws_per_round = 1  # one double per round, the Madow start, so replicas run in lockstep
 
     def __init__(self, d: int, m: int, n: int | None = None, variant: str = "negent",
                  q: float = 2.0, eta: float | None = None, replicas: int | None = None):

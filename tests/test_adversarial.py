@@ -18,7 +18,7 @@ from banditlab.adversarial import (
     importance_loss_estimate,
     minimax_lower,
 )
-from banditlab.env import derive_stream
+from banditlab.env import derive_stream, flat_index
 
 
 def test_exp3_probs_hand_values():
@@ -81,6 +81,17 @@ def test_exp3p_gain_estimate():
     assert np.allclose(est, [2.2, 0.2])
     plain = exp3p_gain_estimate(np.array([0.25, 0.75]), 1, 0.6, 0.0)
     assert np.allclose(plain, [0.0, 0.8])
+    # every bit of the dense form: beta everywhere, plus the gain at each
+    # row's chosen arm, then divided by p
+    rng = derive_stream(5, 0)
+    for shape in ((4,), (3, 4)):
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(4), size=shape[:-1] or None)
+            chosen = rng.integers(4, size=shape[:-1] or None)
+            gain, beta = rng.random(shape[:-1] or None), float(rng.random())
+            dense = np.full(shape, beta)
+            dense.reshape(-1)[flat_index(p, chosen)] += gain
+            assert np.array_equal(exp3p_gain_estimate(p, chosen, gain, beta), dense / p)
 
 
 def test_exp3p_gain_estimate_expectation():

@@ -3,6 +3,7 @@ the batch a replica runs in, and replica r reads only derive_stream(seed, r)."""
 import hashlib
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -200,6 +201,57 @@ def test_one_design_per_experiment(monkeypatch):
     assert len(calls) == 1
 
 
+def _round_case(name):
+    """A CASES entry whose policy plays through `_rounds`: its typed config,
+    its environment, the `_rounds` functions, and whether its class runs in
+    lockstep; None for a policy with another runner."""
+    cfg = harness.check_config(_config(*CASES[name]))
+    run = harness._POLICIES[cfg["policy"]].run
+    if getattr(run, "func", None) is not harness._rounds:
+        return None
+    make, seen, best = run.args
+    env = harness.build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"],
+                                    cfg["seed"])
+    build = make(cfg["policy_params"], env, cfg["horizon"])
+    return cfg, env, (make, seen, best), hasattr(build.func, "draws_per_round")
+
+
+ROUND_CASES = {name: case for name in sorted(CASES) if (case := _round_case(name))}
+
+
+def test_round_cases_cover_both_batchings():
+    policies = {case[0]["policy"]: case[3] for case in ROUND_CASES.values()}
+    assert {p for p, lockstep in policies.items() if lockstep} == {"exp2-john", "osmd-msets"}
+    assert {"sexp3", "exp4", "theta-exp4", "banditron", "osmd-ball", "osgd-2pt",
+            "osgd-1pt"} <= set(policies)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, _, (_, _, best), lockstep)
+                                        in ROUND_CASES.items() if best and not lockstep))
+def test_seen_reads_no_stream_where_a_competitor_is_shared(name):
+    # one replica's rounds fold the run's one competitor, so every replica
+    # played one at a time must be shown the same rounds
+    cfg, env, (_, seen, _), _ = ROUND_CASES[name]
+    stream = derive_stream(cfg["seed"], 3)
+    before = repr(stream.bit_generator.state)  # its counter and key are arrays
+    rounds = list(seen(env, cfg["horizon"], stream))
+    assert len(rounds) == cfg["horizon"]
+    assert repr(stream.bit_generator.state) == before
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, _, (_, _, best), _)
+                                        in ROUND_CASES.items() if best))
+def test_one_competitor_per_run(monkeypatch, name):
+    cfg, env, (make, seen, best), _ = ROUND_CASES[name]
+    expected = harness.run_replica(cfg, env, cfg["seed"], range(5))
+    calls = []
+    counted = partial(harness._rounds, make, seen, lambda env: calls.append(1) or best(env))
+    policy = harness._POLICIES[cfg["policy"]]
+    monkeypatch.setitem(harness._POLICIES, cfg["policy"], policy._replace(run=counted))
+    assert np.array_equal(harness.run_replica(cfg, env, cfg["seed"], range(5)), expected)
+    assert len(calls) == 1
+
+
 def test_replica_memory_holds_no_round_inputs():
     # the competitor folds each round's losses as they come, so one replica
     # keeps its curve-sized arrays (8 B per round each) and no round's losses
@@ -251,7 +303,7 @@ def test_discrete_arm_draws_what_rng_choice_draws():
 @pytest.mark.parametrize("policy", ["ucb", "exp3", "exp3p"])
 def test_lockstep_runs_discrete_arms(policy):
     arms = [DiscreteArm([0.0, 0.5, 1.0], [0.2, 0.5, 0.3]), BernoulliArm(0.4)]
-    env = {"kind": "stochastic", "env": StochasticEnv(arms), "K": 2}
+    env = harness._stochastic(StochasticEnv(arms))
     config = _config(policy, {}, "stochastic", {"means": "0.5"}, 150, 3, 0)
     rows = harness.run_replica(config, env, 8, range(3))
     singles = [harness.run_replica(config, env, 8, r) for r in range(3)]
