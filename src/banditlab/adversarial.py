@@ -57,7 +57,7 @@ class Exp3State:
     """
 
     feedback = "loss"
-    draws_per_select = 1
+    draws_per_round = 1  # one double per round, the arm's draw, so replicas run in lockstep
 
     def __init__(self, K: int, n: int | None = None, eta: float | None = None,
                  anytime: bool = False, replicas: int | None = None):
@@ -145,7 +145,7 @@ class Exp3PState:
     """
 
     feedback = "gain"
-    draws_per_select = 1
+    draws_per_round = 1  # one double per round, the arm's draw, so replicas run in lockstep
 
     def __init__(self, K: int, eta: float, gamma: float, beta: float,
                  replicas: int | None = None):

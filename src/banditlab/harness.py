@@ -11,6 +11,7 @@ import math
 import numbers
 import time
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -188,26 +189,38 @@ def check_config(config: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def load_multiclass_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """One row per round: feature columns followed by an integer label."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+_LOSSES = Key(_matrix, None, "[0, 1]")
+
+
+@contextmanager
+def _csv_errors(path) -> Iterator[None]:
+    """A missing or unreadable csv, or text where a number belongs, as a ConfigError."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"environment.csv = {str(path)!r}: {exc}") from None
+
+
+def load_multiclass_csv(path, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row per round: feature columns followed by a label in 0, ..., K - 1."""
+    with _csv_errors(path):
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    bad = rows[:, -1][~np.isin(rows[:, -1], np.arange(K))]
+    if bad.size:
+        raise ConfigError(f"environment.csv labels must be integers in [0, {K}) "
+                          f"(environment.k = {K}), got {float(bad[0])!r}")
     return rows[:, :-1], rows[:, -1].astype(int)
 
 
 def load_context_csv(path, K: int) -> tuple[list, np.ndarray]:
     """One row per round: a context id followed by the K arm losses."""
-    contexts: list = []
-    losses: list = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            contexts.append(row[0])
-            losses.append([float(v) for v in row[1:]])
-    mat = np.asarray(losses)
-    if mat.shape[1] != K:
-        raise ConfigError(f"context csv has {mat.shape[1]} loss columns, expected {K}")
-    return contexts, mat
+    with _csv_errors(path), open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+        mat = np.array([[float(v) for v in row[1:]] for row in rows], ndmin=2)
+    _require(not rows or mat.shape[1] == K, f"environment.csv has {mat.shape[1]} loss "
+                                            f"columns, expected environment.k = {K}")
+    _resolve("environment", {"csv": _LOSSES}, {"csv": mat})  # the inline losses' rule
+    return [row[0] for row in rows], mat
 
 
 def _check_rows(key: str, rows: int, n: int) -> None:
@@ -223,7 +236,9 @@ def _oblivious_env(p: dict, n: int, rng) -> dict:
     if p["losses"] is not None:
         key, matrix = "losses", p["losses"]
     elif p["csv"] is not None:
-        key, matrix = "csv", np.loadtxt(p["csv"], delimiter=",", ndmin=2)
+        with _csv_errors(p["csv"]):
+            key, matrix = "csv", np.loadtxt(p["csv"], delimiter=",", ndmin=2)
+        _resolve("environment", {"csv": _LOSSES}, {"csv": matrix})  # the inline losses' rule
     elif p["k"] is not None:
         key, matrix = "k", rng.random((n, p["k"]))
     else:
@@ -313,10 +328,11 @@ def _unimodal_env(p: dict, n: int, rng) -> dict:
 def _multiclass_env(p: dict, n: int, rng) -> dict:
     K, d = p["k"], p["d"]
     if p["csv"] is not None:
-        xs, ys = load_multiclass_csv(p["csv"])
+        xs, ys = load_multiclass_csv(p["csv"], K)
+        _require(xs.shape[1] == d, f"environment.d = {d} differs from the "
+                                   f"{xs.shape[1]} feature columns of environment.csv")
         _check_rows("csv", len(ys), n)
-        return {"kind": "multiclass", "K": K, "d": xs.shape[1], "xs": xs[:n], "ys": ys[:n],
-                "U": None}
+        return {"kind": "multiclass", "K": K, "d": d, "xs": xs[:n], "ys": ys[:n], "U": None}
     # orthonormal class prototypes give unit-norm streams with margin 1
     basis, _ = np.linalg.qr(rng.standard_normal((d, K)))
     prototypes = basis.T
@@ -354,7 +370,7 @@ _ENV_KINDS = {
                            check=lambda p, e, n: _require(
                                e["best"] < e["k"], f"environment.best must lie below "
                                f"environment.k = {e['k']}, got {e['best']!r}")),
-    "oblivious": EnvKind({"k": Key(int, None, "[2, inf)"), "losses": Key(_matrix, None, "[0, 1]"),
+    "oblivious": EnvKind({"k": Key(int, None, "[2, inf)"), "losses": _LOSSES,
                           "csv": Key(str)}, _oblivious_env),
     "nonoblivious": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                              "adversary": Key(_choice("grudge"), "grudge")},
@@ -402,7 +418,8 @@ def _arms(e: dict) -> tuple[str, int | None]:
     if e.get("losses") is not None:
         return "losses", np.shape(e["losses"])[-1]
     if e.get("csv") is not None:
-        return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
+        with _csv_errors(e["csv"]):
+            return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
     return "k", e["k"]
 
 
@@ -424,33 +441,54 @@ def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
-    """Play `policy` for n rounds on a finite-arm environment.
+def _batches(build: partial, env: dict, n: int, seed: int, ids) -> Iterator[tuple]:
+    """Each batch of a run as (policy, rng, rows): `build`'s policy, its source
+    of doubles, and the shape of one round's records. A class that declares
+    `draws_per_round`, the doubles its state reads per round, plays all R
+    replicas in lockstep as one batch, a state with `replicas=R` on
+    `ReplicaDraws` that also give the environment its `env["draws_per_round"]`,
+    rows (R,); any other plays each on its own `derive_stream(seed, i)`, rows ()."""
+    per_round = getattr(build.func, "draws_per_round", None)
+    if per_round is None:
+        yield from ((build(), derive_stream(seed, i), ()) for i in ids)
+    else:
+        draws = ReplicaDraws(seed, ids, (per_round + env.get("draws_per_round", 0)) * n)
+        yield build(replicas=draws.replicas), draws, (draws.replicas,)
 
-    The policy holds one replica, and `rng` is its Generator, or R replicas,
-    and `rng` is a ReplicaDraws; the curve is (n,) or (R, n) to match.
-    A policy that learns from gains gets the reward, or 1 - loss from an
-    adversary; one that learns from losses gets the loss, or 1 - reward.
-    """
+
+def _curves(paid: np.ndarray, held: np.ndarray | None) -> np.ndarray:
+    """A batch's curves, (R, n) or (n,), in the memory of its records `paid`,
+    one row per round: summed down the columns in place, with the additions
+    of a sum along the rows of the transpose, less the competitor's
+    cumulative loss `held`, if any, for all rows or per row."""
+    np.cumsum(paid, axis=0, out=paid)
+    if held is not None:
+        np.subtract(paid.T, held.T, out=paid.T)
+    return paid.T
+
+
+def _finite_rounds(policy, env: dict, n: int, rng, rows: tuple) -> np.ndarray:
+    """A batch's curves, its (policy, rng, rows) from `_batches` played for n
+    rounds on a finite-arm environment. A policy that learns from gains gets
+    the reward, or 1 - loss from an adversary; one that learns from losses
+    gets the loss, or 1 - reward."""
     gain = policy.feedback == "gain"
     kind = env["kind"]
-    shape = () if isinstance(rng, np.random.Generator) else (rng.replicas,)
-    # a round's records fill one row of an (n, R) array, which is summed down
-    # its columns (the same additions as along the rows of its transpose) and
-    # returned as an (R, n) curve in C order
+    # a round's records fill one row of an (n, R) array, or one entry of an
+    # (n,) one; at most two curve-sized arrays at a time
     if kind == "stochastic":
         sto: StochasticEnv = env["env"]
-        arms = np.empty((n,) + shape, dtype=np.intp)  # the arm played; its gap after the loop
+        arms = np.empty((n,) + rows, dtype=np.intp)  # the arm played; its gap after the loop
         for t in range(n):
             arm = policy.select(rng)
             reward = sto.sample_reward(arm, rng)
             policy.update(arm, reward if gain else 1.0 - reward)
             arms[t] = arm
         played = sto.gaps.take(arms)
-        del arms  # at most two curve-sized arrays at a time
-        return np.ascontiguousarray(np.cumsum(played, axis=0, out=played).T)
+        del arms
+        return _curves(played, None)
 
-    played = np.empty((n,) + shape)  # loss of the arm played
+    played = np.empty((n,) + rows)  # loss of the arm played
     if kind == "oblivious":
         adv: ObliviousAdversary = env["adv"]
         for t in range(n):
@@ -458,14 +496,12 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
             loss = adv.loss_vector(t).take(arm)
             policy.update(arm, 1.0 - loss if gain else loss)
             played[t] = loss
-        best = np.cumsum(adv.loss_matrix[:n], axis=0).min(axis=1)
-        np.cumsum(played, axis=0, out=played)
-        return np.subtract(played.T, best, out=np.empty(shape + (n,)))
+        return _curves(played, np.cumsum(adv.loss_matrix[:n], axis=0).min(axis=1))
 
     # nonoblivious: a fresh adversary per call, reacting to each replica's plays
-    grudge = NonObliviousAdversary(env["K"], *shape)
+    grudge = NonObliviousAdversary(env["K"], *rows)
     cum_losses = np.zeros(grudge.counts.shape)
-    best = np.empty((n,) + shape)
+    best = np.empty((n,) + rows)
     for t in range(n):
         losses = grudge.loss_vector()
         arm = policy.select(rng)
@@ -474,73 +510,39 @@ def _finite_rounds(policy, env: dict, n: int, rng) -> np.ndarray:
         played[t] = loss
         cum_losses += losses
         np.minimum.reduce(cum_losses, -1, out=best[t, ...])  # a 0-d view for one replica
-    np.cumsum(played, axis=0, out=played)
-    played -= best
-    del best  # at most two curve-sized arrays at a time
-    return np.ascontiguousarray(played.T)
+    return _curves(played, best)
 
 
-def _run_finite(state: Callable, p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
-    """One curve per stream id for a finite-arm policy.
-
-    A policy class that declares `draws_per_select` reads that many doubles
-    per select(), so all its replicas advance in lockstep on one (R, K)
-    state. eps-greedy and thompson read a data-dependent number of doubles
-    per round and run one replica at a time.
-    """
-    K = env["K"]
-    make = state(K, n, p, None)
-    per_select = getattr(make.func, "draws_per_select", None)
-    if per_select is None:
-        streams = (derive_stream(seed, i) for i in ids)
-        return np.vstack([_finite_rounds(state(K, n, p, s)(), env, n, s) for s in streams])
-    draws = ReplicaDraws(seed, ids, (per_select + env.get("draws_per_round", 0)) * n)
-    return _finite_rounds(make(replicas=draws.replicas), env, n, draws)
+def _run_finite(make: Callable, p: dict, env: dict, n: int, seed: int, ids) -> list:
+    """Each batch's curves for a finite-arm class, which `make(p, env, n)` binds."""
+    return [_finite_rounds(policy, env, n, rng, rows)
+            for policy, rng, rows in _batches(make(p, env, n), env, n, seed, ids)]
 
 
 def _rounds(make: Callable, seen: Callable, best: Callable | None, p: dict, env: dict,
-            n: int, seed: int, ids) -> np.ndarray:
-    """One curve per stream id for a policy that plays `round(x, rng)`.
-
-    `make(p, env, n)` binds the policy's class. A class that declares
-    `draws_per_round` plays all replicas in lockstep: one state with
-    `replicas=R`, on `ReplicaDraws` that also give the environment its
-    `env["draws_per_round"]`. Any other class plays one replica at a time,
-    each on its own `derive_stream(seed, i)`. `seen(env, n, rng)` yields each
-    round's x, and `policy.round(x, rng)` plays it and returns (action,
-    loss), a loss per row in lockstep. `best(env)` makes the competitor, once
-    per run on the first batch's rounds (replicas played one at a time all
-    see the same rounds): a fold that takes each x as it comes and returns
-    the competitor's cumulative loss so far, for all rows or per row, so no
-    x outlives its round. Without one the curve counts losses.
+            n: int, seed: int, ids) -> list:
+    """Each batch's curves for a class, bound by `make(p, env, n)`, that plays
+    `round(x, rng)`. `seen(env, n, rng)` yields each round's x, and
+    `policy.round(x, rng)` plays it and returns (action, loss), a loss per
+    row in lockstep. `best(env)` makes the competitor, once per run on the
+    first batch's rounds (replicas played one at a time all see the same
+    rounds): a fold that takes each x as it comes and returns the
+    competitor's cumulative loss so far, for all rows or per row, so no x
+    outlives its round. Without one the curve counts losses.
     """
-    build = make(p, env, n)
-    per_round = getattr(build.func, "draws_per_round", None)
-    if per_round is None:
-        batches = (derive_stream(seed, i) for i in ids)
-    else:
-        batches = [ReplicaDraws(seed, ids, (per_round + env.get("draws_per_round", 0)) * n)]
     curves, held = [], None
-    for rng in batches:
-        shape = () if per_round is None else (rng.replicas,)
-        policy = build(replicas=rng.replicas) if shape else build()
+    for policy, rng, rows in _batches(make(p, env, n), env, n, seed, ids):
         fold = best(env) if best is not None and held is None else None
-        # a round's losses fill one row of an (n, R) array, or one entry of an
-        # (n,) one, summed down its columns
-        paid = np.empty((n,) + shape)
+        paid = np.empty((n,) + rows)
         if fold is not None:
-            held = np.empty((n,) + shape)
+            held = np.empty((n,) + rows)
         for t, x in enumerate(seen(env, n, rng)):
             paid[t] = policy.round(x, rng)[1]
             if fold is not None:
                 held[t] = fold(x)
         del policy  # freed before the next replica's is built
-        np.cumsum(paid, axis=0, out=paid)  # in place: no third curve-sized array
-        if held is not None:
-            paid -= held
-        curves.append(paid.T)
-    del held  # at most two curve-sized arrays at a time
-    return np.vstack(curves) if per_round is None else np.ascontiguousarray(curves[0])
+        curves.append(_curves(paid, held))
+    return curves
 
 
 def _hindsight(value: Callable, row: Callable = lambda x: x) -> Callable:
@@ -574,10 +576,10 @@ def _per_context_best(K: int) -> Callable:
     return step
 
 
-def _exp3p_state(K: int, n: int, p: dict, rng) -> partial:
+def _exp3p_state(p: dict, env: dict, n: int) -> partial:
     delta = None if p["delta_free"] else p["delta"]
-    beta, eta, gamma = adversarial.exp3p_params(n, K, delta)
-    return partial(adversarial.Exp3PState, K, eta, gamma, beta)
+    beta, eta, gamma = adversarial.exp3p_params(n, env["K"], delta)
+    return partial(adversarial.Exp3PState, env["K"], eta, gamma, beta)
 
 
 def _expert_rounds(env: dict, n: int, stream) -> Iterator:
@@ -664,7 +666,7 @@ def _osgd(mode: str) -> Callable:
                    _osgd_best)
 
 
-def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
+def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> list:
     mu, mu_star = env["mu"], env["mu_star"]
     c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
 
@@ -675,9 +677,9 @@ def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> np.ndarray:
         played, _bracket = convex.run_sgs(sample_losses, n, c_l, stream)
         inc = mu(played)
         inc -= mu_star
-        return np.cumsum(inc, out=inc)  # in place: no second curve-sized array
+        return _curves(inc, None)
 
-    return np.vstack([curve(derive_stream(seed, i)) for i in ids])
+    return [curve(derive_stream(seed, i)) for i in ids]
 
 
 def _check_exp3p(p: dict, e: dict, n: int) -> None:
@@ -737,12 +739,11 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
 
 
 # a policy's [policy] keys, the environment kinds it runs on, and how it plays
-# its replicas: run(params, env, n, seed, ids) -> (R, n) curves, `_run_finite`
-# bound to a function of (K, n, params, rng) that binds a finite-arm class,
-# `_rounds` bound to a function of (params, env, n) that binds a `round(x,
-# rng)` class, with its rounds and competitor, or `_run_sgs`. Either class
-# plays its replicas in lockstep if it declares how many doubles it reads.
-# `check`, as for an environment kind.
+# its replicas: run(params, env, n, seed, ids) -> each batch's curves, by
+# `_run_finite` or `_rounds` bound to make(params, env, n), which binds the
+# policy's class, whose `draws_per_round` makes one batch of all replicas
+# (`_rounds` also to its rounds and competitor), or by `_run_sgs`. `check`,
+# as for an environment kind.
 Policy = namedtuple("Policy", "keys kinds run check", defaults=(None,))
 
 
@@ -750,16 +751,15 @@ _FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
 
 _POLICIES = {
     "ucb": Policy({"alpha": Key(float, 2.5, "(2, inf)")}, _FINITE_KINDS, partial(
-        _run_finite, lambda K, n, p, rng: partial(stochastic.UcbState, K, alpha=p["alpha"]))),
-    # rng binarizes thompson's fractional rewards
+        _run_finite, lambda p, env, n: partial(stochastic.UcbState, env["K"], alpha=p["alpha"]))),
     "thompson": Policy({}, _FINITE_KINDS, partial(
-        _run_finite, lambda K, n, p, rng: partial(stochastic.ThompsonState, K, rng))),
+        _run_finite, lambda p, env, n: partial(stochastic.ThompsonState, env["K"]))),
     "eps-greedy": Policy({"d_gap": Key(float, 0.1, "(0, 1)")}, _FINITE_KINDS, partial(
-        _run_finite, lambda K, n, p, rng: partial(stochastic.EpsGreedyState, K,
-                                                  d_gap=p["d_gap"]))),
+        _run_finite, lambda p, env, n: partial(stochastic.EpsGreedyState, env["K"],
+                                               d_gap=p["d_gap"]))),
     "exp3": Policy({"eta": Key(float, None, "(0, inf)"), "anytime": Key(_flag, False)},
-                   _FINITE_KINDS, partial(_run_finite, lambda K, n, p, rng: partial(
-                       adversarial.Exp3State, K, n=n, eta=p["eta"], anytime=p["anytime"]))),
+                   _FINITE_KINDS, partial(_run_finite, lambda p, env, n: partial(
+                       adversarial.Exp3State, env["K"], n=n, eta=p["eta"], anytime=p["anytime"]))),
     # delta is read only without delta_free, so its range is a rule across keys
     "exp3p": Policy({"delta": Key(float, 0.1, "(-inf, inf)"), "delta_free": Key(_flag, False)},
                     _FINITE_KINDS, partial(_run_finite, _exp3p_state), check=_check_exp3p),
@@ -819,12 +819,10 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     """Cumulative pseudo-regret (or mistake) curves.
 
     `ids` is one replica's stream id, for its 1-D curve, or a sequence of
-    ids, for an (R, n) array with one row per id; row r reads only the
-    stream `derive_stream(seed, ids[r])`. A policy whose class declares the
-    doubles it reads per select or round (`draws_per_select`,
-    `draws_per_round`: ucb, exp3, exp3p, exp2-john and osmd-msets) runs all
-    the replicas in lockstep on `ReplicaDraws`; the others run them one
-    after another, each on its own Generator.
+    ids, for an (R, n) array in C order with one row per id; row r reads
+    only the stream `derive_stream(seed, ids[r])`, in whichever batch
+    `_batches` plays it: all replicas in lockstep (ucb, exp3, exp3p,
+    exp2-john and osmd-msets) or one at a time.
     """
     config = check_config(config)
     p, n = config["policy_params"], config["horizon"]
@@ -832,8 +830,9 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     ids = [ids] if single else ids
     if n == 0:  # no round to play, so no policy to build
         curves = np.empty((len(ids), 0))
-    else:
-        curves = _POLICIES[config["policy"]].run(p, env, n, seed, ids)
+    else:  # made once the batches are done, so never a third curve-sized array
+        batches = _POLICIES[config["policy"]].run(p, env, n, seed, ids)
+        curves = np.concatenate([np.atleast_2d(c) for c in batches], out=np.empty((len(ids), n)))
     return curves[0] if single else curves
 
 

@@ -251,7 +251,7 @@ def finite_rows_mismatch(make, kind: str, K: int, n: int, R: int, seed: int):
     env = StochasticEnv.bernoulli(rng.random(K))
     matrix = rng.random((n, K))
     batch = make(R)
-    per_round = batch.draws_per_select + (kind == "stochastic")
+    per_round = batch.draws_per_round + (kind == "stochastic")
     # each player: a state, its source of doubles and its grudge adversary
     players = [(batch, ReplicaDraws(seed, range(R), per_round * n), NonObliviousAdversary(K, R))]
     players += [(make(None), derive_stream(seed, r), NonObliviousAdversary(K)) for r in range(R)]

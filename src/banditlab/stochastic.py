@@ -45,7 +45,7 @@ class UcbState:
     """
 
     feedback = "gain"
-    draws_per_select = 0
+    draws_per_round = 0  # select reads no double, so replicas run in lockstep
 
     def __init__(self, K: int, alpha: float = 2.5, psi: PsiSpec = HOEFFDING,
                  replicas: int | None = None):
@@ -120,22 +120,22 @@ def ucb_bound(alpha: float, gaps, n: int) -> float:
 class ThompsonState:
     """Per-arm Beta posteriors starting from the uniform prior Beta(1, 1).
 
-    `rng`, when given, binarizes fractional rewards that `update` receives
-    without an rng of its own.
-    """
+    `update` binarizes a fractional reward with its own `rng`, if given, or
+    else with the stream the last `select` drew from."""
 
     feedback = "gain"
 
-    def __init__(self, K: int, rng: np.random.Generator | None = None):
+    def __init__(self, K: int):
         self.K = K
-        self.rng = rng
         self.successes = np.zeros(K)
         self.failures = np.zeros(K)
+        self._drawn_from = None  # the stream the last select() drew from
 
     def posterior_params(self) -> tuple[np.ndarray, np.ndarray]:
         return self.successes + 1.0, self.failures + 1.0
 
     def select(self, rng: np.random.Generator) -> int:
+        self._drawn_from = rng
         a, b = self.posterior_params()
         theta = rng.beta(a, b)
         return int(theta.argmax())
@@ -144,7 +144,7 @@ class ThompsonState:
         # Non-binary rewards in [0,1] are binarized with an auxiliary
         # Bernoulli(reward) draw, which keeps the Beta update conjugate.
         if reward not in (0.0, 1.0):
-            rng = rng or self.rng
+            rng = rng or self._drawn_from
             if rng is None:
                 raise ValueError("rng required to binarize a fractional reward")
             reward = float(rng.random() < reward)

@@ -1,13 +1,17 @@
 """The replica engine's contract: reports are fixed by (config, seed), whatever
 the batch a replica runs in, and replica r reads only derive_stream(seed, r)."""
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+import banditlab
 from banditlab import env as env_module
 from banditlab import geometry, harness
 from banditlab.adversarial import (
@@ -50,6 +54,8 @@ CASES = {
                               {"means": "0.9, 0.6, 0.5"}, 300, 3, 20),
     "thompson-stochastic": ("thompson", {}, "stochastic", {"means": "0.9, 0.6, 0.5"},
                             300, 3, 21),
+    # fractional losses: thompson binarizes each gain from the replica's stream
+    "thompson-oblivious": ("thompson", {}, "oblivious", {"k": "4"}, 300, 3, 37),
     # the grudge adversary in lockstep, on (R, K) play counts, and one replica
     # at a time, on (K,) ones
     "ucb-nonoblivious": ("ucb", {}, "nonoblivious", {"k": "4", "adversary": "grudge"},
@@ -103,6 +109,8 @@ GOLDEN = {
     "eps-greedy-stochastic":
         "98a7534dcfb1f6e1e6f2942217b4c8117e7274bcb7afc4590df90634f17c11e5",
     "thompson-stochastic": "220fc576a124d53dbeed1c400df2784c69bcd3e10cca3317caffe520259f286e",
+    # captured from the engine that gave ThompsonState its stream at construction
+    "thompson-oblivious": "2cf07663791305d032542571f1b3a65cb1b55034f30bc42e26ea762530900936",
     # captured from the adversary that reread each replica's whole history
     "ucb-nonoblivious": "563cc4bb184cd33459a25f0ece0b6ba774b14427f0642a0caa2e4122327e719a",
     "eps-greedy-nonoblivious":
@@ -224,6 +232,33 @@ def test_round_cases_cover_both_batchings():
     assert {p for p, lockstep in policies.items() if lockstep} == {"exp2-john", "osmd-msets"}
     assert {"sexp3", "exp4", "theta-exp4", "banditron", "osmd-ball", "osgd-2pt",
             "osgd-1pt"} <= set(policies)
+
+
+def test_batches_follow_the_lockstep_declaration():
+    # every policy but sgs binds its class through make(p, env, n); the class
+    # alone decides whether its replicas play as one batch or one at a time
+    lockstep, one_at_a_time = set(), set()
+    for case in CASES.values():
+        cfg = harness.check_config(_config(*case))
+        run = harness._POLICIES[cfg["policy"]].run
+        if getattr(run, "func", None) not in (harness._run_finite, harness._rounds):
+            continue
+        n, seed = cfg["horizon"], cfg["seed"]
+        env = harness.build_environment(cfg["env_kind"], cfg["env_params"], n, seed)
+        build = run.args[0](cfg["policy_params"], env, n)
+        rows = [rows for _, _, rows in harness._batches(build, env, n, seed, range(3))]
+        assert rows in ([(3,)], [()] * 3)
+        (lockstep if rows == [(3,)] else one_at_a_time).add(cfg["policy"])
+    assert lockstep == {"ucb", "exp3", "exp3p", "exp2-john", "osmd-msets"}
+    assert one_at_a_time == set(harness._POLICIES) - lockstep - {"sgs"}
+
+
+def test_draws_per_round_is_the_one_lockstep_declaration():
+    for info in pkgutil.iter_modules(banditlab.__path__):
+        module = importlib.import_module(f"banditlab.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            assert {name for name in vars(cls) if name.startswith("draws_per")} \
+                <= {"draws_per_round"}, cls
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (_, _, (_, _, best), lockstep)

@@ -2,10 +2,12 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import banditlab
 from banditlab import cli, harness
 from banditlab.harness import (
     ConfigError,
@@ -202,6 +204,12 @@ def test_multiclass_csv_loader(tmp_path):
                   overlays=[], horizon=4, replicas=1)
     report = run_experiment(cfg)
     assert report.mean_terminal <= 4.0
+
+
+def test_package_version_matches_pyproject():
+    # a regex, as tomllib needs Python 3.11 and the project allows 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == banditlab.__version__
 
 
 def test_cli_run_and_bound(tmp_path, capsys):
@@ -462,6 +470,38 @@ def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, e
 def test_range_checks_admit_unset_and_boundary_values(policy, params, kind, env_params):
     harness.check_config(_config(policy=policy, policy_params=params, env_kind=kind,
                                  env_params=env_params, overlays=[]))
+
+
+# a csv's text (None: no file), the policy, its [policy] keys, the kind, its
+# other [environment] keys, and the key the ConfigError names
+_CONTEXTUAL = ("sexp3", {}, "contextual", {"k": "2"})
+_MULTICLASS = ("banditron", {"gamma": "0.2"}, "multiclass", {"k": "2", "d": "2"})
+_BAD_CSVS = {
+    "contextual-empty": ("", *_CONTEXTUAL, "environment.csv"),
+    "contextual-text": ("a,0.1,x\n" * 3, *_CONTEXTUAL, "environment.csv"),
+    "contextual-above-1": ("a,0.1,3.0\n" * 3, *_CONTEXTUAL, "environment.csv"),
+    "contextual-missing": (None, *_CONTEXTUAL, "environment.csv"),
+    "oblivious-above-1": ("0.1,1.7\n" * 3, "exp3", {}, "oblivious", {}, "environment.csv"),
+    "oblivious-missing": (None, "exp3", {}, "oblivious", {}, "environment.csv"),
+    "multiclass-missing": (None, *_MULTICLASS, "environment.csv"),
+    "multiclass-label-7": ("1,0,7\n0,1,1\n1,0,0\n", *_MULTICLASS, "environment.csv"),
+    "multiclass-label--1": ("1,0,1\n0,1,-1\n1,0,0\n", *_MULTICLASS, "environment.csv"),
+    "multiclass-label-0.5": ("1,0,1\n0,1,0\n1,0,0.5\n", *_MULTICLASS, "environment.csv"),
+    "multiclass-d": ("1,0,1\n0,1,0\n1,0,0\n", *_MULTICLASS[:3], {"k": "2", "d": "9"},
+                     "environment.d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CSVS))
+def test_bad_csv_fails_before_any_replica(no_replicas, tmp_path, name):
+    text, policy, params, kind, env_params, key = _BAD_CSVS[name]
+    path = tmp_path / "rows.csv"
+    if text is not None:
+        path.write_text(text)
+    cfg = _config(policy=policy, policy_params=params, env_kind=kind,
+                  env_params={**env_params, "csv": str(path)}, overlays=[], horizon=3)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run_experiment(cfg)
 
 
 def test_one_column_csv_fails_before_any_replica(no_replicas, tmp_path):

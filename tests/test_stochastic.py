@@ -150,6 +150,19 @@ def test_thompson_samples_in_unit_interval():
     assert ((theta >= 0) & (theta <= 1)).all()
 
 
+def test_thompson_binarizes_with_the_stream_it_selected_on():
+    remembered, given = ThompsonState(3), ThompsonState(3)
+    ours, theirs = derive_stream(7, 0), derive_stream(7, 0)
+    for _ in range(200):
+        arm = remembered.select(ours)
+        assert given.select(theirs) == arm
+        remembered.update(arm, 0.5)
+        given.update(arm, 0.5, theirs)
+    assert np.array_equal(remembered.successes, given.successes)
+    assert np.array_equal(remembered.failures, given.failures)
+    assert ours.random() == theirs.random()
+
+
 def test_thompson_fractional_reward_binarized():
     rng = derive_stream(6, 0)
     state = ThompsonState(1)
