@@ -154,7 +154,8 @@ class ReplicaDraws:
         return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
-def _constant(value) -> np.ndarray:
+def constant(value) -> np.ndarray:
+    """`value` as a read-only 0-d array."""
     a = np.array(value)
     a.flags.writeable = False
     return a
@@ -162,8 +163,9 @@ def _constant(value) -> np.ndarray:
 
 # The constants that per-round code hands to ufuncs, as read-only 0-d arrays.
 # numpy turns a Python scalar operand into an array on every call, which adds
-# 40-90% to a ufunc on a few elements; an int costs more than a float.
-ONE, TWO, ZERO, INF = (_constant(v) for v in (1, 2.0, 0.0, np.inf))
+# 40-90% to a ufunc on a few elements; an int costs more than a float, and a
+# numpy scalar more than either. UNIT is ONE for float operands.
+ONE, TWO, ZERO, INF, UNIT = (constant(v) for v in (1, 2.0, 0.0, np.inf, 1.0))
 
 
 def as_arm(idx):
@@ -182,6 +184,12 @@ def largest(a: np.ndarray):
 def smallest(a: np.ndarray):
     """`a.min()` as a Python scalar, nan included, as `largest` is."""
     return a.item(a.argmin())
+
+
+def within(a: np.ndarray, low: float, high: float) -> bool:
+    """Whether every entry of `a` lies in [low, high], a nan failing, by one
+    `smallest` and one `largest`."""
+    return not a.size or (smallest(a) >= low and largest(a) <= high)
 
 
 def any_true(mask) -> bool:

@@ -2,12 +2,13 @@
 capped-simplex Bregman projections, and systematic m-subset sampling."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .env import largest
+from .env import UNIT, ZERO, constant, largest, smallest, within
 
 DESIGN_TOL = 1e-7
 PROJECTION_TOL = 1e-10
@@ -113,6 +114,22 @@ def _suffix_sums(ws: np.ndarray) -> np.ndarray:
     return np.add.accumulate(ws[:, ::-1], axis=-1)[:, ::-1]
 
 
+@functools.lru_cache(maxsize=32)
+def _arange(n: int) -> np.ndarray:
+    """np.arange(n), built once and read-only."""
+    return constant(np.arange(n))
+
+
+def _checked_weights(w, m: float) -> np.ndarray:
+    """`w` as a float array, with m at most its dimension and every weight > 0."""
+    w = np.asarray(w, dtype=float)
+    if m > w.shape[-1]:
+        raise ValueError("cap total m exceeds the dimension")
+    if w.size and not smallest(w) > 0.0:  # written so that nan fails too
+        raise ValueError("weights must be strictly positive")
+    return w
+
+
 def project_capped_simplex_negent(w, m: float) -> np.ndarray:
     """Entropy projection onto {x in [0,1]^d : sum x = m} by waterfilling.
 
@@ -124,15 +141,11 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
     is scaled, so a row whose weights sum past the largest double is divided
     by its largest weight first; every other row keeps its bits.
     """
-    w = np.asarray(w, dtype=float)
+    w = _checked_weights(w, m)
     d = w.shape[-1]
-    if m > d:
-        raise ValueError("cap total m exceeds the dimension")
-    if not (w > 0.0).all():  # written so that nan fails too
-        raise ValueError("weights must be strictly positive")
     W = w.reshape(-1, d)
-    rows = np.arange(len(W))[:, None]
-    order = np.argsort(-W, axis=-1)
+    rows = _arange(len(W))[:, None]
+    order = (-W).argsort(-1)
     ws = W[rows, order]  # each row sorted descending
     if len(W) and largest(ws[:, 0]) > _SUM_SAFE / d:  # some row's sum may overflow
         with np.errstate(over="ignore"):
@@ -140,13 +153,12 @@ def project_capped_simplex_negent(w, m: float) -> np.ndarray:
         if not (ws[huge, 0] < np.inf).all():
             raise ValueError("weights must be finite")
         ws[huge] /= ws[huge, :1]
-    suffix = _suffix_sums(ws)
-    c = (m - np.arange(d)) / suffix
-    fits = c * ws <= 1.0
+    c = (m - _arange(d)) / _suffix_sums(ws)
+    fits = c * ws <= UNIT
     k = fits.argmax(-1)[:, None]  # the first k that fits (0 when none does)
-    xs = np.minimum(1.0, c[rows, k] * ws)
-    xs[np.arange(d) < k] = 1.0
-    xs[~fits.any(-1)] = 1.0  # m == d
+    xs = np.minimum(UNIT, c[rows, k] * ws)
+    xs[_arange(d) < k] = 1.0
+    xs[~np.logical_or.reduce(fits, -1)] = 1.0  # m == d
     x = np.empty_like(W)
     x[rows, order] = xs
     return x.reshape(w.shape)
@@ -159,7 +171,7 @@ def _free_sums(a: np.ndarray, free: np.ndarray) -> np.ndarray:
     pairwise sum groups terms by position, so rows are summed in C-contiguous
     blocks of rows with the same count."""
     if a.shape[-1] < 8:
-        return np.add.reduce(np.where(free, a, 0.0), -1)
+        return np.add.reduce(np.where(free, a, ZERO), -1)
     counts = np.count_nonzero(free, axis=-1)
     sums = np.empty(len(counts))
     for c in np.unique(counts):
@@ -168,23 +180,62 @@ def _free_sums(a: np.ndarray, free: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _bracket(passes: Callable, held: np.ndarray, sign: float, side: str) -> np.ndarray:
-    """Each row's first of the points 0, sign, 3 sign, 7 sign, ... (200 at
-    most) at which `passes(point)`, taken for every row at once, holds;
-    `held` is whether 0 passes."""
-    end = np.zeros(len(held))
-    open_ = ~held
+_LOOP_ENTRIES = 32
+
+
+def _newton_sums(x: np.ndarray, slopes: np.ndarray, rows: list) -> tuple[list, list]:
+    """Each row's sum of x and its sum of `slopes` where x < 1 (its free
+    coordinates), as lists of Python floats with the bits of `np.add.reduce`
+    of the row and of the sum of its compacted free slopes; only the rows in
+    `rows` are read. Below 8 terms numpy adds in order, and so does the loop
+    here (the builtin `sum` does not from Python 3.12 on), which serves while
+    those rows hold at most _LOOP_ENTRIES entries; past that numpy's fixed
+    cost per call is the smaller."""
+    d = x.shape[-1]
+    if d >= 8 or len(rows) * d > _LOOP_ENTRIES:
+        return np.add.reduce(x, -1).tolist(), _free_sums(slopes, x < UNIT).tolist()
+    xs, ps = x.tolist(), slopes.tolist()
+    sums, free = [0.0] * len(xs), [0.0] * len(xs)
+    for i in rows:
+        s = f = 0.0
+        for v, p in zip(xs[i], ps[i]):
+            s += v
+            if v < 1.0:
+                f += p
+        sums[i], free[i] = s, f
+    return sums, free
+
+
+def _brackets(total: Callable, held: list, m: float) -> tuple[list, list]:
+    """Each row's bracket [lo, hi] for its dual. A row whose total `held` at 0
+    is below m takes as lo the first of -1, -3, -7, ... (199 at most) at
+    which its total reaches m; a row above m takes as hi the first of 1, 3,
+    7, ... at which its total is at most m; each other end is 0.
+    `total(lams)` sums every row at its dual in `lams`, once per doubling
+    while some row is searching."""
+    lo, hi = [0.0] * len(held), [0.0] * len(held)
+    down = [i for i, s in enumerate(held) if not s >= m]  # written so that nan searches too
+    up = [i for i, s in enumerate(held) if s > m]
     at, step = 0.0, 1.0
     for _ in range(199):
-        if not np.count_nonzero(open_):
-            return end
-        at += sign * step
+        if not down and not up:
+            return lo, hi
+        at += step
         step *= 2.0
-        end[open_] = at
-        open_ &= ~passes(at)
-    if np.count_nonzero(open_):
-        raise ConvergenceError(f"no {side} bracket for the projection dual")
-    return end
+        for i in down:
+            lo[i] = -at
+        for i in up:
+            hi[i] = at
+        # one end of each bracket is 0, so a + b is the other one: a
+        # searching row's probe, and any other row at its end or at 0
+        sums = total([a + b for a, b in zip(lo, hi)])
+        down = [i for i in down if not sums[i] >= m]
+        up = [i for i in up if not sums[i] <= m]
+    if down:
+        raise ConvergenceError("no lower bracket for the projection dual")
+    if up:
+        raise ConvergenceError("no upper bracket for the projection dual")
+    return lo, hi
 
 
 def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_TOL,
@@ -195,21 +246,18 @@ def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_T
     variable lam by Newton steps safeguarded with a bisection bracket.
     `w` is one point (d,) or one point per row (R, d), every weight > 0.
     Every row keeps its own bracket and dual and stops at its own tolerance
-    or bracket width, so it gets the bits it would get alone; the rows still
-    running are kept together, and a row leaves them when it stops.
+    or bracket width, so it gets the bits it would get alone.
 
-    Each Newton iteration evaluates psi, psi' and the two row sums on the
-    running rows' (k, d) array; each row's bracket, dual and stopping rules
-    then run on Python floats. Python's float + - * / and comparisons are the
-    same correctly rounded IEEE-754 double operations as numpy's float64
-    ufuncs, so a row's dual has the bits the array form gives it.
+    Each Newton iteration evaluates psi and psi' on the (R, d) array in
+    numpy, a stopped row at the dual it stopped at, and takes the running
+    rows' sums as Python floats (`_newton_sums`); each row's bracket, dual
+    and stopping rules then run on Python floats. Python's float + - * /
+    and comparisons are the same correctly rounded IEEE-754 double
+    operations as numpy's float64 ufuncs, so a row's dual has the bits the
+    array form gives it.
     """
-    w = np.asarray(w, dtype=float)
+    w = _checked_weights(w, m)
     d = w.shape[-1]
-    if m > d:
-        raise ValueError("cap total m exceeds the dimension")
-    if not (w > 0.0).all():  # written so that nan fails too
-        raise ValueError("weights must be strictly positive")
     duals = psi.psi_inv(w.reshape(-1, d))
     out = np.empty_like(duals)
     if not len(duals):
@@ -217,68 +265,57 @@ def project_capped_simplex_potential(w, m: float, psi, tol: float = PROJECTION_T
     # a coordinate whose dual reaches psi_inv(1) saturates at 1 (psi(cap) is
     # exactly 1); the clamp keeps psi inside its domain u < a when the bracket
     # search steps lam far down
-    cap = float(psi.psi_inv(1.0))
+    cap = np.array(float(psi.psi_inv(1.0)))
 
     def value(u: np.ndarray) -> np.ndarray:
-        return np.minimum(1.0, psi.psi(np.minimum(u, cap)))
+        return np.minimum(UNIT, psi.psi(np.minimum(u, cap)))
 
-    def total(lam) -> np.ndarray:
-        return np.add.reduce(value(duals - lam), -1)
+    def total(lams: list) -> list:
+        return np.add.reduce(value(duals - np.array(lams)[:, None]), -1).tolist()
 
-    held = total(0.0)  # for both ends
-    lo = _bracket(lambda lam: total(lam) >= m, held >= m, -1.0, "lower").tolist()
-    hi = _bracket(lambda lam: total(lam) <= m, held <= m, 1.0, "upper").tolist()
+    lo, hi = _brackets(total, np.add.reduce(value(duals), -1).tolist(), m)
     lam = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    live, D = np.arange(len(duals)), duals  # the rows still running
-    ended = []  # (rows, lam) of rows that stopped on the bracket width
-    # psi' may be inf or nan on a saturated coordinate, which no slope reads
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            u = D - np.array(lam)[:, None]
-            x = value(u)
-            sums = np.add.reduce(x, -1).tolist()
-            slopes = _free_sums(psi.psi_prime(u), x < 1.0).tolist()
-            running = enumerate(zip(sums, slopes, lo, hi, lam))
-            # row i's bracket is [a, b] and its dual c; lo, hi and lam are
-            # rebuilt from the rows that keep running
-            done, narrow, ends, keep, lo, hi, lam = [], [], [], [], [], [], []
-            for i, (s, slope, a, b, c) in running:
-                err = s - m
-                if abs(err) <= tol:  # x is the answer at this lam
-                    done.append(i)
-                    continue
-                if err > 0.0:
-                    a = c
-                else:
-                    b = c
-                # a row without slope has lam at one end of its bracket, so the
-                # array form's inf or nan step fell outside it: the row bisects
-                nxt = c + err / slope if slope else a
-                c = nxt if a < nxt < b else 0.5 * (a + b)
-                scale = abs(b)  # the width rule is b - a < 1e-16 max(1, |b|)
-                if b - a < 1e-16 * (scale if scale > 1.0 else 1.0):
-                    narrow.append(i)
-                    ends.append(c)
-                else:
-                    keep.append(i)
-                    lo.append(a)
-                    hi.append(b)
-                    lam.append(c)
-            if done:
-                out[live[done]] = x[done]
-            if narrow:
-                ended.append((live[narrow], np.array(ends)[:, None]))
-            if not keep:
-                break
-            if len(keep) < len(live):
-                live, D = live[keep], D[keep]
-        else:  # rows the iteration budget ran out on
-            ended.append((live, np.array(lam)[:, None]))
-    for rows, lam in ended:
-        x = value(duals[rows] - lam)
+    running = list(range(len(duals)))
+    ended = []  # rows that stopped on the bracket width or ran out of iterations
+    for _ in range(max_iter):
+        # psi' at the clamped dual is psi' at the dual on every free
+        # coordinate (x < 1 only below the cap), and finite on the others
+        u = np.minimum(duals - np.array(lam)[:, None], cap)
+        x = np.minimum(UNIT, psi.psi(u))
+        sums, slopes = _newton_sums(x, psi.psi_prime(u), running)
+        still = []
+        for i in running:
+            err = sums[i] - m
+            if abs(err) <= tol:  # x is the answer at this lam
+                out[i] = x[i]
+                continue
+            # row i's bracket is [a, b] and its dual c
+            a, b, c = lo[i], hi[i], lam[i]
+            if err > 0.0:
+                a = c
+            else:
+                b = c
+            # a row without slope has lam at one end of its bracket, so the
+            # array form's inf or nan step fell outside it: the row bisects
+            slope = slopes[i]
+            nxt = c + err / slope if slope else a
+            c = nxt if a < nxt < b else 0.5 * (a + b)
+            lo[i], hi[i], lam[i] = a, b, c
+            scale = abs(b)  # the width rule is b - a < 1e-16 max(1, |b|)
+            if b - a < 1e-16 * (scale if scale > 1.0 else 1.0):
+                ended.append(i)
+            else:
+                still.append(i)
+        running = still
+        if not running:
+            break
+    else:  # rows the iteration budget ran out on
+        ended += running
+    if ended:
+        x = value(duals[ended] - np.array([lam[i] for i in ended])[:, None])
         if (np.abs(np.add.reduce(x, -1) - m) > 1e-6).any():
             raise ConvergenceError("projection dual solve did not converge")
-        out[rows] = x
+        out[ended] = x
     return out.reshape(w.shape)
 
 
@@ -286,18 +323,23 @@ def _madow_cumulative(x, m: int | None) -> tuple[np.ndarray, int]:
     """Each row's cumulative sums 0, x_1, x_1 + x_2, ..., pinned to end at m
     (by default the rounded sum of the first row: one m for every row)."""
     x = np.asarray(x, dtype=float)
-    if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
+    # entries within 1e-12 of [0, 1] pass, and so does nan; entries in
+    # [0, 1] take one min and one max, and need no clipping
+    inside = within(x, 0.0, 1.0)
+    if not inside and ((x < -1e-12).any() or (x > 1.0 + 1e-12).any()):
         raise ValueError("coordinates must lie in [0, 1]")
     total = np.add.reduce(x, -1)
     if m is None:
         m = int(round(float(total.flat[0])))
-    off = ~(np.abs(total - m) <= 1e-6)  # written so that nan is off too
-    if off.any():
+    err = np.abs(total - m)
+    if err.size and not largest(err) <= 1e-6:  # written so that nan fails too
+        off = ~(err <= 1e-6)
         raise ValueError(f"coordinates sum to {np.ravel(total)[np.ravel(off)][0]}, "
                          f"expected the integer {m}")
     cum = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
     # the running sums of x clipped to [0, 1]
-    np.add.accumulate(np.minimum(np.maximum(x, 0.0), 1.0), axis=-1, out=cum[..., 1:])
+    np.add.accumulate(x if inside else np.minimum(np.maximum(x, 0.0), 1.0), axis=-1,
+                      out=cum[..., 1:])
     # pin the endpoint and keep the array monotone against rounding drift
     np.minimum(cum, float(m), out=cum)
     cum[..., -1] = m
@@ -308,7 +350,7 @@ def _madow_pick(cum: np.ndarray, m: int, u) -> np.ndarray:
     """The indicator of the items i whose [cum_i, cum_{i+1}) holds one of the
     thresholds u, u + 1, ..., u + m - 1, with one start u per row: those
     where the count of thresholds below the sums steps up."""
-    thresholds = np.add.outer(u, np.arange(m))
+    thresholds = np.add.outer(u, _arange(m))
     below = np.add.reduce(thresholds[..., None, :] < cum[..., None], -1)
     return (below[..., 1:] > below[..., :-1]).astype(float)
 

@@ -1036,7 +1036,7 @@ BOUNDS = {
                    lambda c, env: {**_n_K(c, env), "S": env["max_set_size"],
                                    "n_theta": len(_theta_streams(env))}),
     "banditron": Bound(contextual.banditron_bound,
-                       lambda c, env: {**_n_K(c, env), "U_norm": env.get("U_norm", 0.0)}),
+                       lambda c, env: {**_n_K(c, env), "U_norm": env["U_norm"]}),
     "exp2-john": Bound(mirror.exp2_bound,
                        lambda c, env: {"n": c["horizon"], "d": env["d"], "N": env["N"]}),
     "osmd-negent": Bound(mirror.osmd_negent_bound, partial(_msets, variant="negent")),

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .adversarial import exp_weights
-from .env import sample_categorical
+from .env import ZERO, constant, largest, sample_categorical, smallest, within
 from .geometry import (
     DesignWeights,
     madow_sample,
@@ -18,6 +18,7 @@ from .geometry import (
 )
 
 X_FLOOR = 1e-12  # smallest coordinate kept alive for importance weighting
+_FLOOR = constant(X_FLOOR)
 
 
 class DomainError(ValueError):
@@ -42,10 +43,12 @@ def power_potential(q: float) -> PotentialSpec:
     """psi(u) = (-u)^(-q) on (-inf, 0); q > 1."""
     if q <= 1.0:
         raise ValueError("the power exponent must exceed 1")
+    # the per-round maps' constants, as read-only 0-d arrays (see env.ONE)
+    q_, psi_exp, slope_exp, inv_exp = (constant(v) for v in (q, -q, -q - 1.0, -1.0 / q))
     return PotentialSpec(
-        psi=lambda u: (-u) ** (-q),
-        psi_prime=lambda u: q * (-u) ** (-q - 1.0),
-        psi_inv=lambda s: -(s ** (-1.0 / q)),
+        psi=lambda u: (-u) ** psi_exp,
+        psi_prime=lambda u: q_ * (-u) ** slope_exp,
+        psi_inv=lambda s: -(s ** inv_exp),
         F_term=lambda x: -(q / (q - 1.0)) * x ** ((q - 1.0) / q),
         a=0.0,
         name=f"power-{q:g}",
@@ -114,7 +117,8 @@ def potential_capped_simplex(psi: PotentialSpec, m: float) -> LegendreSpec:
         grad_F=psi.psi_inv,
         grad_F_star=psi.psi,
         bregman_project=lambda w: project_capped_simplex_potential(w, m, psi),
-        dual_domain_check=lambda u: bool((np.asarray(u) < psi.a).all()),
+        # written so that nan fails too: largest() picks the first nan
+        dual_domain_check=lambda u: not u.size or largest(u) < psi.a,
         name=f"{psi.name}-capped",
     )
 
@@ -223,7 +227,7 @@ class Exp2State:
     replica, and `select`/`update` take and return one point and one scalar
     loss per row. Each row's products are taken one row at a time
     (`np.matmul` over a leading axis), so a row's bits do not depend on the
-    batch it runs in.
+    batch it runs in. `eta` and `gamma` are read once, at construction.
     """
 
     draws_per_round = 1  # one double per round, the point's draw, so replicas run in lockstep
@@ -244,14 +248,17 @@ class Exp2State:
             raise ValueError("gamma must be positive so the design matrix is invertible")
         self.eta = eta
         self.gamma = gamma
+        # probs' constants, taken once: the negated rate and the softmax's
+        # share as read-only 0-d arrays, and the design's share of each point
+        self._neg_eta, self._soft_share = constant(-eta), constant(1.0 - gamma)
+        self._explore = gamma * design.weights
         self.cum_estimate = np.zeros(self.d if replicas is None else (replicas, self.d))
         self.t = 0
         self._drawn_from = None  # the distribution the last select() drew from
 
     def probs(self) -> np.ndarray:
         scores = np.matmul(self.points, self.cum_estimate[..., None])[..., 0]
-        soft = exp_weights(-self.eta * scores)
-        return (1.0 - self.gamma) * soft + self.gamma * self.design.weights
+        return self._soft_share * exp_weights(self._neg_eta * scores) + self._explore
 
     def select(self, rng):
         self._drawn_from = self.probs()
@@ -264,8 +271,7 @@ class Exp2State:
         """scalar_loss P(p)^-1 x_played, the unbiased estimate of the loss
         vector, for the point played from `p` (by default, the current probs)."""
         scalar_loss = np.asarray(scalar_loss, dtype=float)
-        # written so that nan fails it too
-        if (~((-1.0 <= scalar_loss) & (scalar_loss <= 1.0))).any():
+        if not within(scalar_loss, -1.0, 1.0):  # a nan fails too
             raise ValueError("scalar loss must lie in [-1, 1]")
         if p is None:
             p = self.probs()
@@ -297,8 +303,9 @@ def semibandit_estimate(x: np.ndarray, v: np.ndarray, losses: np.ndarray) -> np.
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     losses = np.asarray(losses, dtype=float)
-    active = v > 0.0
-    if (x[active] < X_FLOOR).any():
+    active = v > ZERO
+    # one min when no coordinate is below the floor (a nan takes the full rule)
+    if x.size and not smallest(x) >= X_FLOOR and (x[active] < X_FLOOR).any():
         raise ZeroDivisionError("active coordinate fell below the importance floor")
     return np.divide(losses, x, out=np.zeros(x.shape), where=active)
 
@@ -355,7 +362,7 @@ class OsmdMsets:
         est = semibandit_estimate(self.x, v, losses)
         if self.eta > 0.0:
             x = omd_step(self.x, est, self.eta, self.spec)
-            self.x = np.maximum(x, X_FLOOR)
+            self.x = np.maximum(x, _FLOOR)
         self.t += 1
 
     def round(self, losses: np.ndarray, rng):

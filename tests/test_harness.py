@@ -504,6 +504,17 @@ def test_bad_csv_fails_before_any_replica(no_replicas, tmp_path, name):
         run_experiment(cfg)
 
 
+def test_banditron_overlay_needs_the_competitor_norm(no_replicas, tmp_path):
+    # a csv stream has no known separating competitor, so no U_norm to cap with
+    path = tmp_path / "rows.csv"
+    path.write_text("1,0,1\n0,1,0\n1,0,0\n")
+    cfg = _config(policy="banditron", policy_params={"gamma": "0.2"}, env_kind="multiclass",
+                  env_params={"k": "2", "d": "2", "csv": str(path)}, overlays=["banditron"],
+                  horizon=3)
+    with pytest.raises(ConfigError, match="'banditron'.*U_norm"):
+        run_experiment(cfg)
+
+
 def test_one_column_csv_fails_before_any_replica(no_replicas, tmp_path):
     path = tmp_path / "losses.csv"
     path.write_text("0.5\n" * 20)

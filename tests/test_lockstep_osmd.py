@@ -2,12 +2,14 @@
 sampling and estimate act on each row as the one-row forms act on that row
 alone, and their checks hold per row."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from banditlab import geometry, selftest
-from banditlab.env import ReplicaDraws, derive_stream
+from banditlab.adversarial import exp_weights
+from banditlab.env import ReplicaDraws, derive_stream, sample_categorical
 from banditlab.geometry import (
     ConvergenceError,
     madow_sample,
@@ -16,7 +18,9 @@ from banditlab.geometry import (
 )
 from banditlab.mirror import (
     DomainError,
+    Exp2State,
     OsmdMsets,
+    PotentialSpec,
     X_FLOOR,
     exp_potential,
     omd_step,
@@ -315,3 +319,256 @@ def test_projection_selftest_fails_when_a_batched_row_moves(monkeypatch, name, m
     monkeypatch.setattr(geometry, name, off_in_batches)
     passed, detail = selftest.check_projection_rows_agreement()
     assert not passed and detail.startswith(f"{moved} of 480 ")
+
+
+def test_madow_range_rule_at_its_edges():
+    draws = _Starts([0.3])
+    for row in ([-1e-12, 1.0, 0.5, 0.5], [1.0 + 1e-12, 0.0, 0.5, 0.5]):
+        assert madow_sample(np.array([row]), draws, 2).sum() == 2
+    for row in ([-2e-12, 1.0, 0.5, 0.5], [1.0 + 2e-12, 0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match=re.escape("coordinates must lie in [0, 1]")):
+            madow_sample(np.array([row]), draws, 2)
+    # a nan passes the range rule and fails the sum, unless another entry
+    # breaks the range rule first
+    nan_row = [np.nan, 0.5, 0.5, 1.0]
+    with pytest.raises(ValueError, match="coordinates sum to nan, expected the integer 2"):
+        madow_sample(np.array([nan_row, [0.5] * 4]), _Starts([0.3, 0.3]), 2)
+    with pytest.raises(ValueError, match=re.escape("coordinates must lie in [0, 1]")):
+        madow_sample(np.array([nan_row, [-2e-12, 1.0, 0.5, 0.5]]), _Starts([0.3, 0.3]), 2)
+
+
+# Frozen copies of the osmd-msets and exp2-john rounds as they were before
+# their numpy calls were cut: the projections, Madow sampling, the estimate,
+# the dual step and the power potential's maps, with Python scalar constants.
+# The live round must give the same bits every round.
+
+
+def _frozen_power(q):
+    return PotentialSpec(
+        psi=lambda u: (-u) ** (-q), psi_prime=lambda u: q * (-u) ** (-q - 1.0),
+        psi_inv=lambda s: -(s ** (-1.0 / q)), F_term=None, a=0.0)
+
+
+def _frozen_free_sums(a, free):
+    if a.shape[-1] < 8:
+        return np.add.reduce(np.where(free, a, 0.0), -1)
+    counts = np.count_nonzero(free, axis=-1)
+    sums = np.empty(len(counts))
+    for c in np.unique(counts):
+        at = counts == c
+        sums[at] = a[at][free[at]].reshape(-1, c).sum(-1) if c else 0.0
+    return sums
+
+
+def _frozen_bracket(passes, held, sign, side):
+    end = np.zeros(len(held))
+    open_ = ~held
+    at, step = 0.0, 1.0
+    for _ in range(199):
+        if not np.count_nonzero(open_):
+            return end
+        at += sign * step
+        step *= 2.0
+        end[open_] = at
+        open_ &= ~passes(at)
+    if np.count_nonzero(open_):
+        raise ConvergenceError(f"no {side} bracket for the projection dual")
+    return end
+
+
+def _frozen_potential(w, m, psi, tol=1e-10, max_iter=10**5):
+    w = np.asarray(w, dtype=float)
+    d = w.shape[-1]
+    duals = psi.psi_inv(w.reshape(-1, d))
+    out = np.empty_like(duals)
+    cap = float(psi.psi_inv(1.0))
+
+    def value(u):
+        return np.minimum(1.0, psi.psi(np.minimum(u, cap)))
+
+    def total(lam):
+        return np.add.reduce(value(duals - lam), -1)
+
+    held = total(0.0)
+    lo = _frozen_bracket(lambda lam: total(lam) >= m, held >= m, -1.0, "lower").tolist()
+    hi = _frozen_bracket(lambda lam: total(lam) <= m, held <= m, 1.0, "upper").tolist()
+    lam = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    live, D = np.arange(len(duals)), duals
+    ended = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            u = D - np.array(lam)[:, None]
+            x = value(u)
+            sums = np.add.reduce(x, -1).tolist()
+            slopes = _frozen_free_sums(psi.psi_prime(u), x < 1.0).tolist()
+            done, narrow, ends, keep, lo_, hi_, lam_ = [], [], [], [], [], [], []
+            for i, (s, slope, a, b, c) in enumerate(zip(sums, slopes, lo, hi, lam)):
+                err = s - m
+                if abs(err) <= tol:
+                    done.append(i)
+                    continue
+                if err > 0.0:
+                    a = c
+                else:
+                    b = c
+                nxt = c + err / slope if slope else a
+                c = nxt if a < nxt < b else 0.5 * (a + b)
+                if b - a < 1e-16 * max(1.0, abs(b)):
+                    narrow.append(i)
+                    ends.append(c)
+                else:
+                    keep.append(i)
+                    lo_.append(a)
+                    hi_.append(b)
+                    lam_.append(c)
+            lo, hi, lam = lo_, hi_, lam_
+            if done:
+                out[live[done]] = x[done]
+            if narrow:
+                ended.append((live[narrow], np.array(ends)[:, None]))
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live, D = live[keep], D[keep]
+        else:
+            ended.append((live, np.array(lam)[:, None]))
+    for rows, lam in ended:
+        x = value(duals[rows] - lam)
+        if (np.abs(np.add.reduce(x, -1) - m) > 1e-6).any():
+            raise ConvergenceError("projection dual solve did not converge")
+        out[rows] = x
+    return out.reshape(w.shape)
+
+
+def _frozen_negent(w, m):
+    w = np.asarray(w, dtype=float)
+    d = w.shape[-1]
+    W = w.reshape(-1, d)
+    rows = np.arange(len(W))[:, None]
+    order = np.argsort(-W, axis=-1)
+    ws = W[rows, order]
+    suffix = np.add.accumulate(ws[:, ::-1], axis=-1)[:, ::-1]
+    c = (m - np.arange(d)) / suffix
+    fits = c * ws <= 1.0
+    k = fits.argmax(-1)[:, None]
+    xs = np.minimum(1.0, c[rows, k] * ws)
+    xs[np.arange(d) < k] = 1.0
+    xs[~fits.any(-1)] = 1.0
+    x = np.empty_like(W)
+    x[rows, order] = xs
+    return x.reshape(w.shape)
+
+
+def _frozen_madow(x, rng, m):
+    x = np.asarray(x, dtype=float)
+    if (x < -1e-12).any() or (x > 1.0 + 1e-12).any():
+        raise ValueError("coordinates must lie in [0, 1]")
+    total = np.add.reduce(x, -1)
+    if (~(np.abs(total - m) <= 1e-6)).any():
+        raise ValueError("coordinates do not sum to m")
+    cum = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.add.accumulate(np.minimum(np.maximum(x, 0.0), 1.0), axis=-1, out=cum[..., 1:])
+    np.minimum(cum, float(m), out=cum)
+    cum[..., -1] = m
+    thresholds = np.add.outer(rng.random(), np.arange(m))
+    below = np.add.reduce(thresholds[..., None, :] < cum[..., None], -1)
+    return (below[..., 1:] > below[..., :-1]).astype(float)
+
+
+def _frozen_estimate(x, v, losses):
+    active = v > 0.0
+    if (x[active] < X_FLOOR).any():
+        raise ZeroDivisionError("active coordinate fell below the importance floor")
+    return np.divide(losses, x, out=np.zeros(x.shape), where=active)
+
+
+def _frozen_step(x, gradient, eta, maps, project, a):
+    grad_F, grad_F_star = maps
+    u = grad_F(x) - eta * gradient
+    if not (u < a).all():
+        raise DomainError("dual step left the gradient image")
+    return project(grad_F_star(u))
+
+
+class _FrozenOsmd:
+    def __init__(self, live: OsmdMsets, q):
+        self.x, self.m, self.eta = live.x.copy(), live.m, live.eta
+        if live.variant == "negent":
+            self.maps, self.a = (np.log, np.exp), np.inf
+            self.project = lambda w: _frozen_negent(w, self.m)
+        else:
+            psi = _frozen_power(q)
+            self.maps, self.a = (psi.psi_inv, psi.psi), 0.0
+            self.project = lambda w: _frozen_potential(w, self.m, psi)
+
+    def round(self, losses, rng):
+        v = _frozen_madow(self.x, rng, self.m)
+        incurred = np.matmul(v[..., None, :], losses[..., :, None])[..., 0, 0]
+        est = _frozen_estimate(self.x, v, losses)
+        if self.eta > 0.0:
+            x = _frozen_step(self.x, est, self.eta, self.maps, self.project, self.a)
+            self.x = np.maximum(x, X_FLOOR)
+        return v, incurred
+
+
+_PIN_ROUNDS = 300
+_PIN_SHAPES = [(R, d, m) for R in (1, 3, 8) for d in (2, 6, 9) for m in sorted({1, d // 2, d - 1})]
+
+
+@pytest.mark.parametrize("variant, q", [("negent", 2.0), ("potential", 1.5),
+                                        ("potential", 2.0), ("potential", 3.0)])
+def test_osmd_round_keeps_the_frozen_rounds_bits(variant, q):
+    for seed, (R, d, m) in enumerate(_PIN_SHAPES):
+        live = OsmdMsets(d, m, n=_PIN_ROUNDS, variant=variant, q=q, replicas=R)
+        frozen = _FrozenOsmd(live, q)
+        draws = [ReplicaDraws(seed, range(R), (d + 1) * _PIN_ROUNDS) for _ in range(2)]
+        for t in range(_PIN_ROUNDS):
+            v, paid = live.round(draws[0].random(d), draws[0])
+            v_frozen, paid_frozen = frozen.round(draws[1].random(d), draws[1])
+            where = f"R={R} d={d} m={m} round {t}"
+            assert np.array_equal(v, v_frozen), where
+            assert np.array_equal(paid, paid_frozen), where
+            assert np.array_equal(live.x, frozen.x), where
+
+
+class _FrozenExp2(Exp2State):
+    """Exp2State's round with its probabilities and estimate as they were."""
+
+    def probs(self):
+        scores = np.matmul(self.points, self.cum_estimate[..., None])[..., 0]
+        soft = exp_weights(-self.eta * scores)
+        return (1.0 - self.gamma) * soft + self.gamma * self.design.weights
+
+    def estimate(self, played, scalar_loss, p=None):
+        scalar_loss = np.asarray(scalar_loss, dtype=float)
+        if (~((-1.0 <= scalar_loss) & (scalar_loss <= 1.0))).any():
+            raise ValueError("scalar loss must lie in [-1, 1]")
+        P = np.matmul(self.points.T, p[..., None] * self.points)
+        return scalar_loss[..., None] * np.linalg.solve(P, self.points[played][..., None])[..., 0]
+
+    def round(self, loss_vector, rng):
+        p = self.probs()
+        idx = sample_categorical(p, rng)
+        played = self.points[idx]
+        scalar = np.matmul(played[..., None, :], loss_vector[:, None])[..., 0, 0]
+        self.cum_estimate += self.estimate(idx, scalar, p)
+        self.t += 1
+        return idx, scalar
+
+
+@pytest.mark.parametrize("R", [1, 3, 8])
+def test_exp2_round_keeps_the_frozen_rounds_bits(R):
+    rng = derive_stream(97, R)
+    d = 3
+    points = np.array([geometry.sample_sphere(d, rng) for _ in range(20)])
+    design = geometry.doptimal_design(points)
+    live = Exp2State(points, design, n=_PIN_ROUNDS, replicas=R)
+    frozen = _FrozenExp2(points, design, n=_PIN_ROUNDS, replicas=R)
+    draws = [ReplicaDraws(R, range(R), _PIN_ROUNDS) for _ in range(2)]
+    for t in range(_PIN_ROUNDS):
+        loss = (2.0 * rng.random(d) - 1.0) / np.sqrt(d)
+        idx, paid = live.round(loss, draws[0])
+        idx_frozen, paid_frozen = frozen.round(loss, draws[1])
+        assert np.array_equal(idx, idx_frozen), t
+        assert np.array_equal(paid, paid_frozen), t
+        assert np.array_equal(live.cum_estimate, frozen.cum_estimate), t
