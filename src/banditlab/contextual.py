@@ -11,11 +11,9 @@ from .env import sample_categorical
 
 def exp4_arm_probs(q: np.ndarray, advice: np.ndarray, gamma: float = 0.0) -> np.ndarray:
     """Mix the experts' arm distributions by q, then mix with gamma/K uniform."""
-    q = np.asarray(q, dtype=float)
-    advice = np.asarray(advice, dtype=float)
-    p = q @ advice
+    p = np.asarray(q, dtype=float) @ np.asarray(advice, dtype=float)
     if gamma > 0.0:
-        p = (1.0 - gamma) * p + gamma / advice.shape[1]
+        p = (1.0 - gamma) * p + gamma / p.shape[-1]
     return p
 
 
@@ -61,6 +59,7 @@ class Exp4State:
             raise ValueError("need a horizon, an explicit eta, or gamma > 0")
         self.cum_expert_losses = np.zeros(N)
         self.t = 0
+        self._drawn_from = None  # the distribution the last select() drew from
 
     def expert_probs(self) -> np.ndarray:
         if self.t == 0:
@@ -71,24 +70,19 @@ class Exp4State:
         return exp4_arm_probs(self.expert_probs(), advice, self.gamma)
 
     def select(self, advice: np.ndarray, rng: np.random.Generator) -> int:
-        return sample_categorical(self.arm_probs(advice), rng)
+        self._drawn_from = self.arm_probs(advice)
+        return sample_categorical(self._drawn_from, rng)
 
     def update(self, advice: np.ndarray, chosen: int, loss: float) -> None:
-        p = self.arm_probs(advice)
+        """Apply the round's estimate, importance-weighted by the distribution
+        the last select() drew from."""
+        p = self.arm_probs(advice) if self._drawn_from is None else self._drawn_from
+        self._drawn_from = None
         arm_est = importance_loss_estimate(p, chosen, loss)
         self.cum_expert_losses += expert_loss_estimates(advice, arm_est)
         self.t += 1
 
     round = _round  # x = (advice, losses)
-
-
-def exp3_external_step(state: Exp3State, q: np.ndarray, chosen: int, loss: float,
-                       eps: float = 0.0) -> None:
-    """Feed an Exp3 instance an observation drawn from an external distribution q."""
-    q = np.asarray(q, dtype=float)
-    if (q < eps).any():
-        raise ValueError("external sampling distribution violates its floor")
-    state.update(chosen, loss, sampling_probs=q)
 
 
 class SExp3:
@@ -98,25 +92,18 @@ class SExp3:
         self.K = K
         self.instances: dict = {}
 
-    def _instance(self, context) -> Exp3State:
+    def instance(self, context) -> Exp3State:
         inst = self.instances.get(context)
         if inst is None:
             inst = Exp3State(self.K, anytime=True)
             self.instances[context] = inst
         return inst
 
-    def advice(self, context) -> np.ndarray:
-        return self._instance(context).probs()
-
     def select(self, context, rng: np.random.Generator) -> int:
-        return self._instance(context).select(rng)
+        return self.instance(context).select(rng)
 
     def update(self, context, chosen: int, loss: float) -> None:
-        self._instance(context).update(chosen, loss)
-
-    def external_update(self, context, q: np.ndarray, chosen: int, loss: float,
-                        eps: float = 0.0) -> None:
-        exp3_external_step(self._instance(context), q, chosen, loss, eps)
+        self.instance(context).update(chosen, loss)
 
     round = _round  # x = (context, losses)
 
@@ -150,23 +137,31 @@ class ThetaExp4:
             if gamma is None else gamma
         self.exp4 = Exp4State(len(self.thetas), K, gamma=self.gamma)
         self.experts = {theta: SExp3(K) for theta in self.thetas}
+        self._advice = None  # the advice matrix of the last select()
 
     def advice_matrix(self, contexts: dict) -> np.ndarray:
-        return np.stack([self.experts[th].advice(contexts[th]) for th in self.thetas])
+        return np.stack([self.experts[th].instance(contexts[th]).probs() for th in self.thetas])
 
     def arm_probs(self, contexts: dict) -> np.ndarray:
         return self.exp4.arm_probs(self.advice_matrix(contexts))
 
     def select(self, contexts: dict, rng: np.random.Generator) -> int:
-        return sample_categorical(self.arm_probs(contexts), rng)
+        self._advice = self.advice_matrix(contexts)
+        return self.exp4.select(self._advice, rng)
 
     def update(self, contexts: dict, chosen: int, loss: float) -> None:
-        advice = self.advice_matrix(contexts)
-        p = self.exp4.arm_probs(advice)
+        """Update exp4 and each active instance with the last select()'s advice
+        and arm distribution, whose gamma/K floor is checked before any write."""
+        advice, self._advice = self._advice, None
+        if advice is None:  # no select() came first
+            advice = self.advice_matrix(contexts)
+            self.exp4._drawn_from = self.exp4.arm_probs(advice)
+        p = self.exp4._drawn_from
+        if (p < self.gamma / self.K).any():
+            raise ValueError("the arm distribution falls below its gamma/K floor")
         self.exp4.update(advice, chosen, loss)
-        floor = self.gamma / self.K
         for theta in self.thetas:
-            self.experts[theta].external_update(contexts[theta], p, chosen, loss, eps=floor)
+            self.experts[theta].instance(contexts[theta]).update(chosen, loss, sampling_probs=p)
 
     round = _round  # x = (one context per set, losses)
 

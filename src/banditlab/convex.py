@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import sample_sphere
+from .geometry import project_ball, sample_sphere
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -50,8 +50,7 @@ class ConvexBody:
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
-            norm = np.linalg.norm(x)
-            return x if norm <= self.radius else x * (self.radius / norm)
+            return project_ball(x, self.radius)
         return np.clip(x, -self.halfwidths, self.halfwidths)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:

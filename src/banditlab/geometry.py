@@ -30,6 +30,12 @@ def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
+def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    """x inside the centered ball of `radius`, else x scaled radially onto its sphere."""
+    norm = np.linalg.norm(x)
+    return x if norm <= radius else x * (radius / norm)
+
+
 def _check_full_rank(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:

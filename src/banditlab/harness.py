@@ -124,16 +124,21 @@ _SECTIONS = ("policy_params", "env_kind", "env_params", "overlays", "output")
 def parse_config(text_or_path) -> dict:
     """Parse and validate an INI experiment description; unknown keys are errors.
 
-    The [policy] and [environment] values stay text; `check_config` gives
-    their typed values.
+    One line of text is a path; a missing or unreadable file and every parser
+    fault raise ConfigError. The [policy] and [environment] values stay text;
+    `check_config` gives their typed values.
     """
     parser = configparser.ConfigParser()
-    text = str(text_or_path)
-    if "\n" not in text and Path(text).exists():
-        parser.read_string(Path(text).read_text())
-    else:
-        parser.read_string(text)
-    sections = {name: dict(parser[name]) for name in parser.sections()}
+    text, source = str(text_or_path), "<string>"
+    try:
+        if "\n" not in text:  # INI text takes a section header and more
+            source = text
+            text = Path(source).read_text()
+        parser.read_string(text, source)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # an OSError's own text repeats the path
+        raise ConfigError(f"config {source!r}: {getattr(exc, 'strerror', None) or exc}") from None
     unknown = set(sections) - {"experiment", "policy", "environment", "overlays", "output"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -600,8 +605,8 @@ def _theta_streams(env: dict) -> dict:
 
 
 def _theta_rounds(env: dict, n: int, stream) -> Iterator:
-    sets = env["theta_streams"]
-    return (({theta: sets[theta][t] for theta in sorted(sets)}, losses)
+    sets = sorted(env["theta_streams"].items())
+    return (({theta: stream[t] for theta, stream in sets}, losses)
             for t, losses in enumerate(env["losses"]))
 
 

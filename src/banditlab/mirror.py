@@ -13,6 +13,7 @@ from .env import ZERO, constant, largest, sample_categorical, smallest, within
 from .geometry import (
     DesignWeights,
     madow_sample,
+    project_ball,
     project_capped_simplex_negent,
     project_capped_simplex_potential,
 )
@@ -124,15 +125,11 @@ def potential_capped_simplex(psi: PotentialSpec, m: float) -> LegendreSpec:
 
 
 def euclidean_ball(radius: float) -> LegendreSpec:
-    def project(w: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(w)
-        return w if norm <= radius else w * (radius / norm)
-
     return LegendreSpec(
         F=lambda x: 0.5 * float(np.dot(x, x)),
         grad_F=lambda x: np.asarray(x, dtype=float),
         grad_F_star=lambda u: np.asarray(u, dtype=float),
-        bregman_project=project,
+        bregman_project=lambda w: project_ball(w, radius),
         dual_domain_check=lambda u: True,
         name="euclidean-ball",
     )
@@ -163,15 +160,11 @@ def log_barrier_ball(radius: float) -> LegendreSpec:
             raise DomainError("primal point must lie strictly inside the unit ball")
         return -math.log(1.0 - norm) - norm
 
-    def project(w: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(w)
-        return w if norm <= radius else w * (radius / norm)
-
     return LegendreSpec(
         F=F,
         grad_F=ball_grad,
         grad_F_star=ball_grad_star,
-        bregman_project=project,
+        bregman_project=lambda w: project_ball(w, radius),
         dual_domain_check=lambda u: True,
         name="log-barrier-ball",
     )

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from banditlab.adversarial import Exp3State, importance_loss_estimate
+from banditlab import adversarial, contextual
+from banditlab.adversarial import Exp3State, exp_weights, importance_loss_estimate
 from banditlab.contextual import (
     BanditronState,
     Exp4State,
@@ -13,7 +14,6 @@ from banditlab.contextual import (
     banditron_gamma,
     banditron_probs,
     banditron_update,
-    exp3_external_step,
     exp4_arm_probs,
     exp4_bound,
     exp4_mixing_bound,
@@ -22,7 +22,7 @@ from banditlab.contextual import (
     theta_bound,
     theta_gamma,
 )
-from banditlab.env import derive_stream
+from banditlab.env import derive_stream, sample_categorical
 
 
 def test_exp4_arm_probs_hand_values():
@@ -73,12 +73,14 @@ def test_exp4_mixing_floor():
 
 
 def test_exp3_external_step():
+    """An Exp3 instance fed an arm drawn from an outside distribution q
+    weights the loss by 1 / q[arm]."""
     state = Exp3State(2, eta=0.5)
-    q = np.array([0.5, 0.5])
-    exp3_external_step(state, q, 0, 1.0)
+    state.update(0, 1.0, sampling_probs=np.array([0.5, 0.5]))
     assert np.allclose(state.cum_losses, [2.0, 0.0])
-    with pytest.raises(ValueError):
-        exp3_external_step(state, np.array([0.05, 0.95]), 0, 1.0, eps=0.1)
+    state.update(1, 0.3, sampling_probs=[0.25, 0.75])
+    assert np.allclose(state.cum_losses, [2.0, 0.4])
+    assert state.t == 2
 
 
 def test_exp3_external_coincides_with_plain_when_q_is_p():
@@ -90,7 +92,7 @@ def test_exp3_external_coincides_with_plain_when_q_is_p():
         arm = a.select(rng)
         loss = float(rng.random())
         a.update(arm, loss)
-        exp3_external_step(b, p, arm, loss)
+        b.update(arm, loss, sampling_probs=p)
         assert np.array_equal(a.cum_losses, b.cum_losses)
 
 
@@ -103,6 +105,36 @@ def test_external_estimate_unbiased_under_q():
         losses = rng.random(K)
         mean = sum(q[j] * importance_loss_estimate(q, j, losses[j]) for j in range(K))
         assert np.allclose(mean, losses, atol=1e-12)
+        # Exp3State.update(sampling_probs=q) adds exactly this estimate
+        for j in range(K):
+            state = Exp3State(K, eta=0.1)
+            state.update(j, losses[j], sampling_probs=q)
+            assert np.array_equal(state.cum_losses, importance_loss_estimate(q, j, losses[j]))
+
+
+def test_theta_update_refuses_a_distribution_below_its_floor():
+    rng = derive_stream(20, 0)
+    policy = ThetaExp4(["s0", "s1"], K=2, n=200, max_context_set_size=1, gamma=0.2)
+    contexts = {"s0": 0, "s1": 0}
+    for _ in range(100):
+        arm = policy.select(contexts, rng)
+        policy.update(contexts, arm, float(arm == 1))  # arm 1 always loses
+    policy.exp4.gamma = 0.0  # the forecaster stops mixing, so its gamma/K floor breaks
+    p = policy.arm_probs(contexts)
+    assert p[1] < policy.gamma / policy.K
+    before = (policy.exp4.cum_expert_losses.copy(), policy.exp4.t,
+              [policy.experts[th].instances[0].cum_losses.copy() for th in policy.thetas])
+    with pytest.raises(ValueError, match="floor"):
+        policy.update(contexts, 0, 0.5)  # no select came first
+    policy.select(contexts, rng)
+    with pytest.raises(ValueError, match="floor"):
+        policy.update(contexts, 0, 0.5)
+    # the refused rounds wrote nothing
+    assert np.array_equal(policy.exp4.cum_expert_losses, before[0])
+    assert policy.exp4.t == before[1]
+    for th, cum in zip(policy.thetas, before[2]):
+        assert np.array_equal(policy.experts[th].instances[0].cum_losses, cum)
+        assert policy.experts[th].instances[0].t == 100
 
 
 def test_sexp3_lazy_instances_and_partition():
@@ -140,7 +172,7 @@ def test_theta_single_set_mixture_identity():
     gamma = policy.gamma
     for t in range(40):
         contexts = {"only": t % 3}
-        advice = policy.experts["only"].advice(t % 3)
+        advice = policy.experts["only"].instance(t % 3).probs()
         p = policy.arm_probs(contexts)
         assert np.allclose(p, (1 - gamma) * advice + gamma / 2, atol=1e-12)
         arm = policy.select(contexts, rng)
@@ -224,3 +256,198 @@ def test_contextual_bound_values():
     expected = 9 ** (1 / 3) * n ** (2 / 3) + 18 * 9 ** (2 / 3) * n ** (1 / 3) \
         + math.sqrt(2) * 3 * 9 ** (1 / 6) * n ** (1 / 3)
     assert b == pytest.approx(expected)
+
+
+# frozen copies of Exp4State, SExp3 and ThetaExp4 as they were before select()
+# remembered its advice and distribution: each round rebuilt the advice matrix
+# in select and update, and every expert took the composite distribution
+# through an external-update step that checked the gamma/K floor itself
+
+
+class _FrozenExp4State:
+    def __init__(self, N, K, n=None, eta=None, gamma=0.0):
+        self.N = N
+        self.K = K
+        self.gamma = gamma
+        if eta is not None:
+            self.eta = eta
+        elif gamma > 0.0:
+            self.eta = gamma / K
+        elif n is not None:
+            self.eta = math.sqrt(2.0 * math.log(N) / (n * K))
+        else:
+            raise ValueError("need a horizon, an explicit eta, or gamma > 0")
+        self.cum_expert_losses = np.zeros(N)
+        self.t = 0
+
+    def expert_probs(self):
+        if self.t == 0:
+            return np.full(self.N, 1.0 / self.N)
+        return exp_weights(-self.eta * self.cum_expert_losses)
+
+    def arm_probs(self, advice):
+        return exp4_arm_probs(self.expert_probs(), advice, self.gamma)
+
+    def select(self, advice, rng):
+        return sample_categorical(self.arm_probs(advice), rng)
+
+    def update(self, advice, chosen, loss):
+        p = self.arm_probs(advice)
+        arm_est = importance_loss_estimate(p, chosen, loss)
+        self.cum_expert_losses += expert_loss_estimates(advice, arm_est)
+        self.t += 1
+
+
+def _frozen_external_step(state, q, chosen, loss, eps=0.0):
+    q = np.asarray(q, dtype=float)
+    if (q < eps).any():
+        raise ValueError("external sampling distribution violates its floor")
+    state.update(chosen, loss, sampling_probs=q)
+
+
+class _FrozenSExp3:
+    def __init__(self, K):
+        self.K = K
+        self.instances = {}
+
+    def _instance(self, context):
+        inst = self.instances.get(context)
+        if inst is None:
+            inst = Exp3State(self.K, anytime=True)
+            self.instances[context] = inst
+        return inst
+
+    def advice(self, context):
+        return self._instance(context).probs()
+
+    def external_update(self, context, q, chosen, loss, eps=0.0):
+        _frozen_external_step(self._instance(context), q, chosen, loss, eps)
+
+
+class _FrozenThetaExp4:
+    def __init__(self, thetas, K, n, max_context_set_size, gamma=None):
+        self.thetas = list(thetas)
+        self.K = K
+        self.gamma = theta_gamma(n, max_context_set_size, K, len(thetas)) \
+            if gamma is None else gamma
+        self.exp4 = _FrozenExp4State(len(self.thetas), K, gamma=self.gamma)
+        self.experts = {theta: _FrozenSExp3(K) for theta in self.thetas}
+
+    def advice_matrix(self, contexts):
+        return np.stack([self.experts[th].advice(contexts[th]) for th in self.thetas])
+
+    def arm_probs(self, contexts):
+        return self.exp4.arm_probs(self.advice_matrix(contexts))
+
+    def select(self, contexts, rng):
+        return sample_categorical(self.arm_probs(contexts), rng)
+
+    def update(self, contexts, chosen, loss):
+        advice = self.advice_matrix(contexts)
+        p = self.exp4.arm_probs(advice)
+        self.exp4.update(advice, chosen, loss)
+        floor = self.gamma / self.K
+        for theta in self.thetas:
+            self.experts[theta].external_update(contexts[theta], p, chosen, loss, eps=floor)
+
+
+ROUNDS = 300
+NO_SELECT_EVERY = 7  # every 7th round's update has no select before it
+
+
+def _pin(new, old, drawn_from, rounds, seed):
+    """Play `new` and the frozen `old` on the same rounds, each with its own
+    copy of one stream, and require the same bits every round. Every
+    NO_SELECT_EVERY-th round updates an arm taken from the rounds, with no
+    select before it."""
+    rng_new, rng_old = derive_stream(seed, 1), derive_stream(seed, 1)
+    for t, (x, losses, free_arm) in enumerate(rounds):
+        if t % NO_SELECT_EVERY == NO_SELECT_EVERY - 1:
+            arm = free_arm
+        else:
+            p = old.arm_probs(x)
+            arm = new.select(x, rng_new)
+            assert arm == old.select(x, rng_old)
+            assert np.array_equal(drawn_from(new), p)
+        new.update(x, arm, losses[arm])
+        old.update(x, arm, losses[arm])
+        yield t
+
+
+@pytest.mark.parametrize("K, N, gamma, eta, n", [
+    (2, 3, 0.0, None, ROUNDS), (3, 4, 0.1, None, None), (5, 6, 0.3, 0.05, None),
+    (4, 5, 0.0, 0.2, None), (6, 7, 1.0, None, None),
+])
+def test_exp4_matches_its_frozen_copy_bit_for_bit(K, N, gamma, eta, n):
+    env = derive_stream(30 + K, 0)
+    rounds = [(env.dirichlet(np.full(K, 0.5), size=N), env.random(K), int(env.integers(K)))
+              for _ in range(ROUNDS)]
+    new, old = Exp4State(N, K, n=n, eta=eta, gamma=gamma), \
+        _FrozenExp4State(N, K, n=n, eta=eta, gamma=gamma)
+    for _ in _pin(new, old, lambda policy: policy._drawn_from, rounds, seed=K):
+        assert np.array_equal(new.cum_expert_losses, old.cum_expert_losses)
+        assert new.t == old.t
+
+
+@pytest.mark.parametrize("K, sizes, gamma", [
+    (2, [3], None), (3, [2, 4], None), (4, [1, 3, 5], 0.3), (2, [2, 2, 6], 0.05),
+    (5, [4, 1], 1.0),
+])
+def test_theta_exp4_matches_its_frozen_copy_bit_for_bit(K, sizes, gamma):
+    env = derive_stream(40 + K, len(sizes))
+    thetas = [f"set{i}" for i in range(len(sizes))]
+    rounds = [({th: int(env.integers(size)) for th, size in zip(thetas, sizes)},
+               env.random(K), int(env.integers(K))) for _ in range(ROUNDS)]
+    new = ThetaExp4(thetas, K, ROUNDS, max(sizes), gamma=gamma)
+    old = _FrozenThetaExp4(thetas, K, ROUNDS, max(sizes), gamma=gamma)
+    for _ in _pin(new, old, lambda policy: policy.exp4._drawn_from, rounds, seed=len(sizes)):
+        assert np.array_equal(new.exp4.cum_expert_losses, old.exp4.cum_expert_losses)
+        for th in thetas:
+            ours, theirs = new.experts[th].instances, old.experts[th].instances
+            assert ours.keys() == theirs.keys()
+            for context in ours:
+                assert np.array_equal(ours[context].cum_losses, theirs[context].cum_losses)
+                assert ours[context].t == theirs[context].t
+
+
+def _counting(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("policy, sets", [("exp4", 0), ("theta-exp4", 1),
+                                          ("theta-exp4", 3)])
+def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
+    """exp_weights is patched under both of its bindings: where adversarial
+    defines it (Exp3State.probs reaches it through exp3_probs) and where
+    contextual imports it (Exp4State.expert_probs)."""
+    counts = {}
+    for owner in (adversarial, contextual):
+        _counting(monkeypatch, owner, "exp_weights", counts)
+    _counting(monkeypatch, contextual, "exp4_arm_probs", counts)
+    _counting(monkeypatch, ThetaExp4, "advice_matrix", counts)
+    env, rng = derive_stream(50, 0), derive_stream(50, 1)
+    K = 3
+    if policy == "exp4":
+        state = Exp4State(K + 1, K, n=100)
+        advice = np.vstack([np.eye(K), np.full((1, K), 1.0 / K)])
+        xs = [(advice, env.random(K)) for _ in range(100)]
+    else:
+        thetas = [f"set{i}" for i in range(sets)]
+        state = ThetaExp4(thetas, K, 100, 4)
+        xs = [({th: int(env.integers(4)) for th in thetas}, env.random(K)) for _ in range(100)]
+    for x in xs:
+        counts.clear()
+        state.round(x, rng)
+        assert counts.get("exp4_arm_probs") == 1
+        if policy == "exp4":
+            assert counts.get("exp_weights", 0) <= 1
+        else:
+            assert counts.get("advice_matrix") == 1
+            assert counts.get("exp_weights", 0) <= sets + 1
+    assert counts.get("exp_weights") == (1 if policy == "exp4" else sets + 1)

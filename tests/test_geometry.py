@@ -12,6 +12,7 @@ from banditlab.geometry import (
     madow_inclusion_probabilities,
     madow_sample,
     mvee,
+    project_ball,
     project_capped_simplex_negent,
     project_capped_simplex_potential,
     sample_sphere,
@@ -318,3 +319,17 @@ def test_madow_rejects_bad_input():
         madow_sample(np.array([1.5, 0.5]), rng)
     with pytest.raises(ValueError):
         madow_sample(np.array([0.4, 0.4]), rng, m=2)
+
+
+def test_project_ball_is_radial_scaling():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x = rng.standard_normal(int(rng.integers(1, 6))) * rng.uniform(0.1, 3.0)
+        radius = float(rng.uniform(0.5, 2.0))
+        y = project_ball(x, radius)
+        norm = np.linalg.norm(x)
+        if norm <= radius:
+            assert y is x
+        else:
+            assert np.array_equal(y, x * (radius / norm))
+            assert np.linalg.norm(y) == pytest.approx(radius)

@@ -254,6 +254,56 @@ def test_cli_reports_a_config_error_as_a_message(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_parse_config_names_a_missing_file(tmp_path):
+    path = tmp_path / "nosuch.ini"
+    with pytest.raises(ConfigError, match=re.escape(f"config {str(path)!r}: No such file")):
+        parse_config(path)
+
+
+def test_parse_config_names_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(f"config {str(tmp_path)!r}: Is a directory")):
+        parse_config(tmp_path)
+
+
+def test_parse_config_names_a_file_that_is_not_text(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"\xff\xfe[experiment]\n")
+    with pytest.raises(ConfigError, match=re.escape(f"config {str(path)!r}: ") + ".*codec can't decode"):
+        parse_config(path)
+
+
+def test_parse_config_quotes_a_duplicate_section(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(BASE_INI.format(out=tmp_path) + "\n[policy]\nalpha = 3\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"While reading from {str(path)!r} [line 22]: section 'policy' already exists")):
+        parse_config(path)
+
+
+def test_parse_config_quotes_a_duplicate_option():
+    text = BASE_INI.format(out=".").replace("horizon = 500", "horizon = 500\nhorizon = 50")
+    with pytest.raises(ConfigError, match="option 'horizon' in section 'experiment' "
+                                          "already exists"):
+        parse_config(text)
+
+
+def test_parse_config_quotes_a_bad_interpolation():
+    text = BASE_INI.format(out=".").replace("alpha = 2.5", "alpha = 2.5%")
+    with pytest.raises(ConfigError, match="'%' must be followed by"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "duplicate"])
+def test_cli_exits_2_on_a_config_it_cannot_read(tmp_path, capsys, case):
+    path = {"missing": tmp_path / "nosuch.ini", "directory": tmp_path,
+            "duplicate": tmp_path / "exp.ini"}[case]
+    (tmp_path / "exp.ini").write_text(BASE_INI.format(out=tmp_path) * 2)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("banditlab: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))  # no replica ran, no report was written
+
+
 @pytest.mark.parametrize("key, value", [
     ("replicas", "0"), ("replicas", "2.5"), ("horizon", "-1"), ("horizon", "abc"),
     ("seed", "x"), ("workers", "0"),
