@@ -2,13 +2,9 @@
 
 from .env import (
     NonObliviousAdversary,
-    ObliviousAdversary,
-    RunTrace,
     StochasticEnv,
     derive_stream,
     lower_bound_env,
-    pseudo_regret_oblivious,
-    pseudo_regret_stochastic,
 )
 from .harness import RegretReport, bound, parse_config, run_experiment, sweep
 
@@ -16,16 +12,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NonObliviousAdversary",
-    "ObliviousAdversary",
     "RegretReport",
-    "RunTrace",
     "StochasticEnv",
     "bound",
     "derive_stream",
     "lower_bound_env",
     "parse_config",
-    "pseudo_regret_oblivious",
-    "pseudo_regret_stochastic",
     "run_experiment",
     "sweep",
     "__version__",

@@ -208,7 +208,10 @@ def adversary_mean_gap_lower(n: int, K: int, eps: float) -> float:
     )
 
 
-def exact_expectation_oracle(policy_factory, loss_matrix, max_paths: int = 10**6):
+MAX_PATHS = 10**6  # the oracle's default enumeration budget
+
+
+def exact_expectation_oracle(policy_factory, loss_matrix, max_paths: int = MAX_PATHS):
     """Exact expected cumulative loss and pseudo-regret of a randomized policy.
 
     Enumerates every action path, weighting it by the product of the policy's

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [v for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     reports = harness.sweep(config, args.param, values)
     failed = False
     for value, report in zip(values, reports):
@@ -76,14 +77,12 @@ def cmd_bound(args) -> int:
     params = {}
     for item in args.params:
         key, _, value = item.partition("=")
-        try:
-            params[key] = float(value)
+        try:  # gaps and means are lists, even of one entry
+            params[key] = ([float(v) for v in value.split(":")] if key in ("gaps", "means")
+                           else float(value))
         except ValueError:
-            params[key] = value
-    if "gaps" in params and isinstance(params["gaps"], str):
-        params["gaps"] = [float(v) for v in params["gaps"].split(":")]
-    if "means" in params and isinstance(params["means"], str):
-        params["means"] = [float(v) for v in params["means"].split(":")]
+            raise harness.ConfigError(f"bound {args.name!r}: {key} = {value!r} is not a "
+                                      f"number") from None
     value = harness.bound(args.name, **params)
     print(f"{args.name}: {value!r}")
     return 0
@@ -92,6 +91,11 @@ def cmd_bound(args) -> int:
 def cmd_oracle(args) -> int:
     """Monte Carlo cumulative loss against the exact path-enumeration oracle."""
     n, K, reps = args.horizon, 2, args.replicas
+    if reps < 2:  # one replica has no standard error to measure z with
+        raise harness.ConfigError(f"--replicas must be at least 2, got {reps}")
+    if not 1 <= n <= math.log(adversarial.MAX_PATHS, K):  # K**n itself may be vast
+        raise harness.ConfigError(f"--horizon must be at least 1, and its {K}^n action paths "
+                                  f"at most {adversarial.MAX_PATHS}, got {n}")
     losses = derive_stream(args.seed, 0).random((n, K))
     exact_loss, exact_regret = adversarial.exact_expectation_oracle(
         lambda: adversarial.Exp3State(K, n=n), losses)

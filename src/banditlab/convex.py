@@ -14,57 +14,24 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 class ConvexBody:
-    """Centered ball or box with certified inner/outer radii and closed-form projection."""
+    """The centered ball of the given radius in `dim` dimensions."""
 
-    def __init__(self, kind: str, dim: int, radius: float | None = None,
-                 halfwidths=None):
-        self.kind = kind
+    def __init__(self, dim: int, radius: float = 1.0):
+        if radius <= 0.0:
+            raise ValueError("a ball needs a positive radius")
         self.dim = dim
-        if kind == "ball":
-            if radius is None or radius <= 0.0:
-                raise ValueError("a ball needs a positive radius")
-            self.radius = float(radius)
-            self.halfwidths = None
-            self.inner_radius = self.radius
-            self.outer_radius = self.radius
-        elif kind == "box":
-            hw = np.asarray(halfwidths, dtype=float)
-            if hw.shape != (dim,) or (hw <= 0.0).any():
-                raise ValueError("a box needs positive half-widths of the right dimension")
-            self.radius = None
-            self.halfwidths = hw
-            self.inner_radius = float(hw.min())
-            self.outer_radius = float(np.linalg.norm(hw))
-        else:
-            raise ValueError(f"unknown body kind {kind!r}")
-
-    @classmethod
-    def ball(cls, d: int, radius: float = 1.0) -> "ConvexBody":
-        return cls("ball", d, radius=radius)
-
-    @classmethod
-    def box(cls, halfwidths) -> "ConvexBody":
-        hw = np.asarray(halfwidths, dtype=float)
-        return cls("box", hw.shape[0], halfwidths=hw)
+        self.radius = float(radius)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "ball":
-            return project_ball(x, self.radius)
-        return np.clip(x, -self.halfwidths, self.halfwidths)
+        return project_ball(np.asarray(x, dtype=float), self.radius)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "ball":
-            return bool(np.linalg.norm(x) <= self.radius + tol)
-        return bool((np.abs(x) <= self.halfwidths + tol).all())
+        return bool(np.linalg.norm(x) <= self.radius + tol)
 
     def shrink(self, factor: float) -> "ConvexBody":
         if not 0.0 < factor <= 1.0:
             raise ValueError("shrink factor must lie in (0, 1]")
-        if self.kind == "ball":
-            return ConvexBody.ball(self.dim, factor * self.radius)
-        return ConvexBody.box(factor * self.halfwidths)
+        return ConvexBody(self.dim, factor * self.radius)
 
 
 @dataclass(frozen=True)
@@ -74,15 +41,6 @@ class LossOracle:
     query: Callable[[np.ndarray], float]
     G: float
     L: float
-
-    def spot_check_lipschitz(self, body: ConvexBody, rng: np.random.Generator,
-                             trials: int = 50) -> bool:
-        for _ in range(trials):
-            x = body.project(rng.uniform(-1.0, 1.0, body.dim) * body.outer_radius)
-            y = body.project(rng.uniform(-1.0, 1.0, body.dim) * body.outer_radius)
-            if abs(self.query(x) - self.query(y)) > self.G * np.linalg.norm(x - y) + 1e-9:
-                return False
-        return True
 
 
 def linear_oracle(c, radius: float = 1.0) -> LossOracle:
@@ -142,13 +100,13 @@ class OsgdState:
     def __init__(self, body: ConvexBody, mode: str, eta: float, delta: float):
         if mode not in ("two-point", "one-point"):
             raise ValueError(f"unknown feedback mode {mode!r}")
-        if delta >= body.inner_radius:
-            raise ValueError("delta must be smaller than the body's inner radius")
+        if delta >= body.radius:
+            raise ValueError("delta must be smaller than the body's radius")
         self.body = body
         self.mode = mode
         self.eta = eta
         self.delta = delta
-        self.play_body = body.shrink(1.0 - delta / body.inner_radius)
+        self.play_body = body.shrink(1.0 - delta / body.radius)
         self.x = np.zeros(body.dim)
         self.t = 0
 

@@ -1,8 +1,7 @@
-"""Environments, adversaries, regret accounting and reproducible RNG streams."""
+"""Environments, adversaries and reproducible RNG streams."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -240,81 +239,30 @@ def sample_categorical(p: np.ndarray, rng) -> int | np.ndarray:
     return as_arm((cum.T > rng.random()).argmax(0))
 
 
-class BernoulliArm:
-    """Reward in {0, 1} with the given mean."""
-
-    def __init__(self, mean: float):
-        if not 0.0 <= mean <= 1.0:
-            raise ValueError(f"Bernoulli mean {mean} outside [0, 1]")
-        self.mean = float(mean)
-
-    def from_uniform(self, u: float) -> float:
-        return float(u < self.mean)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.from_uniform(rng.random())
-
-
-class DiscreteArm:
-    """Reward drawn from a finite support inside [0, 1]."""
-
-    def __init__(self, support: Sequence[float], probs: Sequence[float]):
-        self.support = np.asarray(support, dtype=float)
-        self.probs = np.asarray(probs, dtype=float)
-        if self.support.min() < 0.0 or self.support.max() > 1.0:
-            raise ValueError("support values must lie in [0, 1]")
-        if abs(self.probs.sum() - 1.0) > 1e-9 or (self.probs < 0).any():
-            raise ValueError("probs must be a probability vector")
-        self.mean = float(self.support @ self.probs)
-        self._cdf = self.probs.cumsum()
-        self._cdf /= self._cdf[-1]
-
-    def from_uniform(self, u: float) -> float:
-        """The support value at u's quantile: the draw `rng.choice(support,
-        p=probs)` makes from the same uniform."""
-        return float(self.support[self._cdf.searchsorted(u, side="right")])
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.from_uniform(rng.random())
-
-
 class StochasticEnv:
-    """K arms with i.i.d. rewards in [0, 1].
+    """K Bernoulli arms with the given means."""
 
-    Each arm turns one uniform double into a reward (`from_uniform`), which
-    lets replicas in lockstep draw their rewards from their own streams.
-    """
-
-    def __init__(self, arms: Sequence):
-        if len(arms) < 1:
+    def __init__(self, means: Sequence[float]):
+        self.means = np.array(means, dtype=float)
+        if self.means.ndim != 1 or not self.means.size:
             raise ValueError("need at least one arm")
-        self.arms = list(arms)
-        self._all_bernoulli = all(isinstance(a, BernoulliArm) for a in self.arms)
-        self.means = np.array([a.mean for a in arms], dtype=float)
-        if self.means.min() < 0.0 or self.means.max() > 1.0:
+        if not within(self.means, 0.0, 1.0):
             raise ValueError("arm means must lie in [0, 1]")
-        self.best_mean = float(self.means.max())
         self.best_arm = int(self.means.argmax())
-        self.gaps = self.best_mean - self.means
-
-    @classmethod
-    def bernoulli(cls, means: Sequence[float]) -> "StochasticEnv":
-        return cls([BernoulliArm(m) for m in means])
+        self.gaps = self.means[self.best_arm] - self.means
 
     @property
     def n_arms(self) -> int:
-        return len(self.arms)
+        return len(self.means)
 
     def sample_reward(self, arm, rng):
-        """Reward of `arm`; with one arm per replica (an array) and lockstep
+        """Reward of `arm`, 1.0 with its mean's probability and else 0.0, from
+        one uniform double; with one arm per replica (an array) and lockstep
         draws, one reward per replica."""
         _check_arms(arm, self.n_arms)
         if not isinstance(arm, np.ndarray):
-            return self.arms[arm].sample(rng)
-        u = rng.random()
-        if self._all_bernoulli:
-            return (u < self.means.take(arm)).astype(float)
-        return np.array([self.arms[a].from_uniform(x) for a, x in zip(arm.tolist(), u.tolist())])
+            return float(rng.random() < self.means.item(arm))
+        return (rng.random() < self.means.take(arm)).astype(float)
 
 
 def lower_bound_env(K: int, eps: float, best: int) -> StochasticEnv:
@@ -325,30 +273,7 @@ def lower_bound_env(K: int, eps: float, best: int) -> StochasticEnv:
         raise IndexError(f"best arm {best} out of range for K={K}")
     means = np.full(K, (1.0 - eps) / 2.0)
     means[best] = (1.0 + eps) / 2.0
-    return StochasticEnv.bernoulli(means)
-
-
-class ObliviousAdversary:
-    """Loss sequence fixed in advance as an n-by-K matrix with entries in [0, 1]."""
-
-    def __init__(self, loss_matrix: np.ndarray):
-        m = np.asarray(loss_matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("loss matrix must be 2-dimensional (rounds x arms)")
-        if not np.all((m >= 0.0) & (m <= 1.0)):  # an empty matrix passes; nan fails
-            raise ValueError("losses must lie in [0, 1]")
-        self.loss_matrix = m
-
-    @property
-    def horizon(self) -> int:
-        return self.loss_matrix.shape[0]
-
-    @property
-    def n_arms(self) -> int:
-        return self.loss_matrix.shape[1]
-
-    def loss_vector(self, t: int) -> np.ndarray:
-        return self.loss_matrix[t]
+    return StochasticEnv(means)
 
 
 class NonObliviousAdversary:
@@ -379,43 +304,3 @@ class NonObliviousAdversary:
         self.counts.put(i, self.counts.take(i) + ONE)
         self._played = True
         return i
-
-
-@dataclass
-class RunTrace:
-    """Actions and realized losses of one run, plus per-arm pull counts."""
-
-    actions: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-
-    def record(self, action: int, loss: float) -> None:
-        self.actions.append(action)
-        self.losses.append(loss)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def counts(self, n_arms: int) -> np.ndarray:
-        c = np.zeros(n_arms, dtype=int)
-        for a in self.actions:
-            c[a] += 1
-        return c
-
-
-def pseudo_regret_stochastic(trace: RunTrace, env: StochasticEnv) -> float:
-    """Sum over arms of gap times pull count, computed from the true means."""
-    counts = trace.counts(env.n_arms)
-    return float(env.gaps @ counts)
-
-
-def pseudo_regret_oblivious(trace: RunTrace, adv: ObliviousAdversary) -> float:
-    """Realized cumulative loss minus the best single arm's cumulative loss."""
-    n = len(trace)
-    if n > adv.horizon:
-        raise ValueError(f"trace length {n} exceeds adversary horizon {adv.horizon}")
-    if n == 0:
-        return 0.0
-    incurred = sum(adv.loss_matrix[t, a] for t, a in enumerate(trace.actions))
-    best = adv.loss_matrix[:n].sum(axis=0).min()
-    return float(incurred - best)
-

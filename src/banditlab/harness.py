@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import copy
 import csv
+import inspect
 import json
 import math
 import numbers
@@ -23,7 +24,6 @@ from . import adversarial, contextual, convex, geometry, mirror, stochastic
 from .env import (
     ENV_STREAM_ID,
     NonObliviousAdversary,
-    ObliviousAdversary,
     ReplicaDraws,
     StochasticEnv,
     derive_stream,
@@ -238,19 +238,18 @@ def _stochastic(env: StochasticEnv) -> dict:
 
 
 def _oblivious_env(p: dict, n: int, rng) -> dict:
+    """The loss matrix, one row per round: the inline losses, else the csv's
+    rows, else i.i.d. uniform losses on k arms (`_check_finite` requires one)."""
     if p["losses"] is not None:
-        key, matrix = "losses", p["losses"]
+        key, matrix = "losses", np.array(p["losses"], dtype=float, ndmin=2)
     elif p["csv"] is not None:
         with _csv_errors(p["csv"]):
             key, matrix = "csv", np.loadtxt(p["csv"], delimiter=",", ndmin=2)
         _resolve("environment", {"csv": _LOSSES}, {"csv": matrix})  # the inline losses' rule
-    elif p["k"] is not None:
-        key, matrix = "k", rng.random((n, p["k"]))
     else:
-        raise ConfigError("environment.k, environment.losses or environment.csv is required")
+        key, matrix = "k", rng.random((n, p["k"]))
     _check_rows(key, matrix.shape[0], n)
-    adv = ObliviousAdversary(matrix[:n])
-    return {"kind": "oblivious", "adv": adv, "K": adv.n_arms}
+    return {"kind": "oblivious", "losses": matrix[:n], "K": matrix.shape[1]}
 
 
 def _set_sizes(p: dict) -> list:
@@ -308,7 +307,7 @@ def _linear_ball_env(p: dict, n: int, rng) -> dict:
 def _convex_ball(p: dict) -> dict:
     """The convex kind's body, a ball of the given radius, and the constants
     G = 1 and L = radius that its schedules and bounds read."""
-    return {"body": convex.ConvexBody.ball(p["d"], p["radius"]), "G": 1.0, "L": p["radius"]}
+    return {"body": convex.ConvexBody(p["d"], p["radius"]), "G": 1.0, "L": p["radius"]}
 
 
 def _convex_env(p: dict, n: int, rng) -> dict:
@@ -357,6 +356,31 @@ def _check_linear_ball(p: dict, e: dict, n: int) -> None:
              f"most 1, got {loss!r}")
 
 
+def _arms(e: dict) -> tuple[str, int | None]:
+    """The [environment] key that sets a finite-arm environment's number of
+    arms, in its builder's order, and that number (None when no key is set).
+    A csv is read for its first row only."""
+    if "means" in e:
+        return "means", len(e["means"])
+    if e.get("losses") is not None:
+        return "losses", np.shape(e["losses"])[-1]
+    if e.get("csv") is not None:
+        with _csv_errors(e["csv"]):
+            return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
+    return "k", e["k"]
+
+
+def _check_finite(p: dict, e: dict, n: int) -> None:
+    """A finite-arm environment's arms: one key sets them, and it gives at
+    least 2 (with one there is nothing to learn, and exp3's and exp3p's
+    rates take ln K = 0)."""
+    key, K = _arms(e)
+    _require(K is not None, "environment.k, environment.losses or environment.csv is required")
+    _require(np.ndim(e.get("losses")) <= 2, "environment.losses must be a matrix, one row "
+                                             "per round")
+    _require(K >= 2, f"environment.{key} gives {K} arm(s), fewer than 2")
+
+
 # an environment kind's [environment] keys; its builder, which materializes
 # the replica-independent part: build(params, n, rng) -> env, with the
 # doubles each replica's stream gives the environment per round, if any, as
@@ -367,7 +391,7 @@ EnvKind = namedtuple("EnvKind", "keys build check", defaults=(None,))
 
 _ENV_KINDS = {
     "stochastic": EnvKind({"means": Key(_list(float), REQUIRED, "[0, 1]")}, lambda p, n, rng:
-                          _stochastic(StochasticEnv.bernoulli(p["means"]))),
+                          _stochastic(StochasticEnv(p["means"])), _check_finite),
     "lower-bound": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                             "eps": Key(float, REQUIRED, "[0, 1)"),
                             "best": Key(int, REQUIRED, "[0, inf)")}, lambda p, n, rng:
@@ -376,7 +400,7 @@ _ENV_KINDS = {
                                e["best"] < e["k"], f"environment.best must lie below "
                                f"environment.k = {e['k']}, got {e['best']!r}")),
     "oblivious": EnvKind({"k": Key(int, None, "[2, inf)"), "losses": _LOSSES,
-                          "csv": Key(str)}, _oblivious_env),
+                          "csv": Key(str)}, _oblivious_env, _check_finite),
     "nonoblivious": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                              "adversary": Key(_choice("grudge"), "grudge")},
                             lambda p, n, rng: {"kind": "nonoblivious", "K": p["k"]}),
@@ -415,29 +439,12 @@ _ENV_KINDS = {
 }
 
 
-def _arms(e: dict) -> tuple[str, int | None]:
-    """The [environment] key that sets a finite-arm environment's number of
-    arms, in its builder's order, and that number (None when no key is set)."""
-    if "means" in e:
-        return "means", len(e["means"])
-    if e.get("losses") is not None:
-        return "losses", np.shape(e["losses"])[-1]
-    if e.get("csv") is not None:
-        with _csv_errors(e["csv"]):
-            return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
-    return "k", e["k"]
-
-
 def build_environment(kind: str, params: dict, n: int, seed: int) -> dict:
     """Materialize the replica-independent part of the environment."""
     if kind not in _ENV_KINDS:
         raise ConfigError(f"unknown environment kind {kind!r}")
     entry = _ENV_KINDS[kind]
     p = _resolve("environment", entry.keys, params)
-    if kind in _FINITE_KINDS:
-        # with one arm there is nothing to learn, and exp3's and exp3p's rates take ln K = 0
-        key, K = _arms(p)
-        _require(K is None or K >= 2, f"environment.{key} gives {K} arm(s), fewer than 2")
     return entry.build(p, n, derive_stream(seed, ENV_STREAM_ID))
 
 
@@ -495,13 +502,13 @@ def _finite_rounds(policy, env: dict, n: int, rng, rows: tuple) -> np.ndarray:
 
     played = np.empty((n,) + rows)  # loss of the arm played
     if kind == "oblivious":
-        adv: ObliviousAdversary = env["adv"]
+        losses = env["losses"]
         for t in range(n):
             arm = policy.select(rng)
-            loss = adv.loss_vector(t).take(arm)
+            loss = losses[t].take(arm)
             policy.update(arm, 1.0 - loss if gain else loss)
             played[t] = loss
-        return _curves(played, np.cumsum(adv.loss_matrix[:n], axis=0).min(axis=1))
+        return _curves(played, np.cumsum(losses, axis=0).min(axis=1))
 
     # nonoblivious: a fresh adversary per call, reacting to each replica's plays
     grudge = NonObliviousAdversary(env["K"], *rows)
@@ -629,11 +636,11 @@ def _labelled(env: dict, n: int, stream) -> Iterator:
 def _osgd_params(mode: str, p: dict, n: int, env: dict) -> tuple[float, float]:
     """(eta, delta) of an osgd run: its own, or what its mode's theorem prescribes."""
     body = env["body"]
-    d, R, r = body.dim, body.outer_radius, body.inner_radius
+    d, R = body.dim, body.radius  # the ball's outer and inner radii are R = r
     if mode == "two-point":
-        eta, delta = convex.osgd_two_point_schedule(n, d, R, env["G"], r)
+        eta, delta = convex.osgd_two_point_schedule(n, d, R, env["G"], R)
     else:
-        delta, eta = convex.osgd_one_point_schedule(n, d, R, r, env["G"], env["L"])
+        delta, eta = convex.osgd_one_point_schedule(n, d, R, R, env["G"], env["L"])
     return (eta if p["eta"] is None else p["eta"]), (delta if p["delta"] is None else p["delta"])
 
 
@@ -642,7 +649,7 @@ def _osgd_best(env: dict) -> Callable:
     the rounds so far. It reads each round's direction from `env`, not from
     the loss oracle it is fed."""
     body, dirs = env["body"], iter(env["directions"])
-    R = body.outer_radius
+    R = body.radius
     if env["family"] == "absvalue":
         return lambda oracle: 0.0
     if env["family"] == "linear":
@@ -667,7 +674,7 @@ def _osgd(mode: str) -> Callable:
                    lambda p, env, n: partial(convex.OsgdState, env["body"], mode,
                                              *_osgd_params(mode, p, n, env)),
                    lambda env, n, stream: (_CONVEX_ORACLES[env["family"]](
-                       c, env["body"].outer_radius) for c in env["directions"][:n]),
+                       c, env["body"].radius) for c in env["directions"][:n]),
                    _osgd_best)
 
 
@@ -691,7 +698,7 @@ def _check_exp3p(p: dict, e: dict, n: int) -> None:
     _require(p["delta_free"] or 0 < p["delta"] < 1, f"policy.delta must lie in (0, 1) "
              f"unless policy.delta_free = true, got {p['delta']!r}")
     K = _arms(e)[1]
-    if n and (K or 0) >= 2:  # build_environment refuses fewer arms
+    if n:  # the kind's check, which runs first, has found at least 2 arms
         beta, _, gamma = adversarial.exp3p_params(n, K, None if p["delta_free"] else p["delta"])
         _require(max(beta, gamma) <= 1, f"experiment.horizon = {n} is too short for exp3p "
                  f"on {K} arms: its schedule gives gamma = {gamma:.4g} and beta = {beta:.4g} "
@@ -1017,8 +1024,7 @@ def _msets(c: dict, env: dict, variant: str) -> dict:
 
 def _convex(c: dict, env: dict) -> dict:
     body = env["body"]
-    return {"n": c["horizon"], "d": body.dim, "R": body.outer_radius, "r": body.inner_radius,
-            "G": env["G"]}
+    return {"n": c["horizon"], "d": body.dim, "R": body.radius, "r": body.radius, "G": env["G"]}
 
 
 BOUNDS = {
@@ -1058,9 +1064,20 @@ BOUNDS = {
 
 
 def bound(name: str, **params) -> float:
+    """The cap of the theorem `name` at `params`, which must be the keywords
+    its cap takes; ConfigError naming a missing or unknown keyword, or
+    quoting the cap's refusal of a value."""
     if name not in BOUNDS:
         raise ConfigError(f"unknown bound {name!r}")
-    return float(BOUNDS[name].cap(**params))
+    cap = BOUNDS[name].cap
+    try:
+        inspect.signature(cap).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bound {name!r}: {exc}") from None
+    try:
+        return float(cap(**params))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bound {name!r}: {exc}") from None
 
 
 def compute_overlay(name: str, config: dict, env: dict) -> float:

@@ -248,7 +248,7 @@ def finite_rows_mismatch(make, kind: str, K: int, n: int, R: int, seed: int):
     its one-row state's, or None when every row keeps its bits every round.
     """
     rng = derive_stream(seed, ENV_STREAM_ID)
-    env = StochasticEnv.bernoulli(rng.random(K))
+    env = StochasticEnv(rng.random(K))
     matrix = rng.random((n, K))
     batch = make(R)
     per_round = batch.draws_per_round + (kind == "stochastic")

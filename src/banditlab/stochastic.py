@@ -59,12 +59,11 @@ class UcbState:
         self.means = np.zeros(shape)
         self.t = 0  # rounds completed
 
-    def select(self, rng=None, psi: PsiSpec | None = None):
-        psi = psi or self.psi
+    def select(self, rng=None):
         counts = self.counts
         # a float divisor spares the ufunc a cast; the quotients are the same
         rates = self.alpha * math.log(self.t + 1) / np.maximum(counts, ONE).astype(float)
-        idx = self.means + psi.psi_star_inv(rates)
+        idx = self.means + self.psi.psi_star_inv(rates)
         np.putmask(idx, np.logical_not(counts), INF)  # untried arms
         return as_arm(idx.argmax(-1))  # argmax takes the lowest index on ties
 

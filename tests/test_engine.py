@@ -22,8 +22,6 @@ from banditlab.adversarial import (
 )
 from banditlab.env import (
     KERNEL_MIN_STREAMS,
-    BernoulliArm,
-    DiscreteArm,
     ReplicaDraws,
     StochasticEnv,
     derive_stream,
@@ -327,24 +325,6 @@ def test_replica_draws_match_scalar_draws_across_blocks():
         draws.random()
 
 
-def test_discrete_arm_draws_what_rng_choice_draws():
-    arm = DiscreteArm([0.1, 0.5, 0.75, 1.0], [0.15, 0.35, 0.2, 0.3])
-    for seed in range(5):
-        ours, choice = derive_stream(seed, 0), derive_stream(seed, 0)
-        assert [arm.sample(ours) for _ in range(200)] \
-            == [float(choice.choice(arm.support, p=arm.probs)) for _ in range(200)]
-
-
-@pytest.mark.parametrize("policy", ["ucb", "exp3", "exp3p"])
-def test_lockstep_runs_discrete_arms(policy):
-    arms = [DiscreteArm([0.0, 0.5, 1.0], [0.2, 0.5, 0.3]), BernoulliArm(0.4)]
-    env = harness._stochastic(StochasticEnv(arms))
-    config = _config(policy, {}, "stochastic", {"means": "0.5"}, 150, 3, 0)
-    rows = harness.run_replica(config, env, 8, range(3))
-    singles = [harness.run_replica(config, env, 8, r) for r in range(3)]
-    assert np.array_equal(rows, np.vstack(singles))
-
-
 def test_sample_categorical_rows_match_one_row_at_a_time():
     p = derive_stream(4, 0).dirichlet(np.ones(5), size=6)
     draws = ReplicaDraws(5, range(6), total=1)
@@ -355,7 +335,7 @@ def test_sample_categorical_rows_match_one_row_at_a_time():
 
 
 def test_lockstep_checks_hold_per_row():
-    env = StochasticEnv.bernoulli([0.5, 0.5])
+    env = StochasticEnv([0.5, 0.5])
     draws = ReplicaDraws(1, range(2), total=1)
     with pytest.raises(IndexError):
         env.sample_reward(np.array([0, 2]), draws)

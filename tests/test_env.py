@@ -4,108 +4,102 @@ import numpy as np
 import pytest
 
 from banditlab import env as env_module
+from banditlab import harness
 from banditlab.adversarial import Exp3State, exp_weights, importance_loss_estimate
 from banditlab.env import (
     ENV_STREAM_ID,
     KERNEL_MAX_DOUBLES,
     KERNEL_MIN_STREAMS,
     NonObliviousAdversary,
-    ObliviousAdversary,
     ReplicaDraws,
-    RunTrace,
     StochasticEnv,
     derive_stream,
     lower_bound_env,
     philox_doubles,
-    pseudo_regret_oblivious,
-    pseudo_regret_stochastic,
 )
 
 
 def test_sample_reward_degenerate_bernoulli():
     rng = derive_stream(1, 0)
-    env = StochasticEnv.bernoulli([1.0, 0.0])
+    env = StochasticEnv([1.0, 0.0])
     assert env.sample_reward(0, rng) == 1.0
     assert env.sample_reward(1, rng) == 0.0
 
 
 def test_sample_reward_law_of_large_numbers():
     rng = derive_stream(42, 0)
-    env = StochasticEnv.bernoulli([0.3])
+    env = StochasticEnv([0.3])
     draws = [env.sample_reward(0, rng) for _ in range(10**5)]
     assert abs(np.mean(draws) - 0.3) < 0.01
 
 
 def test_sample_reward_out_of_range():
-    env = StochasticEnv.bernoulli([0.5])
+    env = StochasticEnv([0.5])
     with pytest.raises(IndexError):
         env.sample_reward(1, derive_stream(0, 0))
 
 
 def test_bad_means_rejected():
     with pytest.raises(ValueError):
-        StochasticEnv.bernoulli([1.2])
+        StochasticEnv([1.2])
     with pytest.raises(ValueError):
-        StochasticEnv.bernoulli([])
+        StochasticEnv([])
 
 
-def test_discrete_arm():
-    from banditlab.env import DiscreteArm
+class _Scripted:
+    """Plays the given arms in turn and learns nothing."""
 
-    arm = DiscreteArm([0.0, 0.5, 1.0], [0.2, 0.5, 0.3])
-    assert arm.mean == pytest.approx(0.55)
-    rng = derive_stream(21, 0)
-    draws = np.array([arm.sample(rng) for _ in range(20_000)])
-    assert set(np.unique(draws)).issubset({0.0, 0.5, 1.0})
-    assert abs(draws.mean() - 0.55) < 0.01
-    env = StochasticEnv([arm, DiscreteArm([0.25], [1.0])])
-    assert env.best_arm == 0
-    with pytest.raises(ValueError):
-        DiscreteArm([2.0], [1.0])
-    with pytest.raises(ValueError):
-        DiscreteArm([0.5], [0.7])
+    feedback = "loss"
+
+    def __init__(self, arms):
+        self._arms = iter(arms)
+
+    def select(self, rng):
+        return next(self._arms)
+
+    def update(self, arm, loss):
+        pass
 
 
-def test_pseudo_regret_stochastic_hand_values():
-    env = StochasticEnv.bernoulli([0.9, 0.5])
-    trace = RunTrace(actions=[0] * 10, losses=[0.0] * 10)
-    assert pseudo_regret_stochastic(trace, env) == 0.0
-    trace = RunTrace(actions=[0] * 5 + [1] * 5, losses=[0.0] * 10)
-    assert pseudo_regret_stochastic(trace, env) == pytest.approx(2.0)
-    single = StochasticEnv.bernoulli([0.7])
-    trace = RunTrace(actions=[0] * 7, losses=[0.0] * 7)
-    assert pseudo_regret_stochastic(trace, single) == 0.0
+def _regret(arms, env: dict) -> np.ndarray:
+    """The pseudo-regret curve the run loop keeps of playing `arms` on `env`."""
+    return harness._finite_rounds(_Scripted(arms), env, len(arms), derive_stream(0, 0), ())
 
 
-def test_pseudo_regret_stochastic_nonnegative_zero_iff_optimal():
+def _oblivious(losses) -> dict:
+    return harness.build_environment("oblivious", {"losses": losses}, len(losses), 0)
+
+
+def test_stochastic_regret_curve_hand_values():
+    env = harness._stochastic(StochasticEnv([0.9, 0.5]))
+    assert _regret([0] * 10, env)[-1] == 0.0
+    assert _regret([0] * 5 + [1] * 5, env)[-1] == pytest.approx(2.0)
+    single = harness._stochastic(StochasticEnv([0.7]))
+    assert _regret([0] * 7, single)[-1] == 0.0
+
+
+def test_stochastic_regret_curve_nonnegative_zero_iff_optimal():
     rng = derive_stream(7, 0)
-    env = StochasticEnv.bernoulli([0.2, 0.9, 0.4])
+    sto = StochasticEnv([0.2, 0.9, 0.4])
     for _ in range(50):
         actions = list(rng.integers(3, size=20))
-        trace = RunTrace(actions=actions, losses=[0.0] * 20)
-        value = pseudo_regret_stochastic(trace, env)
-        assert value >= 0.0
-        assert (value == 0.0) == all(a == env.best_arm for a in actions)
+        curve = _regret(actions, harness._stochastic(sto))
+        assert (np.diff(curve) >= 0.0).all() and curve[0] >= 0.0
+        assert (curve[-1] == 0.0) == all(a == sto.best_arm for a in actions)
 
 
-def test_pseudo_regret_oblivious_hand_values():
-    adv = ObliviousAdversary(np.zeros((4, 2)))
-    trace = RunTrace(actions=[0, 1, 0, 1], losses=[0.0] * 4)
-    assert pseudo_regret_oblivious(trace, adv) == 0.0
-
-    adv = ObliviousAdversary(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    trace = RunTrace(actions=[0, 0], losses=[1.0, 1.0])
-    assert pseudo_regret_oblivious(trace, adv) == pytest.approx(2.0)
+def test_oblivious_regret_curve_hand_values():
+    assert _regret([0, 1, 0, 1], _oblivious(np.zeros((4, 2))))[-1] == 0.0
+    env = _oblivious([[1.0, 0.0], [1.0, 0.0]])
+    assert _regret([0, 0], env)[-1] == pytest.approx(2.0)
     # playing the argmin column every round leaves nothing on the table
-    trace = RunTrace(actions=[1, 1], losses=[0.0, 0.0])
-    assert pseudo_regret_oblivious(trace, adv) == 0.0
+    assert _regret([1, 1], env)[-1] == 0.0
 
 
-def test_pseudo_regret_oblivious_trace_too_long():
-    adv = ObliviousAdversary(np.zeros((2, 2)))
-    trace = RunTrace(actions=[0, 0, 0], losses=[0.0] * 3)
-    with pytest.raises(ValueError):
-        pseudo_regret_oblivious(trace, adv)
+def test_oblivious_run_longer_than_its_losses_is_refused():
+    # a run longer than the loss sequence is refused before any round
+    with pytest.raises(harness.ConfigError, match="environment.losses has 2 rows"):
+        harness.build_environment("oblivious", {"losses": np.zeros((2, 2))}, 3, 0)
 
 
 def test_lower_bound_env():
@@ -244,20 +238,20 @@ def test_trace_determinism_bytes():
     # the same (seed, stream) pair reproduces every byte of a full trace
     def run():
         rng = derive_stream(2024, 3)
-        env = StochasticEnv.bernoulli([0.7, 0.4])
+        env = StochasticEnv([0.7, 0.4])
         policy = Exp3State(2, n=50)
-        trace = RunTrace()
+        actions, losses = [], []
         for _ in range(50):
             arm = policy.select(rng)
             reward = env.sample_reward(arm, rng)
             policy.update(arm, 1.0 - reward)
-            trace.record(arm, 1.0 - reward)
-        return trace
+            actions.append(arm)
+            losses.append(1.0 - reward)
+        return actions, losses
 
-    t1, t2 = run(), run()
-    assert t1.actions == t2.actions
-    assert t1.losses == t2.losses
-    assert np.array_equal(t1.counts(2), t2.counts(2))
+    (a1, l1), (a2, l2) = run(), run()
+    assert a1 == a2
+    assert l1 == l2
 
 
 def test_round_helpers_match_the_reductions_they_replace():

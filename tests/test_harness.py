@@ -212,6 +212,24 @@ def test_package_version_matches_pyproject():
     assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == banditlab.__version__
 
 
+def test_every_public_name_resolves():
+    for name in banditlab.__all__:
+        assert getattr(banditlab, name) is not None, name
+
+
+def test_readme_library_use_runs_as_the_engine_does(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Library use"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```\n", start)]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = float(capsys.readouterr().out)
+    report = run_experiment(_config(policy="ucb", policy_params={"alpha": "2.5"},
+                                    env_params={"means": "0.9, 0.6"}, overlays=[],
+                                    horizon=10_000, replicas=1, seed=123))
+    assert printed == report.mean_terminal > 0.0
+
+
 def test_cli_run_and_bound(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(BASE_INI.format(out=tmp_path))
@@ -225,14 +243,54 @@ def test_cli_run_and_bound(tmp_path, capsys):
     assert "16.65" in out
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys):
     path = tmp_path / "exp.ini"
     path.write_text(BASE_INI.format(out=tmp_path))
     rc = cli.main(["sweep", "--config", str(path), "--param", "experiment.horizon",
-                   "--values", "50,100", "--replicas", "2"])
+                   "--values", "50, 100 ", "--replicas", "2"])
     assert rc == 0
-    assert (tmp_path / "report_horizon_50.csv").exists()
-    assert (tmp_path / "report_horizon_100.csv").exists()
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["report_horizon_100.csv",
+                                                               "report_horizon_50.csv"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["experiment.horizon=50",
+                                                      "experiment.horizon=100"]
+
+
+@pytest.mark.parametrize("args, params, message", [
+    (["exp3", "n=100"], {"n": 100}, "missing a required argument: 'K'"),
+    (["exp3", "n=100", "K=5", "foo=1"], {"n": 100, "K": 5, "foo": 1},
+     "got an unexpected keyword argument 'foo'"),
+    (["ucb", "alpha=1.5", "gaps=0.1:0.2", "n=100"], {"alpha": 1.5, "gaps": [0.1, 0.2], "n": 100},
+     "alpha must exceed 2"),
+], ids=["missing", "unknown", "cap-refuses"])
+def test_bound_faults_are_config_errors(capsys, args, params, message):
+    with pytest.raises(ConfigError, match=re.escape(f"bound '{args[0]}': {message}")):
+        bound(args[0], **params)
+    assert cli.main(["bound", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"banditlab: bound '{args[0]}': ") and message in err
+
+
+def test_cli_bound_reads_one_gap_as_a_list_and_refuses_text(capsys):
+    assert cli.main(["bound", "ucb", "alpha=3", "gaps=0.5", "n=100"]) == 0
+    assert capsys.readouterr().out == f"ucb: {bound('ucb', alpha=3.0, gaps=[0.5], n=100)!r}\n"
+    assert cli.main(["bound", "exp3", "n=abc", "K=2"]) == 2
+    assert capsys.readouterr().err == "banditlab: bound 'exp3': n = 'abc' is not a number\n"
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--replicas", "0"], "--replicas"), (["--replicas", "1"], "--replicas"),
+    (["--horizon", "0"], "--horizon"), (["--horizon", "30"], "--horizon"),
+    (["--horizon", "-2"], "--horizon"), (["--horizon", "10000000000"], "--horizon"),
+])
+def test_cli_oracle_faults_exit_2_before_any_replica(monkeypatch, capsys, args, key):
+    def no_run(*args):
+        raise AssertionError("a replica ran")
+
+    monkeypatch.setattr(harness, "exp3_cumulative_losses", no_run)
+    assert cli.main(["oracle", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"banditlab: {key} must") and "Traceback" not in err
 
 
 def test_cli_selftest_and_oracle(capsys):
@@ -318,6 +376,17 @@ def test_parse_config_rejects_bad_experiment_values(key, value):
         parse_config(text)
 
 
+def test_typed_loss_list_runs_as_its_text():
+    rows = [[0.1, 0.9], [0.6, 0.2], [0.3, 0.3]] * 10
+    text = ";".join(",".join(map(str, row)) for row in rows)
+    reports = [run_experiment(_config(policy="exp3", policy_params={}, env_kind="oblivious",
+                                      env_params={"losses": losses}, overlays=["exp3"],
+                                      horizon=30, replicas=3))
+               for losses in (text, rows)]
+    digests = [json.dumps(r.content_dict(), sort_keys=True) for r in reports]
+    assert digests[0] == digests[1]
+
+
 def test_replicas_below_one_fail_in_run_experiment_too():
     with pytest.raises(ConfigError, match="experiment.replicas"):
         run_experiment(_config(replicas=0))
@@ -326,7 +395,7 @@ def test_replicas_below_one_fail_in_run_experiment_too():
 # a row of each kind's csv (or inline losses), its other keys, and the
 # number of rounds its environment holds
 _SHORT_SOURCES = {
-    "oblivious": ("0.1,0.9", {}, lambda env: env["adv"].horizon),
+    "oblivious": ("0.1,0.9", {}, lambda env: len(env["losses"])),
     "contextual": ("a,0.1,0.9", {"k": "2"}, lambda env: len(env["contexts"])),
     "multiclass": ("1,0,0", {"k": "2", "d": "2"}, lambda env: len(env["ys"])),
 }
@@ -460,6 +529,8 @@ _SEMIBANDIT = {"d": "4", "m": "2"}
                  id="exp3p-one-mean"),
     pytest.param("exp3", {}, "oblivious", {"losses": ";".join(["0.5"] * 20)}, [],
                  "environment.losses", 20, id="exp3-one-loss-column"),
+    pytest.param("exp3", {}, "oblivious", {"losses": [[[0.5, 0.5]]] * 20}, [],
+                 "environment.losses", 20, id="exp3-losses-not-a-matrix"),
     # rules that span keys
     pytest.param("exp2-john", {}, "linear-points", {"d": "3", "n_points": "2"}, [],
                  "environment.n_points", 20, id="exp2-fewer-points-than-d"),
@@ -596,6 +667,7 @@ def test_osmd_potential_overlay_reads_the_runs_q():
 @pytest.mark.parametrize("param, values", [
     ("experiment.nosuch", [1]), ("experiment.horizon", [10, "abc"]),
     ("policy.nosuch", [1]), ("policy.alpha", [3.0, "abc"]), ("environment.means", ["x"]),
+    ("environment.means", ["0.9, 0.5", "0.5"]),
 ])
 def test_sweep_checks_every_cell_before_the_first(no_replicas, param, values):
     with pytest.raises(ConfigError, match=re.escape(param)):

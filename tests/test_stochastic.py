@@ -68,7 +68,7 @@ def test_ucb_argmax_invariant_under_uniform_shift():
 
 def test_first_k_rounds_round_robin():
     rng = derive_stream(17, 0)
-    env = StochasticEnv.bernoulli([0.3, 0.6, 0.9])
+    env = StochasticEnv([0.3, 0.6, 0.9])
     for policy in (UcbState(3), EpsGreedyState(3, d_gap=0.1)):
         seen = []
         for _ in range(3):
@@ -221,14 +221,16 @@ def test_custom_psi_spec_gets_every_rate_at_once():
 
     spec = PsiSpec(narrow, name="narrow")
     for replicas in (None, 3):
-        state = UcbState(3, alpha=3.0, psi=spec, replicas=replicas)
+        state, hoeffding = (UcbState(3, alpha=3.0, psi=psi, replicas=replicas)
+                            for psi in (spec, HOEFFDING))
         rows = 1 if replicas is None else replicas
         arms = np.zeros(rows, dtype=int)
         for arm, reward in ((0, 1.0), (0, 1.0), (0, 0.5), (1, 0.0), (2, 0.5)):
-            state.update(arm if replicas is None else arms + arm, reward)
+            for ucb in (state, hoeffding):
+                ucb.update(arm if replicas is None else arms + arm, reward)
         rates = 3.0 * math.log(6) / np.array([3, 1, 1])
         index = np.array([2.5 / 3, 0.0, 0.5]) + rates / 100.0
         assert int(index.argmax()) == 0
         assert np.atleast_1d(state.select()).tolist() == [0] * rows
         assert seen[-1] == state.means.shape
-        assert np.atleast_1d(state.select(psi=HOEFFDING)).tolist() == [2] * rows
+        assert np.atleast_1d(hoeffding.select()).tolist() == [2] * rows
