@@ -230,7 +230,7 @@ def exact_expectation_oracle(policy_factory, loss_matrix, max_paths: int = MAX_P
         p = state.probs()
         total = 0.0
         for arm in range(K):
-            if p[arm] == 0.0:
+            if weight * p[arm] < np.finfo(float).tiny:  # its share of the total is below 1e-307
                 continue
             child = copy.deepcopy(state)
             child.update(arm, losses[t, arm])

@@ -25,8 +25,8 @@ class ConvexBody:
     def project(self, x: np.ndarray) -> np.ndarray:
         return project_ball(np.asarray(x, dtype=float), self.radius)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(x) <= self.radius + tol)
+    def contains(self, x: np.ndarray) -> bool:
+        return bool(np.linalg.norm(x) <= self.radius + 1e-9)
 
     def shrink(self, factor: float) -> "ConvexBody":
         if not 0.0 < factor <= 1.0:
@@ -117,7 +117,7 @@ class OsgdState:
         if self.mode == "two-point":
             x_plus = self.x + self.delta * S
             x_minus = self.x - self.delta * S
-            if not (self.body.contains(x_plus, 1e-9) and self.body.contains(x_minus, 1e-9)):
+            if not (self.body.contains(x_plus) and self.body.contains(x_minus)):
                 raise RuntimeError("query point escaped the body")
             f_plus = oracle.query(x_plus)
             f_minus = oracle.query(x_minus)
@@ -129,7 +129,7 @@ class OsgdState:
                 played, incurred = x_minus, f_minus
         else:
             x_query = self.x + self.delta * S
-            if not self.body.contains(x_query, 1e-9):
+            if not self.body.contains(x_query):
                 raise RuntimeError("query point escaped the body")
             f_val = oracle.query(x_query)
             grad = one_point_estimate(f_val, S, d, self.delta)

@@ -119,14 +119,15 @@ _EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000, "[0,
 # the entries of a config dict that are not [experiment] keys; the [output]
 # keys, `_OUTPUT_KEYS`, sit with the renderers under emission
 _SECTIONS = ("policy_params", "env_kind", "env_params", "overlays", "output")
+_OVERLAYS = {"names": Key(_list(str.strip), ())}
 
 
 def parse_config(text_or_path) -> dict:
-    """Parse and validate an INI experiment description; unknown keys are errors.
+    """The typed config of an INI experiment description, by `check_config`;
+    unknown sections and keys are errors.
 
     One line of text is a path; a missing or unreadable file and every parser
-    fault raise ConfigError. The [policy] and [environment] values stay text;
-    `check_config` gives their typed values.
+    fault raise ConfigError.
     """
     parser = configparser.ConfigParser()
     text, source = str(text_or_path), "<string>"
@@ -139,54 +140,49 @@ def parse_config(text_or_path) -> dict:
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         # an OSError's own text repeats the path
         raise ConfigError(f"config {source!r}: {getattr(exc, 'strerror', None) or exc}") from None
-    unknown = set(sections) - {"experiment", "policy", "environment", "overlays", "output"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    unknown = sorted(set(sections) - {"experiment", "policy", "environment", "overlays", "output"})
+    _require(not unknown, f"unknown config sections: {unknown}")
 
-    envsec = sections.get("environment", {})
-    if "kind" not in envsec:
-        raise ConfigError("environment.kind is required")
-    config = {
-        **_resolve("experiment", _EXPERIMENT_KEYS, sections.get("experiment", {})),
-        "policy_params": sections.get("policy", {}),
-        "env_kind": envsec.pop("kind"),
-        "env_params": envsec,
-        "overlays": list(_resolve("overlays", {"names": Key(_list(str.strip), ())},
-                                  sections.get("overlays", {}))["names"]),
-        "output": _resolve("output", _OUTPUT_KEYS, sections.get("output", {})),
-    }
-    check_config(config)
-    return config
+    experiment, envsec = sections.get("experiment", {}), sections.get("environment", {})
+    clash = sorted(set(experiment).intersection(_SECTIONS))  # entries of their own
+    _require(not clash, "unknown key " + ", ".join(f"experiment.{k}" for k in clash))
+    config = {**experiment, "policy_params": sections.get("policy", {}), "env_params": envsec,
+              "overlays": _resolve("overlays", _OVERLAYS, sections.get("overlays", {}))["names"],
+              "output": sections.get("output", {})}
+    if "kind" in envsec:
+        config["env_kind"] = envsec.pop("kind")
+    return check_config(config)
 
 
 def check_config(config: dict) -> dict:
-    """The config with every value typed and every default filled in.
+    """The config with every section typed, from text or typed values, and
+    every default filled in (only `env_kind` is required); a config it
+    returned comes back unchanged.
 
     Raises ConfigError, naming the key, for a config no replica can run.
     """
+    _require("env_kind" in config, "environment.kind is required")
     experiment = _resolve("experiment", _EXPERIMENT_KEYS,
                           {k: v for k, v in config.items() if k not in _SECTIONS})
     policy, kind = experiment["policy"], config["env_kind"]
-    if policy not in _POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    if kind not in _ENV_KINDS:
-        raise ConfigError(f"unknown environment kind {kind!r}")
+    _require(policy in _POLICIES, f"unknown policy {policy!r}")
+    _require(kind in _ENV_KINDS, f"unknown environment kind {kind!r}")
     kinds = _POLICIES[policy].kinds
-    if kind not in kinds:
-        raise ConfigError(f"policy {policy!r} does not run on environment kind {kind!r} "
-                          f"(it runs on {', '.join(kinds)})")
-    for name in config["overlays"]:
-        if name not in BOUNDS:
-            raise ConfigError(f"unknown overlay {name!r}")
-    if config["overlays"] and experiment["horizon"] < 1:  # a theorem's cap needs a round
-        raise ConfigError(f"overlays need experiment.horizon of at least 1, "
-                          f"got {experiment['horizon']!r}")
-    p = _resolve("policy", _POLICIES[policy].keys, config["policy_params"])
-    e = _resolve("environment", _ENV_KINDS[kind].keys, config["env_params"])
+    _require(kind in kinds, f"policy {policy!r} does not run on environment kind {kind!r} "
+                            f"(it runs on {', '.join(kinds)})")
+    overlays = _resolve("overlays", _OVERLAYS, {"names": config.get("overlays", ())})["names"]
+    for name in overlays:
+        _require(name in BOUNDS, f"unknown overlay {name!r}")
+    _require(not overlays or experiment["horizon"] >= 1,  # a theorem's cap needs a round
+             f"overlays need experiment.horizon of at least 1, got {experiment['horizon']!r}")
+    p = _resolve("policy", _POLICIES[policy].keys, config.get("policy_params", {}))
+    e = _resolve("environment", _ENV_KINDS[kind].keys, config.get("env_params", {}))
     for check in (_ENV_KINDS[kind].check, _POLICIES[policy].check):
         if check is not None:
             check(p, e, experiment["horizon"])
-    return {**config, **experiment, "policy_params": p, "env_params": e}
+    output = _resolve("output", _OUTPUT_KEYS, config.get("output", {}))
+    return {**experiment, "policy_params": p, "env_kind": kind, "env_params": e,
+            "overlays": list(overlays), "output": output}
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +824,7 @@ _POLICIES = {
 
 
 def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
-    """Cumulative pseudo-regret (or mistake) curves.
+    """Cumulative pseudo-regret (or mistake) curves of a config `check_config` returned.
 
     `ids` is one replica's stream id, for its 1-D curve, or a sequence of
     ids, for an (R, n) array in C order with one row per id; row r reads
@@ -836,7 +832,6 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     `_batches` plays it: all replicas in lockstep (ucb, exp3, exp3p,
     exp2-john and osmd-msets) or one at a time.
     """
-    config = check_config(config)
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(ids, numbers.Integral)
     ids = [ids] if single else ids
@@ -855,8 +850,8 @@ def exp3_cumulative_losses(loss_matrix, seed: int, ids) -> np.ndarray:
     `adversarial.exact_expectation_oracle`."""
     matrix = np.asarray(loss_matrix, dtype=float)
     n = len(matrix)
-    config = {"policy": "exp3", "horizon": n, "policy_params": {},
-              "env_kind": "oblivious", "env_params": {"losses": matrix}, "overlays": []}
+    config = check_config({"policy": "exp3", "horizon": n, "env_kind": "oblivious",
+                           "env_params": {"losses": matrix}})
     env = build_environment("oblivious", config["env_params"], n, 0)
     curves = run_replica(config, env, seed, ids)
     return curves[:, -1] + matrix.sum(axis=0).min()
@@ -934,8 +929,7 @@ def run_experiment(config: dict) -> RegretReport:
     start = time.perf_counter()
     config = check_config(config)
     n, replicas, seed = config["horizon"], config["replicas"], config["seed"]
-    env = build_environment(config["env_kind"], config["env_params"], n, seed)
-    overlays = {name: compute_overlay(name, config, env) for name in config["overlays"]}
+    env, overlays = _prepare(config)
     stacked = run_replica(config, env, seed, range(replicas))
 
     mean_curve = stacked.mean(axis=0)
@@ -958,10 +952,18 @@ def run_experiment(config: dict) -> RegretReport:
     )
 
 
+def _prepare(config: dict) -> tuple[dict, dict]:
+    """A checked config's environment and its overlays' values."""
+    env = build_environment(config["env_kind"], config["env_params"], config["horizon"],
+                            config["seed"])
+    return env, {name: compute_overlay(name, config, env) for name in config["overlays"]}
+
+
 def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
     """Re-run the experiment for each value of one dotted config parameter.
 
-    Every cell is checked before the first one runs.
+    Every cell is checked, and its environment built and overlays computed,
+    before the first one runs; its run builds the environment again.
     """
     if not values:
         raise ConfigError("sweep needs at least one grid value")
@@ -972,12 +974,13 @@ def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
         if section == "experiment" and key in _EXPERIMENT_KEYS:
             cell[key] = str(v)
         elif section == "policy":
-            cell["policy_params"][key] = str(v)
+            cell.setdefault("policy_params", {})[key] = str(v)
         elif section == "environment":
-            cell["env_params"][key] = str(v)
+            cell.setdefault("env_params", {})[key] = str(v)
         else:
             raise ConfigError(f"unknown key {param}")
         cells.append(check_config(cell))
+        _prepare(cells[-1])  # a build's or an overlay's fault, before any cell plays
     return [run_experiment(cell) for cell in cells]
 
 
@@ -1081,10 +1084,9 @@ def bound(name: str, **params) -> float:
 
 
 def compute_overlay(name: str, config: dict, env: dict) -> float:
-    """Evaluate a bound with parameters pulled from the experiment config;
-    ConfigError when the environment or the policy lacks what the bound
-    needs, or sets it outside what the theorem covers."""
-    config = check_config(config)
+    """Evaluate a bound with parameters pulled from a config that
+    `check_config` returned; ConfigError when the environment or the policy
+    lacks what the bound needs, or sets it outside what the theorem covers."""
     if name not in BOUNDS:
         raise ConfigError(f"unknown overlay {name!r}")
     try:

@@ -117,10 +117,8 @@ def ucb_bound(alpha: float, gaps, n: int) -> float:
 
 
 class ThompsonState:
-    """Per-arm Beta posteriors starting from the uniform prior Beta(1, 1).
-
-    `update` binarizes a fractional reward with its own `rng`, if given, or
-    else with the stream the last `select` drew from."""
+    """Per-arm Beta posteriors starting from the uniform prior Beta(1, 1);
+    `update` binarizes a fractional reward with the stream the last `select` drew from."""
 
     feedback = "gain"
 
@@ -139,14 +137,13 @@ class ThompsonState:
         theta = rng.beta(a, b)
         return int(theta.argmax())
 
-    def update(self, arm: int, reward: float, rng: np.random.Generator | None = None) -> None:
+    def update(self, arm: int, reward: float) -> None:
         # Non-binary rewards in [0,1] are binarized with an auxiliary
         # Bernoulli(reward) draw, which keeps the Beta update conjugate.
         if reward not in (0.0, 1.0):
-            rng = rng or self._drawn_from
-            if rng is None:
-                raise ValueError("rng required to binarize a fractional reward")
-            reward = float(rng.random() < reward)
+            if self._drawn_from is None:
+                raise ValueError("a fractional reward is binarized with the stream of a select")
+            reward = float(self._drawn_from.random() < reward)
         if reward == 1.0:
             self.successes[arm] += 1.0
         else:

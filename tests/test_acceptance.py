@@ -99,7 +99,7 @@ def test_criterion_05_minimax_lower_bound_construction():
         # replica r plays the construction whose best arm is r % K; its
         # terminal value is the pseudo-regret, the sum of gap(I_t)
         params = {"k": K, "eps": eps, "best": best}
-        cfg = _config("exp3", "lower-bound", params, n, replicas)
+        cfg = harness.check_config(_config("exp3", "lower-bound", params, n, replicas))
         env = harness.build_environment("lower-bound", params, n, SEED)
         curves = harness.run_replica(cfg, env, SEED, range(best, replicas, K))
         values[best::K] = curves[:, -1]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ def test_oracle_frozen_hand_instance():
     exp_loss, regret = exact_expectation_oracle(lambda: Exp3State(2, eta=1.0), losses)
     assert exp_loss == pytest.approx(0.8096014610110588, abs=1e-12)
     assert regret == pytest.approx(0.8096014610110588, abs=1e-12)
+
+
+def test_oracle_skips_paths_below_the_smallest_normal_double():
+    # from horizon 14 on, some paths' probabilities underflow to subnormals,
+    # and exp3's loss / p on such a path overflowed; those paths weigh nothing,
+    # so the totals are the full walk's, whose warnings were ignored
+    losses = derive_stream(0, 0).random((16, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = exact_expectation_oracle(lambda: Exp3State(2, n=16), losses)
+    assert result == (7.938287754256816, 0.19594087608010646)
 
 
 def test_oracle_instance_too_large():

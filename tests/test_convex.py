@@ -135,9 +135,9 @@ def test_osgd_round_queries_stay_inside():
     oracle = absvalue_oracle(c)
     for _ in range(300):
         played, incurred = state.round(oracle, rng)
-        assert body.contains(played, 1e-9)
+        assert body.contains(played)
         assert incurred >= 0.0
-        assert state.play_body.contains(state.x, 1e-9)
+        assert state.play_body.contains(state.x)
 
 
 def test_osgd_one_point_round():
@@ -147,7 +147,7 @@ def test_osgd_one_point_round():
     oracle = linear_oracle(np.array([0.5, 0.5]))
     for _ in range(100):
         played, _ = state.round(oracle, rng)
-        assert body.contains(played, 1e-9)
+        assert body.contains(played)
 
 
 def test_osgd_bounds():

@@ -142,6 +142,26 @@ def _config(policy, policy_params, kind, env_params, n, replicas, seed, overlays
             "output": {"dir": ".", "format": "csv", "basename": "report"}}
 
 
+def _ini(config) -> str:
+    """The INI text of a `_config` dict."""
+    sections = {"experiment": {k: config[k] for k in ("policy", "horizon", "replicas", "seed")},
+                "policy": config["policy_params"],
+                "environment": {"kind": config["env_kind"], **config["env_params"]},
+                "overlays": {"names": ", ".join(config["overlays"])}, "output": config["output"]}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_typed_form(name):
+    # check_config returns its own result unchanged, and parse_config returns
+    # what check_config makes of the same config as a dict
+    config = _config(*CASES[name])
+    typed = harness.check_config(config)
+    assert harness.check_config(typed) == typed
+    assert harness.parse_config(_ini(config)) == typed
+
+
 def _digest(report) -> str:
     text = json.dumps(report.content_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -161,7 +181,7 @@ def test_every_policy_and_overlay_has_a_golden_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rows_equal_single_stream_runs(name):
-    cfg = _config(*CASES[name])
+    cfg = harness.check_config(_config(*CASES[name]))
     env = harness.build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"],
                                     cfg["seed"])
     batch = harness.run_replica(cfg, env, cfg["seed"], range(5))
@@ -179,7 +199,7 @@ def test_kernel_rows_equal_single_stream_runs(monkeypatch, name):
     # at 8 rounds every lockstep policy reads at most KERNEL_MAX_DOUBLES doubles
     # per replica, so a batch of KERNEL_MIN_STREAMS comes from the Philox
     # kernel and one replica from its Generator
-    cfg = _config(*CASES[name][:4], 8, KERNEL_MIN_STREAMS, CASES[name][6])
+    cfg = harness.check_config(_config(*CASES[name][:4], 8, KERNEL_MIN_STREAMS, CASES[name][6]))
     env = harness.build_environment(cfg["env_kind"], cfg["env_params"], 8, cfg["seed"])
     derived = []
     monkeypatch.setattr(env_module, "derive_stream",
@@ -289,8 +309,8 @@ def test_replica_memory_holds_no_round_inputs():
     # the competitor folds each round's losses as they come, so one replica
     # keeps its curve-sized arrays (8 B per round each) and no round's losses
     def peak(n: int) -> int:
-        cfg = _config("osmd-msets", {"variant": "negent"}, "semibandit",
-                      {"d": "6", "m": "2"}, n, 1, 3)
+        cfg = harness.check_config(_config("osmd-msets", {"variant": "negent"}, "semibandit",
+                                           {"d": "6", "m": "2"}, n, 1, 3))
         env = harness.build_environment("semibandit", cfg["env_params"], n, 3)
         harness.run_replica(cfg, env, 3, 0)  # warm every cache first
         tracemalloc.start()

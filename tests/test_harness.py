@@ -75,6 +75,8 @@ def test_parse_config_rejects_unknown_keys():
         parse_config(BASE_INI.format(out=".").replace("policy = ucb", "policy = nosuch"))
     with pytest.raises(ConfigError, match="overlay"):
         parse_config(BASE_INI.format(out=".").replace("names = ucb", "names = nosuch"))
+    with pytest.raises(ConfigError, match="experiment.env_kind"):  # an entry of its own
+        parse_config(BASE_INI.format(out=".").replace("seed = 11", "seed = 11\nenv_kind = ucb"))
 
 
 def test_empty_horizon_report():
@@ -92,7 +94,7 @@ def test_same_config_gives_byte_identical_csv():
 
 
 def test_aggregation_is_exact_mean():
-    cfg = _config(replicas=5, overlays=[])
+    cfg = harness.check_config(_config(replicas=5, overlays=[]))
     env = build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"], cfg["seed"])
     curves = [run_replica(cfg, env, cfg["seed"], i) for i in range(5)]
     report = run_experiment(cfg)
@@ -656,8 +658,9 @@ def test_osgd_one_point_runs_on_a_wide_ball(family):
 
 
 def test_osmd_potential_overlay_reads_the_runs_q():
-    cfg = _config(policy="osmd-msets", policy_params={"q": "3.0"}, env_kind="semibandit",
-                  env_params={"d": "6", "m": "2"}, overlays=["osmd-potential"], horizon=50)
+    cfg = harness.check_config(_config(
+        policy="osmd-msets", policy_params={"q": "3.0"}, env_kind="semibandit",
+        env_params={"d": "6", "m": "2"}, overlays=["osmd-potential"], horizon=50))
     env = build_environment("semibandit", cfg["env_params"], 50, cfg["seed"])
     at_q3 = bound("osmd-potential", n=50, d=6, m=2, q=3.0)
     assert harness.compute_overlay("osmd-potential", cfg, env) == at_q3
@@ -672,6 +675,75 @@ def test_osmd_potential_overlay_reads_the_runs_q():
 def test_sweep_checks_every_cell_before_the_first(no_replicas, param, values):
     with pytest.raises(ConfigError, match=re.escape(param)):
         sweep(_config(overlays=[]), param, values)
+
+
+@pytest.mark.parametrize("config, param, values, key", [
+    (_config(policy="exp3p", policy_params={}, env_kind="oblivious", env_params={"k": "3"},
+             overlays=["exp3p"]), "policy.delta_free", ["false", "true"], "delta_free"),
+    (_config(overlays=["kl-lower"]), "environment.means", ["0.9, 0.5", "1.0, 0.5"],
+     "'kl-lower'"),
+], ids=["exp3p-delta-free", "kl-lower-mean-1"])
+def test_sweep_refuses_an_overlay_fault_before_any_cell_plays(no_replicas, config, param,
+                                                               values, key):
+    with pytest.raises(ConfigError, match=key):
+        sweep(config, param, values)
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """A list that gains an entry each time `module.name` is called."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_a_run_checks_its_config_once(monkeypatch):
+    checks = _counted(monkeypatch, harness, "check_config")
+    config = parse_config(BASE_INI.format(out=".").replace("names = ucb",
+                                                           "names = ucb, kl-lower, exp3"))
+    run_experiment(config)
+    assert len(checks) == 2  # parse_config's and run_experiment's; no stage checks again
+    checks.clear()
+    sweep(config, "experiment.horizon", [10, 20, 30])
+    assert len(checks) == 6  # each cell's, then its run's
+
+
+def test_a_csv_run_reads_its_csv_at_most_five_times(monkeypatch, tmp_path):
+    # each of the two checks reads the first row for the kind's and exp3p's
+    # rules, and the build reads the whole file; the overlays read none
+    path = tmp_path / "losses.csv"
+    path.write_text("0.2,0.7,0.5\n0.9,0.1,0.4\n" * 100)
+    text = ("[experiment]\npolicy = exp3p\nhorizon = 200\nreplicas = 2\n"
+            f"[environment]\nkind = oblivious\ncsv = {path}\n"
+            "[overlays]\nnames = exp3p, exp3p-expected, minimax-lower\n")
+    reads = _counted(monkeypatch, np, "loadtxt")
+    run_experiment(parse_config(text))
+    assert len(reads) <= 5
+
+
+def test_a_dict_config_may_omit_every_entry_but_the_kind():
+    def digest(report):
+        return json.dumps(report.content_dict(), sort_keys=True)
+
+    full = _config(horizon=100)
+    for omitted in ("policy_params", "overlays", "output"):
+        cut = {k: v for k, v in full.items() if k != omitted}
+        whole = {**full, "overlays": []} if omitted == "overlays" else full
+        assert digest(run_experiment(cut)) == digest(run_experiment(whole))
+    no_policy = {k: v for k, v in full.items() if k != "policy_params"}
+    assert digest(sweep(no_policy, "policy.alpha", ["2.5"])[0]) == digest(run_experiment(full))
+    sgs = {"policy": "sgs", "horizon": 100, "env_kind": "unimodal"}
+    assert digest(run_experiment(sgs)) == digest(run_experiment(
+        {**sgs, "replicas": 1, "seed": 0, "policy_params": {}, "env_params": {}, "overlays": [],
+         "output": {}}))
+    with pytest.raises(ConfigError, match="environment.kind is required"):
+        run_experiment({k: v for k, v in full.items() if k != "env_kind"})
+
+
+def test_a_text_overlay_list_parses():
+    reports = [run_experiment(_config(horizon=100, overlays=names))
+               for names in ("ucb, kl-lower", ["ucb", "kl-lower"])]
+    assert reports[0].overlays == reports[1].overlays
+    assert sorted(reports[0].overlays) == ["kl-lower", "ucb"]
 
 
 # every (policy, kind) pair the policy table does not declare

@@ -89,9 +89,8 @@ def test_finite_rounds_keep_two_curve_sized_arrays(kind, policy, params, ids):
     R = 1 if isinstance(ids, int) else len(ids)
 
     def peak(n: int) -> int:
-        cfg = {"policy": policy, "horizon": n, "replicas": R, "seed": 3, "policy_params": {},
-               "env_kind": kind, "env_params": params, "overlays": [],
-               "output": {"dir": ".", "format": "csv", "basename": "report"}}
+        cfg = harness.check_config({"policy": policy, "horizon": n, "replicas": R, "seed": 3,
+                                    "env_kind": kind, "env_params": params})
         env = harness.build_environment(kind, params, n, 3)
         tracemalloc.start()
         try:

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -151,26 +152,29 @@ def test_thompson_samples_in_unit_interval():
 
 
 def test_thompson_binarizes_with_the_stream_it_selected_on():
-    remembered, given = ThompsonState(3), ThompsonState(3)
-    ours, theirs = derive_stream(7, 0), derive_stream(7, 0)
+    state, rng = ThompsonState(3), derive_stream(7, 0)
     for _ in range(200):
-        arm = remembered.select(ours)
-        assert given.select(theirs) == arm
-        remembered.update(arm, 0.5)
-        given.update(arm, 0.5, theirs)
-    assert np.array_equal(remembered.successes, given.successes)
-    assert np.array_equal(remembered.failures, given.failures)
-    assert ours.random() == theirs.random()
+        arm = state.select(rng)
+        ahead = copy.deepcopy(rng)
+        success = float(ahead.random() < 0.5)
+        before = state.successes[arm], state.failures[arm]
+        state.update(arm, 0.5)
+        assert (state.successes[arm], state.failures[arm]) == (before[0] + success,
+                                                               before[1] + 1.0 - success)
+        assert rng.random() == ahead.random()  # the update read exactly one double
 
 
 def test_thompson_fractional_reward_binarized():
     rng = derive_stream(6, 0)
     state = ThompsonState(1)
     with pytest.raises(ValueError):
-        state.update(0, 0.5)
-    state.update(0, 0.5, rng)
+        state.update(0, 0.5)  # no select has drawn from a stream yet
+    state.select(rng)
+    ahead = copy.deepcopy(rng)
+    state.update(0, 0.5)
+    success = float(ahead.random() < 0.5)
     a, b = state.posterior_params()
-    assert a[0] + b[0] == 3.0  # one observation landed somewhere
+    assert (a[0], b[0]) == (1.0 + success, 2.0 - success)
 
 
 def test_eps_greedy_schedule():
