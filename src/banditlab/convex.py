@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import project_ball, sample_sphere
+from .geometry import norm, project_ball, sample_sphere
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -26,7 +26,7 @@ class ConvexBody:
         return project_ball(np.asarray(x, dtype=float), self.radius)
 
     def contains(self, x: np.ndarray) -> bool:
-        return bool(np.linalg.norm(x) <= self.radius + 1e-9)
+        return norm(x) <= self.radius + 1e-9
 
     def shrink(self, factor: float) -> "ConvexBody":
         if not 0.0 < factor <= 1.0:
@@ -45,19 +45,17 @@ class LossOracle:
 
 def linear_oracle(c, radius: float = 1.0) -> LossOracle:
     c = np.asarray(c, dtype=float)
-    return LossOracle(lambda x: float(c @ x), G=float(np.linalg.norm(c)),
-                      L=radius * float(np.linalg.norm(c)))
+    return LossOracle(lambda x: float(c @ x), G=norm(c), L=radius * norm(c))
 
 
 def absvalue_oracle(c, radius: float = 1.0) -> LossOracle:
     c = np.asarray(c, dtype=float)
-    return LossOracle(lambda x: abs(float(c @ x)), G=float(np.linalg.norm(c)),
-                      L=radius * float(np.linalg.norm(c)))
+    return LossOracle(lambda x: abs(float(c @ x)), G=norm(c), L=radius * norm(c))
 
 
 def quadratic_oracle(c, radius: float = 1.0) -> LossOracle:
     c = np.asarray(c, dtype=float)
-    span = radius + float(np.linalg.norm(c))
+    span = radius + norm(c)
     return LossOracle(lambda x: float(np.dot(x - c, x - c)), G=2.0 * span, L=span**2)
 
 
@@ -136,7 +134,7 @@ class OsgdState:
             norm_cap = d * oracle.L / self.delta
             played = x_query
             incurred = f_val
-        if np.linalg.norm(grad) > norm_cap + 1e-9:
+        if norm(grad) > norm_cap + 1e-9:
             raise RuntimeError("gradient estimate exceeded its certified norm cap")
         self.x = self.play_body.project(self.x - self.eta * grad)
         self.t += 1

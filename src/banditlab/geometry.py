@@ -3,12 +3,19 @@ capped-simplex Bregman projections, and systematic m-subset sampling."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# The LAPACK gufunc behind numpy's public solve function. On the 3 x 3
+# systems of Exp2 that function's array checks, type promotion and errstate
+# block cost as much as the solve again; the gufunc gives the same bits
+# (pinned by the tests and by the `lapack-solve-agreement` selftest), and
+# this is the one place the package names it.
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
-from .env import UNIT, ZERO, constant, largest, smallest, within
+from .env import INF, UNIT, ZERO, constant, largest, smallest, within
 
 DESIGN_TOL = 1e-7
 PROJECTION_TOL = 1e-10
@@ -19,21 +26,46 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+def norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a real 1-D array: sqrt(x . x), the formula
+    np.linalg.norm uses for it, without that function's wrapper."""
+    return math.sqrt(x.dot(x))
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def singular_raises() -> np.errstate:
+    """The floating-point state numpy's public solve runs its gufunc in: the
+    invalid flag a singular system raises becomes a LinAlgError, and the
+    other flags are ignored. One block serves every `solve` inside it."""
+    return np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for float a (..., d, d) and b (..., d, k), with the bits of
+    numpy's public solve; a singular a raises LinAlgError inside
+    `singular_raises()`."""
+    return _lapack_solve(a, b, signature="dd->d")
+
+
 def sample_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the unit sphere (normalized Gaussian)."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
     while True:
         g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
-        if norm > 0.0:
-            return g / norm
+        length = norm(g)
+        if length > 0.0:
+            return g / length
 
 
 def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     """x inside the centered ball of `radius`, else x scaled radially onto its sphere."""
-    norm = np.linalg.norm(x)
-    return x if norm <= radius else x * (radius / norm)
+    length = norm(x)
+    return x if length <= radius else x * (radius / length)
 
 
 def _check_full_rank(points: np.ndarray) -> np.ndarray:
@@ -56,7 +88,8 @@ class DesignWeights:
     design_matrix: np.ndarray
 
     def leverage(self, points: np.ndarray) -> np.ndarray:
-        sol = np.linalg.solve(self.design_matrix, points.T)
+        with singular_raises():
+            sol = solve(self.design_matrix, points.T)
         return np.einsum("ij,ji->i", points, sol)
 
 
@@ -64,7 +97,10 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
     """Log-det maximizing weights via Frank-Wolfe with away steps.
 
     Stops once max_x x^T P^{-1} x <= d (1 + tol), the equalized-leverage
-    certificate of optimality; raises if the budget runs out first.
+    certificate of optimality; raises if the budget runs out first. Each
+    iteration is one gemm, one solve, one einsum and the argmax and argmin
+    of the leverages (each the first index among ties); the step sizes run
+    on Python floats, which round as numpy's float64 scalars do.
     """
     pts = _check_full_rank(points)
     N, d = pts.shape
@@ -75,26 +111,30 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
         return DesignWeights(w, pts.T @ (w[:, None] * pts))
     w = np.full(N, 1.0 / N)
     cap = d * (1.0 + tol)
-    for _ in range(max_iter):
-        P = pts.T @ (w[:, None] * pts)
-        lev = np.einsum("ij,ji->i", pts, np.linalg.solve(P, pts.T))
-        j_fw = int(lev.argmax())
-        g_fw = lev[j_fw]
-        if g_fw <= cap:
-            return DesignWeights(w, P)
-        j_aw = int(np.where(w > 0, lev, np.inf).argmin())  # least leverage in the support
-        g_aw = lev[j_aw]
-        if g_fw - d >= d - g_aw:
-            # toward step: exact line search for log det
-            s = (g_fw - d) / (g_fw * (d - 1.0))
-            lam = s / (1.0 + s)
-            w = (1.0 - lam) * w
-            w[j_fw] += lam
-        else:
-            s = min((d - g_aw) / (g_aw * (d - 1.0)), w[j_aw])
-            w = w.copy()
-            w[j_aw] -= s
-            w /= 1.0 - s
+    pts_t = pts.T
+    with singular_raises():
+        for _ in range(max_iter):
+            P = pts_t @ (w[:, None] * pts)
+            lev = np.einsum("ij,ji->i", pts, solve(P, pts_t))
+            j_fw = lev.argmax()
+            g_fw = lev.item(j_fw)
+            if g_fw <= cap:
+                return DesignWeights(w, P)
+            j_aw = np.where(w > ZERO, lev, INF).argmin()  # least leverage in the support
+            g_aw = lev.item(j_aw)
+            if g_fw - d >= d - g_aw:
+                # toward step: exact line search for log det
+                s = (g_fw - d) / (g_fw * (d - 1.0))
+                lam = s / (1.0 + s)
+                w = (1.0 - lam) * w
+                w[j_fw] += lam
+            else:
+                # away step; a zero point (no leverage) leaves the support at once
+                drop = w.item(j_aw)
+                s = min((d - g_aw) / (g_aw * (d - 1.0)), drop) if g_aw else drop
+                w = w.copy()
+                w[j_aw] -= s
+                w /= 1.0 - s
     raise ConvergenceError("design iteration did not reach its certificate")
 
 

@@ -14,7 +14,7 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -193,6 +193,16 @@ def check_config(config: dict) -> dict:
 _LOSSES = Key(_matrix, None, "[0, 1]")
 
 
+class _CsvPath(str):
+    """The `csv` key's path as text is typed: each check types it afresh,
+    and its rules read the file's first row once between them."""
+
+    @cached_property
+    def arms(self) -> int:
+        with _csv_errors(self):
+            return np.loadtxt(self, delimiter=",", ndmin=2, max_rows=1).shape[1]
+
+
 @contextmanager
 def _csv_errors(path) -> Iterator[None]:
     """A missing or unreadable csv, or text where a number belongs, as a ConfigError."""
@@ -282,7 +292,7 @@ def _linear_points_env(p: dict, n: int, rng) -> dict:
         if np.linalg.matrix_rank(pts) == d:
             break
     loss = rng.standard_normal(d)
-    loss /= np.linalg.norm(loss)
+    loss /= geometry.norm(loss)
     losses = np.tile(loss, (n, 1))
     # the design depends on the points alone, so every replica shares it
     return {"kind": "linear-points", "points": pts, "design": geometry.doptimal_design(pts),
@@ -295,7 +305,7 @@ def _linear_ball_env(p: dict, n: int, rng) -> dict:
         loss = np.array(p["loss"])
     else:
         loss = rng.standard_normal(d)
-        loss /= np.linalg.norm(loss)
+        loss /= geometry.norm(loss)
     losses = np.tile(loss, (n, 1))
     return {"kind": "linear-ball", "losses": losses, "d": d}
 
@@ -354,15 +364,14 @@ def _check_linear_ball(p: dict, e: dict, n: int) -> None:
 
 def _arms(e: dict) -> tuple[str, int | None]:
     """The [environment] key that sets a finite-arm environment's number of
-    arms, in its builder's order, and that number (None when no key is set).
-    A csv is read for its first row only."""
+    arms, in its builder's order, and that number (None when no key is set)."""
     if "means" in e:
         return "means", len(e["means"])
     if e.get("losses") is not None:
         return "losses", np.shape(e["losses"])[-1]
     if e.get("csv") is not None:
-        with _csv_errors(e["csv"]):
-            return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
+        path = e["csv"]  # a typed value, such as a Path, is read by each rule
+        return "csv", (path if isinstance(path, _CsvPath) else _CsvPath(path)).arms
     return "k", e["k"]
 
 
@@ -396,7 +405,7 @@ _ENV_KINDS = {
                                e["best"] < e["k"], f"environment.best must lie below "
                                f"environment.k = {e['k']}, got {e['best']!r}")),
     "oblivious": EnvKind({"k": Key(int, None, "[2, inf)"), "losses": _LOSSES,
-                          "csv": Key(str)}, _oblivious_env, _check_finite),
+                          "csv": Key(_CsvPath)}, _oblivious_env, _check_finite),
     "nonoblivious": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                              "adversary": Key(_choice("grudge"), "grudge")},
                             lambda p, n, rng: {"kind": "nonoblivious", "K": p["k"]}),
@@ -649,7 +658,7 @@ def _osgd_best(env: dict) -> Callable:
     if env["family"] == "absvalue":
         return lambda oracle: 0.0
     if env["family"] == "linear":
-        return _hindsight(lambda cum: -R * float(np.linalg.norm(cum)), lambda oracle: next(dirs))
+        return _hindsight(lambda cum: -R * geometry.norm(cum), lambda oracle: next(dirs))
     # quadratic: sum_t ||x - c_t||^2 minimized at the projected mean
     cum_c, cum_sq, t = np.zeros(body.dim), 0.0, 0
 
@@ -812,7 +821,7 @@ _POLICIES = {
                             _rounds, lambda p, env, n: partial(
                                 mirror.OsmdBall, env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
                             lambda env, n, stream: env["losses"],
-                            lambda env: _hindsight(lambda c: -np.linalg.norm(c))),
+                            lambda env: _hindsight(lambda c: -geometry.norm(c))),
                         check=_check_osmd_ball),
     "osgd-2pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
                        ("convex",), _osgd("two-point"), check=partial(_check_osgd, "two-point")),

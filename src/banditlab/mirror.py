@@ -13,9 +13,12 @@ from .env import ZERO, constant, largest, sample_categorical, smallest, within
 from .geometry import (
     DesignWeights,
     madow_sample,
+    norm,
     project_ball,
     project_capped_simplex_negent,
     project_capped_simplex_potential,
+    singular_raises,
+    solve,
 )
 
 X_FLOOR = 1e-12  # smallest coordinate kept alive for importance weighting
@@ -138,16 +141,16 @@ def euclidean_ball(radius: float) -> LegendreSpec:
 def ball_grad(x: np.ndarray) -> np.ndarray:
     """Primal-to-dual map x / (1 - ||x||) of the log-barrier ball geometry."""
     x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm >= 1.0:
+    length = norm(x)
+    if length >= 1.0:
         raise DomainError("primal point must lie strictly inside the unit ball")
-    return x / (1.0 - norm)
+    return x / (1.0 - length)
 
 
 def ball_grad_star(u: np.ndarray) -> np.ndarray:
     """Dual-to-primal map u / (1 + ||u||); always lands inside the unit ball."""
     u = np.asarray(u, dtype=float)
-    return u / (1.0 + np.linalg.norm(u))
+    return u / (1.0 + norm(u))
 
 
 def log_barrier_ball(radius: float) -> LegendreSpec:
@@ -155,10 +158,10 @@ def log_barrier_ball(radius: float) -> LegendreSpec:
     ball is exact radial scaling for this divergence."""
 
     def F(x: np.ndarray) -> float:
-        norm = np.linalg.norm(x)
-        if norm >= 1.0:
+        length = norm(x)
+        if length >= 1.0:
             raise DomainError("primal point must lie strictly inside the unit ball")
-        return -math.log(1.0 - norm) - norm
+        return -math.log(1.0 - length) - length
 
     return LegendreSpec(
         F=F,
@@ -229,6 +232,7 @@ class Exp2State:
                  eta: float | None = None, gamma: float | None = None,
                  replicas: int | None = None):
         self.points = np.asarray(points, dtype=float)
+        self._points_t = self.points.T
         self.N, self.d = self.points.shape
         self.design = design
         if eta is None or gamma is None:
@@ -257,35 +261,39 @@ class Exp2State:
         self._drawn_from = self.probs()
         return sample_categorical(self._drawn_from, rng)
 
-    def sampling_matrix(self, p: np.ndarray) -> np.ndarray:
-        return np.matmul(self.points.T, p[..., None] * self.points)
-
-    def estimate(self, played, scalar_loss, p: np.ndarray | None = None) -> np.ndarray:
+    def estimate(self, played, scalar_loss, p: np.ndarray | None = None,
+                 x: np.ndarray | None = None) -> np.ndarray:
         """scalar_loss P(p)^-1 x_played, the unbiased estimate of the loss
-        vector, for the point played from `p` (by default, the current probs)."""
+        vector, for the point played from `p` (by default, the current
+        probs); `x` is the played point, `points[played]`, when the caller
+        holds it. A singular P(p) raises LinAlgError."""
         scalar_loss = np.asarray(scalar_loss, dtype=float)
         if not within(scalar_loss, -1.0, 1.0):  # a nan fails too
             raise ValueError("scalar loss must lie in [-1, 1]")
         if p is None:
             p = self.probs()
-        P = self.sampling_matrix(p)
-        return scalar_loss[..., None] * np.linalg.solve(P, self.points[played][..., None])[..., 0]
+        if x is None:
+            x = self.points[played]
+        P = np.matmul(self._points_t, p[..., None] * self.points)
+        with singular_raises():
+            solved = solve(P, x[..., None])
+        return scalar_loss[..., None] * solved[..., 0]
 
-    def update(self, played, scalar_loss) -> None:
+    def update(self, played, scalar_loss, x: np.ndarray | None = None) -> None:
         """Apply the round's estimate, weighted by the distribution the last
         select() drew from."""
         p = self.probs() if self._drawn_from is None else self._drawn_from
         self._drawn_from = None
-        self.cum_estimate += self.estimate(played, scalar_loss, p)
+        self.cum_estimate += self.estimate(played, scalar_loss, p, x)
         self.t += 1
 
     def round(self, loss_vector: np.ndarray, rng):
         """Select, pay the played point's loss, and update; returns (the index
         of the point played, its scalar loss), one of each per row."""
         idx = self.select(rng)
-        played = self.points[idx]
-        scalar = np.matmul(played[..., None, :], loss_vector[:, None])[..., 0, 0]
-        self.update(idx, scalar)
+        x = self.points[idx]
+        scalar = np.matmul(x[..., None, :], loss_vector[:, None])[..., 0, 0]
+        self.update(idx, scalar, x)
         return idx, scalar
 
 
@@ -400,9 +408,9 @@ class OsmdBall:
 
     def select(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         """Return the played point and the Bernoulli switch value."""
-        norm = np.linalg.norm(self.x)
-        if rng.random() < norm:
-            return self.x / norm, 1
+        length = norm(self.x)
+        if rng.random() < length:
+            return self.x / length, 1
         coord = int(rng.integers(self.d))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         played = np.zeros(self.d)
@@ -412,8 +420,7 @@ class OsmdBall:
     def loss_estimate(self, played: np.ndarray, xi: int, feedback: float) -> np.ndarray:
         if xi == 1:
             return np.zeros(self.d)
-        norm = np.linalg.norm(self.x)
-        return self.d * feedback / (1.0 - norm) * played
+        return self.d * feedback / (1.0 - norm(self.x)) * played
 
     def update(self, played: np.ndarray, xi: int, feedback: float) -> None:
         est = self.loss_estimate(played, xi, feedback)

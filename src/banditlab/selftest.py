@@ -6,6 +6,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+# numpy's public solve, the reference `check_lapack_solve_agreement` holds
+# `geometry.solve` to; nothing else in the package calls it
+from numpy.linalg import solve as reference_solve
 
 from . import adversarial, contextual, convex, geometry, mirror, stochastic
 from .env import (
@@ -64,8 +67,8 @@ def check_estimator_unbiasedness(seed: int = SELFTEST_SEED):
         d = 2
         x = rng.random(d) * 0.4
         ell = rng.uniform(-1.0, 1.0, d)
-        ell /= max(1.0, np.linalg.norm(ell))
-        norm = np.linalg.norm(x)
+        ell /= max(1.0, geometry.norm(ell))
+        norm = geometry.norm(x)
         policy = mirror.OsmdBall(d, gamma=0.1, eta=0.01)
         policy.x = x
         mean_est = norm * policy.loss_estimate(x / norm, 1, float(x / norm @ ell))
@@ -101,7 +104,7 @@ def check_mirror_map_roundtrip(seed: int = SELFTEST_SEED):
     ball = mirror.log_barrier_ball(0.9)
     for _ in range(200):
         x = rng.standard_normal(4)
-        x *= 0.9 * rng.random() / np.linalg.norm(x)
+        x *= 0.9 * rng.random() / geometry.norm(x)
         back = ball.grad_F_star(ball.grad_F(x))
         worst = max(worst, float(np.abs(back - x).max()))
     return worst <= 1e-9, f"max roundtrip error {worst:.2e}"
@@ -124,9 +127,9 @@ def check_pythagorean(seed: int = SELFTEST_SEED, instances: int = 1000):
             d = 3
             spec = mirror.log_barrier_ball(0.7)
             w = rng.standard_normal(d)
-            w *= 0.95 * rng.random() / np.linalg.norm(w)
+            w *= 0.95 * rng.random() / geometry.norm(w)
             y = rng.standard_normal(d)
-            y *= 0.7 * rng.random() / np.linalg.norm(y)
+            y *= 0.7 * rng.random() / geometry.norm(y)
         z = spec.bregman_project(w)
         lhs = spec.divergence(y, w)
         rhs = spec.divergence(y, z) + spec.divergence(z, w)
@@ -239,6 +242,39 @@ def check_projection_rows_agreement(seed: int = SELFTEST_SEED):
     return differ == 0, f"{differ} of {rows} projected rows differ from their one-row projections"
 
 
+def check_lapack_solve_agreement(seed: int = SELFTEST_SEED):
+    """`geometry.solve`, numpy's LAPACK gufunc called without its public
+    wrapper, gives the wrapper's bits on seeded systems of the two shapes
+    the package solves: the design's (d, d) matrix against its N points as
+    columns, and Exp2's (R, d, d) estimate systems against (R, d, 1) points;
+    and a singular system raises LinAlgError. So a numpy whose private
+    gufunc behaves differently fails here instead of silently changing
+    reports."""
+    rng = derive_stream(seed, 10)
+    differ = solves = systems = 0
+    for d in (2, 3, 5):
+        for _ in range(10):
+            N, R = int(rng.integers(d + 1, 3 * d + 4)), int(rng.integers(1, 9))
+            pts = rng.standard_normal((N, d))
+            P = pts.T @ (rng.dirichlet(np.ones(N))[:, None] * pts)
+            Ps = np.matmul(pts.T, rng.dirichlet(np.ones(N), R)[..., None] * pts)
+            b = pts[rng.integers(N, size=R)][..., None]
+            with geometry.singular_raises():
+                differ += not np.array_equal(geometry.solve(P, pts.T), reference_solve(P, pts.T))
+                differ += not np.array_equal(geometry.solve(Ps, b), reference_solve(Ps, b))
+            solves, systems = solves + 2, systems + 1 + R
+    raised = 0
+    for a, b in ((np.ones((3, 3)), np.eye(3)), (np.zeros((2, 3, 3)), np.ones((2, 3, 1)))):
+        try:
+            with geometry.singular_raises():
+                geometry.solve(a, b)
+        except np.linalg.LinAlgError:
+            raised += 1
+    return differ == 0 and raised == 2, (
+        f"{differ} of {solves} solves ({systems} systems) differ from numpy's public solve; "
+        f"{raised} of 2 singular systems raised LinAlgError")
+
+
 def finite_rows_mismatch(make, kind: str, K: int, n: int, R: int, seed: int):
     """Play `make(R)`, a finite-arm state with one row per replica, in
     lockstep on `ReplicaDraws` beside R one-row states `make(None)`, each on
@@ -331,6 +367,7 @@ CHECKS = [
     ("philox-kernel-agreement", check_philox_kernel_agreement),
     ("projection-rows-agreement", check_projection_rows_agreement),
     ("finite-rows-agreement", check_finite_rows_agreement),
+    ("lapack-solve-agreement", check_lapack_solve_agreement),
 ]
 
 

@@ -1,17 +1,20 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from banditlab import harness
+from banditlab import geometry, harness, selftest
 from banditlab.env import derive_stream
 from banditlab.geometry import (
     DESIGN_TOL,
     MAX_ITER,
+    DesignWeights,
     doptimal_design,
     madow_inclusion_probabilities,
     madow_sample,
     mvee,
+    norm,
     project_ball,
     project_capped_simplex_negent,
     project_capped_simplex_potential,
@@ -122,6 +125,91 @@ def test_design_keeps_the_bits_of_the_frozen_loop():
         w, P = _frozen_design(pts)
         assert np.array_equal(design.weights, w)
         assert np.array_equal(design.design_matrix, P)
+
+
+def _design_sets():
+    """Point sets beyond the benchmark's: d = 2, 4 and 5 with N = d + 1, ...,
+    3d + 3; sets with duplicated rows, whose leverages tie; and a set with
+    one short point, which the away step drops from the support."""
+    rng = derive_stream(8, 0)
+    for d in (2, 4, 5):
+        for N in range(d + 1, 3 * d + 4):
+            yield f"d={d} N={N}", rng.standard_normal((N, d))
+    for d in (2, 3, 4):
+        pts = rng.standard_normal((2 * d, d))
+        yield f"d={d} duplicated", pts[[0, 0, 1, 2, 2, 2] + list(range(3, 2 * d)) + [1]]
+    pts = rng.standard_normal((12, 3))
+    pts[4] *= 1e-3
+    yield "short point", pts
+
+
+def test_design_keeps_the_frozen_loops_bits_beyond_the_benchmark_sets():
+    for name, pts in _design_sets():
+        design = doptimal_design(pts)
+        w, P = _frozen_design(pts)
+        assert np.array_equal(design.weights, w), name
+        assert np.array_equal(design.design_matrix, P), name
+        if name == "short point":
+            assert design.weights[4] == 0.0  # an away step dropped it
+
+
+def test_design_drops_a_zero_point_from_its_support():
+    # the frozen loop's away step divides by the zero point's leverage,
+    # which numpy takes to inf; the design drops the point without a warning
+    pts = derive_stream(11, 0).standard_normal((12, 3))
+    pts[4] = 0.0
+    design = doptimal_design(pts)
+    with np.errstate(divide="ignore"):
+        w, P = _frozen_design(pts)
+    assert np.array_equal(design.weights, w)
+    assert np.array_equal(design.design_matrix, P)
+    assert design.weights[4] == 0.0
+
+
+def test_leverage_of_a_singular_design_matrix_raises():
+    pts = np.eye(3)
+    for matrix in (np.zeros((3, 3)), np.outer(pts[0], pts[0])):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            DesignWeights(np.full(3, 1.0 / 3.0), matrix).leverage(pts)
+
+
+def test_a_regular_design_raises_no_warning():
+    pts = derive_stream(12, 0).standard_normal((20, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        design = doptimal_design(pts)
+        design.leverage(pts)
+
+
+def test_solve_selftest_fails_when_one_last_bit_moves(monkeypatch):
+    assert selftest.check_lapack_solve_agreement()[0]
+    solve = geometry.solve
+
+    def nudged(a, b):
+        x = solve(a, b)
+        x.flat[-1] = np.nextafter(x.flat[-1], np.inf)
+        return x
+
+    monkeypatch.setattr(geometry, "solve", nudged)
+    passed, detail = selftest.check_lapack_solve_agreement()
+    assert not passed
+    assert detail.startswith("60 of 60 solves")
+
+
+def test_solve_selftest_fails_when_a_singular_system_does_not_raise(monkeypatch):
+    monkeypatch.setattr(geometry, "singular_raises", lambda: np.errstate(invalid="ignore"))
+    passed, detail = selftest.check_lapack_solve_agreement()
+    assert not passed
+    assert detail.endswith("0 of 2 singular systems raised LinAlgError")
+
+
+def test_norm_is_the_linalg_norm_of_a_vector():
+    rng = derive_stream(13, 0)
+    for d in (1, 2, 3, 7, 64):
+        for scale in (1e-200, 1.0, 1e150):
+            x = scale * rng.standard_normal(d)
+            assert norm(x) == np.linalg.norm(x)
+    assert norm(np.zeros(3)) == 0.0
 
 
 def test_design_one_dimensional():

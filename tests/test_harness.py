@@ -707,17 +707,25 @@ def test_a_run_checks_its_config_once(monkeypatch):
     assert len(checks) == 6  # each cell's, then its run's
 
 
-def test_a_csv_run_reads_its_csv_at_most_five_times(monkeypatch, tmp_path):
-    # each of the two checks reads the first row for the kind's and exp3p's
-    # rules, and the build reads the whole file; the overlays read none
+def test_a_csv_run_reads_its_csv_three_times(monkeypatch, tmp_path):
+    # each of the two checks reads the first row once, for both the kind's
+    # and exp3p's rules, and the build reads the whole file; the overlays
+    # read none
     path = tmp_path / "losses.csv"
     path.write_text("0.2,0.7,0.5\n0.9,0.1,0.4\n" * 100)
     text = ("[experiment]\npolicy = exp3p\nhorizon = 200\nreplicas = 2\n"
             f"[environment]\nkind = oblivious\ncsv = {path}\n"
             "[overlays]\nnames = exp3p, exp3p-expected, minimax-lower\n")
     reads = _counted(monkeypatch, np, "loadtxt")
-    run_experiment(parse_config(text))
-    assert len(reads) <= 5
+    config = parse_config(text)
+    assert len(reads) == 1
+    run_experiment(config)
+    assert len(reads) == 3
+    # a second check reads the file again, and sees a change to it
+    path.write_text("0.2,0.7\n" * 100)
+    with pytest.raises(ConfigError, match="too short for exp3p on 2 arms"):
+        parse_config(text.replace("horizon = 200", "horizon = 1"))
+    assert len(reads) == 4
 
 
 def test_a_dict_config_may_omit_every_entry_but_the_kind():

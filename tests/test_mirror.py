@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,30 @@ def test_exp2_scalar_loss_range_holds_per_row():
         with pytest.raises(ValueError, match="scalar loss"):
             state.update(played, np.array([bad, 0.0, 0.0]))
     assert np.array_equal(state.cum_estimate, np.zeros((3, 3)))
+
+
+def test_exp2_estimate_on_a_rank_one_sampling_matrix_raises():
+    # all of p on one point makes P(p) = x x^T, which has rank one
+    pts = np.vstack([np.eye(3), -np.eye(3)])
+    state = Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.3, replicas=2)
+    one_point = np.eye(6)[[2, 2]]
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        state.estimate(np.array([2, 2]), np.array([0.5, -0.5]), p=one_point)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.3).estimate(2, 0.5, p=one_point[0])
+
+
+def test_an_exp2_run_raises_no_warning():
+    rng = derive_stream(14, 0)
+    pts = rng.standard_normal((20, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    state = Exp2State(pts, doptimal_design(pts), n=300, replicas=4)
+    draws = ReplicaDraws(14, range(4), 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in rng.uniform(-1.0, 1.0, (300, 3)) / np.sqrt(3.0):
+            state.round(loss, draws)
+    assert state.t == 300
 
 
 def test_exp2_schedule():
