@@ -37,11 +37,13 @@ def _singular(err, flag):
 
 
 def singular_raises() -> np.errstate:
-    """The floating-point state numpy's public solve runs its gufunc in: the
-    invalid flag a singular system raises becomes a LinAlgError, and the
-    other flags are ignored. One block serves every `solve` inside it."""
-    return np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+    """A block in which the invalid flag a singular system raises in `solve`
+    becomes a LinAlgError, as in numpy's public solve; one block serves every
+    `solve` inside it. The gufunc clears every other flag it meets, so the
+    caller's handling of overflow, division by zero and underflow holds for
+    the code around the solves, and an invalid operation anywhere in the
+    block reads as a singular system."""
+    return np.errstate(call=_singular, invalid="call")
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,7 +102,10 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
     certificate of optimality; raises if the budget runs out first. Each
     iteration is one gemm, one solve, one einsum and the argmax and argmin
     of the leverages (each the first index among ties); the step sizes run
-    on Python floats, which round as numpy's float64 scalars do.
+    on Python floats, which round as numpy's float64 scalars do. The whole
+    loop runs in one `singular_raises()` block, so an overflow or division
+    by zero in it still warns, and an invalid operation anywhere in it
+    raises LinAlgError("Singular matrix").
     """
     pts = _check_full_rank(points)
     N, d = pts.shape

@@ -14,7 +14,7 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -177,9 +177,14 @@ def check_config(config: dict) -> dict:
              f"overlays need experiment.horizon of at least 1, got {experiment['horizon']!r}")
     p = _resolve("policy", _POLICIES[policy].keys, config.get("policy_params", {}))
     e = _resolve("environment", _ENV_KINDS[kind].keys, config.get("env_params", {}))
-    for check in (_ENV_KINDS[kind].check, _POLICIES[policy].check):
-        if check is not None:
-            check(p, e, experiment["horizon"])
+    n = experiment["horizon"]
+    # a finite-arm environment's rules take its number of arms, found once
+    # (a csv's first row is read once per check)
+    arms = _check_finite(e) if kind in _FINITE_KINDS else None
+    if _ENV_KINDS[kind].check is not None:
+        _ENV_KINDS[kind].check(p, e, n)
+    if _POLICIES[policy].check is not None:
+        _POLICIES[policy].check(p, e if arms is None else arms, n)
     output = _resolve("output", _OUTPUT_KEYS, config.get("output", {}))
     return {**experiment, "policy_params": p, "env_kind": kind, "env_params": e,
             "overlays": list(overlays), "output": output}
@@ -191,16 +196,6 @@ def check_config(config: dict) -> dict:
 
 
 _LOSSES = Key(_matrix, None, "[0, 1]")
-
-
-class _CsvPath(str):
-    """The `csv` key's path as text is typed: each check types it afresh,
-    and its rules read the file's first row once between them."""
-
-    @cached_property
-    def arms(self) -> int:
-        with _csv_errors(self):
-            return np.loadtxt(self, delimiter=",", ndmin=2, max_rows=1).shape[1]
 
 
 @contextmanager
@@ -364,39 +359,42 @@ def _check_linear_ball(p: dict, e: dict, n: int) -> None:
 
 def _arms(e: dict) -> tuple[str, int | None]:
     """The [environment] key that sets a finite-arm environment's number of
-    arms, in its builder's order, and that number (None when no key is set)."""
+    arms, in its builder's order, and that number (None when no key is set).
+    A csv is read for its first row only."""
     if "means" in e:
         return "means", len(e["means"])
     if e.get("losses") is not None:
         return "losses", np.shape(e["losses"])[-1]
     if e.get("csv") is not None:
-        path = e["csv"]  # a typed value, such as a Path, is read by each rule
-        return "csv", (path if isinstance(path, _CsvPath) else _CsvPath(path)).arms
+        with _csv_errors(e["csv"]):
+            return "csv", np.loadtxt(e["csv"], delimiter=",", ndmin=2, max_rows=1).shape[1]
     return "k", e["k"]
 
 
-def _check_finite(p: dict, e: dict, n: int) -> None:
-    """A finite-arm environment's arms: one key sets them, and it gives at
-    least 2 (with one there is nothing to learn, and exp3's and exp3p's
-    rates take ln K = 0)."""
+def _check_finite(e: dict) -> int:
+    """A finite-arm environment's number of arms: one key sets it, and it
+    gives at least 2 (with one there is nothing to learn, and exp3's and
+    exp3p's rates take ln K = 0)."""
     key, K = _arms(e)
     _require(K is not None, "environment.k, environment.losses or environment.csv is required")
     _require(np.ndim(e.get("losses")) <= 2, "environment.losses must be a matrix, one row "
                                              "per round")
     _require(K >= 2, f"environment.{key} gives {K} arm(s), fewer than 2")
+    return K
 
 
 # an environment kind's [environment] keys; its builder, which materializes
 # the replica-independent part: build(params, n, rng) -> env, with the
 # doubles each replica's stream gives the environment per round, if any, as
 # env["draws_per_round"]; and the check, if any, of the rules that span keys:
-# check(policy params, env params, horizon), raising ConfigError
+# check(policy params, env params, horizon), raising ConfigError. The
+# finite-arm kinds' number of arms has its own check, `_check_finite`.
 EnvKind = namedtuple("EnvKind", "keys build check", defaults=(None,))
 
 
 _ENV_KINDS = {
     "stochastic": EnvKind({"means": Key(_list(float), REQUIRED, "[0, 1]")}, lambda p, n, rng:
-                          _stochastic(StochasticEnv(p["means"])), _check_finite),
+                          _stochastic(StochasticEnv(p["means"]))),
     "lower-bound": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                             "eps": Key(float, REQUIRED, "[0, 1)"),
                             "best": Key(int, REQUIRED, "[0, inf)")}, lambda p, n, rng:
@@ -405,7 +403,7 @@ _ENV_KINDS = {
                                e["best"] < e["k"], f"environment.best must lie below "
                                f"environment.k = {e['k']}, got {e['best']!r}")),
     "oblivious": EnvKind({"k": Key(int, None, "[2, inf)"), "losses": _LOSSES,
-                          "csv": Key(_CsvPath)}, _oblivious_env, _check_finite),
+                          "csv": Key(str)}, _oblivious_env),
     "nonoblivious": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"),
                              "adversary": Key(_choice("grudge"), "grudge")},
                             lambda p, n, rng: {"kind": "nonoblivious", "K": p["k"]}),
@@ -699,11 +697,10 @@ def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> list:
     return [curve(derive_stream(seed, i)) for i in ids]
 
 
-def _check_exp3p(p: dict, e: dict, n: int) -> None:
+def _check_exp3p(p: dict, K: int, n: int) -> None:
     _require(p["delta_free"] or 0 < p["delta"] < 1, f"policy.delta must lie in (0, 1) "
              f"unless policy.delta_free = true, got {p['delta']!r}")
-    K = _arms(e)[1]
-    if n:  # the kind's check, which runs first, has found at least 2 arms
+    if n:
         beta, _, gamma = adversarial.exp3p_params(n, K, None if p["delta_free"] else p["delta"])
         _require(max(beta, gamma) <= 1, f"experiment.horizon = {n} is too short for exp3p "
                  f"on {K} arms: its schedule gives gamma = {gamma:.4g} and beta = {beta:.4g} "
@@ -760,7 +757,8 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
 # `_run_finite` or `_rounds` bound to make(params, env, n), which binds the
 # policy's class, whose `draws_per_round` makes one batch of all replicas
 # (`_rounds` also to its rounds and competitor), or by `_run_sgs`. `check`,
-# as for an environment kind.
+# as for an environment kind, except that a policy on the finite-arm kinds
+# takes their number of arms in place of the env params.
 Policy = namedtuple("Policy", "keys kinds run check", defaults=(None,))
 
 

@@ -261,30 +261,26 @@ class Exp2State:
         self._drawn_from = self.probs()
         return sample_categorical(self._drawn_from, rng)
 
-    def estimate(self, played, scalar_loss, p: np.ndarray | None = None,
-                 x: np.ndarray | None = None) -> np.ndarray:
-        """scalar_loss P(p)^-1 x_played, the unbiased estimate of the loss
-        vector, for the point played from `p` (by default, the current
-        probs); `x` is the played point, `points[played]`, when the caller
-        holds it. A singular P(p) raises LinAlgError."""
+    def estimate(self, x: np.ndarray, scalar_loss, p: np.ndarray | None = None) -> np.ndarray:
+        """scalar_loss P(p)^-1 x, the unbiased estimate of the loss vector,
+        for the point x played from `p` (by default, the current probs); one
+        per row of (R, d) points. A singular P(p) raises LinAlgError."""
         scalar_loss = np.asarray(scalar_loss, dtype=float)
         if not within(scalar_loss, -1.0, 1.0):  # a nan fails too
             raise ValueError("scalar loss must lie in [-1, 1]")
         if p is None:
             p = self.probs()
-        if x is None:
-            x = self.points[played]
         P = np.matmul(self._points_t, p[..., None] * self.points)
         with singular_raises():
             solved = solve(P, x[..., None])
         return scalar_loss[..., None] * solved[..., 0]
 
-    def update(self, played, scalar_loss, x: np.ndarray | None = None) -> None:
-        """Apply the round's estimate, weighted by the distribution the last
-        select() drew from."""
+    def update(self, x: np.ndarray, scalar_loss) -> None:
+        """Apply the estimate for the played point x, weighted by the
+        distribution the last select() drew from."""
         p = self.probs() if self._drawn_from is None else self._drawn_from
         self._drawn_from = None
-        self.cum_estimate += self.estimate(played, scalar_loss, p, x)
+        self.cum_estimate += self.estimate(x, scalar_loss, p)
         self.t += 1
 
     def round(self, loss_vector: np.ndarray, rng):
@@ -293,7 +289,7 @@ class Exp2State:
         idx = self.select(rng)
         x = self.points[idx]
         scalar = np.matmul(x[..., None, :], loss_vector[:, None])[..., 0, 0]
-        self.update(idx, scalar, x)
+        self.update(x, scalar)
         return idx, scalar
 
 

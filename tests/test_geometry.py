@@ -181,6 +181,19 @@ def test_a_regular_design_raises_no_warning():
         design.leverage(pts)
 
 
+def test_the_singular_block_leaves_other_faults_to_the_caller():
+    # only the invalid flag becomes a LinAlgError; an overflow or a division
+    # by zero around the solves still warns, as it would outside the block
+    with warnings.catch_warnings(), geometry.singular_raises():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.array([1e308]) * 10.0
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            np.array([1.0]) / 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.array([np.inf]) - np.inf
+
+
 def test_solve_selftest_fails_when_one_last_bit_moves(monkeypatch):
     assert selftest.check_lapack_solve_agreement()[0]
     solve = geometry.solve

@@ -726,6 +726,14 @@ def test_a_csv_run_reads_its_csv_three_times(monkeypatch, tmp_path):
     with pytest.raises(ConfigError, match="too short for exp3p on 2 arms"):
         parse_config(text.replace("horizon = 200", "horizon = 1"))
     assert len(reads) == 4
+    # a dict config that names the csv by a Path reads it as often
+    path.write_text("0.2,0.7,0.5\n0.9,0.1,0.4\n" * 100)
+    config = harness.check_config({"policy": "exp3p", "horizon": 200, "replicas": 2,
+                                   "env_kind": "oblivious", "env_params": {"csv": path},
+                                   "overlays": ["exp3p", "exp3p-expected", "minimax-lower"]})
+    assert len(reads) == 5
+    run_experiment(config)
+    assert len(reads) == 7
 
 
 def test_a_dict_config_may_omit_every_entry_but_the_kind():

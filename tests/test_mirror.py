@@ -132,7 +132,7 @@ def test_exp2_estimate_canonical_basis():
     pts = np.eye(3)
     state = Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.5)
     uniform = np.full(3, 1.0 / 3.0)
-    est = state.estimate(1, 0.6, p=uniform)
+    est = state.estimate(pts[1], 0.6, p=uniform)
     assert np.allclose(est, 3 * 0.6 * pts[1])
 
 
@@ -144,10 +144,10 @@ def test_exp2_estimate_exactly_unbiased():
     p = state.probs()
     mean = np.zeros(2)
     for idx in range(3):
-        mean += p[idx] * state.estimate(idx, float(pts[idx] @ ell), p=p)
+        mean += p[idx] * state.estimate(pts[idx], float(pts[idx] @ ell), p=p)
     assert np.allclose(mean, ell, atol=1e-10)
     with pytest.raises(ValueError):
-        state.estimate(0, 1.5)
+        state.estimate(pts[0], 1.5)
 
 
 def test_exp2_rows_match_one_row_states():
@@ -181,9 +181,9 @@ def test_exp2_scalar_loss_range_holds_per_row():
     played = np.array([0, 4, 2])
     for bad in (np.nan, 1.5):
         with pytest.raises(ValueError, match="scalar loss"):
-            state.estimate(played, np.array([0.2, bad, -0.4]))
+            state.estimate(pts[played], np.array([0.2, bad, -0.4]))
         with pytest.raises(ValueError, match="scalar loss"):
-            state.update(played, np.array([bad, 0.0, 0.0]))
+            state.update(pts[played], np.array([bad, 0.0, 0.0]))
     assert np.array_equal(state.cum_estimate, np.zeros((3, 3)))
 
 
@@ -193,9 +193,10 @@ def test_exp2_estimate_on_a_rank_one_sampling_matrix_raises():
     state = Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.3, replicas=2)
     one_point = np.eye(6)[[2, 2]]
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        state.estimate(np.array([2, 2]), np.array([0.5, -0.5]), p=one_point)
+        state.estimate(pts[[2, 2]], np.array([0.5, -0.5]), p=one_point)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.3).estimate(2, 0.5, p=one_point[0])
+        one_row = Exp2State(pts, doptimal_design(pts), eta=0.1, gamma=0.3)
+        one_row.estimate(pts[2], 0.5, p=one_point[0])
 
 
 def test_an_exp2_run_raises_no_warning():
