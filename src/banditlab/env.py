@@ -248,6 +248,8 @@ class StochasticEnv:
             raise ValueError("need at least one arm")
         if not within(self.means, 0.0, 1.0):
             raise ValueError("arm means must lie in [0, 1]")
+        self.means.flags.writeable = False  # `_mean_of` copies it
+        self._mean_of = self.means.tolist()  # one arm's mean as a Python float
         self.best_arm = int(self.means.argmax())
         self.gaps = self.means[self.best_arm] - self.means
 
@@ -259,10 +261,12 @@ class StochasticEnv:
         """Reward of `arm`, 1.0 with its mean's probability and else 0.0, from
         one uniform double; with one arm per replica (an array) and lockstep
         draws, one reward per replica."""
-        _check_arms(arm, self.n_arms)
-        if not isinstance(arm, np.ndarray):
-            return float(rng.random() < self.means.item(arm))
-        return (rng.random() < self.means.take(arm)).astype(float)
+        if isinstance(arm, np.ndarray):
+            _check_arms(arm, self.n_arms)
+            return (rng.random() < self.means.take(arm)).astype(float)
+        if not 0 <= arm < len(self._mean_of):  # what `_check_arms` checks of one arm
+            raise IndexError(f"arm {arm} out of range for K={self.n_arms}")
+        return 1.0 if rng.random() < self._mean_of[arm] else 0.0
 
 
 def lower_bound_env(K: int, eps: float, best: int) -> StochasticEnv:
@@ -280,17 +284,28 @@ class NonObliviousAdversary:
     """The grudge adversary: a loss of 1 on the arm played most so far, ties
     to the lowest index, and all zeros before the first play.
 
-    It reacts to past actions only through per-arm play counts, (K,) for one
-    replica or (R, K) for R replicas in lockstep, and never sees the
-    forecaster's internal randomness.
+    It reacts to past actions only through per-arm play counts, and never
+    sees the forecaster's internal randomness. For R replicas in lockstep
+    the counts are an (R, K) array. For one replica they are a Python list,
+    and `target`, the arm the next loss vector hits (-1 before the first
+    play), is kept up to date as each play is counted.
     """
 
     def __init__(self, n_arms: int, replicas: int | None = None):
         self.n_arms = n_arms
-        self.counts = np.zeros((n_arms,) if replicas is None else (replicas, n_arms), dtype=int)
-        self._played = False
+        if replicas is None:
+            self.counts = [0] * n_arms
+            self.target = -1
+        else:
+            self.counts = np.zeros((replicas, n_arms), dtype=int)
+            self._played = False
 
     def loss_vector(self) -> np.ndarray:
+        if self.counts.__class__ is list:
+            losses = np.zeros(self.n_arms)
+            if self.target >= 0:
+                losses[self.target] = 1.0
+            return losses
         losses = np.zeros(self.counts.shape)
         if self._played:
             losses.put(flat_index(losses, self.counts.argmax(-1)), 1.0)
@@ -300,7 +315,16 @@ class NonObliviousAdversary:
         """One play per replica: an arm, or one arm per row of the counts.
         Returns their `flat_index` in the counts, and so in a loss vector."""
         _check_arms(arms, self.n_arms)
-        i = flat_index(self.counts, arms)
-        self.counts.put(i, self.counts.take(i) + ONE)
+        counts = self.counts
+        if counts.__class__ is list:
+            c = counts[arms] = counts[arms] + 1
+            top = self.target
+            # the first index of the largest count: the arm played takes over
+            # with a larger count, or with an equal one at a lower index
+            if top < 0 or c > counts[top] or (c == counts[top] and arms < top):
+                self.target = arms
+            return arms
+        i = flat_index(counts, arms)
+        counts.put(i, counts.take(i) + ONE)
         self._played = True
         return i

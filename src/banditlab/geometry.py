@@ -143,20 +143,6 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
     raise ConvergenceError("design iteration did not reach its certificate")
 
 
-def mvee(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER):
-    """Minimal-volume origin-centered ellipsoid of the symmetric hull of `points`.
-
-    The input set is treated as {+x, -x : x in points}. Returns the shape
-    matrix E with ellipsoid {y : y^T E^{-1} y <= 1} and the support weights;
-    every input point satisfies x^T E^{-1} x <= 1 + tol.
-    """
-    pts = _check_full_rank(points)
-    d = pts.shape[1]
-    design = doptimal_design(pts, tol=tol, max_iter=max_iter)
-    E = d * design.design_matrix
-    return E, design.weights
-
-
 _SUM_SAFE = float(np.finfo(float).max) / 2  # d weights, each below this over d, sum to a finite total
 
 

@@ -462,9 +462,10 @@ def _batches(build: partial, env: dict, n: int, seed: int, ids) -> Iterator[tupl
     `draws_per_round`, the doubles its state reads per round, plays all R
     replicas in lockstep as one batch, a state with `replicas=R` on
     `ReplicaDraws` that also give the environment its `env["draws_per_round"]`,
-    rows (R,); any other plays each on its own `derive_stream(seed, i)`, rows ()."""
+    rows (R,), unless R is at most the `narrow_width` it declares; any other
+    plays each on its own `derive_stream(seed, i)`, rows ()."""
     per_round = getattr(build.func, "draws_per_round", None)
-    if per_round is None:
+    if per_round is None or len(ids) <= getattr(build.func, "narrow_width", 0):
         yield from ((build(), derive_stream(seed, i), ()) for i in ids)
     else:
         draws = ReplicaDraws(seed, ids, (per_round + env.get("draws_per_round", 0)) * n)
@@ -494,11 +495,13 @@ def _finite_rounds(policy, env: dict, n: int, rng, rows: tuple) -> np.ndarray:
     if kind == "stochastic":
         sto: StochasticEnv = env["env"]
         arms = np.empty((n,) + rows, dtype=np.intp)  # the arm played; its gap after the loop
+        record = arms if rows else memoryview(arms)  # a memoryview stores one int faster
         for t in range(n):
             arm = policy.select(rng)
             reward = sto.sample_reward(arm, rng)
             policy.update(arm, reward if gain else 1.0 - reward)
-            arms[t] = arm
+            record[t] = arm
+        del record  # which holds the arms, freed below
         played = sto.gaps.take(arms)
         del arms
         return _curves(played, None)
@@ -506,17 +509,32 @@ def _finite_rounds(policy, env: dict, n: int, rng, rows: tuple) -> np.ndarray:
     played = np.empty((n,) + rows)  # loss of the arm played
     if kind == "oblivious":
         losses = env["losses"]
+        record = played if rows else memoryview(played)
         for t in range(n):
             arm = policy.select(rng)
-            loss = losses[t].take(arm)
+            # one replica's loss as a Python float, which its one-row state adds in less time
+            loss = losses[t].take(arm) if rows else losses.item(t, arm)
             policy.update(arm, 1.0 - loss if gain else loss)
-            played[t] = loss
+            record[t] = loss
         return _curves(played, np.cumsum(losses, axis=0).min(axis=1))
 
     # nonoblivious: a fresh adversary per call, reacting to each replica's plays
     grudge = NonObliviousAdversary(env["K"], *rows)
-    cum_losses = np.zeros(grudge.counts.shape)
     best = np.empty((n,) + rows)
+    if not rows:  # one replica: its loss vector is 1.0 at the grudge's target alone
+        cum_losses, record, held = [0.0] * env["K"], memoryview(played), memoryview(best)
+        for t in range(n):
+            hit = grudge.target  # -1 before the first play, when every loss is 0
+            arm = policy.select(rng)
+            grudge.observe(arm)
+            loss = 1.0 if arm == hit else 0.0
+            policy.update(arm, 1.0 - loss if gain else loss)
+            record[t] = loss
+            if hit >= 0:
+                cum_losses[hit] += 1.0
+            held[t] = min(cum_losses)
+        return _curves(played, best)
+    cum_losses = np.zeros(grudge.counts.shape)
     for t in range(n):
         losses = grudge.loss_vector()
         arm = policy.select(rng)
@@ -524,7 +542,7 @@ def _finite_rounds(policy, env: dict, n: int, rng, rows: tuple) -> np.ndarray:
         policy.update(arm, 1.0 - loss if gain else loss)
         played[t] = loss
         cum_losses += losses
-        np.minimum.reduce(cum_losses, -1, out=best[t, ...])  # a 0-d view for one replica
+        np.minimum.reduce(cum_losses, -1, out=best[t])
     return _curves(played, best)
 
 
@@ -836,8 +854,8 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     `ids` is one replica's stream id, for its 1-D curve, or a sequence of
     ids, for an (R, n) array in C order with one row per id; row r reads
     only the stream `derive_stream(seed, ids[r])`, in whichever batch
-    `_batches` plays it: all replicas in lockstep (ucb, exp3, exp3p,
-    exp2-john and osmd-msets) or one at a time.
+    `_batches` plays it: all replicas in lockstep (exp3, exp3p, exp2-john,
+    osmd-msets, and ucb above its `narrow_width`) or one at a time.
     """
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(ids, numbers.Integral)

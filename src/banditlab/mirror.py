@@ -127,17 +127,6 @@ def potential_capped_simplex(psi: PotentialSpec, m: float) -> LegendreSpec:
     )
 
 
-def euclidean_ball(radius: float) -> LegendreSpec:
-    return LegendreSpec(
-        F=lambda x: 0.5 * float(np.dot(x, x)),
-        grad_F=lambda x: np.asarray(x, dtype=float),
-        grad_F_star=lambda u: np.asarray(u, dtype=float),
-        bregman_project=lambda w: project_ball(w, radius),
-        dual_domain_check=lambda u: True,
-        name="euclidean-ball",
-    )
-
-
 def ball_grad(x: np.ndarray) -> np.ndarray:
     """Primal-to-dual map x / (1 - ||x||) of the log-barrier ball geometry."""
     x = np.asarray(x, dtype=float)

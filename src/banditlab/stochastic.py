@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,61 +17,68 @@ def hoeffding_psi_star_inv(x):
     return np.sqrt(x / TWO)
 
 
-@dataclass(frozen=True)
-class PsiSpec:
-    """Confidence-radius shape: the inverse of the dual rate function.
-
-    `psi_star_inv` gets the whole array of rates at once, one per arm (and
-    per replica), and must return the radii elementwise; a function of one
-    float, such as one built on `math.sqrt`, does not fit.
-    """
-
-    psi_star_inv: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-
-
-HOEFFDING = PsiSpec(hoeffding_psi_star_inv, name="hoeffding")
-
-
 class UcbState:
     """Optimistic index policy over K arms.
 
-    At round t the index of arm i is its empirical mean plus
-    psi_star_inv(alpha * ln t / T_i); untried arms have index +inf and ties
-    go to the lowest arm index. With `replicas` set, the state holds one row
-    per replica and `select`/`update` take and return one arm per row.
+    At round t the index of arm i is its empirical mean plus the Hoeffding
+    radius sqrt(alpha * ln t / T_i / 2); untried arms have index +inf and
+    ties go to the lowest arm index. With `replicas` set, the state holds
+    one row per replica in (R, K) arrays and `select`/`update` take and
+    return one arm per row. Without, it is one row of Python numbers, and a
+    round is the same +, -, *, /, sqrt and comparisons on Python floats,
+    which are the correctly rounded IEEE-754 operations of numpy's float64
+    ufuncs, so a row keeps the bits it has in an array.
     """
 
     feedback = "gain"
     draws_per_round = 0  # select reads no double, so replicas run in lockstep
+    # a batch of up to this many replicas plays one at a time as one-row
+    # states, which cost less there than lockstep rows (README, "Narrow ucb batches")
+    narrow_width = 6
 
-    def __init__(self, K: int, alpha: float = 2.5, psi: PsiSpec = HOEFFDING,
-                 replicas: int | None = None):
+    def __init__(self, K: int, alpha: float = 2.5, replicas: int | None = None):
         if alpha <= 2.0:
             raise ValueError("alpha must exceed 2")
         self.K = K
         self.alpha = alpha
-        self.psi = psi
-        shape = (K,) if replicas is None else (replicas, K)
-        self.counts = np.zeros(shape, dtype=int)
-        self.means = np.zeros(shape)
+        if replicas is None:
+            self.counts = [0] * K
+            self.means = [0.0] * K
+        else:
+            self.counts = np.zeros((replicas, K), dtype=int)
+            self.means = np.zeros((replicas, K))
         self.t = 0  # rounds completed
 
     def select(self, rng=None):
         counts = self.counts
+        a = self.alpha * math.log(self.t + 1)
+        if counts.__class__ is list:
+            means, best, arm = self.means, -math.inf, 0
+            for i, c in enumerate(counts):
+                if not c:
+                    return i  # the first untried arm's +inf index wins
+                index = means[i] + math.sqrt(a / c / 2.0)
+                if index > best:  # strictly above, so ties keep the lowest arm
+                    best, arm = index, i
+            return arm
         # a float divisor spares the ufunc a cast; the quotients are the same
-        rates = self.alpha * math.log(self.t + 1) / np.maximum(counts, ONE).astype(float)
-        idx = self.means + self.psi.psi_star_inv(rates)
+        rates = a / np.maximum(counts, ONE).astype(float)
+        idx = self.means + hoeffding_psi_star_inv(rates)
         np.putmask(idx, np.logical_not(counts), INF)  # untried arms
         return as_arm(idx.argmax(-1))  # argmax takes the lowest index on ties
 
     def update(self, arm, reward) -> None:
         counts, means = self.counts, self.means
-        i = flat_index(counts, arm)
-        c = counts.take(i) + ONE
-        m = means.take(i)
-        counts.put(i, c)
-        means.put(i, m + (reward - m) / c)
+        if counts.__class__ is list:
+            c = counts[arm] = counts[arm] + 1
+            m = means[arm]
+            means[arm] = m + (reward - m) / c
+        else:
+            i = flat_index(counts, arm)
+            c = counts.take(i) + ONE
+            m = means.take(i)
+            counts.put(i, c)
+            means.put(i, m + (reward - m) / c)
         self.t += 1
 
 
@@ -121,6 +126,9 @@ class ThompsonState:
     `update` binarizes a fractional reward with the stream the last `select` drew from."""
 
     feedback = "gain"
+    # up to this many arms, K scalar beta draws cost less than one array draw
+    # (README, "Narrow ucb batches")
+    scalar_draws_max_arms = 14
 
     def __init__(self, K: int):
         self.K = K
@@ -133,9 +141,14 @@ class ThompsonState:
 
     def select(self, rng: np.random.Generator) -> int:
         self._drawn_from = rng
-        a, b = self.posterior_params()
-        theta = rng.beta(a, b)
-        return int(theta.argmax())
+        if self.K > self.scalar_draws_max_arms:
+            return int(rng.beta(*self.posterior_params()).argmax())
+        # one draw per arm in turn, the doubles the array call reads; on Python
+        # floats, s + 1.0 is the posterior parameter numpy adds
+        beta = rng.beta
+        theta = [beta(s + 1.0, f + 1.0)
+                 for s, f in zip(self.successes.tolist(), self.failures.tolist())]
+        return theta.index(max(theta))  # the first arm of the largest draw, as argmax
 
     def update(self, arm: int, reward: float) -> None:
         # Non-binary rewards in [0,1] are binarized with an auxiliary
@@ -168,10 +181,12 @@ class EpsGreedyState:
         return min(1.0, self.K / (self.d_gap**2 * t))
 
     def select(self, rng: np.random.Generator) -> int:
-        # forced initialization: each arm once before the epsilon rule starts
-        untried = np.flatnonzero(self.counts == 0)
-        if untried.size:
-            return int(untried[0])
+        # forced initialization: each arm once before the epsilon rule starts;
+        # every update counts one arm, so only the first K rounds can find one
+        if self.t < self.K:
+            untried = np.flatnonzero(self.counts == 0)
+            if untried.size:
+                return int(untried[0])
         t = self.t + 1
         if rng.random() < self.epsilon(t):
             return int(rng.integers(self.K))

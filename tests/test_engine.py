@@ -198,12 +198,14 @@ def test_rows_equal_single_stream_runs(name):
 def test_kernel_rows_equal_single_stream_runs(monkeypatch, name):
     # at 8 rounds every lockstep policy reads at most KERNEL_MAX_DOUBLES doubles
     # per replica, so a batch of KERNEL_MIN_STREAMS comes from the Philox
-    # kernel and one replica from its Generator
+    # kernel and one replica from its Generator, which `ReplicaDraws` derives,
+    # or the harness for a batch narrow enough to play one at a time
     cfg = harness.check_config(_config(*CASES[name][:4], 8, KERNEL_MIN_STREAMS, CASES[name][6]))
     env = harness.build_environment(cfg["env_kind"], cfg["env_params"], 8, cfg["seed"])
     derived = []
-    monkeypatch.setattr(env_module, "derive_stream",
-                        lambda seed, i, derive=derive_stream: derived.append(i) or derive(seed, i))
+    for module in (env_module, harness):
+        monkeypatch.setattr(module, "derive_stream", lambda seed, i, derive=derive_stream:
+                            derived.append(i) or derive(seed, i))
     ids = range(2**63 - 5, 2**63 - 5 + KERNEL_MIN_STREAMS)
     batch = harness.run_replica(cfg, env, cfg["seed"], ids)
     assert derived == []
@@ -254,21 +256,24 @@ def test_round_cases_cover_both_batchings():
 
 def test_batches_follow_the_lockstep_declaration():
     # every policy but sgs binds its class through make(p, env, n); the class
-    # alone decides whether its replicas play as one batch or one at a time
-    lockstep, one_at_a_time = set(), set()
-    for case in CASES.values():
-        cfg = harness.check_config(_config(*case))
-        run = harness._POLICIES[cfg["policy"]].run
-        if getattr(run, "func", None) not in (harness._run_finite, harness._rounds):
-            continue
-        n, seed = cfg["horizon"], cfg["seed"]
-        env = harness.build_environment(cfg["env_kind"], cfg["env_params"], n, seed)
-        build = run.args[0](cfg["policy_params"], env, n)
-        rows = [rows for _, _, rows in harness._batches(build, env, n, seed, range(3))]
-        assert rows in ([(3,)], [()] * 3)
-        (lockstep if rows == [(3,)] else one_at_a_time).add(cfg["policy"])
-    assert lockstep == {"ucb", "exp3", "exp3p", "exp2-john", "osmd-msets"}
-    assert one_at_a_time == set(harness._POLICIES) - lockstep - {"sgs"}
+    # alone decides whether its replicas play as one batch or one at a time,
+    # and ucb plays a batch no wider than its narrow_width one at a time
+    for R in (3, UcbState.narrow_width + 1):
+        lockstep, one_at_a_time = set(), set()
+        for case in CASES.values():
+            cfg = harness.check_config(_config(*case))
+            run = harness._POLICIES[cfg["policy"]].run
+            if getattr(run, "func", None) not in (harness._run_finite, harness._rounds):
+                continue
+            n, seed = cfg["horizon"], cfg["seed"]
+            env = harness.build_environment(cfg["env_kind"], cfg["env_params"], n, seed)
+            build = run.args[0](cfg["policy_params"], env, n)
+            rows = [rows for _, _, rows in harness._batches(build, env, n, seed, range(R))]
+            assert rows in ([(R,)], [()] * R)
+            (lockstep if rows == [(R,)] else one_at_a_time).add(cfg["policy"])
+        assert lockstep == {"exp3", "exp3p", "exp2-john", "osmd-msets"} | (
+            {"ucb"} if R > UcbState.narrow_width else set())
+        assert one_at_a_time == set(harness._POLICIES) - lockstep - {"sgs"}
 
 
 def test_draws_per_round_is_the_one_lockstep_declaration():

@@ -180,16 +180,19 @@ def test_non_oblivious_adversary_matches_history_reference():
     R, K = 4, 3
     rng = derive_stream(9, 0)
     adv = NonObliviousAdversary(K, replicas=R)
+    ones = [NonObliviousAdversary(K) for _ in range(R)]  # one replica's form beside each row
     histories = [[] for _ in range(R)]
     for _ in range(50):
         losses = adv.loss_vector()
         assert losses.shape == (R, K)
         for r in range(R):
             assert np.array_equal(losses[r], _grudge_reference(histories[r], K))
+            assert np.array_equal(ones[r].loss_vector(), losses[r])
         arms = rng.integers(K, size=R)
         adv.observe(arms)
-        for history, arm in zip(histories, arms.tolist()):
+        for history, one, arm in zip(histories, ones, arms.tolist()):
             history.append(arm)
+            assert one.observe(arm) == arm
 
     one = NonObliviousAdversary(K)
     assert np.array_equal(one.loss_vector(), np.zeros(K))
@@ -207,8 +210,10 @@ def test_non_oblivious_adversary_rejects_out_of_range_arms():
             arms[row] = bad
             with pytest.raises(IndexError):
                 adv.observe(arms)
+        one = NonObliviousAdversary(3)
         with pytest.raises(IndexError):
-            NonObliviousAdversary(3).observe(bad)
+            one.observe(bad)
+        assert one.counts == [0, 0, 0] and one.target == -1
     assert not adv.counts.any()
 
 

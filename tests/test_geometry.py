@@ -13,7 +13,6 @@ from banditlab.geometry import (
     doptimal_design,
     madow_inclusion_probabilities,
     madow_sample,
-    mvee,
     norm,
     project_ball,
     project_capped_simplex_negent,
@@ -47,9 +46,17 @@ def test_sample_sphere_symmetry():
     assert np.abs(total / n).max() < 0.02
 
 
+def _mvee(points, **kw):
+    """The minimal-volume origin-centered ellipsoid of the symmetric hull of
+    `points`, {y : y^T E^{-1} y <= 1}: E = d times the D-optimal design matrix
+    (Kiefer-Wolfowitz), with the design's support weights."""
+    design = doptimal_design(points, **kw)
+    return np.shape(points)[1] * design.design_matrix, design.weights
+
+
 def test_mvee_cross_polytope_is_unit_ball():
     pts = np.vstack([np.eye(3), -np.eye(3)])
-    E, weights = mvee(pts, tol=1e-7)
+    E, weights = _mvee(pts, tol=1e-7)
     assert np.allclose(E, np.eye(3), atol=1e-5)
     assert weights.sum() == pytest.approx(1.0)
     lev = np.einsum("ij,ji->i", pts, np.linalg.solve(E, pts.T))
@@ -58,7 +65,7 @@ def test_mvee_cross_polytope_is_unit_ball():
 
 def test_mvee_square_corners_is_circle_radius_sqrt2():
     pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    E, _ = mvee(pts, tol=1e-9)
+    E, _ = _mvee(pts, tol=1e-9)
     # brute force over centered ellipses x^T diag(a,b)^-1 x <= 1 says the
     # optimum is the circle of radius sqrt(2): E = 2 I
     assert np.allclose(E, 2.0 * np.eye(2), atol=1e-6)
@@ -67,15 +74,15 @@ def test_mvee_square_corners_is_circle_radius_sqrt2():
 def test_mvee_sign_flip_invariance():
     rng = derive_stream(4, 0)
     pts = rng.standard_normal((8, 3))
-    E1, _ = mvee(pts)
-    E2, _ = mvee(-pts)
+    E1, _ = _mvee(pts)
+    E2, _ = _mvee(-pts)
     assert np.allclose(E1, E2, atol=1e-8)
 
 
 def test_mvee_rank_deficient_rejected():
     pts = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
-        mvee(pts)
+        doptimal_design(pts)
 
 
 def test_design_canonical_basis():

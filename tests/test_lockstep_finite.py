@@ -1,6 +1,9 @@
 """ucb, exp3 and exp3p in lockstep: each row of an (R, K) state keeps the
 arms and state arrays of a one-row state on its own stream, every round, and
-Exp3's in-place update adds exactly the importance-weighted estimate."""
+Exp3's in-place update adds exactly the importance-weighted estimate. A ucb
+batch no wider than `UcbState.narrow_width` plays one replica at a time, with
+the curves of the lockstep form."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,6 +46,45 @@ def test_finite_selftest_fails_when_a_lockstep_row_moves(monkeypatch):
     assert "exp3p" not in detail and "ucb" not in detail
 
 
+def test_finite_selftest_fails_when_a_one_row_ucb_moves(monkeypatch):
+    update = UcbState.update
+
+    def nudged(self, arm, reward):
+        update(self, arm, reward)
+        if isinstance(self.means, list):  # one ulp on a one-row state's mean
+            self.means[0] = math.nextafter(self.means[0], math.inf)
+
+    monkeypatch.setattr(UcbState, "update", nudged)
+    passed, detail = selftest.check_finite_rows_agreement()
+    assert not passed
+    assert "ucb on stochastic at round 0 (means)" in detail
+    assert "exp3" not in detail
+
+
+SWITCH = {"stochastic": {"means": [0.9, 0.8, 0.7, 0.6, 0.5]},
+          "lower-bound": {"k": 4, "eps": 0.2, "best": 2},
+          "oblivious": {"k": 5},
+          "nonoblivious": {"k": 3, "adversary": "grudge"}}
+
+
+@pytest.mark.parametrize("R", [1, 2, UcbState.narrow_width, UcbState.narrow_width + 1])
+@pytest.mark.parametrize("kind", sorted(SWITCH))
+def test_ucb_curves_match_across_the_narrow_width(monkeypatch, kind, R):
+    # the same replicas played one at a time and in lockstep, whichever of
+    # the two the width picks at this R
+    n = 400
+    cfg = harness.check_config({"policy": "ucb", "horizon": n, "replicas": R, "seed": 9,
+                                "env_kind": kind, "env_params": SWITCH[kind]})
+    env = harness.build_environment(kind, SWITCH[kind], n, 9)
+    curves = {"as declared": harness.run_replica(cfg, env, 9, range(R))}
+    for form, width in (("one at a time", R), ("lockstep", 0)):
+        monkeypatch.setattr(UcbState, "narrow_width", width)
+        curves[form] = harness.run_replica(cfg, env, 9, range(R))
+    assert curves["lockstep"].shape == (R, n) and curves["lockstep"][:, -1].any()
+    for form in ("as declared", "one at a time"):
+        assert np.array_equal(curves[form], curves["lockstep"]), form
+
+
 @pytest.mark.parametrize("replicas", [None, 6])
 @pytest.mark.parametrize("given", [False, True], ids=["drawn", "sampling-probs"])
 def test_exp3_update_adds_the_importance_estimate(replicas, given):
@@ -81,7 +123,9 @@ def test_exp3_update_refuses_a_zero_probability_before_writing():
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, 0),
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(3)),
     ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(3)),
-], ids=["stochastic-one-stream", "stochastic-lockstep", "grudge-lockstep"])
+    ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(UcbState.narrow_width + 1)),
+], ids=["stochastic-one-stream", "stochastic-lockstep", "grudge-lockstep",
+        "stochastic-above-the-narrow-width"])
 def test_finite_rounds_keep_two_curve_sized_arrays(kind, policy, params, ids):
     # stochastic: the arms played, then their gaps, summed in place; grudge:
     # the losses played and the best arm's, then the curve. 16 B per

@@ -16,7 +16,6 @@ from banditlab.mirror import (
     ball_grad,
     ball_grad_star,
     ball_schedule,
-    euclidean_ball,
     exp2_bound,
     exp2_schedule,
     log_barrier_ball,
@@ -53,16 +52,8 @@ def test_omd_step_negentropy_hand_value():
     assert np.allclose(x, [1 / 3, 2 / 3])
 
 
-def test_omd_step_euclidean_hand_value():
-    spec = euclidean_ball(1.0)
-    x = omd_step(np.zeros(2), np.array([1.0, 0.0]), 0.1, spec)
-    assert np.allclose(x, [-0.1, 0.0])
-    x = omd_step(np.array([0.5, 0.0]), np.array([-30.0, 0.0]), 0.1, spec)
-    assert np.allclose(x, [1.0, 0.0])  # projected back onto the ball
-
-
 def test_omd_step_zero_gradient_fixed_point():
-    for spec in (negentropy_simplex(), euclidean_ball(1.0), log_barrier_ball(0.9)):
+    for spec in (negentropy_simplex(), log_barrier_ball(0.9)):
         x = np.array([0.4, 0.6]) if "simplex" in spec.name else np.array([0.2, -0.1])
         out = omd_step(x, np.zeros(2), 0.5, spec)
         assert np.allclose(out, x, atol=1e-12)

@@ -7,8 +7,6 @@ import pytest
 from banditlab.env import StochasticEnv, derive_stream
 from banditlab.stochastic import (
     EpsGreedyState,
-    HOEFFDING,
-    PsiSpec,
     ThompsonState,
     UcbState,
     hoeffding_psi_star_inv,
@@ -26,12 +24,24 @@ def test_hoeffding_psi_star_inv():
         hoeffding_psi_star_inv(-1e-9)
 
 
+def _ucb_forms(counts, means, t, **kw):
+    """A one-row state (Python numbers) and a one-row lockstep state ((1, K)
+    arrays), both holding `counts` and `means` after t rounds."""
+    row = UcbState(len(counts), **kw)
+    row.counts, row.means, row.t = list(counts), list(means), t
+    batch = UcbState(len(counts), replicas=1, **kw)
+    batch.counts, batch.means, batch.t = np.array([counts]), np.array([means]), t
+    return row, batch
+
+
+def _arms(*states):
+    return [state.select() if isinstance(state.counts, list) else int(state.select()[0])
+            for state in states]
+
+
 def test_ucb_untried_arm_forced():
-    state = UcbState(2)
-    state.counts = np.array([0, 5])
-    state.means = np.array([0.0, 0.9])
-    state.t = 5
-    assert state.select() == 0
+    assert _arms(*_ucb_forms([0, 5], [0.0, 0.9], 5)) == [0, 0]
+    assert _arms(*_ucb_forms([3, 0, 0], [0.1, 0.0, 0.0], 3)) == [1, 1]
 
 
 def test_ucb_hand_index():
@@ -40,31 +50,37 @@ def test_ucb_hand_index():
     radius = hoeffding_psi_star_inv(2.0 * 1.0 / 4)
     idx = np.array([0.5, 0.9]) + radius
     assert np.allclose(idx, [1.0, 1.4])
-    state = UcbState(2, alpha=2.5)
-    state.counts = np.array([4, 4])
-    state.means = np.array([0.5, 0.9])
-    state.t = 8
-    assert state.select() == 1
+    assert _arms(*_ucb_forms([4, 4], [0.5, 0.9], 8, alpha=2.5)) == [1, 1]
 
 
 def test_ucb_tie_breaks_lowest_index():
-    state = UcbState(3)
-    state.counts = np.array([2, 2, 2])
-    state.means = np.array([0.4, 0.4, 0.4])
-    state.t = 6
-    assert state.select() == 0
+    assert _arms(*_ucb_forms([2, 2, 2], [0.4, 0.4, 0.4], 6)) == [0, 0]
+    assert _arms(*_ucb_forms([2, 3, 2], [0.4, 0.7, 0.7], 7)) == [2, 2]
 
 
 def test_ucb_argmax_invariant_under_uniform_shift():
     rng = derive_stream(5, 0)
     for _ in range(20):
-        state = UcbState(4)
-        state.counts = rng.integers(1, 50, size=4)
-        state.means = rng.random(4)
-        state.t = int(state.counts.sum())
-        base = state.select()
-        state.means = state.means + 0.123
-        assert state.select() == base
+        counts = rng.integers(1, 50, size=4).tolist()
+        means = rng.random(4)
+        t = sum(counts)
+        base = _arms(*_ucb_forms(counts, means.tolist(), t))
+        assert base[0] == base[1]
+        assert _arms(*_ucb_forms(counts, (means + 0.123).tolist(), t)) == base
+
+
+def test_one_row_ucb_holds_python_numbers():
+    state = UcbState(3, alpha=3.0)
+    for arm, reward in ((0, 1.0), (0, 1.0), (0, 0.5), (1, 0.0), (2, 0.5)):
+        state.update(arm, reward)
+    assert state.counts == [3, 1, 1] and state.means == [1.0 + (0.5 - 1.0) / 3, 0.0, 0.5]
+    assert all(type(c) is int for c in state.counts)
+    assert all(type(m) is float for m in state.means)
+    radius = [math.sqrt(3.0 * math.log(6) / c / 2.0) for c in (3, 1, 1)]
+    index = [m + r for m, r in zip(state.means, radius)]
+    assert state.select() == index.index(max(index)) == 2
+    with pytest.raises(ValueError):
+        UcbState(3, alpha=2.0)
 
 
 def test_first_k_rounds_round_robin():
@@ -207,34 +223,87 @@ def test_eps_greedy_uniform_when_clamped():
     assert counts.min() > 800
 
 
-def test_psi_spec_is_pluggable():
-    # a custom confidence shape still drives selection through the same index
-    spec = HOEFFDING
-    state = UcbState(2, psi=spec)
-    assert state.psi.name == "hoeffding"
+class _FrozenThompson:
+    """ThompsonState as it was before its scalar draws: one array beta call."""
+
+    def __init__(self, K):
+        self.successes, self.failures, self._drawn_from = np.zeros(K), np.zeros(K), None
+
+    def select(self, rng):
+        self._drawn_from = rng
+        return int(rng.beta(self.successes + 1.0, self.failures + 1.0).argmax())
+
+    def update(self, arm, reward):
+        if reward not in (0.0, 1.0):
+            reward = float(self._drawn_from.random() < reward)
+        if reward == 1.0:
+            self.successes[arm] += 1.0
+        else:
+            self.failures[arm] += 1.0
 
 
-def test_custom_psi_spec_gets_every_rate_at_once():
-    # a spec is applied elementwise to the array of rates, one per arm (and
-    # per replica): here a narrow linear radius in place of Hoeffding's
-    seen = []
+class _FrozenEpsGreedy:
+    """EpsGreedyState as it was before its untried-arm search was bounded."""
 
-    def narrow(rates):
-        seen.append(np.shape(rates))
-        return rates / 100.0
+    def __init__(self, K, d_gap):
+        self.K, self.d_gap, self.t = K, d_gap, 0
+        self.counts, self.means = np.zeros(K, dtype=int), np.zeros(K)
 
-    spec = PsiSpec(narrow, name="narrow")
-    for replicas in (None, 3):
-        state, hoeffding = (UcbState(3, alpha=3.0, psi=psi, replicas=replicas)
-                            for psi in (spec, HOEFFDING))
-        rows = 1 if replicas is None else replicas
-        arms = np.zeros(rows, dtype=int)
-        for arm, reward in ((0, 1.0), (0, 1.0), (0, 0.5), (1, 0.0), (2, 0.5)):
-            for ucb in (state, hoeffding):
-                ucb.update(arm if replicas is None else arms + arm, reward)
-        rates = 3.0 * math.log(6) / np.array([3, 1, 1])
-        index = np.array([2.5 / 3, 0.0, 0.5]) + rates / 100.0
-        assert int(index.argmax()) == 0
-        assert np.atleast_1d(state.select()).tolist() == [0] * rows
-        assert seen[-1] == state.means.shape
-        assert np.atleast_1d(hoeffding.select()).tolist() == [2] * rows
+    def select(self, rng):
+        untried = np.flatnonzero(self.counts == 0)
+        if untried.size:
+            return int(untried[0])
+        if rng.random() < min(1.0, self.K / (self.d_gap**2 * (self.t + 1))):
+            return int(rng.integers(self.K))
+        return int(self.means.argmax())
+
+    def update(self, arm, reward):
+        self.counts[arm] += 1
+        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
+        self.t += 1
+
+
+def _pin(state, frozen, seed, n, rewards, names):
+    """Play `state` and `frozen` on copies of one stream for n rounds, the
+    reward of arm i at round t being `rewards(t, i, draw)`, and require the
+    same arm, the same state arrays and the same stream position every round."""
+    rng, again = derive_stream(seed, 0), derive_stream(seed, 0)
+    feed = derive_stream(seed, 1)
+    for t in range(n):
+        arm = state.select(rng)
+        assert frozen.select(again) == arm and type(arm) is int
+        reward = rewards(t, arm, feed.random())
+        state.update(arm, reward)
+        frozen.update(arm, reward)
+        for name in names:
+            assert np.array_equal(getattr(state, name), getattr(frozen, name)), (t, name)
+        assert copy.deepcopy(rng).random() == copy.deepcopy(again).random()  # the same position
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("K", [2, 5, 14, 15, 24])
+def test_thompson_keeps_the_array_draws_bits(K, seed):
+    # 14 and 15 straddle the scalar draws' largest K; every third reward is
+    # fractional, so its update reads the binarizing double from the stream
+    assert ThompsonState.scalar_draws_max_arms == 14
+    means = np.linspace(0.2, 0.8, K)
+    _pin(ThompsonState(K), _FrozenThompson(K), seed, 300,
+         lambda t, i, u: 0.5 * u if t % 3 == 2 else float(u < means[i]),
+         ("successes", "failures"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("K", [2, 5, 9])
+def test_eps_greedy_keeps_the_frozen_rounds_bits(K, seed):
+    means = np.linspace(0.9, 0.1, K)
+    _pin(EpsGreedyState(K, d_gap=0.3), _FrozenEpsGreedy(K, 0.3), seed, 400,
+         lambda t, i, u: float(u < means[i]), ("counts", "means", "t"))
+
+
+def test_eps_greedy_tries_the_lowest_untried_arm_first():
+    state, rng = EpsGreedyState(4, d_gap=0.5), derive_stream(11, 0)
+    state.update(2, 1.0)
+    state.update(0, 0.0)
+    assert [state.select(rng) for _ in range(2)] == [1, 1]
+    state.update(1, 0.5)
+    assert state.select(rng) == 3
