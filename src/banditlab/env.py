@@ -288,7 +288,8 @@ class NonObliviousAdversary:
     sees the forecaster's internal randomness. For R replicas in lockstep
     the counts are an (R, K) array. For one replica they are a Python list,
     and `target`, the arm the next loss vector hits (-1 before the first
-    play), is kept up to date as each play is counted.
+    play), is kept up to date as each play is counted. `cum_losses`, the
+    same shape as the counts, sums the loss vectors of the rounds `play`ed.
     """
 
     def __init__(self, n_arms: int, replicas: int | None = None):
@@ -296,9 +297,11 @@ class NonObliviousAdversary:
         if replicas is None:
             self.counts = [0] * n_arms
             self.target = -1
+            self.cum_losses = [0.0] * n_arms
         else:
             self.counts = np.zeros((replicas, n_arms), dtype=int)
             self._played = False
+            self.cum_losses = np.zeros(self.counts.shape)
 
     def loss_vector(self) -> np.ndarray:
         if self.counts.__class__ is list:
@@ -328,3 +331,20 @@ class NonObliviousAdversary:
         counts.put(i, counts.take(i) + ONE)
         self._played = True
         return i
+
+    def play(self, arms):
+        """One round: the loss vector is set, then `arms` are observed.
+        Returns the loss of each play and the least cumulative loss of one
+        arm after the round: Python floats for one replica, which builds no
+        loss vector, else (R,) arrays."""
+        if self.counts.__class__ is list:
+            hit = self.target  # -1 before the first play, when every loss is 0
+            self.observe(arms)
+            if hit < 0:
+                return 0.0, 0.0
+            self.cum_losses[hit] += 1.0
+            return 1.0 if arms == hit else 0.0, min(self.cum_losses)
+        losses = self.loss_vector()
+        loss = losses.take(self.observe(arms))  # where the plays sit in losses too
+        self.cum_losses += losses
+        return loss, np.minimum.reduce(self.cum_losses, -1)

@@ -521,28 +521,12 @@ def _finite_rounds(policy, env: dict, n: int, rng, rows: tuple) -> np.ndarray:
     # nonoblivious: a fresh adversary per call, reacting to each replica's plays
     grudge = NonObliviousAdversary(env["K"], *rows)
     best = np.empty((n,) + rows)
-    if not rows:  # one replica: its loss vector is 1.0 at the grudge's target alone
-        cum_losses, record, held = [0.0] * env["K"], memoryview(played), memoryview(best)
-        for t in range(n):
-            hit = grudge.target  # -1 before the first play, when every loss is 0
-            arm = policy.select(rng)
-            grudge.observe(arm)
-            loss = 1.0 if arm == hit else 0.0
-            policy.update(arm, 1.0 - loss if gain else loss)
-            record[t] = loss
-            if hit >= 0:
-                cum_losses[hit] += 1.0
-            held[t] = min(cum_losses)
-        return _curves(played, best)
-    cum_losses = np.zeros(grudge.counts.shape)
+    record, held = (played, best) if rows else (memoryview(played), memoryview(best))
     for t in range(n):
-        losses = grudge.loss_vector()
         arm = policy.select(rng)
-        loss = losses.take(grudge.observe(arm))  # where the plays sit in losses too
+        loss, held[t] = grudge.play(arm)
         policy.update(arm, 1.0 - loss if gain else loss)
-        played[t] = loss
-        cum_losses += losses
-        np.minimum.reduce(cum_losses, -1, out=best[t])
+        record[t] = loss
     return _curves(played, best)
 
 

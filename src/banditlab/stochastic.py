@@ -126,9 +126,6 @@ class ThompsonState:
     `update` binarizes a fractional reward with the stream the last `select` drew from."""
 
     feedback = "gain"
-    # up to this many arms, K scalar beta draws cost less than one array draw
-    # (README, "Narrow ucb batches")
-    scalar_draws_max_arms = 14
 
     def __init__(self, K: int):
         self.K = K
@@ -141,10 +138,8 @@ class ThompsonState:
 
     def select(self, rng: np.random.Generator) -> int:
         self._drawn_from = rng
-        if self.K > self.scalar_draws_max_arms:
-            return int(rng.beta(*self.posterior_params()).argmax())
-        # one draw per arm in turn, the doubles the array call reads; on Python
-        # floats, s + 1.0 is the posterior parameter numpy adds
+        # one draw per arm in turn, the doubles numpy's array call reads; on
+        # Python floats, s + 1.0 is the posterior parameter numpy adds
         beta = rng.beta
         theta = [beta(s + 1.0, f + 1.0)
                  for s, f in zip(self.successes.tolist(), self.failures.tolist())]

@@ -201,6 +201,28 @@ def test_non_oblivious_adversary_matches_history_reference():
     assert np.array_equal(one.loss_vector(), [0.0, 1.0, 0.0])  # tie 1-2 goes to 1
 
 
+def test_non_oblivious_play_returns_the_played_and_least_cumulative_losses():
+    R, K = 4, 3
+    rng = derive_stream(9, 1)
+    adv = NonObliviousAdversary(K, replicas=R)
+    ones = [NonObliviousAdversary(K) for _ in range(R)]
+    histories = [[] for _ in range(R)]
+    cum = np.zeros((R, K))
+    for _ in range(60):
+        arms = rng.integers(K, size=R)
+        vectors = np.array([_grudge_reference(h, K) for h in histories])
+        cum += vectors
+        loss, least = adv.play(arms)
+        assert np.array_equal(loss, vectors[np.arange(R), arms])
+        assert np.array_equal(least, cum.min(axis=1))
+        for r, (one, arm) in enumerate(zip(ones, arms.tolist())):
+            histories[r].append(arm)
+            got = one.play(arm)
+            assert all(x.__class__ is float for x in got)
+            assert got == (loss[r], least[r])
+    assert np.array_equal(np.array([one.cum_losses for one in ones]), adv.cum_losses)
+
+
 def test_non_oblivious_adversary_rejects_out_of_range_arms():
     # a flat index past a row's end would land in the next replica's row
     adv = NonObliviousAdversary(3, replicas=4)
@@ -213,7 +235,9 @@ def test_non_oblivious_adversary_rejects_out_of_range_arms():
         one = NonObliviousAdversary(3)
         with pytest.raises(IndexError):
             one.observe(bad)
-        assert one.counts == [0, 0, 0] and one.target == -1
+        with pytest.raises(IndexError):
+            one.play(bad)
+        assert one.counts == [0, 0, 0] and one.target == -1 and one.cum_losses == [0.0] * 3
     assert not adv.counts.any()
 
 

@@ -283,9 +283,8 @@ def _pin(state, frozen, seed, n, rewards, names):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("K", [2, 5, 14, 15, 24])
 def test_thompson_keeps_the_array_draws_bits(K, seed):
-    # 14 and 15 straddle the scalar draws' largest K; every third reward is
-    # fractional, so its update reads the binarizing double from the stream
-    assert ThompsonState.scalar_draws_max_arms == 14
+    # the frozen copy makes one array call; every third reward is fractional,
+    # so its update reads the binarizing double from the stream
     means = np.linspace(0.2, 0.8, K)
     _pin(ThompsonState(K), _FrozenThompson(K), seed, 300,
          lambda t, i, u: 0.5 * u if t % 3 == 2 else float(u < means[i]),
