@@ -200,14 +200,6 @@ def minimax_lower(n: int, K: int) -> float:
     return math.sqrt(n * K) / 20.0
 
 
-def adversary_mean_gap_lower(n: int, K: int, eps: float) -> float:
-    """Value the biased-coin construction forces on any forecaster."""
-    return n * eps * (
-        1.0 - 1.0 / K
-        - math.sqrt(eps * math.log((1.0 + eps) / (1.0 - eps))) * math.sqrt(n / (2.0 * K))
-    )
-
-
 MAX_PATHS = 10**6  # the oracle's default enumeration budget
 
 

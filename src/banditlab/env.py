@@ -287,7 +287,7 @@ class NonObliviousAdversary:
     It reacts to past actions only through per-arm play counts, and never
     sees the forecaster's internal randomness. For R replicas in lockstep
     the counts are an (R, K) array. For one replica they are a Python list,
-    and `target`, the arm the next loss vector hits (-1 before the first
+    and `target`, the arm the next round's loss hits (-1 before the first
     play), is kept up to date as each play is counted. `cum_losses`, the
     same shape as the counts, sums the loss vectors of the rounds `play`ed.
     """
@@ -304,11 +304,7 @@ class NonObliviousAdversary:
             self.cum_losses = np.zeros(self.counts.shape)
 
     def loss_vector(self) -> np.ndarray:
-        if self.counts.__class__ is list:
-            losses = np.zeros(self.n_arms)
-            if self.target >= 0:
-                losses[self.target] = 1.0
-            return losses
+        """The (R, K) loss vectors of the next round, in lockstep only."""
         losses = np.zeros(self.counts.shape)
         if self._played:
             losses.put(flat_index(losses, self.counts.argmax(-1)), 1.0)

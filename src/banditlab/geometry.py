@@ -1,5 +1,5 @@
-"""Convex-geometric primitives: sphere sampling, centered MVEE, D-optimal design,
-capped-simplex Bregman projections, and systematic m-subset sampling."""
+"""Convex-geometric primitives: sphere sampling, ball projection, D-optimal
+design, capped-simplex Bregman projections, and systematic m-subset sampling."""
 from __future__ import annotations
 
 import functools

@@ -15,6 +15,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -288,10 +289,9 @@ def _linear_points_env(p: dict, n: int, rng) -> dict:
             break
     loss = rng.standard_normal(d)
     loss /= geometry.norm(loss)
-    losses = np.tile(loss, (n, 1))
     # the design depends on the points alone, so every replica shares it
     return {"kind": "linear-points", "points": pts, "design": geometry.doptimal_design(pts),
-            "losses": losses, "d": d, "N": n_points}
+            "loss": loss, "d": d, "N": n_points}
 
 
 def _linear_ball_env(p: dict, n: int, rng) -> dict:
@@ -301,8 +301,7 @@ def _linear_ball_env(p: dict, n: int, rng) -> dict:
     else:
         loss = rng.standard_normal(d)
         loss /= geometry.norm(loss)
-    losses = np.tile(loss, (n, 1))
-    return {"kind": "linear-ball", "losses": losses, "d": d}
+    return {"kind": "linear-ball", "loss": loss, "d": d}
 
 
 def _convex_ball(p: dict) -> dict:
@@ -430,8 +429,12 @@ _ENV_KINDS = {
     "convex": EnvKind({"family": Key(_choice(*_CONVEX_ORACLES), "absvalue"),
                        "d": Key(int, REQUIRED, "[1, inf)"),
                        "radius": Key(float, 1.0, "(0, inf)")}, _convex_env),
+    # a loss clipped flat at 1 somewhere has no lower slope C_L there
     "unimodal": EnvKind({"xstar": Key(float, 0.3, "[0, 1]"), "floor": Key(float, 0.3, "[0, 1]")},
-                        _unimodal_env),
+                        _unimodal_env, check=lambda p, e, n: _require(
+                            e["floor"] + max(e["xstar"], 1.0 - e["xstar"]) <= 1.0,
+                            f"environment.floor + max(environment.xstar, 1 - environment.xstar) "
+                            f"must be at most 1, got {e['floor']!r} and {e['xstar']!r}")),
     # the synthetic stream needs k orthonormal prototypes in d dimensions
     "multiclass": EnvKind({"k": Key(int, REQUIRED, "[2, inf)"), "d": Key(int, REQUIRED, "[1, inf)"),
                            "csv": Key(str)}, _multiclass_env,
@@ -803,7 +806,7 @@ _POLICIES = {
                         ("linear-points",), partial(
         _rounds, lambda p, env, n: partial(mirror.Exp2State, env["points"], env["design"], n=n,
                                            eta=p["eta"], gamma=p["gamma"]),
-        lambda env, n, rng: env["losses"][:n],
+        lambda env, n, rng: repeat(env["loss"], n),
         lambda env: _hindsight(lambda c: (env["points"] @ c).min())), check=_check_exp2),
     # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
@@ -820,7 +823,7 @@ _POLICIES = {
                         ("linear-ball",), partial(
                             _rounds, lambda p, env, n: partial(
                                 mirror.OsmdBall, env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
-                            lambda env, n, stream: env["losses"],
+                            lambda env, n, stream: repeat(env["loss"], n),
                             lambda env: _hindsight(lambda c: -geometry.norm(c))),
                         check=_check_osmd_ball),
     "osgd-2pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
@@ -937,8 +940,20 @@ def run_experiment(config: dict) -> RegretReport:
     """
     start = time.perf_counter()
     config = check_config(config)
+    return _play(config, *_prepare(config), time.perf_counter() - start)
+
+
+def _prepare(config: dict) -> tuple[dict, dict]:
+    """A checked config's environment and its overlays' values."""
+    env = build_environment(config["env_kind"], config["env_params"], config["horizon"],
+                            config["seed"])
+    return env, {name: compute_overlay(name, config, env) for name in config["overlays"]}
+
+
+def _play(config: dict, env: dict, overlays: dict, prepared_s: float) -> RegretReport:
+    """A checked config's report, played on what `_prepare` made in `prepared_s`."""
+    start = time.perf_counter()
     n, replicas, seed = config["horizon"], config["replicas"], config["seed"]
-    env, overlays = _prepare(config)
     stacked = run_replica(config, env, seed, range(replicas))
 
     mean_curve = stacked.mean(axis=0)
@@ -957,28 +972,23 @@ def run_experiment(config: dict) -> RegretReport:
         sem_curve=sem_curve,
         terminal_values=np.asarray(terminal, dtype=float),
         overlays=overlays,
-        wall_clock_s=time.perf_counter() - start,
+        wall_clock_s=prepared_s + time.perf_counter() - start,
     )
-
-
-def _prepare(config: dict) -> tuple[dict, dict]:
-    """A checked config's environment and its overlays' values."""
-    env = build_environment(config["env_kind"], config["env_params"], config["horizon"],
-                            config["seed"])
-    return env, {name: compute_overlay(name, config, env) for name in config["overlays"]}
 
 
 def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
     """Re-run the experiment for each value of one dotted config parameter.
 
     Every cell is checked, and its environment built and overlays computed,
-    before the first one runs; its run builds the environment again.
+    once, before the first one plays; each cell's environment is dropped
+    once it has played.
     """
     if not values:
         raise ConfigError("sweep needs at least one grid value")
     section, _, key = param.partition(".")
     cells = []
     for v in values:
+        start = time.perf_counter()
         cell = copy.deepcopy(config)  # keeps seeds identical per cell
         if section == "experiment" and key in _EXPERIMENT_KEYS:
             cell[key] = str(v)
@@ -988,9 +998,10 @@ def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
             cell.setdefault("env_params", {})[key] = str(v)
         else:
             raise ConfigError(f"unknown key {param}")
-        cells.append(check_config(cell))
-        _prepare(cells[-1])  # a build's or an overlay's fault, before any cell plays
-    return [run_experiment(cell) for cell in cells]
+        cell = check_config(cell)
+        # every cell is prepared first, so a fault in any comes before any cell plays
+        cells.append((cell, *_prepare(cell), time.perf_counter() - start))
+    return [_play(*cells.pop(0)) for _ in values]  # popped, so each env goes once played
 
 
 # ---------------------------------------------------------------------------

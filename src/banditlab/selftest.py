@@ -300,9 +300,7 @@ def finite_rows_mismatch(make, kind: str, K: int, n: int, R: int, seed: int):
         if kind == "oblivious":
             loss = matrix[t][arm]
         else:
-            losses = adversary.loss_vector()
-            loss = losses[arm] if losses.ndim == 1 else losses[np.arange(R), arm]
-            adversary.observe(arm)
+            loss = adversary.play(arm)[0]
         return 1.0 - loss if gain else loss
 
     for t in range(n):

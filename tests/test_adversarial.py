@@ -8,7 +8,6 @@ from banditlab import harness
 from banditlab.adversarial import (
     Exp3PState,
     Exp3State,
-    adversary_mean_gap_lower,
     exact_expectation_oracle,
     exp3_bound,
     exp3_probs,
@@ -147,7 +146,6 @@ def test_bound_values():
     assert minimax_lower(400, 2) == pytest.approx(1.4142, abs=1e-4)
     assert exp3p_bound(1000, 3, 0.1) == pytest.approx(520.216, abs=1e-2)
     assert exp3p_expected_bound(1000, 3) > exp3p_bound(1000, 3, 1.0 - 1e-9)
-    assert adversary_mean_gap_lower(400, 2, 0.0) == 0.0
 
 
 def test_exp3_anytime_schedule():

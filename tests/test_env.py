@@ -185,20 +185,16 @@ def test_non_oblivious_adversary_matches_history_reference():
     for _ in range(50):
         losses = adv.loss_vector()
         assert losses.shape == (R, K)
-        for r in range(R):
-            assert np.array_equal(losses[r], _grudge_reference(histories[r], K))
-            assert np.array_equal(ones[r].loss_vector(), losses[r])
         arms = rng.integers(K, size=R)
+        for r, (one, arm) in enumerate(zip(ones, arms.tolist())):
+            assert np.array_equal(losses[r], _grudge_reference(histories[r], K))
+            assert one.play(arm)[0] == losses[r, arm]
+            histories[r].append(arm)
         adv.observe(arms)
-        for history, one, arm in zip(histories, ones, arms.tolist()):
-            history.append(arm)
-            assert one.observe(arm) == arm
 
     one = NonObliviousAdversary(K)
-    assert np.array_equal(one.loss_vector(), np.zeros(K))
-    for arm in (1, 1, 2, 2, 0):
-        one.observe(arm)
-    assert np.array_equal(one.loss_vector(), [0.0, 1.0, 0.0])  # tie 1-2 goes to 1
+    assert [one.play(arm)[0] for arm in (1, 1, 2, 2, 0)] == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert one.play(1)[0] == 1.0  # tie 1-2 goes to 1
 
 
 def test_non_oblivious_play_returns_the_played_and_least_cumulative_losses():

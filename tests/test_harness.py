@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import re
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -217,6 +219,23 @@ def test_package_version_matches_pyproject():
 def test_every_public_name_resolves():
     for name in banditlab.__all__:
         assert getattr(banditlab, name) is not None, name
+
+
+def test_every_top_level_name_is_used_in_the_package():
+    """Each top-level function and class of a `banditlab` module is named, as
+    a whole word, in some module of the package besides on its own `def` or
+    `class` line: no library code lives for its tests alone."""
+    texts = [path.read_text() for path in Path(banditlab.__file__).parent.glob("*.py")]
+    unused = []
+    for text in texts:
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                word = re.compile(rf"\b{node.name}\b")
+                named = sum(len(word.findall(t)) for t in texts)
+                if named == len(word.findall(lines[node.lineno - 1])):
+                    unused.append(node.name)
+    assert not unused
 
 
 def test_readme_library_use_runs_as_the_engine_does(capsys):
@@ -513,6 +532,9 @@ _SEMIBANDIT = {"d": "4", "m": "2"}
                  id="sgs-xstar-nan"),
     pytest.param("sgs", {}, "unimodal", {"floor": "2"}, [], "environment.floor", 20,
                  id="sgs-floor-2"),
+    # the loss is clipped flat at 1 on [0.2, 1], where the theorem's C_L fails
+    pytest.param("sgs", {}, "unimodal", {"floor": "0.8", "xstar": "0"}, [], "environment.floor",
+                 20, id="sgs-unimodal-flat"),
     pytest.param("ucb", {}, "stochastic", {"means": "0.9,1.5"}, [], "environment.means", 20,
                  id="means-1.5"),
     pytest.param("ucb", {}, "stochastic", {"means": "nan,0.5"}, [], "environment.means", 20,
@@ -697,14 +719,25 @@ def _counted(monkeypatch, module, name) -> list:
 
 
 def test_a_run_checks_its_config_once(monkeypatch):
-    checks = _counted(monkeypatch, harness, "check_config")
+    counts = [_counted(monkeypatch, harness, name)
+              for name in ("check_config", "build_environment", "compute_overlay")]
     config = parse_config(BASE_INI.format(out=".").replace("names = ucb",
                                                            "names = ucb, kl-lower, exp3"))
     run_experiment(config)
-    assert len(checks) == 2  # parse_config's and run_experiment's; no stage checks again
-    checks.clear()
+    # parse_config's check and run_experiment's; no stage checks or builds again
+    assert [len(c) for c in counts] == [2, 1, 3]
+    for calls in counts:
+        calls.clear()
     sweep(config, "experiment.horizon", [10, 20, 30])
-    assert len(checks) == 6  # each cell's, then its run's
+    assert [len(c) for c in counts] == [3, 3, 9]  # each cell's, once, for its three overlays
+
+
+def test_sweep_bills_each_cell_only_its_own_time():
+    start = time.perf_counter()
+    reports = sweep(_config(overlays=["ucb"]), "experiment.horizon", [200, 400, 800])
+    elapsed = time.perf_counter() - start
+    assert all(r.wall_clock_s > 0 for r in reports)
+    assert sum(r.wall_clock_s for r in reports) <= elapsed
 
 
 def test_a_csv_run_reads_its_csv_three_times(monkeypatch, tmp_path):
