@@ -3,7 +3,7 @@ section search under noisy evaluations."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -13,50 +13,18 @@ from .geometry import norm, project_ball, sample_sphere
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-class ConvexBody:
-    """The centered ball of the given radius in `dim` dimensions."""
+# a convex loss family on the centred ball of radius R: its loss at x for the
+# round's unit direction c, and its Lipschitz constant G and loss bound L on
+# that ball, each a function of R
+LossFamily = namedtuple("LossFamily", "loss G L")
 
-    def __init__(self, dim: int, radius: float = 1.0):
-        if radius <= 0.0:
-            raise ValueError("a ball needs a positive radius")
-        self.dim = dim
-        self.radius = float(radius)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return project_ball(np.asarray(x, dtype=float), self.radius)
-
-    def contains(self, x: np.ndarray) -> bool:
-        return norm(x) <= self.radius + 1e-9
-
-    def shrink(self, factor: float) -> "ConvexBody":
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("shrink factor must lie in (0, 1]")
-        return ConvexBody(self.dim, factor * self.radius)
-
-
-@dataclass(frozen=True)
-class LossOracle:
-    """Black-box loss with its Lipschitz constant G and sup bound L."""
-
-    query: Callable[[np.ndarray], float]
-    G: float
-    L: float
-
-
-def linear_oracle(c, radius: float = 1.0) -> LossOracle:
-    c = np.asarray(c, dtype=float)
-    return LossOracle(lambda x: float(c @ x), G=norm(c), L=radius * norm(c))
-
-
-def absvalue_oracle(c, radius: float = 1.0) -> LossOracle:
-    c = np.asarray(c, dtype=float)
-    return LossOracle(lambda x: abs(float(c @ x)), G=norm(c), L=radius * norm(c))
-
-
-def quadratic_oracle(c, radius: float = 1.0) -> LossOracle:
-    c = np.asarray(c, dtype=float)
-    span = radius + norm(c)
-    return LossOracle(lambda x: float(np.dot(x - c, x - c)), G=2.0 * span, L=span**2)
+FAMILIES = {
+    "absvalue": LossFamily(lambda x, c: abs(float(c @ x)), lambda R: 1.0, lambda R: R),
+    "linear": LossFamily(lambda x, c: float(c @ x), lambda R: 1.0, lambda R: R),
+    # ||x - c|| is at most R + 1 on the ball
+    "quadratic": LossFamily(lambda x, c: float(np.dot(x - c, x - c)),
+                            lambda R: 2.0 * (R + 1.0), lambda R: (R + 1.0) ** 2),
+}
 
 
 def two_point_estimate(f_plus: float, f_minus: float, S: np.ndarray, d: int,
@@ -89,55 +57,60 @@ def osgd_one_point_schedule(n: int, d: int, R: float, r: float, G: float,
 
 
 class OsgdState:
-    """Projected gradient descent driven by sphere-sampled value queries.
+    """Projected gradient descent driven by sphere-sampled value queries of
+    one loss family's losses on the centred ball of `radius` in `dim`
+    dimensions.
 
-    The iterate lives on the body shrunk by (1 - delta / r) so that both query
-    points stay feasible.
+    The iterate lives on the ball shrunk by (1 - delta / radius) so that
+    every query point stays feasible.
     """
 
-    def __init__(self, body: ConvexBody, mode: str, eta: float, delta: float):
+    def __init__(self, family: LossFamily, dim: int, radius: float, mode: str, eta: float,
+                 delta: float):
         if mode not in ("two-point", "one-point"):
             raise ValueError(f"unknown feedback mode {mode!r}")
-        if delta >= body.radius:
-            raise ValueError("delta must be smaller than the body's radius")
-        self.body = body
+        if not 0.0 < delta < radius:
+            raise ValueError("delta must lie between 0 and the ball's radius")
+        self.loss = family.loss
+        self.dim = dim
+        self.radius = radius
         self.mode = mode
         self.eta = eta
         self.delta = delta
-        self.play_body = body.shrink(1.0 - delta / body.radius)
-        self.x = np.zeros(body.dim)
-        self.t = 0
+        self.play_radius = (1.0 - delta / radius) * radius
+        # the certified norm of a gradient estimate
+        self.norm_cap = family.G(radius) * dim if mode == "two-point" \
+            else dim * family.L(radius) / delta
+        self.x = np.zeros(dim)
 
-    def round(self, oracle: LossOracle, rng: np.random.Generator):
-        """Query, play, and step; returns (played point, incurred loss)."""
-        d = self.body.dim
+    def round(self, c: np.ndarray, rng: np.random.Generator):
+        """Query the loss of direction c, play, and step; returns (played
+        point, incurred loss)."""
+        d = self.dim
         S = sample_sphere(d, rng)
         if self.mode == "two-point":
             x_plus = self.x + self.delta * S
             x_minus = self.x - self.delta * S
-            if not (self.body.contains(x_plus) and self.body.contains(x_minus)):
-                raise RuntimeError("query point escaped the body")
-            f_plus = oracle.query(x_plus)
-            f_minus = oracle.query(x_minus)
+            queries = (x_plus, x_minus)
+            f_plus = self.loss(x_plus, c)
+            f_minus = self.loss(x_minus, c)
             grad = two_point_estimate(f_plus, f_minus, S, d, self.delta)
-            norm_cap = oracle.G * d
             if rng.random() < 0.5:
                 played, incurred = x_plus, f_plus
             else:
                 played, incurred = x_minus, f_minus
         else:
-            x_query = self.x + self.delta * S
-            if not self.body.contains(x_query):
-                raise RuntimeError("query point escaped the body")
-            f_val = oracle.query(x_query)
-            grad = one_point_estimate(f_val, S, d, self.delta)
-            norm_cap = d * oracle.L / self.delta
-            played = x_query
-            incurred = f_val
-        if norm(grad) > norm_cap + 1e-9:
+            played = self.x + self.delta * S
+            queries = (played,)
+            incurred = self.loss(played, c)
+            grad = one_point_estimate(incurred, S, d, self.delta)
+        if max(map(norm, queries)) > self.radius + 1e-9:
+            raise RuntimeError("query point escaped the ball")
+        # a relative slack: a direction's norm is 1 only to within rounding,
+        # and the one-point cap grows as 1 / delta
+        if norm(grad) > self.norm_cap * (1.0 + 1e-9):
             raise RuntimeError("gradient estimate exceeded its certified norm cap")
-        self.x = self.play_body.project(self.x - self.eta * grad)
-        self.t += 1
+        self.x = project_ball(self.x - self.eta * grad, self.play_radius)
         return played, float(incurred)
 
 

@@ -304,18 +304,19 @@ def _linear_ball_env(p: dict, n: int, rng) -> dict:
     return {"kind": "linear-ball", "loss": loss, "d": d}
 
 
-def _convex_ball(p: dict) -> dict:
-    """The convex kind's body, a ball of the given radius, and the constants
-    G = 1 and L = radius that its schedules and bounds read."""
-    return {"body": convex.ConvexBody(p["d"], p["radius"]), "G": 1.0, "L": p["radius"]}
-
-
 def _convex_env(p: dict, n: int, rng) -> dict:
+    """One unit direction per round; the family's loss and constants are its
+    `convex.FAMILIES` entry at the radius."""
     d = p["d"]
     dirs = rng.standard_normal((max(n, 1), d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     return {"kind": "convex", "family": p["family"], "directions": dirs, "d": d,
-            **_convex_ball(p)}
+            "radius": p["radius"]}
+
+
+# the lower and upper slopes of the unimodal kind's loss floor + |x - xstar|,
+# which its check keeps unclipped on [0, 1]
+_UNIMODAL_SLOPES = {"C_L": 1.0, "C_H": 1.0}
 
 
 def _unimodal_env(p: dict, n: int, rng) -> dict:
@@ -326,7 +327,7 @@ def _unimodal_env(p: dict, n: int, rng) -> dict:
         return np.clip(floor + np.abs(x - xstar), 0.0, 1.0)
 
     return {"kind": "unimodal", "mu": mu, "xstar": xstar, "mu_star": mu(xstar),
-            "C_L": 1.0, "C_H": 1.0}
+            **_UNIMODAL_SLOPES}
 
 
 def _multiclass_env(p: dict, n: int, rng) -> dict:
@@ -342,11 +343,6 @@ def _multiclass_env(p: dict, n: int, rng) -> dict:
     prototypes = basis.T
     return {"kind": "multiclass", "K": K, "d": d, "prototypes": prototypes,
             "U": prototypes, "U_norm": math.sqrt(K)}
-
-
-# the loss oracle of each convex family, from a direction c and the radius
-_CONVEX_ORACLES = {"absvalue": convex.absvalue_oracle, "linear": convex.linear_oracle,
-                   "quadratic": convex.quadratic_oracle}
 
 
 def _check_linear_ball(p: dict, e: dict, n: int) -> None:
@@ -426,7 +422,7 @@ _ENV_KINDS = {
     "linear-ball": EnvKind({"d": Key(int, REQUIRED, "[1, inf)"),
                             "loss": Key(_list(float), None, "[-1, 1]")}, _linear_ball_env,
                            check=_check_linear_ball),
-    "convex": EnvKind({"family": Key(_choice(*_CONVEX_ORACLES), "absvalue"),
+    "convex": EnvKind({"family": Key(_choice(*convex.FAMILIES), "absvalue"),
                        "d": Key(int, REQUIRED, "[1, inf)"),
                        "radius": Key(float, 1.0, "(0, inf)")}, _convex_env),
     # a loss clipped flat at 1 somewhere has no lower slope C_L there
@@ -641,37 +637,44 @@ def _labelled(env: dict, n: int, stream) -> Iterator:
     return ((env["prototypes"][y], int(y)) for y in labels)
 
 
-def _osgd_params(mode: str, p: dict, n: int, env: dict) -> tuple[float, float]:
-    """(eta, delta) of an osgd run: its own, or what its mode's theorem prescribes."""
-    body = env["body"]
-    d, R = body.dim, body.radius  # the ball's outer and inner radii are R = r
+def _convex(n: int, e: dict, mode: str) -> dict:
+    """The keywords of the osgd theorem of `mode` on a convex run of horizon
+    n: d, the ball's outer and inner radii R = r, and the Lipschitz constant
+    G, and for one-point feedback the loss bound L, that the run's loss
+    family declares at R. `e` is the run's environment or its [environment]
+    params, which share the keys read here."""
+    family, R = convex.FAMILIES[e["family"]], e["radius"]
+    k = {"n": n, "d": e["d"], "R": R, "r": R, "G": family.G(R)}
+    return k if mode == "two-point" else {**k, "L": family.L(R)}
+
+
+def _osgd_params(mode: str, p: dict, n: int, e: dict) -> tuple[float, float]:
+    """(eta, delta) of an osgd run: its own, or what its mode's theorem
+    prescribes; `e` as for `_convex`."""
     if mode == "two-point":
-        eta, delta = convex.osgd_two_point_schedule(n, d, R, env["G"], R)
+        eta, delta = convex.osgd_two_point_schedule(**_convex(n, e, mode))
     else:
-        delta, eta = convex.osgd_one_point_schedule(n, d, R, R, env["G"], env["L"])
+        delta, eta = convex.osgd_one_point_schedule(**_convex(n, e, mode))
     return (eta if p["eta"] is None else p["eta"]), (delta if p["delta"] is None else p["delta"])
 
 
 def _osgd_best(env: dict) -> Callable:
     """A fold: the best fixed point's cumulative loss on the directions of
-    the rounds so far. It reads each round's direction from `env`, not from
-    the loss oracle it is fed."""
-    body, dirs = env["body"], iter(env["directions"])
-    R = body.radius
+    the rounds so far."""
+    R = env["radius"]
     if env["family"] == "absvalue":
-        return lambda oracle: 0.0
+        return lambda c: 0.0
     if env["family"] == "linear":
-        return _hindsight(lambda cum: -R * geometry.norm(cum), lambda oracle: next(dirs))
+        return _hindsight(lambda cum: -R * geometry.norm(cum))
     # quadratic: sum_t ||x - c_t||^2 minimized at the projected mean
-    cum_c, cum_sq, t = np.zeros(body.dim), 0.0, 0
+    cum_c, cum_sq, t = np.zeros(env["d"]), 0.0, 0
 
-    def step(oracle) -> float:
+    def step(c) -> float:
         nonlocal cum_c, cum_sq, t
-        c = next(dirs)
         cum_c += c
         cum_sq += float(c @ c)
         t += 1
-        x_star = body.project(cum_c / t)
+        x_star = geometry.project_ball(cum_c / t, R)
         return t * float(x_star @ x_star) - 2.0 * float(x_star @ cum_c) + cum_sq
 
     return step
@@ -679,16 +682,22 @@ def _osgd_best(env: dict) -> Callable:
 
 def _osgd(mode: str) -> Callable:
     return partial(_rounds,
-                   lambda p, env, n: partial(convex.OsgdState, env["body"], mode,
+                   lambda p, env, n: partial(convex.OsgdState, convex.FAMILIES[env["family"]],
+                                             env["d"], env["radius"], mode,
                                              *_osgd_params(mode, p, n, env)),
-                   lambda env, n, stream: (_CONVEX_ORACLES[env["family"]](
-                       c, env["body"].radius) for c in env["directions"][:n]),
+                   lambda env, n, stream: env["directions"][:n],
                    _osgd_best)
+
+
+def _sgs_c_l(p: dict, env: dict) -> float:
+    """The lower slope an sgs run plays with: its own, or the environment's
+    (whose absence a run of another policy meets first)."""
+    return env["C_L"] if p.get("c_l") is None else p["c_l"]
 
 
 def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> list:
     mu, mu_star = env["mu"], env["mu_star"]
-    c_l = env["C_L"] if p["c_l"] is None else p["c_l"]
+    c_l = _sgs_c_l(p, env)
 
     def sample_losses(x: float, count: int, rng: np.random.Generator) -> np.ndarray:
         return (rng.random(count) < mu(x)).astype(float)
@@ -743,12 +752,17 @@ def _check_osmd_ball(p: dict, e: dict, n: int) -> None:
 
 
 def _check_osgd(mode: str, p: dict, e: dict, n: int) -> None:
-    _check_schedule(p, "delta", n, lambda n: _osgd_params(mode, p, n, _convex_ball(e))[1],
+    _check_schedule(p, "delta", n, lambda n: _osgd_params(mode, p, n, e)[1],
                     lambda delta: delta < e["radius"], f"must lie below environment.radius "
                     f"= {e['radius']!r} (environment.d = {e['d']})")
 
 
 def _check_sgs(p: dict, e: dict, n: int) -> None:
+    """A c_l the search and its theorem can use: at most the loss's lower
+    slope, and one whose first stage has a finite number of plays."""
+    C_L = _UNIMODAL_SLOPES["C_L"]
+    _require(p["c_l"] is None or p["c_l"] <= C_L, f"policy.c_l must be at most the loss's "
+             f"lower slope C_L = {C_L!r}, got {p['c_l']!r}")
     if p["c_l"] is not None and n:  # nothing runs at horizon 0
         try:
             convex.sgs_stage_plan(1, p["c_l"], n)
@@ -1045,11 +1059,6 @@ def _msets(c: dict, env: dict, variant: str) -> dict:
     return params
 
 
-def _convex(c: dict, env: dict) -> dict:
-    body = env["body"]
-    return {"n": c["horizon"], "d": body.dim, "R": body.radius, "r": body.radius, "G": env["G"]}
-
-
 BOUNDS = {
     "ucb": Bound(stochastic.ucb_bound, lambda c, env: {
         "alpha": _policy_param(c, "alpha", 2.0), "gaps": env["env"].gaps, "n": c["horizon"]}),
@@ -1077,12 +1086,13 @@ BOUNDS = {
     "osmd-potential": Bound(mirror.osmd_potential_bound, lambda c, env: {
         **_msets(c, env, "potential"), "q": _policy_param(c, "q", 1.0)}),
     "osmd-ball": Bound(mirror.ball_bound, lambda c, env: {"n": c["horizon"], "d": env["d"]}),
-    "osgd-2pt": Bound(convex.osgd_two_point_bound, lambda c, env: {**_convex(c, env), "delta":
-                      _osgd_params("two-point", c["policy_params"], c["horizon"], env)[1]}),
+    "osgd-2pt": Bound(convex.osgd_two_point_bound, lambda c, env: {
+        **_convex(c["horizon"], env, "two-point"),
+        "delta": _osgd_params("two-point", c["policy_params"], c["horizon"], env)[1]}),
     "osgd-1pt": Bound(convex.osgd_one_point_bound,
-                      lambda c, env: {**_convex(c, env), "L": env["L"]}),
-    "sgs": Bound(convex.sgs_bound,
-                 lambda c, env: {"n": c["horizon"], "C_L": env["C_L"], "C_H": env["C_H"]}),
+                      lambda c, env: _convex(c["horizon"], env, "one-point")),
+    "sgs": Bound(convex.sgs_bound, lambda c, env: {
+        "n": c["horizon"], "C_L": _sgs_c_l(c["policy_params"], env), "C_H": env["C_H"]}),
 }
 
 

@@ -133,9 +133,6 @@ class ThompsonState:
         self.failures = np.zeros(K)
         self._drawn_from = None  # the stream the last select() drew from
 
-    def posterior_params(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.successes + 1.0, self.failures + 1.0
-
     def select(self, rng: np.random.Generator) -> int:
         self._drawn_from = rng
         # one draw per arm in turn, the doubles numpy's array call reads; on

