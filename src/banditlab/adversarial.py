@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 
 import numpy as np
 
@@ -24,6 +25,46 @@ def exp3_probs(cum_losses: np.ndarray, eta: float) -> np.ndarray:
     if eta <= 0:
         raise ValueError("eta must be positive")
     return exp_weights(-eta * np.asarray(cum_losses, dtype=float))
+
+
+def row_sum(values: list) -> float:
+    """The sum of a row of Python floats as numpy's float64 `add.reduce`
+    adds it: below 8 terms one running sum from 0.0; up to 128, eight
+    running sums, the j-th over terms j, j + 8, ..., joined pairwise, then
+    the terms past the last multiple of 8 one by one; above 128, the two
+    halves, cut at a multiple of 8, summed apart."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return row_sum(values[:half]) + row_sum(values[half:])
+    total, rest = 0.0, values
+    if n >= 8:
+        end = n - n % 8
+        acc = values[:8]
+        for i in range(8, end, 8):
+            acc = list(map(operator.add, acc, values[i:i + 8]))
+        a0, a1, a2, a3, a4, a5, a6, a7 = acc
+        total = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+        rest = values[end:]
+    for x in rest:
+        total += x
+    return total
+
+
+def exp3_row_probs(cum_losses: list, eta: float) -> list:
+    """`exp3_probs` of one row of Python floats, as a list with the same
+    bits: the same float operations in the same order. The largest score
+    -eta * L_i is -eta times the least L_i, since rounding keeps order; the
+    exponentials come from one `np.exp` call, whose SIMD loop rounds some
+    doubles differently from `math.exp`; and `row_sum` adds them in
+    numpy's order."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    neg = -eta
+    top = neg * min(cum_losses)
+    w = np.exp([neg * c - top for c in cum_losses]).tolist()
+    total = row_sum(w)
+    return [x / total for x in w]
 
 
 def _importance_weight(p: np.ndarray, chosen, loss):
@@ -53,11 +94,18 @@ class Exp3State:
     With a known horizon the fixed rate sqrt(2 ln K / (n K)) is used; the
     anytime variant recomputes eta_t = sqrt(ln K / (t K)) each round. With
     `replicas` set, the state holds one row per replica and `select`/`update`
-    take and return one arm per row.
+    take and return one arm per row. Without, `cum_losses` is one row of
+    Python floats and a round is Python float operations, the correctly
+    rounded IEEE-754 ones of numpy's float64 ufuncs, but for the
+    exponentials and their sum (`exp3_row_probs`), so a row keeps the bits
+    it has in an array. `probs()` returns an array either way.
     """
 
     feedback = "loss"
     draws_per_round = 1  # one double per round, the arm's draw, so replicas run in lockstep
+    # a batch of up to this many replicas plays one at a time as one-row
+    # states, which cost less there than lockstep rows (README, "Narrow batches")
+    narrow_width = 2
 
     def __init__(self, K: int, n: int | None = None, eta: float | None = None,
                  anytime: bool = False, replicas: int | None = None):
@@ -71,7 +119,7 @@ class Exp3State:
             self.eta = math.sqrt(2.0 * math.log(K) / (n * K))
         else:
             raise ValueError("need a horizon, an explicit eta, or anytime=True")
-        self.cum_losses = np.zeros(K if replicas is None else (replicas, K))
+        self.cum_losses = [0.0] * K if replicas is None else np.zeros((replicas, K))
         self.t = 0  # rounds completed
         self._drawn_from = None  # the distribution the last select() drew from
 
@@ -81,19 +129,41 @@ class Exp3State:
         t = max(self.t, 1)
         return math.sqrt(math.log(self.K) / (t * self.K))
 
+    def _row_probs(self) -> list:
+        """One row's distribution, as a list of Python floats."""
+        if self.t == 0:
+            return [1.0 / self.K] * self.K
+        return exp3_row_probs(self.cum_losses, self.current_eta())
+
     def probs(self) -> np.ndarray:
+        if self.cum_losses.__class__ is list:
+            return np.array(self._row_probs())
         if self.t == 0:
             return np.full(self.cum_losses.shape, 1.0 / self.K)
         return exp3_probs(self.cum_losses, self.current_eta())
 
     def select(self, rng):
-        self._drawn_from = self.probs()
+        one_row = self.cum_losses.__class__ is list
+        self._drawn_from = self._row_probs() if one_row else self.probs()
         return sample_categorical(self._drawn_from, rng)
 
     def update(self, chosen, loss, sampling_probs: np.ndarray | None = None) -> None:
         """Apply the round's estimate, importance-weighted by the distribution
         the last select() drew from; `sampling_probs` overrides it when the
         arm was drawn from another distribution."""
+        cum = self.cum_losses
+        if cum.__class__ is list:
+            if sampling_probs is not None:
+                p_chosen = float(sampling_probs[chosen])
+            else:
+                p = self._row_probs() if self._drawn_from is None else self._drawn_from
+                p_chosen = p[chosen]
+            self._drawn_from = None
+            if p_chosen <= 0.0:
+                raise ZeroDivisionError("chosen arm has zero probability")
+            cum[chosen] += float(loss) / p_chosen
+            self.t += 1
+            return
         if sampling_probs is not None:
             p = np.asarray(sampling_probs, float)
         else:
@@ -103,7 +173,6 @@ class Exp3State:
         # x + 0.0 == x for every x but -0.0, which a sum that starts at
         # +0.0 never holds. So adding there alone keeps every bit.
         i, weight = _importance_weight(p, chosen, loss)
-        cum = self.cum_losses
         cum.put(i, cum.take(i) + weight)
         self.t += 1
 

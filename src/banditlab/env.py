@@ -153,6 +153,37 @@ class ReplicaDraws:
         return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
+class RowDraws:
+    """Uniform doubles for one replica that plays alone.
+
+    The replica reads the stream `derive_stream(seed, i)`. `random()`
+    returns its next double as a Python float, exactly the double
+    `stream.random()` would return, for one-row states, which compute on
+    Python floats. The doubles are read in blocks of up to `_BLOCK`
+    (`Generator.random(b)` yields the same doubles as b scalar calls), which
+    spares the cost of a scalar `Generator.random()` call on every draw.
+    `total` is the number of doubles the replica reads, and a read past it
+    raises, as in `ReplicaDraws`.
+    """
+
+    def __init__(self, seed: int, i: int, total: int):
+        self._stream = derive_stream(seed, i)
+        self._left = total
+        self._next = iter(()).__next__  # the next double of the current block
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            pass
+        if self._left <= 0:
+            raise RuntimeError("a replica stream read past its declared total")
+        size = min(self._left, _BLOCK)
+        self._left -= size
+        self._next = iter(self._stream.random(size).tolist()).__next__
+        return self._next()
+
+
 def constant(value) -> np.ndarray:
     """`value` as a read-only 0-d array."""
     a = np.array(value)
@@ -224,15 +255,24 @@ def _check_arms(arm, K: int) -> None:
         raise IndexError(f"arm {arm} out of range for K={K}")
 
 
-def sample_categorical(p: np.ndarray, rng) -> int | np.ndarray:
+def sample_categorical(p, rng) -> int | np.ndarray:
     """Index drawn with probabilities p; one uniform draw per call.
 
     With an (R, K) `p` and lockstep draws (`ReplicaDraws`), row r is drawn
     with the r-th double and an array of R indices is returned. The index is
     the number of cumulative sums at or below u (`searchsorted(...,
     side="right")`), capped at K - 1: the first sum above u once the last
-    sum is raised to +inf.
+    sum is raised to +inf. A list, one row of Python floats, is drawn by the
+    same running sum and rule on Python floats.
     """
+    if p.__class__ is list:
+        u, total = rng.random(), 0.0
+        last = len(p) - 1
+        for i in range(last):
+            total += p[i]
+            if total > u:
+                return i
+        return last
     cum = np.add.accumulate(p, -1)  # what cumsum calls, without its wrapper
     cum[..., -1] = INF
     # transposed, the (K, R) sums broadcast against one u per replica

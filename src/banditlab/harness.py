@@ -26,6 +26,7 @@ from .env import (
     ENV_STREAM_ID,
     NonObliviousAdversary,
     ReplicaDraws,
+    RowDraws,
     StochasticEnv,
     derive_stream,
     lower_bound_env,
@@ -461,13 +462,19 @@ def _batches(build: partial, env: dict, n: int, seed: int, ids) -> Iterator[tupl
     `draws_per_round`, the doubles its state reads per round, plays all R
     replicas in lockstep as one batch, a state with `replicas=R` on
     `ReplicaDraws` that also give the environment its `env["draws_per_round"]`,
-    rows (R,), unless R is at most the `narrow_width` it declares; any other
-    plays each on its own `derive_stream(seed, i)`, rows ()."""
+    rows (R,), unless R is at most the `narrow_width` it declares: then each
+    replica plays alone, a one-row state on `RowDraws` of the same total,
+    rows (). Any other class plays each on its own `derive_stream(seed, i)`,
+    rows ()."""
     per_round = getattr(build.func, "draws_per_round", None)
-    if per_round is None or len(ids) <= getattr(build.func, "narrow_width", 0):
+    if per_round is None:
         yield from ((build(), derive_stream(seed, i), ()) for i in ids)
+        return
+    total = (per_round + env.get("draws_per_round", 0)) * n
+    if len(ids) <= getattr(build.func, "narrow_width", 0):
+        yield from ((build(), RowDraws(seed, i, total), ()) for i in ids)
     else:
-        draws = ReplicaDraws(seed, ids, (per_round + env.get("draws_per_round", 0)) * n)
+        draws = ReplicaDraws(seed, ids, total)
         yield build(replicas=draws.replicas), draws, (draws.replicas,)
 
 

@@ -322,17 +322,21 @@ def check_finite_rows_agreement(seed: int = SELFTEST_SEED):
     """Each row of a lockstep ucb, exp3 and exp3p run keeps the arms and
     state arrays of a one-row run on its own stream, bit for bit, every
     round, so a numpy whose small-array ufunc loops round differently fails
-    here instead of silently changing lockstep reports."""
-    K, n, R = 5, 200, 4
-    makes = {"ucb": lambda r: stochastic.UcbState(K, replicas=r),
-             "exp3": lambda r: adversarial.Exp3State(K, n=n, replicas=r),
-             "exp3p": lambda r: adversarial.Exp3PState.from_horizon(K, n, 0.1, replicas=r)}
+    here instead of silently changing lockstep reports. K = 10 puts numpy's
+    row sums past 8 terms, where they add pairwise."""
+    n, R = 200, 4
+    makes = {"ucb": lambda K: lambda r: stochastic.UcbState(K, replicas=r),
+             "exp3": lambda K: lambda r: adversarial.Exp3State(K, n=n, replicas=r),
+             "exp3p": lambda K: lambda r: adversarial.Exp3PState.from_horizon(K, n, 0.1,
+                                                                             replicas=r)}
     kinds = ("stochastic", "oblivious", "nonoblivious")
-    differ = [f"{name} on {kind} at round {at[0]} ({at[1]})"
-              for name, make in makes.items() for kind in kinds
-              if (at := finite_rows_mismatch(make, kind, K, n, R, seed)) is not None]
+    sizes = (5, 10)
+    differ = [f"{name} on {kind} at round {at[0]} ({at[1]}), K = {K}"
+              for K in sizes for name, make in makes.items() for kind in kinds
+              if (at := finite_rows_mismatch(make(K), kind, K, n, R, seed)) is not None]
     return not differ, "; ".join(differ) or (
-        f"{len(makes) * len(kinds)} runs of {R} rows match one-row runs for {n} rounds")
+        f"{len(makes) * len(kinds) * len(sizes)} runs of {R} rows match one-row runs "
+        f"for {n} rounds")
 
 
 def _random_capped_point(d: int, m: int, rng: np.random.Generator) -> np.ndarray:

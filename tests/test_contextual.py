@@ -423,12 +423,12 @@ def _counting(monkeypatch, owner, name, counts):
 @pytest.mark.parametrize("policy, sets", [("exp4", 0), ("theta-exp4", 1),
                                           ("theta-exp4", 3)])
 def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
-    """exp_weights is patched under both of its bindings: where adversarial
-    defines it (Exp3State.probs reaches it through exp3_probs) and where
-    contextual imports it (Exp4State.expert_probs)."""
+    """exp_weights is patched where contextual imports it
+    (Exp4State.expert_probs), and exp3_row_probs where adversarial defines it
+    (the one-row Exp3State.probs and select reach it)."""
     counts = {}
-    for owner in (adversarial, contextual):
-        _counting(monkeypatch, owner, "exp_weights", counts)
+    _counting(monkeypatch, contextual, "exp_weights", counts)
+    _counting(monkeypatch, adversarial, "exp3_row_probs", counts)
     _counting(monkeypatch, contextual, "exp4_arm_probs", counts)
     _counting(monkeypatch, ThetaExp4, "advice_matrix", counts)
     env, rng = derive_stream(50, 0), derive_stream(50, 1)
@@ -445,9 +445,9 @@ def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
         counts.clear()
         state.round(x, rng)
         assert counts.get("exp4_arm_probs") == 1
-        if policy == "exp4":
-            assert counts.get("exp_weights", 0) <= 1
-        else:
+        assert counts.get("exp_weights", 0) <= 1
+        if policy != "exp4":
             assert counts.get("advice_matrix") == 1
-            assert counts.get("exp_weights", 0) <= sets + 1
-    assert counts.get("exp_weights") == (1 if policy == "exp4" else sets + 1)
+            assert counts.get("exp3_row_probs", 0) <= sets
+    assert counts.get("exp_weights") == 1
+    assert counts.get("exp3_row_probs", 0) == sets

@@ -23,6 +23,7 @@ from banditlab.adversarial import (
 from banditlab.env import (
     KERNEL_MIN_STREAMS,
     ReplicaDraws,
+    RowDraws,
     StochasticEnv,
     derive_stream,
     sample_categorical,
@@ -256,11 +257,25 @@ def test_round_cases_cover_both_batchings():
             "osgd-1pt"} <= set(policies)
 
 
+def test_golden_content_digest_in_either_form_of_a_narrow_class(monkeypatch):
+    # each golden case of a class that declares a narrow_width, played one
+    # replica at a time on RowDraws and as one lockstep batch
+    narrow = {"ucb": UcbState, "exp3": Exp3State}
+    for name, case in CASES.items():
+        if case[0] not in narrow:
+            continue
+        for width in (case[5], 0):
+            monkeypatch.setattr(narrow[case[0]], "narrow_width", width)
+            assert _digest(harness.run_experiment(_config(*case))) == GOLDEN[name], (name, width)
+
+
 def test_batches_follow_the_lockstep_declaration():
     # every policy but sgs binds its class through make(p, env, n); the class
     # alone decides whether its replicas play as one batch or one at a time,
-    # and ucb plays a batch no wider than its narrow_width one at a time
-    for R in (3, UcbState.narrow_width + 1):
+    # and ucb and exp3 play a batch no wider than their narrow_width one
+    # replica at a time, each on its own RowDraws
+    widths = {"ucb": UcbState.narrow_width, "exp3": Exp3State.narrow_width}
+    for R in (2, 3, UcbState.narrow_width + 1):
         lockstep, one_at_a_time = set(), set()
         for case in CASES.values():
             cfg = harness.check_config(_config(*case))
@@ -270,20 +285,34 @@ def test_batches_follow_the_lockstep_declaration():
             n, seed = cfg["horizon"], cfg["seed"]
             env = harness.build_environment(cfg["env_kind"], cfg["env_params"], n, seed)
             build = run.args[0](cfg["policy_params"], env, n)
-            rows = [rows for _, _, rows in harness._batches(build, env, n, seed, range(R))]
+            batches = list(harness._batches(build, env, n, seed, range(R)))
+            rows = [rows for _, _, rows in batches]
             assert rows in ([(R,)], [()] * R)
             (lockstep if rows == [(R,)] else one_at_a_time).add(cfg["policy"])
-        assert lockstep == {"exp3", "exp3p", "exp2-john", "osmd-msets"} | (
-            {"ucb"} if R > UcbState.narrow_width else set())
+            sources = {type(rng) for _, rng, _ in batches}
+            if rows == [(R,)]:
+                assert sources == {ReplicaDraws}
+            else:
+                assert sources == ({RowDraws} if cfg["policy"] in widths
+                                   else {np.random.Generator}), cfg["policy"]
+        assert lockstep == {"exp3p", "exp2-john", "osmd-msets"} | {
+            policy for policy, width in widths.items() if R > width}
         assert one_at_a_time == set(harness._POLICIES) - lockstep - {"sgs"}
 
 
 def test_draws_per_round_is_the_one_lockstep_declaration():
+    # a narrow batch's RowDraws total is built from draws_per_round, so a
+    # class that declares a narrow_width declares it too
+    narrow = set()
     for info in pkgutil.iter_modules(banditlab.__path__):
         module = importlib.import_module(f"banditlab.{info.name}")
         for _, cls in inspect.getmembers(module, inspect.isclass):
             assert {name for name in vars(cls) if name.startswith("draws_per")} \
                 <= {"draws_per_round"}, cls
+            if "narrow_width" in vars(cls):
+                assert "draws_per_round" in vars(cls), cls
+                narrow.add(cls)
+    assert narrow == {UcbState, Exp3State}
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (_, _, (_, _, best), lockstep)

@@ -10,8 +10,10 @@ from banditlab.env import (
     ENV_STREAM_ID,
     KERNEL_MAX_DOUBLES,
     KERNEL_MIN_STREAMS,
+    _BLOCK,
     NonObliviousAdversary,
     ReplicaDraws,
+    RowDraws,
     StochasticEnv,
     derive_stream,
     lower_bound_env,
@@ -163,6 +165,29 @@ def test_replica_draws_read_the_same_doubles_on_both_sides_of_the_rule(monkeypat
     assert len(derived) == (0 if on_kernel else R)
     got = np.hstack([draws.random(5), *(draws.random()[:, None] for _ in range(total - 5))])
     assert np.array_equal(got, _generator_doubles(7, ids, total))
+    with pytest.raises(RuntimeError):
+        draws.random()
+
+
+def test_row_draws_read_the_stream_across_block_edges():
+    # 10,000 doubles span three blocks; each is the stream's own double, a Python float
+    total = 10_000
+    assert total > 2 * _BLOCK
+    for i in (0, 5, 2**63 + 1):
+        draws = RowDraws(11, i, total)
+        got = [draws.random() for _ in range(total)]
+        assert all(type(u) is float for u in got)
+        assert got == derive_stream(11, i).random(total).tolist()
+        with pytest.raises(RuntimeError):
+            draws.random()
+
+
+@pytest.mark.parametrize("total", [0, 1, _BLOCK, _BLOCK + 1])
+def test_row_draws_stop_at_their_declared_total(total):
+    draws = RowDraws(3, 2, total)
+    stream = derive_stream(3, 2)
+    for _ in range(total):
+        assert draws.random() == stream.random()
     with pytest.raises(RuntimeError):
         draws.random()
 

@@ -1,8 +1,9 @@
 """ucb, exp3 and exp3p in lockstep: each row of an (R, K) state keeps the
 arms and state arrays of a one-row state on its own stream, every round, and
 Exp3's in-place update adds exactly the importance-weighted estimate. A ucb
-batch no wider than `UcbState.narrow_width` plays one replica at a time, with
-the curves of the lockstep form."""
+or exp3 batch no wider than its class's `narrow_width` plays one replica at a
+time, with the curves of the lockstep form, and the one-row Exp3State on
+Python floats keeps the bits of the numpy one-row state it replaced."""
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 
 from banditlab import harness, selftest
 from banditlab.adversarial import Exp3PState, Exp3State, importance_loss_estimate
-from banditlab.env import derive_stream
+from banditlab.env import ENV_STREAM_ID, NonObliviousAdversary, RowDraws, derive_stream
 from banditlab.stochastic import UcbState
 
 K, N = 4, 300
@@ -36,7 +37,7 @@ def test_finite_selftest_fails_when_a_lockstep_row_moves(monkeypatch):
 
     def nudged(self, chosen, loss, sampling_probs=None):
         update(self, chosen, loss, sampling_probs)
-        if self.cum_losses.ndim == 2:  # one ulp on the last row of a lockstep state
+        if isinstance(self.cum_losses, np.ndarray):  # one ulp on the last row of a lockstep state
             self.cum_losses[-1, 0] = np.nextafter(self.cum_losses[-1, 0], np.inf)
 
     monkeypatch.setattr(Exp3State, "update", nudged)
@@ -61,28 +62,141 @@ def test_finite_selftest_fails_when_a_one_row_ucb_moves(monkeypatch):
     assert "exp3" not in detail
 
 
+def test_finite_selftest_fails_when_a_one_row_exp3_moves(monkeypatch):
+    update = Exp3State.update
+
+    def nudged(self, chosen, loss, sampling_probs=None):
+        update(self, chosen, loss, sampling_probs)
+        if isinstance(self.cum_losses, list):  # one ulp on a one-row state's loss
+            self.cum_losses[0] = math.nextafter(self.cum_losses[0], math.inf)
+
+    monkeypatch.setattr(Exp3State, "update", nudged)
+    passed, detail = selftest.check_finite_rows_agreement()
+    assert not passed
+    assert "exp3 on stochastic at round 0 (cum_losses), K = 5" in detail
+    assert "exp3 on oblivious at round 0 (cum_losses), K = 10" in detail
+    assert "exp3p" not in detail and "ucb" not in detail
+
+
+class _FrozenExp3:
+    """Exp3State's one-row form as it was on numpy arrays, before it moved
+    to Python floats: `exp_weights` of -eta L, `sample_categorical`'s
+    accumulated sums and the in-place importance-weighted update."""
+
+    def __init__(self, K, n=None, anytime=False):
+        self.K = K
+        self.eta = None if anytime else math.sqrt(2.0 * math.log(K) / (n * K))
+        self.cum_losses = np.zeros(K)
+        self.t = 0
+        self._drawn_from = None
+
+    def current_eta(self):
+        if self.eta is not None:
+            return self.eta
+        return math.sqrt(math.log(self.K) / (max(self.t, 1) * self.K))
+
+    def probs(self):
+        if self.t == 0:
+            return np.full(self.K, 1.0 / self.K)
+        w = -self.current_eta() * self.cum_losses
+        w = w - np.maximum.reduce(w, -1)
+        np.exp(w, out=w)
+        w /= np.add.reduce(w, -1)
+        return w
+
+    def select(self, rng):
+        self._drawn_from = self.probs()
+        cum = np.add.accumulate(self._drawn_from)
+        cum[-1] = np.inf
+        return int((cum > rng.random()).argmax())
+
+    def update(self, chosen, loss, sampling_probs=None):
+        if sampling_probs is not None:
+            p = np.asarray(sampling_probs, float)
+        else:
+            p = self.probs() if self._drawn_from is None else self._drawn_from
+        self._drawn_from = None
+        if p[chosen] <= 0.0:
+            raise ZeroDivisionError("chosen arm has zero probability")
+        self.cum_losses[chosen] += loss / p[chosen]
+        self.t += 1
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# K crosses numpy's row sums at 8 terms (pairwise, 8 accumulators) and at 128
+# (halves summed apart)
+@pytest.mark.parametrize("K", [2, 4, 7, 8, 9, 10, 16, 17, 129])
+@pytest.mark.parametrize("rate", ["fixed", "anytime"])
+@pytest.mark.parametrize("losses", ["oblivious", "grudge", "sampling-probs"])
+def test_one_row_exp3_keeps_the_bits_of_its_numpy_form(K, rate, losses):
+    # the new state draws from RowDraws, the frozen one from a Generator on
+    # the same stream; "sampling-probs" draws each arm from an outside
+    # distribution on another stream and updates with it, as ThetaExp4 does
+    n, seed = 200, 60 + K
+    kwargs = {"anytime": True} if rate == "anytime" else {"n": n}
+    new, old = Exp3State(K, **kwargs), _FrozenExp3(K, **kwargs)
+    rng_new, rng_old = RowDraws(seed, 0, n), derive_stream(seed, 0)
+    env = derive_stream(seed, ENV_STREAM_ID)
+    matrix = env.random((n, K))
+    grudges = NonObliviousAdversary(K), NonObliviousAdversary(K)
+    for t in range(n):
+        assert _bits(new.probs()) == _bits(old.probs()), t
+        if losses == "sampling-probs":
+            q = 0.5 * old.probs() + 0.5 * env.dirichlet(np.ones(K))
+            arm = int(np.add.accumulate(q).searchsorted(env.random(), side="right"))
+            arm = min(arm, K - 1)
+            loss = matrix.item(t, arm)
+            new.update(arm, loss, q)
+            old.update(arm, loss, q)
+        else:
+            arm = new.select(rng_new)
+            assert arm == old.select(rng_old), t
+            if losses == "grudge":
+                loss, _ = grudges[0].play(arm)
+                assert grudges[1].play(arm)[0] == loss
+            else:
+                loss = matrix.item(t, arm)
+            new.update(arm, loss)
+            old.update(arm, loss)
+        assert type(new.cum_losses) is list and _bits(new.cum_losses) == _bits(old.cum_losses), t
+    assert new.t == old.t == n and any(new.cum_losses)
+
+
 SWITCH = {"stochastic": {"means": [0.9, 0.8, 0.7, 0.6, 0.5]},
           "lower-bound": {"k": 4, "eps": 0.2, "best": 2},
           "oblivious": {"k": 5},
           "nonoblivious": {"k": 3, "adversary": "grudge"}}
 
 
-@pytest.mark.parametrize("R", [1, 2, UcbState.narrow_width, UcbState.narrow_width + 1])
-@pytest.mark.parametrize("kind", sorted(SWITCH))
-def test_ucb_curves_match_across_the_narrow_width(monkeypatch, kind, R):
+def _curves_in_both_forms(monkeypatch, cls, policy, kind, R):
     # the same replicas played one at a time and in lockstep, whichever of
     # the two the width picks at this R
     n = 400
-    cfg = harness.check_config({"policy": "ucb", "horizon": n, "replicas": R, "seed": 9,
+    cfg = harness.check_config({"policy": policy, "horizon": n, "replicas": R, "seed": 9,
                                 "env_kind": kind, "env_params": SWITCH[kind]})
     env = harness.build_environment(kind, SWITCH[kind], n, 9)
     curves = {"as declared": harness.run_replica(cfg, env, 9, range(R))}
     for form, width in (("one at a time", R), ("lockstep", 0)):
-        monkeypatch.setattr(UcbState, "narrow_width", width)
+        monkeypatch.setattr(cls, "narrow_width", width)
         curves[form] = harness.run_replica(cfg, env, 9, range(R))
     assert curves["lockstep"].shape == (R, n) and curves["lockstep"][:, -1].any()
     for form in ("as declared", "one at a time"):
         assert np.array_equal(curves[form], curves["lockstep"]), form
+
+
+@pytest.mark.parametrize("R", [1, 2, UcbState.narrow_width, UcbState.narrow_width + 1])
+@pytest.mark.parametrize("kind", sorted(SWITCH))
+def test_ucb_curves_match_across_the_narrow_width(monkeypatch, kind, R):
+    _curves_in_both_forms(monkeypatch, UcbState, "ucb", kind, R)
+
+
+@pytest.mark.parametrize("R", [1, Exp3State.narrow_width, Exp3State.narrow_width + 1])
+@pytest.mark.parametrize("kind", sorted(SWITCH))
+def test_exp3_curves_match_across_the_narrow_width(monkeypatch, kind, R):
+    _curves_in_both_forms(monkeypatch, Exp3State, "exp3", kind, R)
 
 
 @pytest.mark.parametrize("replicas", [None, 6])
@@ -93,7 +207,7 @@ def test_exp3_update_adds_the_importance_estimate(replicas, given):
     for _ in range(50):
         state = Exp3State(5, eta=0.1, replicas=replicas)
         cum = rng.random((rows, 5)) * 20 * (rng.random((rows, 5)) < 0.7)  # some zeros
-        state.cum_losses = cum[0] if replicas is None else cum
+        state.cum_losses = cum[0].tolist() if replicas is None else cum
         state.t = 3
         p = rng.dirichlet(np.ones(5), size=rows) if given else state.probs().reshape(rows, 5)
         chosen, loss = rng.integers(5, size=rows), rng.random(rows)
@@ -116,16 +230,17 @@ def test_exp3_update_refuses_a_zero_probability_before_writing():
     one = Exp3State(3, eta=0.1)
     with pytest.raises(ZeroDivisionError):
         one.update(2, 0.3, p[0])
-    assert not one.cum_losses.any() and one.t == 0
+    assert one.cum_losses == [0.0] * 3 and one.t == 0
 
 
 @pytest.mark.parametrize("kind, policy, params, ids", [
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, 0),
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(3)),
+    ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(Exp3State.narrow_width)),
     ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(3)),
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(UcbState.narrow_width + 1)),
-], ids=["stochastic-one-stream", "stochastic-lockstep", "grudge-lockstep",
-        "stochastic-above-the-narrow-width"])
+], ids=["stochastic-one-stream", "stochastic-lockstep", "grudge-one-at-a-time",
+        "grudge-lockstep", "stochastic-above-the-narrow-width"])
 def test_finite_rounds_keep_two_curve_sized_arrays(kind, policy, params, ids):
     # stochastic: the arms played, then their gaps, summed in place; grudge:
     # the losses played and the best arm's, then the curve. 16 B per
