@@ -4,6 +4,7 @@ inclusion probabilities, and cross-implementation agreement."""
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 # numpy's public solve, the reference `check_lapack_solve_agreement` holds
@@ -325,15 +326,14 @@ def check_finite_rows_agreement(seed: int = SELFTEST_SEED):
     here instead of silently changing lockstep reports. K = 10 puts numpy's
     row sums past 8 terms, where they add pairwise."""
     n, R = 200, 4
-    makes = {"ucb": lambda K: lambda r: stochastic.UcbState(K, replicas=r),
-             "exp3": lambda K: lambda r: adversarial.Exp3State(K, n=n, replicas=r),
-             "exp3p": lambda K: lambda r: adversarial.Exp3PState.from_horizon(K, n, 0.1,
-                                                                             replicas=r)}
+    makes = {"ucb": lambda K, r: stochastic.UcbState(K, replicas=r),
+             "exp3": lambda K, r: adversarial.Exp3State(K, n=n, replicas=r),
+             "exp3p": lambda K, r: adversarial.Exp3PState.from_horizon(K, n, 0.1, replicas=r)}
     kinds = ("stochastic", "oblivious", "nonoblivious")
     sizes = (5, 10)
     differ = [f"{name} on {kind} at round {at[0]} ({at[1]}), K = {K}"
               for K in sizes for name, make in makes.items() for kind in kinds
-              if (at := finite_rows_mismatch(make(K), kind, K, n, R, seed)) is not None]
+              if (at := finite_rows_mismatch(partial(make, K), kind, K, n, R, seed)) is not None]
     return not differ, "; ".join(differ) or (
         f"{len(makes) * len(kinds) * len(sizes)} runs of {R} rows match one-row runs "
         f"for {n} rounds")
