@@ -129,22 +129,16 @@ class Exp3State:
         t = max(self.t, 1)
         return math.sqrt(math.log(self.K) / (t * self.K))
 
-    def _row_probs(self) -> list:
-        """One row's distribution, as a list of Python floats."""
-        if self.t == 0:
-            return [1.0 / self.K] * self.K
-        return exp3_row_probs(self.cum_losses, self.current_eta())
-
     def probs(self) -> np.ndarray:
-        if self.cum_losses.__class__ is list:
-            return np.array(self._row_probs())
-        if self.t == 0:
-            return np.full(self.cum_losses.shape, 1.0 / self.K)
-        return exp3_probs(self.cum_losses, self.current_eta())
+        cum = self.cum_losses
+        if cum.__class__ is list:
+            return np.array(exp3_row_probs(cum, self.current_eta()))
+        return exp3_probs(cum, self.current_eta())
 
     def select(self, rng):
-        one_row = self.cum_losses.__class__ is list
-        self._drawn_from = self._row_probs() if one_row else self.probs()
+        cum = self.cum_losses
+        self._drawn_from = (exp3_row_probs(cum, self.current_eta()) if cum.__class__ is list
+                            else exp3_probs(cum, self.current_eta()))
         return sample_categorical(self._drawn_from, rng)
 
     def update(self, chosen, loss, sampling_probs: np.ndarray | None = None) -> None:
@@ -156,7 +150,9 @@ class Exp3State:
             if sampling_probs is not None:
                 p_chosen = float(sampling_probs[chosen])
             else:
-                p = self._row_probs() if self._drawn_from is None else self._drawn_from
+                p = self._drawn_from
+                if p is None:
+                    p = exp3_row_probs(cum, self.current_eta())
                 p_chosen = p[chosen]
             self._drawn_from = None
             if p_chosen <= 0.0:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .adversarial import Exp3State, exp_weights, importance_loss_estimate
+from .adversarial import Exp3State, exp3_probs, importance_loss_estimate
 from .env import sample_categorical
 
 
@@ -62,9 +62,7 @@ class Exp4State:
         self._drawn_from = None  # the distribution the last select() drew from
 
     def expert_probs(self) -> np.ndarray:
-        if self.t == 0:
-            return np.full(self.N, 1.0 / self.N)
-        return exp_weights(-self.eta * self.cum_expert_losses)
+        return exp3_probs(self.cum_expert_losses, self.eta)
 
     def arm_probs(self, advice: np.ndarray) -> np.ndarray:
         return exp4_arm_probs(self.expert_probs(), advice, self.gamma)
@@ -141,9 +139,6 @@ class ThetaExp4:
 
     def advice_matrix(self, contexts: dict) -> np.ndarray:
         return np.stack([self.experts[th].instance(contexts[th]).probs() for th in self.thetas])
-
-    def arm_probs(self, contexts: dict) -> np.ndarray:
-        return self.exp4.arm_probs(self.advice_matrix(contexts))
 
     def select(self, contexts: dict, rng: np.random.Generator) -> int:
         self._advice = self.advice_matrix(contexts)

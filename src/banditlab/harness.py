@@ -862,8 +862,8 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     `ids` is one replica's stream id, for its 1-D curve, or a sequence of
     ids, for an (R, n) array in C order with one row per id; row r reads
     only the stream `derive_stream(seed, ids[r])`, in whichever batch
-    `_batches` plays it: all replicas in lockstep (exp3, exp3p, exp2-john,
-    osmd-msets, and ucb above its `narrow_width`) or one at a time.
+    `_batches` plays it: all replicas in lockstep (exp3p, exp2-john,
+    osmd-msets, and ucb and exp3 above their `narrow_width`) or one at a time.
     """
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(ids, numbers.Integral)
@@ -1139,8 +1139,9 @@ def compute_overlay(name: str, config: dict, env: dict) -> float:
 def assert_bounds(report: RegretReport) -> list[str]:
     """Names of asserted overlays violated by mean + 2 SEM."""
     cap = report.mean_terminal + 2.0 * report.sem_terminal
+    # written so that nan fails too
     return [name for name, value in report.overlays.items()
-            if BOUNDS[name].asserted and cap > value]
+            if BOUNDS[name].asserted and not cap <= value]
 
 
 # ---------------------------------------------------------------------------

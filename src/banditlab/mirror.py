@@ -40,7 +40,6 @@ class PotentialSpec:
     F_term: Callable[[np.ndarray], np.ndarray]
     a: float
     name: str = "potential"
-    q: float | None = None
 
 
 def power_potential(q: float) -> PotentialSpec:
@@ -56,7 +55,6 @@ def power_potential(q: float) -> PotentialSpec:
         F_term=lambda x: -(q / (q - 1.0)) * x ** ((q - 1.0) / q),
         a=0.0,
         name=f"power-{q:g}",
-        q=q,
     )
 
 
@@ -171,31 +169,6 @@ def omd_step(x: np.ndarray, gradient: np.ndarray, eta: float, spec: LegendreSpec
     if not spec.dual_domain_check(u):
         raise DomainError("dual step left the gradient image; lower eta or rescale losses")
     return spec.bregman_project(spec.grad_F_star(u))
-
-
-class MirrorDescentSimplex:
-    """Negative-entropy mirror descent on the simplex with linear losses.
-
-    For this geometry the projection is a plain normalization, which in dual
-    coordinates is an additive shift; tracking the running gradient sum and
-    applying the mirror map lazily is therefore exact, and reproduces the
-    exponential-weights probabilities bit for bit.
-    """
-
-    def __init__(self, K: int, eta: float):
-        self.K = K
-        self.eta = eta
-        self.cum_gradients = np.zeros(K)
-        self.t = 0
-
-    def probs(self) -> np.ndarray:
-        if self.t == 0:
-            return np.full(self.K, 1.0 / self.K)
-        return exp_weights(-self.eta * self.cum_gradients)
-
-    def step(self, gradient: np.ndarray) -> None:
-        self.cum_gradients += gradient
-        self.t += 1
 
 
 def exp2_schedule(n: int, d: int, N: int) -> tuple[float, float]:

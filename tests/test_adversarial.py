@@ -18,7 +18,8 @@ from banditlab.adversarial import (
     importance_loss_estimate,
     minimax_lower,
 )
-from banditlab.env import derive_stream, flat_index
+from banditlab.contextual import Exp4State
+from banditlab.env import ReplicaDraws, derive_stream, flat_index
 
 
 def test_exp3_probs_hand_values():
@@ -137,6 +138,22 @@ def test_probability_vectors_sum_to_one_100k_updates():
             assert abs(p.sum() - 1.0) <= 1e-12
             state.update(int(rng.integers(6)) if state is exp3p else state.select(rng),
                          float(rng.random()))
+
+
+@pytest.mark.parametrize("K", [2, 3, 7, 8, 9, 10, 17, 129, 300, 1000])
+def test_round_one_is_exactly_uniform(K):
+    # the exponential-weights rule at zero cumulative loss, with no shortcut
+    for replicas in (None, 3):
+        for rate in ({"n": 100}, {"anytime": True}, {"eta": 1e-9}, {"eta": 50.0}):
+            state = Exp3State(K, replicas=replicas, **rate)
+            uniform = np.full(np.shape(state.cum_losses), 1.0 / K)
+            assert np.array_equal(state.probs(), uniform)
+            state.select(derive_stream(0, 0) if replicas is None
+                         else ReplicaDraws(0, range(replicas), 1))
+            assert np.array_equal(state._drawn_from, uniform)
+    for N in (2, 5, 9, K):
+        for rate in ({"n": 100}, {"gamma": 0.1}, {"eta": 50.0}):
+            assert np.array_equal(Exp4State(N, K, **rate).expert_probs(), np.full(N, 1.0 / N))
 
 
 def test_bound_values():

@@ -120,7 +120,7 @@ def test_theta_update_refuses_a_distribution_below_its_floor():
         arm = policy.select(contexts, rng)
         policy.update(contexts, arm, float(arm == 1))  # arm 1 always loses
     policy.exp4.gamma = 0.0  # the forecaster stops mixing, so its gamma/K floor breaks
-    p = policy.arm_probs(contexts)
+    p = policy.exp4.arm_probs(policy.advice_matrix(contexts))
     assert p[1] < policy.gamma / policy.K
     before = (policy.exp4.cum_expert_losses.copy(), policy.exp4.t,
               [policy.experts[th].instances[0].cum_losses.copy() for th in policy.thetas])
@@ -173,7 +173,7 @@ def test_theta_single_set_mixture_identity():
     for t in range(40):
         contexts = {"only": t % 3}
         advice = policy.experts["only"].instance(t % 3).probs()
-        p = policy.arm_probs(contexts)
+        p = policy.exp4.arm_probs(policy.advice_matrix(contexts))
         assert np.allclose(p, (1 - gamma) * advice + gamma / 2, atol=1e-12)
         arm = policy.select(contexts, rng)
         policy.update(contexts, arm, float(rng.random()))
@@ -423,11 +423,11 @@ def _counting(monkeypatch, owner, name, counts):
 @pytest.mark.parametrize("policy, sets", [("exp4", 0), ("theta-exp4", 1),
                                           ("theta-exp4", 3)])
 def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
-    """exp_weights is patched where contextual imports it
+    """exp3_probs is patched where contextual imports it
     (Exp4State.expert_probs), and exp3_row_probs where adversarial defines it
     (the one-row Exp3State.probs and select reach it)."""
     counts = {}
-    _counting(monkeypatch, contextual, "exp_weights", counts)
+    _counting(monkeypatch, contextual, "exp3_probs", counts)
     _counting(monkeypatch, adversarial, "exp3_row_probs", counts)
     _counting(monkeypatch, contextual, "exp4_arm_probs", counts)
     _counting(monkeypatch, ThetaExp4, "advice_matrix", counts)
@@ -445,9 +445,9 @@ def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
         counts.clear()
         state.round(x, rng)
         assert counts.get("exp4_arm_probs") == 1
-        assert counts.get("exp_weights", 0) <= 1
+        assert counts.get("exp3_probs", 0) <= 1
         if policy != "exp4":
             assert counts.get("advice_matrix") == 1
             assert counts.get("exp3_row_probs", 0) <= sets
-    assert counts.get("exp_weights") == 1
+    assert counts.get("exp3_probs") == 1
     assert counts.get("exp3_row_probs", 0) == sets

@@ -270,18 +270,14 @@ def test_gain_loss_duality_action_distributions():
     eta = 0.11
     loss_form = Exp3State(K, eta=eta)
     cum_gains = np.zeros(K)
-    t = 0
     for _ in range(n):
         p_loss = loss_form.probs()
-        p_gain = np.full(K, 1.0 / K) if t == 0 else exp_weights(eta * cum_gains)
+        p_gain = exp_weights(eta * cum_gains)
         assert np.allclose(p_loss, p_gain, atol=1e-12)
         gains = rng.random(K)
         arm = loss_form.select(rng)
-        est = importance_loss_estimate(p_loss, arm, 1.0 - gains[arm])
-        loss_form.cum_losses += est
-        loss_form.t += 1
-        cum_gains += 1.0 - est
-        t += 1
+        loss_form.update(arm, 1.0 - gains[arm])
+        cum_gains += 1.0 - importance_loss_estimate(p_loss, arm, 1.0 - gains[arm])
 
 
 def test_trace_determinism_bytes():

@@ -707,6 +707,17 @@ def test_osgd_caps_hold_on_a_wide_quadratic_ball(policy):
     assert harness.assert_bounds(run_experiment(cfg)) == []
 
 
+@pytest.mark.parametrize("mean, sem, violated", [
+    (1.0, 0.5, []), (9.5, 0.5, ["exp3"]), (math.nan, 0.5, ["exp3"]), (1.0, math.nan, ["exp3"])])
+def test_assert_bounds_fails_a_nan_terminal(mean, sem, violated):
+    # mean + 2 SEM against the asserted exp3 cap of 10; minimax-lower is not asserted
+    report = RegretReport(policy="exp3", env_kind="oblivious", horizon=2, replicas=2, seed=0,
+                          mean_curve=np.array([0.5, mean]), sem_curve=np.array([0.1, sem]),
+                          terminal_values=np.zeros(2),
+                          overlays={"exp3": 10.0, "minimax-lower": 0.0}, wall_clock_s=0.0)
+    assert harness.assert_bounds(report) == violated
+
+
 def _built(policy: str, kind: str, env_params: dict, horizon: int = 200) -> tuple[dict, dict]:
     """A checked config without overlays and its environment as built."""
     cfg = harness.check_config(_config(policy=policy, policy_params={}, env_kind=kind,

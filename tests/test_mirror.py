@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from banditlab.adversarial import Exp3State, importance_loss_estimate
+from banditlab import mirror, selftest
+from banditlab.adversarial import Exp3State
 from banditlab.env import ReplicaDraws, derive_stream
 from banditlab.geometry import doptimal_design, madow_start_intervals
 from banditlab.mirror import (
     Exp2State,
-    MirrorDescentSimplex,
     OsmdBall,
     OsmdMsets,
     ball_bound,
@@ -59,22 +59,6 @@ def test_omd_step_zero_gradient_fixed_point():
         assert np.allclose(out, x, atol=1e-12)
 
 
-def test_exp3_and_mirror_descent_bitwise_identical():
-    rng = derive_stream(2, 0)
-    K, n = 4, 500
-    eta = math.sqrt(2 * math.log(K) / (n * K))
-    exp3 = Exp3State(K, eta=eta)
-    omd = MirrorDescentSimplex(K, eta)
-    for _ in range(n):
-        p = exp3.probs()
-        assert np.array_equal(p, omd.probs())
-        arm = exp3.select(rng)
-        est = importance_loss_estimate(p, arm, float(rng.random()))
-        exp3.cum_losses += est
-        exp3.t += 1
-        omd.step(est)
-
-
 def test_generic_omd_path_tracks_exponential_weights():
     # the explicit primal-dual dance drifts only by float noise
     rng = derive_stream(3, 0)
@@ -89,6 +73,24 @@ def test_generic_omd_path_tracks_exponential_weights():
         cum += g
         from banditlab.adversarial import exp3_probs
         assert np.allclose(x, exp3_probs(cum, eta), atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["exp3", "omd", "nan"])
+def test_exp3_omd_selftest_fails_when_one_side_moves(monkeypatch, side):
+    passed, detail = selftest.check_exp3_omd_agreement()
+    assert passed and float(detail.split()[3]) < 1e-13
+    if side == "exp3":  # Exp3's rate grows by one part in 1e9
+        current_eta = Exp3State.current_eta
+        monkeypatch.setattr(Exp3State, "current_eta", lambda self: current_eta(self) * (1 + 1e-9))
+    elif side == "omd":  # so does mirror descent's
+        monkeypatch.setattr(mirror, "omd_step",
+                            lambda x, g, eta, spec: omd_step(x, g, eta * (1 + 1e-9), spec))
+    else:
+        monkeypatch.setattr(mirror, "omd_step", lambda x, g, eta, spec: x * math.nan)
+    passed, detail = selftest.check_exp3_omd_agreement()
+    assert not passed
+    gap = float(detail.split()[3])
+    assert math.isnan(gap) if side == "nan" else 1e-10 < gap < 1e-7
 
 
 def test_zero_potential_curvature_bound():
