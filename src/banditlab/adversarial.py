@@ -110,7 +110,6 @@ class Exp3State:
     def __init__(self, K: int, n: int | None = None, eta: float | None = None,
                  anytime: bool = False, replicas: int | None = None):
         self.K = K
-        self.anytime = anytime
         if eta is not None:
             self.eta = eta
         elif anytime:
@@ -204,7 +203,8 @@ def exp3p_gain_estimate(p: np.ndarray, chosen, gain, beta: float) -> np.ndarray:
 
 
 class Exp3PState:
-    """Gain-form exponential weights mixed with gamma/K uniform exploration.
+    """Gain-form exponential weights mixed with gamma/K uniform exploration,
+    at the (beta, eta, gamma) that `exp3p_params` returns for a horizon.
 
     With `replicas` set, the state holds one row per replica.
     """
@@ -212,7 +212,7 @@ class Exp3PState:
     feedback = "gain"
     draws_per_round = 1  # one double per round, the arm's draw, so replicas run in lockstep
 
-    def __init__(self, K: int, eta: float, gamma: float, beta: float,
+    def __init__(self, K: int, beta: float, eta: float, gamma: float,
                  replicas: int | None = None):
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
@@ -221,14 +221,7 @@ class Exp3PState:
         self.gamma = gamma
         self.beta = beta
         self.cum_gains = np.zeros(K if replicas is None else (replicas, K))
-        self.t = 0
         self._drawn_from = None  # the distribution the last select() drew from
-
-    @classmethod
-    def from_horizon(cls, K: int, n: int, delta: float | None = None,
-                     replicas: int | None = None) -> "Exp3PState":
-        beta, eta, gamma = exp3p_params(n, K, delta)
-        return cls(K, eta, gamma, beta, replicas)
 
     def probs(self) -> np.ndarray:
         soft = exp_weights(self.eta * self.cum_gains)
@@ -244,7 +237,6 @@ class Exp3PState:
         p = self.probs() if self._drawn_from is None else self._drawn_from
         self._drawn_from = None
         self.cum_gains += exp3p_gain_estimate(p, chosen, gain, self.beta)
-        self.t += 1
 
 
 def exp3_bound(n: int, K: int, anytime: bool = False) -> float:

@@ -46,8 +46,6 @@ class Exp4State:
 
     def __init__(self, N: int, K: int, n: int | None = None, eta: float | None = None,
                  gamma: float = 0.0):
-        self.N = N
-        self.K = K
         self.gamma = gamma
         if eta is not None:
             self.eta = eta
@@ -58,7 +56,6 @@ class Exp4State:
         else:
             raise ValueError("need a horizon, an explicit eta, or gamma > 0")
         self.cum_expert_losses = np.zeros(N)
-        self.t = 0
         self._drawn_from = None  # the distribution the last select() drew from
 
     def expert_probs(self) -> np.ndarray:
@@ -78,7 +75,6 @@ class Exp4State:
         self._drawn_from = None
         arm_est = importance_loss_estimate(p, chosen, loss)
         self.cum_expert_losses += expert_loss_estimates(advice, arm_est)
-        self.t += 1
 
     round = _round  # x = (advice, losses)
 
@@ -193,7 +189,6 @@ class BanditronState:
         if not 0.0 < gamma < 0.5:
             raise ValueError("gamma must lie in (0, 1/2)")
         self.K = K
-        self.d = d
         self.gamma = gamma
         self.W = np.zeros((K, d))
 
@@ -231,8 +226,9 @@ def exp4_mixing_bound(n: int, K: int, N: int, gamma: float) -> float:
     return gamma * n / 2.0 + K * math.log(N) / gamma
 
 
-def theta_bound(n: int, max_context_set_size: int, K: int, n_theta: int) -> float:
-    return n ** (2.0 / 3.0) * (max_context_set_size * K * math.log(K)) ** (1.0 / 3.0) \
+def theta_bound(n: int, S: int, K: int, n_theta: int) -> float:
+    """The composite forecaster's cap; S is the size of the largest context set."""
+    return n ** (2.0 / 3.0) * (S * K * math.log(K)) ** (1.0 / 3.0) \
         * math.sqrt(math.log(max(n_theta, 2)))
 
 

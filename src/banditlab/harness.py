@@ -269,15 +269,15 @@ def _contextual_env(p: dict, n: int, rng) -> dict:
         contexts = contexts[:n]
         matrix = matrix[:n]
     else:
-        contexts = list(rng.integers(p["n_contexts"], size=n))
+        contexts = rng.integers(p["n_contexts"], size=n)
         matrix = rng.random((n, K))
     set_sizes = _set_sizes(p)
-    theta_streams = {f"set{j}": list(rng.integers(size_j, size=n))
+    theta_streams = {f"set{j}": rng.integers(size_j, size=n)
                      for j, size_j in enumerate(set_sizes)} if set_sizes else None
+    n_contexts = len(set(contexts))
     return {"kind": "contextual", "contexts": contexts, "losses": matrix, "K": K,
-            "theta_streams": theta_streams,
-            "n_contexts": len(set(contexts)),
-            "max_set_size": max(set_sizes) if set_sizes else len(set(contexts))}
+            "theta_streams": theta_streams, "n_contexts": n_contexts,
+            "max_set_size": max(set_sizes) if set_sizes else n_contexts}
 
 
 def _linear_points_env(p: dict, n: int, rng) -> dict:
@@ -601,8 +601,7 @@ def _per_context_best(K: int) -> Callable:
 
 def _exp3p_state(p: dict, env: dict, n: int) -> partial:
     delta = None if p["delta_free"] else p["delta"]
-    beta, eta, gamma = adversarial.exp3p_params(n, env["K"], delta)
-    return partial(adversarial.Exp3PState, env["K"], eta, gamma, beta)
+    return partial(adversarial.Exp3PState, env["K"], *adversarial.exp3p_params(n, env["K"], delta))
 
 
 def _expert_rounds(env: dict, n: int, stream) -> Iterator:
@@ -1082,9 +1081,8 @@ BOUNDS = {
     "exp4": Bound(contextual.exp4_bound, lambda c, env: {**_n_K(c, env), "N": env["K"] + 1}),
     "exp4-mixing": Bound(contextual.exp4_mixing_bound, lambda c, env: {
         **_n_K(c, env), "N": env["K"] + 1, "gamma": _policy_param(c, "gamma", 0.0, 1.0)}),
-    "theta": Bound(lambda *, n, S, K, n_theta: contextual.theta_bound(n, S, K, n_theta),
-                   lambda c, env: {**_n_K(c, env), "S": env["max_set_size"],
-                                   "n_theta": len(_theta_streams(env))}),
+    "theta": Bound(contextual.theta_bound, lambda c, env: {
+        **_n_K(c, env), "S": env["max_set_size"], "n_theta": len(_theta_streams(env))}),
     "banditron": Bound(contextual.banditron_bound,
                        lambda c, env: {**_n_K(c, env), "U_norm": env["U_norm"]}),
     "exp2-john": Bound(mirror.exp2_bound,

@@ -39,7 +39,6 @@ class PotentialSpec:
     psi_inv: Callable[[np.ndarray], np.ndarray]
     F_term: Callable[[np.ndarray], np.ndarray]
     a: float
-    name: str = "potential"
 
 
 def power_potential(q: float) -> PotentialSpec:
@@ -54,7 +53,6 @@ def power_potential(q: float) -> PotentialSpec:
         psi_inv=lambda s: -(s ** inv_exp),
         F_term=lambda x: -(q / (q - 1.0)) * x ** ((q - 1.0) / q),
         a=0.0,
-        name=f"power-{q:g}",
     )
 
 
@@ -66,7 +64,6 @@ def exp_potential() -> PotentialSpec:
         psi_inv=np.log,
         F_term=lambda x: np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)) - x, 0.0),
         a=math.inf,
-        name="exp",
     )
 
 
@@ -79,7 +76,6 @@ class LegendreSpec:
     grad_F_star: Callable[[np.ndarray], np.ndarray]
     bregman_project: Callable[[np.ndarray], np.ndarray]
     dual_domain_check: Callable[[np.ndarray], bool]
-    name: str = "legendre"
 
     def divergence(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self.F(x) - self.F(y) - self.grad_F(y) @ (x - y))
@@ -98,7 +94,6 @@ def negentropy_simplex() -> LegendreSpec:
         grad_F_star=np.exp,
         bregman_project=lambda w: w / w.sum(),
         dual_domain_check=lambda u: True,
-        name="negentropy-simplex",
     )
 
 
@@ -109,7 +104,6 @@ def negentropy_capped_simplex(m: float) -> LegendreSpec:
         grad_F_star=np.exp,
         bregman_project=lambda w: project_capped_simplex_negent(w, m),
         dual_domain_check=lambda u: True,
-        name="negentropy-capped",
     )
 
 
@@ -121,7 +115,6 @@ def potential_capped_simplex(psi: PotentialSpec, m: float) -> LegendreSpec:
         bregman_project=lambda w: project_capped_simplex_potential(w, m, psi),
         # written so that nan fails too: largest() picks the first nan
         dual_domain_check=lambda u: not u.size or largest(u) < psi.a,
-        name=f"{psi.name}-capped",
     )
 
 
@@ -156,7 +149,6 @@ def log_barrier_ball(radius: float) -> LegendreSpec:
         grad_F_star=ball_grad_star,
         bregman_project=lambda w: project_ball(w, radius),
         dual_domain_check=lambda u: True,
-        name="log-barrier-ball",
     )
 
 
@@ -186,6 +178,8 @@ class Exp2State:
     loss per row. Each row's products are taken one row at a time
     (`np.matmul` over a leading axis), so a row's bits do not depend on the
     batch it runs in. `eta` and `gamma` are read once, at construction.
+    gamma lies in (0, 1]: the design's share keeps P(p) invertible, and the
+    softmax's share 1 - gamma is not negative.
     """
 
     draws_per_round = 1  # one double per round, the point's draw, so replicas run in lockstep
@@ -196,23 +190,19 @@ class Exp2State:
         self.points = np.asarray(points, dtype=float)
         self._points_t = self.points.T
         self.N, self.d = self.points.shape
-        self.design = design
         if eta is None or gamma is None:
             if n is None:
                 raise ValueError("need a horizon to derive eta and gamma")
             eta_d, gamma_d = exp2_schedule(n, self.d, self.N)
             eta = eta_d if eta is None else eta
             gamma = gamma_d if gamma is None else gamma
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive so the design matrix is invertible")
-        self.eta = eta
-        self.gamma = gamma
+        if not 0.0 < gamma <= 1.0:  # a nan fails too
+            raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
         # probs' constants, taken once: the negated rate and the softmax's
         # share as read-only 0-d arrays, and the design's share of each point
         self._neg_eta, self._soft_share = constant(-eta), constant(1.0 - gamma)
         self._explore = gamma * design.weights
         self.cum_estimate = np.zeros(self.d if replicas is None else (replicas, self.d))
-        self.t = 0
         self._drawn_from = None  # the distribution the last select() drew from
 
     def probs(self) -> np.ndarray:
@@ -243,7 +233,6 @@ class Exp2State:
         p = self.probs() if self._drawn_from is None else self._drawn_from
         self._drawn_from = None
         self.cum_estimate += self.estimate(x, scalar_loss, p)
-        self.t += 1
 
     def round(self, loss_vector: np.ndarray, rng):
         """Select, pay the played point's loss, and update; returns (the index
@@ -295,9 +284,7 @@ class OsmdMsets:
                  q: float = 2.0, eta: float | None = None, replicas: int | None = None):
         if not 1 <= m <= d:
             raise ValueError("need 1 <= m <= d")
-        self.d = d
         self.m = m
-        self.variant = variant
         if variant == "negent":
             self.spec = negentropy_capped_simplex(m)
             default_eta = None if n is None else osmd_negent_eta(n, d, m)
@@ -312,7 +299,6 @@ class OsmdMsets:
             eta = default_eta
         self.eta = eta
         self.x = np.full(d if replicas is None else (replicas, d), m / d)
-        self.t = 0
 
     def select(self, rng) -> np.ndarray:
         return madow_sample(self.x, rng, self.m)
@@ -322,7 +308,6 @@ class OsmdMsets:
         if self.eta > 0.0:
             x = omd_step(self.x, est, self.eta, self.spec)
             self.x = np.maximum(x, _FLOOR)
-        self.t += 1
 
     def round(self, losses: np.ndarray, rng):
         """Select, pay the played set's loss and update; returns (the played
@@ -344,7 +329,8 @@ class OsmdBall:
     """Mirror descent on the shrunken unit ball with one-scalar bandit feedback.
 
     Plays either the radial boundary point or a random signed coordinate, with
-    the Bernoulli(||x||) switch making the played point unbiased for x.
+    the Bernoulli(||x||) switch making the played point unbiased for x. The
+    iterate stays in the ball of radius 1 - gamma, so gamma lies in (0, 1).
     """
 
     def __init__(self, d: int, n: int | None = None, gamma: float | None = None,
@@ -355,14 +341,14 @@ class OsmdBall:
             gamma_d, eta_d = ball_schedule(n, d)
             gamma = gamma_d if gamma is None else gamma
             eta = eta_d if eta is None else eta
+        if not 0.0 < gamma < 1.0:  # a nan fails too
+            raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
         if eta * d > 0.5:
             raise ValueError(f"eta * d = {eta * d:.4f} violates the requirement eta*d <= 1/2")
         self.d = d
-        self.gamma = gamma
         self.eta = eta
         self.spec = log_barrier_ball(1.0 - gamma)
         self.x = np.zeros(d)
-        self.t = 0
 
     def select(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
         """Return the played point and the Bernoulli switch value."""
@@ -383,7 +369,6 @@ class OsmdBall:
     def update(self, played: np.ndarray, xi: int, feedback: float) -> None:
         est = self.loss_estimate(played, xi, feedback)
         self.x = omd_step(self.x, est, self.eta, self.spec)
-        self.t += 1
 
     def round(self, loss_vector: np.ndarray, rng: np.random.Generator):
         played, xi = self.select(rng)

@@ -333,7 +333,8 @@ def check_finite_rows_agreement(seed: int = SELFTEST_SEED):
     n, R = 200, 4
     makes = {"ucb": lambda K, r: stochastic.UcbState(K, replicas=r),
              "exp3": lambda K, r: adversarial.Exp3State(K, n=n, replicas=r),
-             "exp3p": lambda K, r: adversarial.Exp3PState.from_horizon(K, n, 0.1, replicas=r)}
+             "exp3p": lambda K, r: adversarial.Exp3PState(
+                 K, *adversarial.exp3p_params(n, K, 0.1), replicas=r)}
     kinds = ("stochastic", "oblivious", "nonoblivious")
     sizes = (5, 10)
     differ = [f"{name} on {kind} at round {at[0]} ({at[1]}), K = {K}"

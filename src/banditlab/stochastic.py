@@ -39,7 +39,6 @@ class UcbState:
     def __init__(self, K: int, alpha: float = 2.5, replicas: int | None = None):
         if alpha <= 2.0:
             raise ValueError("alpha must exceed 2")
-        self.K = K
         self.alpha = alpha
         if replicas is None:
             self.counts = [0] * K
@@ -128,7 +127,6 @@ class ThompsonState:
     feedback = "gain"
 
     def __init__(self, K: int):
-        self.K = K
         self.successes = np.zeros(K)
         self.failures = np.zeros(K)
         self._drawn_from = None  # the stream the last select() drew from

@@ -119,7 +119,7 @@ def test_exp3p_probs_mixture():
 
 def test_exp3p_floor_every_round():
     rng = derive_stream(4, 0)
-    state = Exp3PState.from_horizon(3, 500, 0.05)
+    state = Exp3PState(3, *exp3p_params(500, 3, 0.05))
     floor = state.gamma / 3
     for t in range(500):
         p = state.probs()

@@ -45,7 +45,6 @@ def test_expert_loss_estimates():
 def test_exp4_update_hand_value():
     state = Exp4State(2, 2, eta=1.0)
     state.cum_expert_losses = np.array([math.log(2), 0.0])
-    state.t = 1
     assert np.allclose(state.expert_probs(), [1 / 3, 2 / 3])
 
 
@@ -122,7 +121,7 @@ def test_theta_update_refuses_a_distribution_below_its_floor():
     policy.exp4.gamma = 0.0  # the forecaster stops mixing, so its gamma/K floor breaks
     p = policy.exp4.arm_probs(policy.advice_matrix(contexts))
     assert p[1] < policy.gamma / policy.K
-    before = (policy.exp4.cum_expert_losses.copy(), policy.exp4.t,
+    before = (policy.exp4.cum_expert_losses.copy(),
               [policy.experts[th].instances[0].cum_losses.copy() for th in policy.thetas])
     with pytest.raises(ValueError, match="floor"):
         policy.update(contexts, 0, 0.5)  # no select came first
@@ -131,8 +130,7 @@ def test_theta_update_refuses_a_distribution_below_its_floor():
         policy.update(contexts, 0, 0.5)
     # the refused rounds wrote nothing
     assert np.array_equal(policy.exp4.cum_expert_losses, before[0])
-    assert policy.exp4.t == before[1]
-    for th, cum in zip(policy.thetas, before[2]):
+    for th, cum in zip(policy.thetas, before[1]):
         assert np.array_equal(policy.experts[th].instances[0].cum_losses, cum)
         assert policy.experts[th].instances[0].t == 100
 
@@ -386,7 +384,6 @@ def test_exp4_matches_its_frozen_copy_bit_for_bit(K, N, gamma, eta, n):
         _FrozenExp4State(N, K, n=n, eta=eta, gamma=gamma)
     for _ in _pin(new, old, lambda policy: policy._drawn_from, rounds, seed=K):
         assert np.array_equal(new.cum_expert_losses, old.cum_expert_losses)
-        assert new.t == old.t
 
 
 @pytest.mark.parametrize("K, sizes, gamma", [

@@ -18,6 +18,7 @@ from banditlab.adversarial import (
     Exp3PState,
     Exp3State,
     exp3p_gain_estimate,
+    exp3p_params,
     importance_loss_estimate,
 )
 from banditlab.env import (
@@ -412,5 +413,5 @@ def test_batched_states_keep_one_row_per_replica():
     assert ucb.select().tolist() == [1, 0]
     exp3 = Exp3State(2, n=10, replicas=3)
     assert exp3.probs().shape == (3, 2)
-    exp3p = Exp3PState.from_horizon(2, 10, 0.1, replicas=3)
+    exp3p = Exp3PState(2, *exp3p_params(10, 2, 0.1), replicas=3)
     assert np.allclose(exp3p.probs().sum(axis=-1), 1.0)

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from banditlab import harness, selftest
-from banditlab.adversarial import Exp3PState, Exp3State, importance_loss_estimate
+from banditlab.adversarial import (
+    Exp3PState,
+    Exp3State,
+    exp3p_params,
+    importance_loss_estimate,
+)
 from banditlab.env import ENV_STREAM_ID, NonObliviousAdversary, RowDraws, derive_stream
 from banditlab.stochastic import UcbState
 
@@ -21,7 +26,7 @@ STATES = {
     "exp3": lambda r: Exp3State(K, n=N, replicas=r),
     "exp3-eta": lambda r: Exp3State(K, eta=0.3, replicas=r),
     "exp3-anytime": lambda r: Exp3State(K, anytime=True, replicas=r),
-    "exp3p": lambda r: Exp3PState.from_horizon(K, N, 0.1, replicas=r),
+    "exp3p": lambda r: Exp3PState(K, *exp3p_params(N, K, 0.1), replicas=r),
 }
 
 

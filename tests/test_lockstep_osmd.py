@@ -22,6 +22,7 @@ from banditlab.mirror import (
     OsmdMsets,
     PotentialSpec,
     X_FLOOR,
+    exp2_schedule,
     exp_potential,
     omd_step,
     potential_capped_simplex,
@@ -115,11 +116,12 @@ def _masses(d):
     return sorted({1, max(1, d // 2), d - 1, d} - {0})
 
 
-POTENTIALS = [power_potential(1.5), power_potential(2.0), power_potential(3.0),
-              exp_potential()]
+# each potential by its test id
+POTENTIALS = {"power-1.5": power_potential(1.5), "power-2": power_potential(2.0),
+              "power-3": power_potential(3.0), "exp": exp_potential()}
 
 
-@pytest.mark.parametrize("psi", POTENTIALS, ids=lambda psi: psi.name)
+@pytest.mark.parametrize("psi", POTENTIALS.values(), ids=list(POTENTIALS))
 def test_potential_rows_match_the_one_row_projection(psi):
     rng = derive_stream(91, 0)
     for d in range(2, 12):
@@ -130,7 +132,7 @@ def test_potential_rows_match_the_one_row_projection(psi):
             assert np.array_equal(project_capped_simplex_potential(w[0], m, psi), rows[0])
 
 
-@pytest.mark.parametrize("psi", POTENTIALS, ids=lambda psi: psi.name)
+@pytest.mark.parametrize("psi", POTENTIALS.values(), ids=list(POTENTIALS))
 def test_potential_rows_match_past_the_tolerance(psi):
     # with tol = 0 rows stop on the bracket-width rule or run out of iterations,
     # and take the final check at the dual they reached
@@ -154,7 +156,7 @@ MIXED = {
 }
 
 
-@pytest.mark.parametrize("psi", POTENTIALS, ids=lambda psi: psi.name)
+@pytest.mark.parametrize("psi", POTENTIALS.values(), ids=list(POTENTIALS))
 @pytest.mark.parametrize("m", sorted(MIXED))
 def test_potential_mixed_rows_match_alone_and_in_any_batch(psi, m):
     mixed = np.array(MIXED[m])
@@ -169,7 +171,8 @@ def test_potential_mixed_rows_match_alone_and_in_any_batch(psi, m):
         assert np.array_equal(project_capped_simplex_potential(row, m, psi), ref)
 
 
-@pytest.mark.parametrize("psi", [power_potential(1.5), exp_potential()], ids=lambda psi: psi.name)
+@pytest.mark.parametrize("psi", [POTENTIALS["power-1.5"], POTENTIALS["exp"]],
+                         ids=["power-1.5", "exp"])
 def test_potential_row_on_the_capped_simplex_stops_at_once(psi):
     # psi(psi_inv(0.5)) is 0.5 here, so the row sums to m at lam = 0: no
     # bracket search, and it stops in the first Newton iteration
@@ -491,9 +494,9 @@ def _frozen_step(x, gradient, eta, maps, project, a):
 
 
 class _FrozenOsmd:
-    def __init__(self, live: OsmdMsets, q):
+    def __init__(self, live: OsmdMsets, variant, q):
         self.x, self.m, self.eta = live.x.copy(), live.m, live.eta
-        if live.variant == "negent":
+        if variant == "negent":
             self.maps, self.a = (np.log, np.exp), np.inf
             self.project = lambda w: _frozen_negent(w, self.m)
         else:
@@ -520,7 +523,7 @@ _PIN_SHAPES = [(R, d, m) for R in (1, 3, 8) for d in (2, 6, 9) for m in sorted({
 def test_osmd_round_keeps_the_frozen_rounds_bits(variant, q):
     for seed, (R, d, m) in enumerate(_PIN_SHAPES):
         live = OsmdMsets(d, m, n=_PIN_ROUNDS, variant=variant, q=q, replicas=R)
-        frozen = _FrozenOsmd(live, q)
+        frozen = _FrozenOsmd(live, variant, q)
         draws = [ReplicaDraws(seed, range(R), (d + 1) * _PIN_ROUNDS) for _ in range(2)]
         for t in range(_PIN_ROUNDS):
             v, paid = live.round(draws[0].random(d), draws[0])
@@ -533,6 +536,11 @@ def test_osmd_round_keeps_the_frozen_rounds_bits(variant, q):
 
 class _FrozenExp2(Exp2State):
     """Exp2State's round with its probabilities and estimate as they were."""
+
+    def __init__(self, points, design, n, replicas):
+        super().__init__(points, design, n=n, replicas=replicas)
+        self.design = design
+        self.eta, self.gamma = exp2_schedule(n, self.d, self.N)
 
     def probs(self):
         scores = np.matmul(self.points, self.cum_estimate[..., None])[..., 0]
@@ -552,7 +560,6 @@ class _FrozenExp2(Exp2State):
         played = self.points[idx]
         scalar = np.matmul(played[..., None, :], loss_vector[:, None])[..., 0, 0]
         self.cum_estimate += self.estimate(idx, scalar, p)
-        self.t += 1
         return idx, scalar
 
 

@@ -53,8 +53,8 @@ def test_omd_step_negentropy_hand_value():
 
 
 def test_omd_step_zero_gradient_fixed_point():
-    for spec in (negentropy_simplex(), log_barrier_ball(0.9)):
-        x = np.array([0.4, 0.6]) if "simplex" in spec.name else np.array([0.2, -0.1])
+    for spec, x in ((negentropy_simplex(), np.array([0.4, 0.6])),
+                    (log_barrier_ball(0.9), np.array([0.2, -0.1]))):
         out = omd_step(x, np.zeros(2), 0.5, spec)
         assert np.allclose(out, x, atol=1e-12)
 
@@ -115,9 +115,10 @@ def test_zero_potential_curvature_bound():
 
 def test_exp2_probs_at_zero_eta():
     pts = np.vstack([np.eye(3), -np.eye(3)])
-    state = Exp2State(pts, doptimal_design(pts), eta=1e-300, gamma=0.3)
+    design = doptimal_design(pts)
+    state = Exp2State(pts, design, eta=1e-300, gamma=0.3)
     p = state.probs()
-    expected = 0.7 / 6 + 0.3 * state.design.weights
+    expected = 0.7 / 6 + 0.3 * design.weights
     assert np.allclose(p, expected, atol=1e-9)
 
 
@@ -202,13 +203,24 @@ def test_an_exp2_run_raises_no_warning():
         warnings.simplefilter("error")
         for loss in rng.uniform(-1.0, 1.0, (300, 3)) / np.sqrt(3.0):
             state.round(loss, draws)
-    assert state.t == 300
 
 
 def test_exp2_schedule():
     eta, gamma = exp2_schedule(4000, 3, 20)
     assert eta == pytest.approx(math.sqrt(math.log(20) / (3 * 4000 * 3)))
     assert gamma == pytest.approx(eta * 3)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, math.nan])
+def test_exp2_refuses_a_gamma_outside_its_interval(gamma):
+    # above 1 the softmax's share 1 - gamma is negative, and so is the
+    # probability of a point the design leaves out
+    rng = derive_stream(15, 0)
+    pts = rng.standard_normal((8, 3))
+    design = doptimal_design(pts)
+    with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+        Exp2State(pts, design, eta=0.1, gamma=gamma)
+    assert (Exp2State(pts, design, eta=0.1, gamma=1.0).probs() >= 0.0).all()
 
 
 def test_semibandit_estimate():
@@ -275,6 +287,15 @@ def test_ball_schedule_and_condition():
         OsmdBall(10, gamma=0.1, eta=0.1)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.5, 1.0, 1.5, math.nan])
+def test_ball_refuses_a_gamma_outside_its_interval(gamma):
+    # the iterate lives in the ball of radius 1 - gamma, which must be a ball
+    with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+        OsmdBall(3, gamma=gamma, eta=0.01)
+    project = OsmdBall(3, gamma=0.5, eta=0.01).spec.bregman_project
+    assert np.allclose(project(np.array([0.9, 0.0, 0.0])), [0.5, 0.0, 0.0])
+
+
 def test_ball_estimate_hand_values():
     policy = OsmdBall(2, gamma=0.1, eta=0.01)
     # xi = 1 kills the estimate
@@ -287,11 +308,12 @@ def test_ball_estimate_hand_values():
 def test_ball_plays_inside_unit_ball():
     rng = derive_stream(9, 0)
     policy = OsmdBall(3, n=500)
+    gamma, _ = ball_schedule(500, 3)
     ell = np.array([0.5, -0.3, 0.2])
     for _ in range(500):
         played, _ = policy.round(ell, rng)
         assert np.linalg.norm(played) <= 1.0 + 1e-12
-        assert np.linalg.norm(policy.x) <= 1.0 - policy.gamma + 1e-12
+        assert np.linalg.norm(policy.x) <= 1.0 - gamma + 1e-12
 
 
 def test_ball_perturbation_and_estimate_unbiased():

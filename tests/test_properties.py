@@ -3,7 +3,7 @@ floors of the mixing forecasters hold every round, and the capped-simplex
 projections land on the capped simplex."""
 import numpy as np
 
-from banditlab.adversarial import Exp3PState
+from banditlab.adversarial import Exp3PState, exp3p_params
 from banditlab.contextual import BanditronState, Exp4State
 from banditlab.env import ReplicaDraws, derive_stream
 from banditlab.geometry import (
@@ -21,7 +21,7 @@ def test_exp3p_probs_keep_their_floor_every_round():
     for trial in range(10):
         K, n, R = int(rng.integers(2, 8)), int(rng.integers(20, 200)), 3
         delta = float(rng.uniform(0.01, 0.99))
-        policy = Exp3PState.from_horizon(K, n, delta, replicas=R)
+        policy = Exp3PState(K, *exp3p_params(n, K, delta), replicas=R)
         draws = ReplicaDraws(PROPERTY_SEED + trial, range(R), n)
         floor = policy.gamma / K
         gains = rng.random((n, K))  # one gain sequence, as an oblivious adversary plays
