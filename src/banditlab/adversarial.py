@@ -99,13 +99,30 @@ class Exp3State:
     rounded IEEE-754 ones of numpy's float64 ufuncs, but for the
     exponentials and their sum (`exp3_row_probs`), so a row keeps the bits
     it has in an array. `probs()` returns an array either way.
+
+    A one-row state also caches its K weights exp(-eta L_i - top), top =
+    -eta min(L), under the key (-eta, top). An update recomputes the played
+    arm's weight alone, with `np.exp` on that one double, which gives the
+    bits of its entry in a whole-row call (the `exp-lane-agreement`
+    selftest); `select` recomputes all K only when the key has moved,
+    because the least L_i moved. The anytime rate steps with t, so an
+    anytime update drops the key instead. `select` then divides by the
+    weights' `row_sum` and draws in one pass that stops at the drawn arm,
+    keeping that arm's probability for `update`. The cache assumes that
+    the row moves only through `update`.
     """
 
     feedback = "loss"
     draws_per_round = 1  # one double per round, the arm's draw, so replicas run in lockstep
-    # a batch of up to this many replicas plays one at a time as one-row
-    # states, which cost less there than lockstep rows (README, "Narrow batches")
-    narrow_width = 2
+
+    @staticmethod
+    def narrow_width(K: int) -> int:
+        """The widest batch on K arms that plays one replica at a time as
+        one-row states. On the 2-core Xeon of README's "Narrow batches", a
+        one-row round cost about (K + 20) / 9 µs per replica and a lockstep
+        round 13 to 16 µs whatever its width, so the one-row form costs
+        less while R (K + 20) <= 125."""
+        return 125 // (K + 20)
 
     def __init__(self, K: int, n: int | None = None, eta: float | None = None,
                  anytime: bool = False, replicas: int | None = None):
@@ -118,9 +135,15 @@ class Exp3State:
             self.eta = math.sqrt(2.0 * math.log(K) / (n * K))
         else:
             raise ValueError("need a horizon, an explicit eta, or anytime=True")
-        self.cum_losses = [0.0] * K if replicas is None else np.zeros((replicas, K))
+        if replicas is None:
+            self.cum_losses = [0.0] * K
+            self._key = self._weights = None  # the cached weights and their (-eta, top)
+        else:
+            self.cum_losses = np.zeros((replicas, K))
         self.t = 0  # rounds completed
-        self._drawn_from = None  # the distribution the last select() drew from
+        # in lockstep, the distribution the last select() drew from; in one
+        # row, the arm it drew and that arm's probability
+        self._drawn_from = None
 
     def current_eta(self) -> float:
         if self.eta is not None:
@@ -136,34 +159,59 @@ class Exp3State:
 
     def select(self, rng):
         cum = self.cum_losses
-        self._drawn_from = (exp3_row_probs(cum, self.current_eta()) if cum.__class__ is list
-                            else exp3_probs(cum, self.current_eta()))
-        return sample_categorical(self._drawn_from, rng)
+        if cum.__class__ is not list:
+            self._drawn_from = exp3_probs(cum, self.current_eta())
+            return sample_categorical(self._drawn_from, rng)
+        eta = self.current_eta()
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        # exp3_row_probs' operations in its order, on the cached weights
+        neg = -eta
+        top = neg * min(cum)
+        key = self._key
+        if key is None or neg != key[0] or top != key[1]:
+            self._weights = np.exp([neg * c - top for c in cum]).tolist()
+            self._key = neg, top
+        w = self._weights
+        total = row_sum(w)
+        # sample_categorical's rule: the first running sum above u, capped at the last arm
+        u, run, last = rng.random(), 0.0, len(w) - 1
+        for arm in range(last):
+            p = w[arm] / total
+            run += p
+            if run > u:
+                break
+        else:
+            arm, p = last, w[last] / total
+        self._drawn_from = arm, p
+        return arm
 
     def update(self, chosen, loss, sampling_probs: np.ndarray | None = None) -> None:
         """Apply the round's estimate, importance-weighted by the distribution
         the last select() drew from; `sampling_probs` overrides it when the
         arm was drawn from another distribution."""
         cum = self.cum_losses
+        drawn, self._drawn_from = self._drawn_from, None
         if cum.__class__ is list:
             if sampling_probs is not None:
                 p_chosen = float(sampling_probs[chosen])
+            elif drawn is not None and drawn[0] == chosen:
+                p_chosen = drawn[1]
             else:
-                p = self._drawn_from
-                if p is None:
-                    p = exp3_row_probs(cum, self.current_eta())
-                p_chosen = p[chosen]
-            self._drawn_from = None
+                p_chosen = exp3_row_probs(cum, self.current_eta())[chosen]
             if p_chosen <= 0.0:
                 raise ZeroDivisionError("chosen arm has zero probability")
             cum[chosen] += float(loss) / p_chosen
             self.t += 1
+            key = self._key
+            if self.eta is None:
+                self._key = None  # the anytime rate steps with t
+            elif key is not None:
+                neg, top = key
+                self._weights[chosen] = float(np.exp(neg * cum[chosen] - top))
             return
-        if sampling_probs is not None:
-            p = np.asarray(sampling_probs, float)
-        else:
-            p = self.probs() if self._drawn_from is None else self._drawn_from
-        self._drawn_from = None
+        p = (np.asarray(sampling_probs, float) if sampling_probs is not None
+             else self.probs() if drawn is None else drawn)
         # Only the chosen entries move: the estimate is +0.0 elsewhere, and
         # x + 0.0 == x for every x but -0.0, which a sum that starts at
         # +0.0 never holds. So adding there alone keeps every bit.

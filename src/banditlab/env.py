@@ -262,17 +262,8 @@ def sample_categorical(p, rng) -> int | np.ndarray:
     with the r-th double and an array of R indices is returned. The index is
     the number of cumulative sums at or below u (`searchsorted(...,
     side="right")`), capped at K - 1: the first sum above u once the last
-    sum is raised to +inf. A list, one row of Python floats, is drawn by the
-    same running sum and rule on Python floats.
+    sum is raised to +inf.
     """
-    if p.__class__ is list:
-        u, total = rng.random(), 0.0
-        last = len(p) - 1
-        for i in range(last):
-            total += p[i]
-            if total > u:
-                return i
-        return last
     cum = np.add.accumulate(p, -1)  # what cumsum calls, without its wrapper
     cum[..., -1] = INF
     # transposed, the (K, R) sums broadcast against one u per replica

@@ -14,6 +14,10 @@ import numpy as np
 # (pinned by the tests and by the `lapack-solve-agreement` selftest), and
 # this is the one place the package names it.
 from numpy.linalg._umath_linalg import solve as _lapack_solve
+# The C einsum that numpy's public einsum forwards to when it is not asked
+# to optimize: the same call without the wrapper's dispatch and argument
+# checks, which cost about as much again as a design iteration's small einsum.
+from numpy._core.multiarray import c_einsum as _einsum
 
 from .env import INF, UNIT, ZERO, constant, largest, smallest, within
 
@@ -92,7 +96,7 @@ class DesignWeights:
     def leverage(self, points: np.ndarray) -> np.ndarray:
         with singular_raises():
             sol = solve(self.design_matrix, points.T)
-        return np.einsum("ij,ji->i", points, sol)
+        return _einsum("ij,ji->i", points, sol)
 
 
 def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -> DesignWeights:
@@ -100,7 +104,7 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
 
     Stops once max_x x^T P^{-1} x <= d (1 + tol), the equalized-leverage
     certificate of optimality; raises if the budget runs out first. Each
-    iteration is one gemm, one solve, one einsum and the argmax and argmin
+    iteration is one gemm, one solve, one C einsum and the argmax and argmin
     of the leverages (each the first index among ties); the step sizes run
     on Python floats, which round as numpy's float64 scalars do. The whole
     loop runs in one `singular_raises()` block, so an overflow or division
@@ -120,7 +124,7 @@ def doptimal_design(points, tol: float = DESIGN_TOL, max_iter: int = MAX_ITER) -
     with singular_raises():
         for _ in range(max_iter):
             P = pts_t @ (w[:, None] * pts)
-            lev = np.einsum("ij,ji->i", pts, solve(P, pts_t))
+            lev = _einsum("ij,ji->i", pts, solve(P, pts_t))
             j_fw = lev.argmax()
             g_fw = lev.item(j_fw)
             if g_fw <= cap:

@@ -462,16 +462,17 @@ def _batches(build: partial, env: dict, n: int, seed: int, ids) -> Iterator[tupl
     `draws_per_round`, the doubles its state reads per round, plays all R
     replicas in lockstep as one batch, a state with `replicas=R` on
     `ReplicaDraws` that also give the environment its `env["draws_per_round"]`,
-    rows (R,), unless R is at most the `narrow_width` it declares: then each
-    replica plays alone, a one-row state on `RowDraws` of the same total,
-    rows (). Any other class plays each on its own `derive_stream(seed, i)`,
-    rows ()."""
+    rows (R,), unless R is at most the `narrow_width(K)` it declares for the
+    environment's K arms: then each replica plays alone, a one-row state on
+    `RowDraws` of the same total, rows (). Any other class plays each on its
+    own `derive_stream(seed, i)`, rows ()."""
     per_round = getattr(build.func, "draws_per_round", None)
     if per_round is None:
         yield from ((build(), derive_stream(seed, i), ()) for i in ids)
         return
     total = (per_round + env.get("draws_per_round", 0)) * n
-    if len(ids) <= getattr(build.func, "narrow_width", 0):
+    width = getattr(build.func, "narrow_width", None)
+    if width is not None and len(ids) <= width(env["K"]):
         yield from ((build(), RowDraws(seed, i, total), ()) for i in ids)
     else:
         draws = ReplicaDraws(seed, ids, total)
@@ -752,9 +753,12 @@ def _check_exp2(p: dict, e: dict, n: int) -> None:
 
 
 def _check_osmd_ball(p: dict, e: dict, n: int) -> None:
+    # at horizon 1 the schedules give gamma = 1 and eta = 0
+    _check_schedule(p, "gamma", n, lambda n: mirror.ball_schedule(n, e["d"])[0],
+                    lambda gamma: gamma < 1, "must lie below 1")
     _check_schedule(p, "eta", n, lambda n: mirror.ball_schedule(n, e["d"])[1],
-                    lambda eta: eta * e["d"] <= 0.5,
-                    f"times environment.d = {e['d']} must be at most 1/2")
+                    lambda eta: eta > 0 and eta * e["d"] <= 0.5,
+                    f"must be positive, and times environment.d = {e['d']} at most 1/2")
 
 
 def _check_osgd(mode: str, p: dict, e: dict, n: int) -> None:
@@ -862,7 +866,8 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     ids, for an (R, n) array in C order with one row per id; row r reads
     only the stream `derive_stream(seed, ids[r])`, in whichever batch
     `_batches` plays it: all replicas in lockstep (exp3p, exp2-john,
-    osmd-msets, and ucb and exp3 above their `narrow_width`) or one at a time.
+    osmd-msets, and ucb and exp3 above their `narrow_width(K)`) or one at a
+    time.
     """
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(ids, numbers.Integral)

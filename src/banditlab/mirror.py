@@ -198,6 +198,8 @@ class Exp2State:
             gamma = gamma_d if gamma is None else gamma
         if not 0.0 < gamma <= 1.0:  # a nan fails too
             raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+        if not eta > 0.0:  # a nan fails too
+            raise ValueError(f"eta must be positive, got {eta!r}")
         # probs' constants, taken once: the negated rate and the softmax's
         # share as read-only 0-d arrays, and the design's share of each point
         self._neg_eta, self._soft_share = constant(-eta), constant(1.0 - gamma)
@@ -343,6 +345,8 @@ class OsmdBall:
             eta = eta_d if eta is None else eta
         if not 0.0 < gamma < 1.0:  # a nan fails too
             raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
+        if not eta > 0.0:  # a nan fails too
+            raise ValueError(f"eta must be positive, got {eta!r}")
         if eta * d > 0.5:
             raise ValueError(f"eta * d = {eta * d:.4f} violates the requirement eta*d <= 1/2")
         self.d = d

@@ -281,6 +281,24 @@ def check_lapack_solve_agreement(seed: int = SELFTEST_SEED):
         f"{raised} of 2 singular systems raised LinAlgError")
 
 
+def check_exp_lane_agreement(seed: int = SELFTEST_SEED):
+    """`np.exp` of one Python float gives the bits of that double's entry in
+    a whole-row call, on seeded rows of every length from 1 to 33 whose
+    entries lie in [-40, 0], as a one-row Exp3State's shifted scores do. Its
+    cached weights rest on this: an update recomputes the played arm's
+    weight alone, a select all K in one call. So a numpy whose SIMD `exp`
+    rounds a lone double differently from a lane of a row fails here
+    instead of silently changing reports."""
+    rng = derive_stream(seed, 11)
+    differ = rows = 0
+    for length in range(1, 34):
+        for _ in range(100):
+            row = (-40.0 * rng.random(length)).tolist()
+            differ += np.exp(row).tolist() != [float(np.exp(x)) for x in row]
+            rows += 1
+    return differ == 0, f"{differ} of {rows} rows differ from np.exp of each double alone"
+
+
 def finite_rows_mismatch(make, kind: str, K: int, n: int, R: int, seed: int):
     """Play `make(R)`, a finite-arm state with one row per replica, in
     lockstep on `ReplicaDraws` beside R one-row states `make(None)`, each on
@@ -376,6 +394,7 @@ CHECKS = [
     ("projection-rows-agreement", check_projection_rows_agreement),
     ("finite-rows-agreement", check_finite_rows_agreement),
     ("lapack-solve-agreement", check_lapack_solve_agreement),
+    ("exp-lane-agreement", check_exp_lane_agreement),
 ]
 
 

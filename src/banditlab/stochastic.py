@@ -32,9 +32,13 @@ class UcbState:
 
     feedback = "gain"
     draws_per_round = 0  # select reads no double, so replicas run in lockstep
-    # a batch of up to this many replicas plays one at a time as one-row
-    # states, which cost less there than lockstep rows (README, "Narrow ucb batches")
-    narrow_width = 6
+
+    @staticmethod
+    def narrow_width(K: int) -> int:
+        """The widest batch on K arms that plays one replica at a time as
+        one-row states, which cost less there than lockstep rows; measured
+        at 5 arms (README, "Narrow batches")."""
+        return 6
 
     def __init__(self, K: int, alpha: float = 2.5, replicas: int | None = None):
         if alpha <= 2.0:

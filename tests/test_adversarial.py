@@ -148,9 +148,12 @@ def test_round_one_is_exactly_uniform(K):
             state = Exp3State(K, replicas=replicas, **rate)
             uniform = np.full(np.shape(state.cum_losses), 1.0 / K)
             assert np.array_equal(state.probs(), uniform)
-            state.select(derive_stream(0, 0) if replicas is None
-                         else ReplicaDraws(0, range(replicas), 1))
-            assert np.array_equal(state._drawn_from, uniform)
+            if replicas is None:  # a one-row select keeps the drawn arm's probability alone
+                arm = state.select(derive_stream(0, 0))
+                assert state._drawn_from == (arm, 1.0 / K)
+            else:
+                state.select(ReplicaDraws(0, range(replicas), 1))
+                assert np.array_equal(state._drawn_from, uniform)
     for N in (2, 5, 9, K):
         for rate in ({"n": 100}, {"gamma": 0.1}, {"eta": 50.0}):
             assert np.array_equal(Exp4State(N, K, **rate).expert_probs(), np.full(N, 1.0 / N))

@@ -162,8 +162,9 @@ def _run_entry_points(tmp: Path) -> None:
     from test_engine import CASES, _config as case_config, _ini
     from test_harness import _BAD_CSVS, _BAD_VALUES, _config
 
-    wide = 1 + max(getattr(cls, "narrow_width", 0) for module in _modules()
-                   for cls in vars(module).values())
+    # no width grows with K, so each is widest at one arm
+    wide = 1 + max(cls.narrow_width(1) for module in _modules()
+                   for cls in vars(module).values() if hasattr(cls, "narrow_width"))
     for case in CASES.values():
         for replicas in sorted({case[5], wide}):
             harness.run_experiment(case_config(*case[:5], replicas, *case[6:]))

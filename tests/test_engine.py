@@ -266,17 +266,18 @@ def test_golden_content_digest_in_either_form_of_a_narrow_class(monkeypatch):
         if case[0] not in narrow:
             continue
         for width in (case[5], 0):
-            monkeypatch.setattr(narrow[case[0]], "narrow_width", width)
+            monkeypatch.setattr(narrow[case[0]], "narrow_width", staticmethod(lambda K: width))
             assert _digest(harness.run_experiment(_config(*case))) == GOLDEN[name], (name, width)
 
 
 def test_batches_follow_the_lockstep_declaration():
     # every policy but sgs binds its class through make(p, env, n); the class
     # alone decides whether its replicas play as one batch or one at a time,
-    # and ucb and exp3 play a batch no wider than their narrow_width one
-    # replica at a time, each on its own RowDraws
+    # and ucb and exp3 play a batch no wider than their narrow_width at the
+    # environment's K one replica at a time, each on its own RowDraws
     widths = {"ucb": UcbState.narrow_width, "exp3": Exp3State.narrow_width}
-    for R in (2, 3, UcbState.narrow_width + 1):
+    crossed = set()
+    for R in (2, 3, 5, 6, 7):
         lockstep, one_at_a_time = set(), set()
         for case in CASES.values():
             cfg = harness.check_config(_config(*case))
@@ -296,9 +297,14 @@ def test_batches_follow_the_lockstep_declaration():
             else:
                 assert sources == ({RowDraws} if cfg["policy"] in widths
                                    else {np.random.Generator}), cfg["policy"]
-        assert lockstep == {"exp3p", "exp2-john", "osmd-msets"} | {
-            policy for policy, width in widths.items() if R > width}
-        assert one_at_a_time == set(harness._POLICIES) - lockstep - {"sgs"}
+            if cfg["policy"] in widths:
+                width = widths[cfg["policy"]](env["K"])
+                assert (rows == [(R,)]) == (R > width), (cfg["policy"], env["K"], R)
+                crossed.add((cfg["policy"], R > width))
+        fixed = {"exp3p", "exp2-john", "osmd-msets"}
+        assert lockstep - set(widths) == fixed
+        assert one_at_a_time - set(widths) == set(harness._POLICIES) - fixed - set(widths) - {"sgs"}
+    assert crossed == {(policy, wide) for policy in widths for wide in (False, True)}
 
 
 def test_draws_per_round_is_the_one_lockstep_declaration():

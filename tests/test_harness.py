@@ -580,6 +580,10 @@ _BAD_VALUES = [
                  id="osmd-ball-schedule-short"),
     pytest.param("osmd-ball", {}, "linear-ball", {"d": "8"}, [], "policy.eta", 30,
                  id="osmd-ball-schedule-names-eta"),
+    pytest.param("osmd-ball", {}, "linear-ball", {"d": "3"}, [], "policy.gamma", 1,
+                 id="osmd-ball-gamma-schedule-at-horizon-1"),
+    pytest.param("osmd-ball", {"gamma": "0.1"}, "linear-ball", {"d": "3"}, [], "policy.eta", 1,
+                 id="osmd-ball-eta-schedule-at-horizon-1"),
     pytest.param("exp3p", {}, "oblivious", {"k": "3"}, [], "experiment.horizon", 3,
                  id="exp3p-schedule-short"),
     pytest.param("exp2-john", {}, "linear-points", {"d": "3", "n_points": "20"}, [],

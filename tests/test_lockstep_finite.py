@@ -3,7 +3,9 @@ arms and state arrays of a one-row state on its own stream, every round, and
 Exp3's in-place update adds exactly the importance-weighted estimate. A ucb
 or exp3 batch no wider than its class's `narrow_width` plays one replica at a
 time, with the curves of the lockstep form, and the one-row Exp3State on
-Python floats keeps the bits of the numpy one-row state it replaced."""
+Python floats, with its cached weights, keeps the bits of the numpy one-row
+state it replaced."""
+import copy
 import math
 import tracemalloc
 
@@ -170,6 +172,87 @@ def test_one_row_exp3_keeps_the_bits_of_its_numpy_form(K, rate, losses):
     assert new.t == old.t == n and any(new.cum_losses)
 
 
+def _key_now(state) -> tuple:
+    """The (-eta, top) a one-row state's weights are due under now."""
+    neg = -state.current_eta()
+    return neg, neg * min(state.cum_losses)
+
+
+def _weights_under(state, key) -> list:
+    neg, top = key
+    return np.exp([neg * c - top for c in state.cum_losses]).tolist()
+
+
+CACHE_ROUNDS = 300
+LEAST_EVERY = 5  # every 5th round updates the arm with the least loss; every 10th with no select
+
+
+@pytest.mark.parametrize("K", [2, 4, 10, 17, 129])
+@pytest.mark.parametrize("rate", ["fixed", "anytime"])
+@pytest.mark.parametrize("losses", ["drawn", "sampling-probs"])
+def test_one_row_exp3_cache_keeps_the_frozen_rounds_bits(K, rate, losses):
+    """After every select, the cached weights are np.exp of the shifted
+    scores under the current key, bit for bit; after every update, under the
+    key they hold. The arm, the drawn arm's probability and cum_losses keep
+    the frozen class's bits. Every LEAST_EVERY-th round plays the arm with
+    the least loss, which moves the key, after a select on even multiples
+    and with none on odd ones; "sampling-probs" updates every other round
+    with an outside distribution, as ThetaExp4 does; halfway, between a
+    select and its update, both states are deep-copied, as the exact oracle
+    copies them."""
+    n, seed = CACHE_ROUNDS, 70 + K
+    kwargs = {"anytime": True} if rate == "anytime" else {"n": n}
+    new, old = Exp3State(K, **kwargs), _FrozenExp3(K, **kwargs)
+    rng_new, rng_old = RowDraws(seed, 0, n), derive_stream(seed, 0)
+    env = derive_stream(seed, ENV_STREAM_ID)
+    matrix = env.random((n, K))
+    kept = moved = 0  # selects that kept the cached key, and that moved it
+    for t in range(n):
+        least = t % LEAST_EVERY == LEAST_EVERY - 1
+        if not (least and t // LEAST_EVERY % 2):
+            key = new._key
+            arm = new.select(rng_new)
+            assert arm == old.select(rng_old), t
+            assert new._key == _key_now(new), t
+            assert _bits(new._weights) == _bits(_weights_under(new, new._key)), t
+            assert _bits(new._drawn_from) == _bits([arm, old._drawn_from[arm]]), t
+            if key is not None:
+                kept, moved = kept + (key == new._key), moved + (key != new._key)
+        if t == n // 2:
+            new, old = copy.deepcopy(new), copy.deepcopy(old)
+        q = None
+        if least:
+            arm = min(range(K), key=new.cum_losses.__getitem__)
+        elif losses == "sampling-probs" and t % 2:
+            q = 0.5 * old.probs() + 0.5 * env.dirichlet(np.ones(K))
+            arm = min(int(np.add.accumulate(q).searchsorted(env.random(), side="right")), K - 1)
+        new.update(arm, matrix.item(t, arm), q)
+        old.update(arm, matrix.item(t, arm), q)
+        assert _bits(new.cum_losses) == _bits(old.cum_losses), t
+        assert new._drawn_from is None
+        if new._key is not None:
+            assert _bits(new._weights) == _bits(_weights_under(new, new._key)), t
+    assert new.t == old.t == n
+    # the fixed rate keeps its key but where the least loss moved; the
+    # anytime rate drops it every update, so every select recomputes
+    assert (kept and moved) if rate == "fixed" else not (kept or moved)
+
+
+def test_exp_lane_selftest_fails_when_a_lone_double_rounds_apart(monkeypatch):
+    assert selftest.check_exp_lane_agreement() == (
+        True, "0 of 3300 rows differ from np.exp of each double alone")
+    exp = np.exp
+
+    def lone_apart(x):  # one ulp up on a lone double, a row's lanes as they were
+        y = exp(x)
+        return np.nextafter(y, np.inf) if np.ndim(x) == 0 else y
+
+    monkeypatch.setattr(np, "exp", lone_apart)
+    passed, detail = selftest.check_exp_lane_agreement()
+    assert not passed
+    assert detail.startswith("3300 of 3300 rows")
+
+
 SWITCH = {"stochastic": {"means": [0.9, 0.8, 0.7, 0.6, 0.5]},
           "lower-bound": {"k": 4, "eps": 0.2, "best": 2},
           "oblivious": {"k": 5},
@@ -185,23 +268,37 @@ def _curves_in_both_forms(monkeypatch, cls, policy, kind, R):
     env = harness.build_environment(kind, SWITCH[kind], n, 9)
     curves = {"as declared": harness.run_replica(cfg, env, 9, range(R))}
     for form, width in (("one at a time", R), ("lockstep", 0)):
-        monkeypatch.setattr(cls, "narrow_width", width)
+        monkeypatch.setattr(cls, "narrow_width", staticmethod(lambda K: width))
         curves[form] = harness.run_replica(cfg, env, 9, range(R))
     assert curves["lockstep"].shape == (R, n) and curves["lockstep"][:, -1].any()
     for form in ("as declared", "one at a time"):
         assert np.array_equal(curves[form], curves["lockstep"]), form
 
 
-@pytest.mark.parametrize("R", [1, 2, UcbState.narrow_width, UcbState.narrow_width + 1])
+@pytest.mark.parametrize("R", [1, 2, UcbState.narrow_width(K), UcbState.narrow_width(K) + 1])
 @pytest.mark.parametrize("kind", sorted(SWITCH))
 def test_ucb_curves_match_across_the_narrow_width(monkeypatch, kind, R):
     _curves_in_both_forms(monkeypatch, UcbState, "ucb", kind, R)
 
 
-@pytest.mark.parametrize("R", [1, Exp3State.narrow_width, Exp3State.narrow_width + 1])
+# 1 to 3 replicas, and the width and one above it at each kind's K (3 to 5
+# arms): 5 and 6
+@pytest.mark.parametrize("R", sorted({1, 2, 3, *(Exp3State.narrow_width(k) + extra
+                                                for k in (3, 4, 5) for extra in (0, 1))}))
 @pytest.mark.parametrize("kind", sorted(SWITCH))
 def test_exp3_curves_match_across_the_narrow_width(monkeypatch, kind, R):
     _curves_in_both_forms(monkeypatch, Exp3State, "exp3", kind, R)
+
+
+def test_exp3_narrow_width_follows_the_measured_crossover():
+    # README's "Narrow batches": the widest batch whose one-row form measured
+    # cheaper, from 2 to 128 arms, but at 8, 10 and 24 arms, where one
+    # replica more won by at most 3%; the benchmark's R = 2 exp3 runs, at 4
+    # and 10 arms, play one at a time
+    ks = (2, 4, 8, 10, 16, 24, 32, 48, 64, 128)
+    assert [Exp3State.narrow_width(k) for k in ks] == [5, 5, 4, 4, 3, 2, 2, 1, 1, 0]
+    assert all(Exp3State.narrow_width(k) >= Exp3State.narrow_width(k + 1) for k in range(1, 300))
+    assert min(Exp3State.narrow_width(4), Exp3State.narrow_width(10)) >= 2
 
 
 @pytest.mark.parametrize("replicas", [None, 6])
@@ -241,9 +338,10 @@ def test_exp3_update_refuses_a_zero_probability_before_writing():
 @pytest.mark.parametrize("kind, policy, params, ids", [
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, 0),
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(3)),
-    ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(Exp3State.narrow_width)),
-    ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(3)),
-    ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(UcbState.narrow_width + 1)),
+    ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(Exp3State.narrow_width(2))),
+    ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"},
+     range(Exp3State.narrow_width(2) + 1)),
+    ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(UcbState.narrow_width(2) + 1)),
 ], ids=["stochastic-one-stream", "stochastic-lockstep", "grudge-one-at-a-time",
         "grudge-lockstep", "stochastic-above-the-narrow-width"])
 def test_finite_rounds_keep_two_curve_sized_arrays(kind, policy, params, ids):

@@ -223,6 +223,17 @@ def test_exp2_refuses_a_gamma_outside_its_interval(gamma):
     assert (Exp2State(pts, design, eta=0.1, gamma=1.0).probs() >= 0.0).all()
 
 
+@pytest.mark.parametrize("eta", [-1.0, 0.0, -0.0, math.nan])
+def test_exp2_refuses_a_rate_at_or_below_zero(eta):
+    # at nan every probability was nan; the eta key's range is (0, inf)
+    rng = derive_stream(15, 1)
+    pts = rng.standard_normal((8, 3))
+    design = doptimal_design(pts)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        Exp2State(pts, design, eta=eta, gamma=0.3)
+    assert Exp2State(pts, design, eta=1e-300, gamma=0.3).probs().sum() == pytest.approx(1.0)
+
+
 def test_semibandit_estimate():
     x = np.array([0.25, 0.5, 0.25])
     v = np.array([1.0, 0.0, 1.0])
@@ -294,6 +305,14 @@ def test_ball_refuses_a_gamma_outside_its_interval(gamma):
         OsmdBall(3, gamma=gamma, eta=0.01)
     project = OsmdBall(3, gamma=0.5, eta=0.01).spec.bregman_project
     assert np.allclose(project(np.array([0.9, 0.0, 0.0])), [0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("eta", [-0.1, 0.0, math.nan])
+def test_ball_refuses_a_rate_at_or_below_zero(eta):
+    # the eta key's range is (0, 0.5]; eta * d <= 1/2 alone let these through
+    with pytest.raises(ValueError, match="eta must be positive"):
+        OsmdBall(3, gamma=0.1, eta=eta)
+    assert OsmdBall(3, gamma=0.1, eta=0.5 / 3).eta == 0.5 / 3
 
 
 def test_ball_estimate_hand_values():
