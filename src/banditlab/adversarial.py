@@ -51,22 +51,6 @@ def row_sum(values: list) -> float:
     return total
 
 
-def exp3_row_probs(cum_losses: list, eta: float) -> list:
-    """`exp3_probs` of one row of Python floats, as a list with the same
-    bits: the same float operations in the same order. The largest score
-    -eta * L_i is -eta times the least L_i, since rounding keeps order; the
-    exponentials come from one `np.exp` call, whose SIMD loop rounds some
-    doubles differently from `math.exp`; and `row_sum` adds them in
-    numpy's order."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    neg = -eta
-    top = neg * min(cum_losses)
-    w = np.exp([neg * c - top for c in cum_losses]).tolist()
-    total = row_sum(w)
-    return [x / total for x in w]
-
-
 def _importance_weight(p: np.ndarray, chosen, loss):
     """The flat index of each row's chosen entry of `p` (see `flat_index`)
     and loss / p[chosen] there; every row's probability is checked before
@@ -92,24 +76,25 @@ class Exp3State:
     """Exponential weights over importance-weighted loss estimates.
 
     With a known horizon the fixed rate sqrt(2 ln K / (n K)) is used; the
-    anytime variant recomputes eta_t = sqrt(ln K / (t K)) each round. With
-    `replicas` set, the state holds one row per replica and `select`/`update`
-    take and return one arm per row. Without, `cum_losses` is one row of
-    Python floats and a round is Python float operations, the correctly
-    rounded IEEE-754 ones of numpy's float64 ufuncs, but for the
-    exponentials and their sum (`exp3_row_probs`), so a row keeps the bits
-    it has in an array. `probs()` returns an array either way.
+    anytime variant recomputes eta_t = sqrt(ln K / (t K)) each round. The
+    rate is checked once, at construction. With `replicas` set, the state
+    holds one row per replica and `select`/`update` take and return one arm
+    per row. Without, `cum_losses` is one row of Python floats and a round
+    is Python float operations, the correctly rounded IEEE-754 ones of
+    numpy's float64 ufuncs, but for the exponentials and their sum, so a row
+    keeps the bits `exp3_probs` gives it in an array. `probs()` returns an
+    array either way.
 
-    A one-row state also caches its K weights exp(-eta L_i - top), top =
-    -eta min(L), under the key (-eta, top). An update recomputes the played
-    arm's weight alone, with `np.exp` on that one double, which gives the
-    bits of its entry in a whole-row call (the `exp-lane-agreement`
-    selftest); `select` recomputes all K only when the key has moved,
-    because the least L_i moved. The anytime rate steps with t, so an
-    anytime update drops the key instead. `select` then divides by the
-    weights' `row_sum` and draws in one pass that stops at the drawn arm,
-    keeping that arm's probability for `update`. The cache assumes that
-    the row moves only through `update`.
+    A one-row state builds every distribution from `_row_weights`: its K
+    weights exp(-eta L_i - top), top = -eta min(L), cached under the key
+    (-eta, top) and recomputed all K only when the key has moved, because
+    the least L_i moved. An update recomputes the played arm's weight alone,
+    with `np.exp` on that one double, which gives the bits of its entry in a
+    whole-row call (the `exp-lane-agreement` selftest). The anytime rate
+    steps with t, so an anytime update drops the key instead. `select`
+    divides by the weights' `row_sum` and draws in one pass that stops at
+    the drawn arm, keeping that arm's probability for `update`. The cache
+    assumes that the row moves only through `update`.
     """
 
     feedback = "loss"
@@ -126,15 +111,17 @@ class Exp3State:
 
     def __init__(self, K: int, n: int | None = None, eta: float | None = None,
                  anytime: bool = False, replicas: int | None = None):
+        if K < 2:
+            raise ValueError(f"need at least 2 arms, got K = {K!r}")
+        if eta is None and not anytime:
+            if n is None:
+                raise ValueError("need a horizon, an explicit eta, or anytime=True")
+            eta = math.sqrt(2.0 * math.log(K) / (n * K))
+        # a nan fails too; the anytime rate sqrt(ln K / (t K)) is positive at K >= 2
+        if eta is not None and not eta > 0.0:
+            raise ValueError(f"eta must be positive, got {eta!r}")
         self.K = K
-        if eta is not None:
-            self.eta = eta
-        elif anytime:
-            self.eta = None
-        elif n is not None:
-            self.eta = math.sqrt(2.0 * math.log(K) / (n * K))
-        else:
-            raise ValueError("need a horizon, an explicit eta, or anytime=True")
+        self.eta = eta
         if replicas is None:
             self.cum_losses = [0.0] * K
             self._key = self._weights = None  # the cached weights and their (-eta, top)
@@ -154,26 +141,32 @@ class Exp3State:
     def probs(self) -> np.ndarray:
         cum = self.cum_losses
         if cum.__class__ is list:
-            return np.array(exp3_row_probs(cum, self.current_eta()))
+            w, total = self._row_weights()
+            return np.array([x / total for x in w])
         return exp3_probs(cum, self.current_eta())
 
-    def select(self, rng):
+    def _row_weights(self) -> tuple[list, float]:
+        """A one-row state's weights exp(-eta L_i - top) and their `row_sum`,
+        the K weights recomputed in one `np.exp` call, whose SIMD loop rounds
+        some doubles differently from `math.exp`, only when the key
+        (-eta, top) has moved. The largest score -eta L_i is -eta times the
+        least L_i, since rounding keeps order."""
         cum = self.cum_losses
-        if cum.__class__ is not list:
-            self._drawn_from = exp3_probs(cum, self.current_eta())
-            return sample_categorical(self._drawn_from, rng)
-        eta = self.current_eta()
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        # exp3_row_probs' operations in its order, on the cached weights
-        neg = -eta
+        neg = -self.current_eta()
         top = neg * min(cum)
         key = self._key
         if key is None or neg != key[0] or top != key[1]:
             self._weights = np.exp([neg * c - top for c in cum]).tolist()
             self._key = neg, top
         w = self._weights
-        total = row_sum(w)
+        return w, row_sum(w)
+
+    def select(self, rng):
+        cum = self.cum_losses
+        if cum.__class__ is not list:
+            self._drawn_from = exp3_probs(cum, self.current_eta())
+            return sample_categorical(self._drawn_from, rng)
+        w, total = self._row_weights()
         # sample_categorical's rule: the first running sum above u, capped at the last arm
         u, run, last = rng.random(), 0.0, len(w) - 1
         for arm in range(last):
@@ -198,7 +191,8 @@ class Exp3State:
             elif drawn is not None and drawn[0] == chosen:
                 p_chosen = drawn[1]
             else:
-                p_chosen = exp3_row_probs(cum, self.current_eta())[chosen]
+                w, total = self._row_weights()
+                p_chosen = w[chosen] / total
             if p_chosen <= 0.0:
                 raise ZeroDivisionError("chosen arm has zero probability")
             cum[chosen] += float(loss) / p_chosen

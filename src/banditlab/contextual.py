@@ -55,6 +55,8 @@ class Exp4State:
             self.eta = math.sqrt(2.0 * math.log(N) / (n * K))
         else:
             raise ValueError("need a horizon, an explicit eta, or gamma > 0")
+        if not self.eta > 0.0:  # a nan fails too
+            raise ValueError(f"eta must be positive, got {self.eta!r}")
         self.cum_expert_losses = np.zeros(N)
         self._drawn_from = None  # the distribution the last select() drew from
 

@@ -71,6 +71,8 @@ class OsgdState:
             raise ValueError(f"unknown feedback mode {mode!r}")
         if not 0.0 < delta < radius:
             raise ValueError("delta must lie between 0 and the ball's radius")
+        if not eta > 0.0:  # a nan fails too
+            raise ValueError(f"eta must be positive, got {eta!r}")
         self.loss = family.loss
         self.dim = dim
         self.radius = radius

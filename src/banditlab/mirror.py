@@ -299,6 +299,8 @@ class OsmdMsets:
             if default_eta is None:
                 raise ValueError("need a horizon or an explicit eta")
             eta = default_eta
+        if not eta >= 0.0:  # a nan fails too; eta = 0 switches learning off
+            raise ValueError(f"eta must be at least 0, got {eta!r}")
         self.eta = eta
         self.x = np.full(d if replicas is None else (replicas, d), m / d)
 

@@ -112,30 +112,35 @@ def check_mirror_map_roundtrip(seed: int = SELFTEST_SEED):
     return worst <= 1e-9, f"max roundtrip error {worst:.2e}"
 
 
-def check_pythagorean(seed: int = SELFTEST_SEED, instances: int = 1000):
-    """D(y, w) >= D(y, z) + D(z, w) for the projection z of w and feasible y."""
+def check_pythagorean(seed: int = SELFTEST_SEED, instances: int = 500):
+    """D(y, w) >= D(y, z) + D(z, w) for the projection z of w and feasible y,
+    on `instances` draws in each geometry: the capped simplex (d = 4, m = 2)
+    under the negative entropy and under the power (q = 2) and exp
+    potentials, whose projections the OSMD potential variant takes, and the
+    log-barrier ball."""
     rng = derive_stream(seed, 3)
+    d, m = 4, 2
+    capped = [mirror.negentropy_capped_simplex(m),
+              mirror.potential_capped_simplex(mirror.power_potential(2.0), m),
+              mirror.potential_capped_simplex(mirror.exp_potential(), m)]
+    ball = mirror.log_barrier_ball(0.7)
     worst = 0.0
-    for i in range(instances):
-        if i % 2 == 0:
-            d = 4
-            m = 2.0
-            spec = mirror.negentropy_capped_simplex(m)
-            w = rng.random(d) * 3.0 + 1e-3
-            y = _random_capped_point(d, int(m), rng)
-            y = np.maximum(y, 1e-9)
+    for _ in range(instances):
+        cases = []
+        for spec in capped:
+            y = np.maximum(_random_capped_point(d, m, rng), 1e-9)
             y *= m / y.sum()
-        else:
-            d = 3
-            spec = mirror.log_barrier_ball(0.7)
-            w = rng.standard_normal(d)
-            w *= 0.95 * rng.random() / geometry.norm(w)
-            y = rng.standard_normal(d)
-            y *= 0.7 * rng.random() / geometry.norm(y)
-        z = spec.bregman_project(w)
-        lhs = spec.divergence(y, w)
-        rhs = spec.divergence(y, z) + spec.divergence(z, w)
-        worst = max(worst, rhs - lhs)
+            cases.append((spec, rng.random(d) * 3.0 + 1e-3, y))
+        w = rng.standard_normal(3)
+        w *= 0.95 * rng.random() / geometry.norm(w)
+        y = rng.standard_normal(3)
+        y *= 0.7 * rng.random() / geometry.norm(y)
+        cases.append((ball, w, y))
+        for spec, w, y in cases:
+            z = spec.bregman_project(w)
+            lhs = spec.divergence(y, w)
+            rhs = spec.divergence(y, z) + spec.divergence(z, w)
+            worst = max(worst, rhs - lhs)
     return worst <= 1e-7, f"max Pythagorean violation {worst:.2e}"
 
 

@@ -174,6 +174,27 @@ def test_exp3_anytime_schedule():
     assert state.current_eta() == pytest.approx(math.sqrt(math.log(4) / (9 * 4)))
 
 
+@pytest.mark.parametrize("rate", [{"eta": -1.0}, {"eta": 0.0}, {"eta": -0.0},
+                                  {"eta": math.nan}, {"n": math.inf}])
+@pytest.mark.parametrize("replicas", [None, 3])
+def test_exp3_refuses_a_rate_at_or_below_zero(rate, replicas):
+    # the rate is checked once, here, and no round checks it; at nan a
+    # one-row state played its last arm every round, since every running sum
+    # compared false against u. The eta key's range is (0, inf); an infinite
+    # horizon schedules eta = 0
+    with pytest.raises(ValueError, match="eta must be positive"):
+        Exp3State(4, replicas=replicas, **rate)
+    assert Exp3State(4, eta=1e-300, replicas=replicas).probs().sum(-1) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("K", [1, 0])
+def test_exp3_refuses_fewer_than_two_arms(K):
+    # at K = 1 the schedules sqrt(2 ln K / (n K)) and sqrt(ln K / (t K)) are 0
+    for rate in ({"n": 10}, {"anytime": True}, {"eta": 0.5}):
+        with pytest.raises(ValueError, match="at least 2 arms"):
+            Exp3State(K, **rate)
+
+
 def test_oracle_single_round_uniform():
     losses = np.array([[0.2, 0.8]])
     exp_loss, regret = exact_expectation_oracle(lambda: Exp3State(2, n=1), losses)

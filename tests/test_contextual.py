@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from banditlab import adversarial, contextual
+from banditlab import contextual
 from banditlab.adversarial import Exp3State, exp_weights, importance_loss_estimate
 from banditlab.contextual import (
     BanditronState,
@@ -69,6 +69,15 @@ def test_exp4_mixing_floor():
         assert (p >= 0.05 - 1e-15).all()
         arm = state.select(advice, rng)
         state.update(advice, arm, float(rng.random()))
+
+
+@pytest.mark.parametrize("eta", [-0.5, 0.0, math.nan])
+def test_exp4_refuses_a_rate_at_or_below_zero(eta):
+    # at nan every cumulative expert loss was nan within 5 rounds, and -0.5
+    # raised only at the first select; the eta key's range is (0, inf)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        Exp4State(4, 3, eta=eta)
+    assert Exp4State(4, 3, eta=1e-300).expert_probs().sum() == pytest.approx(1.0)
 
 
 def test_exp3_external_step():
@@ -421,11 +430,11 @@ def _counting(monkeypatch, owner, name, counts):
                                           ("theta-exp4", 3)])
 def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
     """exp3_probs is patched where contextual imports it
-    (Exp4State.expert_probs), and exp3_row_probs where adversarial defines it
-    (the one-row Exp3State.probs and select reach it)."""
+    (Exp4State.expert_probs), and Exp3State._row_weights on its class (every
+    one-row Exp3 distribution is built there)."""
     counts = {}
     _counting(monkeypatch, contextual, "exp3_probs", counts)
-    _counting(monkeypatch, adversarial, "exp3_row_probs", counts)
+    _counting(monkeypatch, Exp3State, "_row_weights", counts)
     _counting(monkeypatch, contextual, "exp4_arm_probs", counts)
     _counting(monkeypatch, ThetaExp4, "advice_matrix", counts)
     env, rng = derive_stream(50, 0), derive_stream(50, 1)
@@ -445,6 +454,6 @@ def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
         assert counts.get("exp3_probs", 0) <= 1
         if policy != "exp4":
             assert counts.get("advice_matrix") == 1
-            assert counts.get("exp3_row_probs", 0) <= sets
+            assert counts.get("_row_weights", 0) <= sets
     assert counts.get("exp3_probs") == 1
-    assert counts.get("exp3_row_probs", 0) == sets
+    assert counts.get("_row_weights", 0) == sets

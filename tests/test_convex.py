@@ -38,6 +38,14 @@ def test_osgd_ball_is_its_radius():
         OsgdState(FAMILIES["linear"], 3, 2.0, "three-point", eta=0.1, delta=0.3)
 
 
+@pytest.mark.parametrize("eta", [-0.1, 0.0, math.nan])
+def test_osgd_refuses_a_rate_at_or_below_zero(eta):
+    # at -0.1 the iterate climbed a linear loss, and at nan it became nan;
+    # the eta key's range is (0, inf)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        OsgdState(FAMILIES["linear"], 3, 2.0, "two-point", eta=eta, delta=0.3)
+
+
 def test_loss_families():
     c = np.array([0.6, 0.8])
     linear, absvalue, quadratic = FAMILIES["linear"], FAMILIES["absvalue"], FAMILIES["quadratic"]

@@ -3,24 +3,27 @@
 Two checks, each a function of source text so that a test can feed it a
 module of its own:
 - reachability: the package's entry points run under `sys.setprofile`, and
-  every function and method defined in `src/banditlab`, nested ones
+  every function, method and lambda defined in `src/banditlab`, nested ones
   included, must be entered by one of them or stand in `NOT_ENTERED` with
   its reason. A method counts only when its own code runs, so a dead one
-  that shares a live one's name is found.
+  that shares a live one's name is found; a lambda is known by its line and
+  column, so each of several on one line is found.
 - reads: every attribute a class stores as `self.X` must be loaded as
   `self.X` in that class, or as `<obj>.X` elsewhere in `src/` or `bench/`;
   every dataclass and namedtuple field must be loaded as an attribute.
 """
 import ast
+import dis
 import importlib.util
 import sys
+import types
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import banditlab
-from banditlab import cli, harness
+from banditlab import cli, convex, harness
 
 SRC = Path(banditlab.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -43,8 +46,9 @@ NOT_ENTERED = {
 
 def definitions(text: str) -> dict:
     """(first line, name) -> qualified name of each function and method the
-    module text defines, nested ones included; the first line is the one a
-    code object starts on, a decorator's if it has one."""
+    module text defines, and (line, column) -> qualified name of each
+    lambda, nested ones included; the first line is the one a code object
+    starts on, a decorator's if it has one."""
     found = {}
 
     def visit(node, prefix: str) -> None:
@@ -53,6 +57,10 @@ def definitions(text: str) -> dict:
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 found[first, child.name] = prefix + child.name
                 visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.Lambda):
+                name = f"<lambda {child.lineno}:{child.col_offset}>"
+                found[child.lineno, child.col_offset] = prefix + name
+                visit(child, f"{prefix}{name}.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
             else:
@@ -60,6 +68,31 @@ def definitions(text: str) -> dict:
 
     visit(ast.parse(text), "")
     return found
+
+
+def _code_identity(code) -> tuple:
+    """What tells one lambda's code from another's: two compiles of one text
+    give equal identities."""
+    return code.co_firstlineno, code.co_qualname, tuple(code.co_positions())
+
+
+def lambda_places(text: str) -> dict:
+    """The identity of each lambda's code in the module text -> the lambda's
+    (line, column), read off the instruction of the enclosing code that
+    loads it."""
+    places = {}
+
+    def visit(code) -> None:
+        for instruction in dis.get_instructions(code):
+            inner = instruction.argval
+            if isinstance(inner, types.CodeType):
+                if inner.co_name == "<lambda>":
+                    at = instruction.positions
+                    places[_code_identity(inner)] = at.lineno, at.col_offset
+                visit(inner)
+
+    visit(compile(text, "<module>", "exec"))
+    return places
 
 
 @contextmanager
@@ -80,13 +113,20 @@ def unentered(paths, codes: set) -> list:
     """`module.qualified.name` of each definition in the files `paths` that
     none of the code objects `codes` belongs to."""
     where = {name: str(Path(name).resolve()) for name in {c.co_filename for c in codes}}
-    entered = {(where[c.co_filename], c.co_firstlineno, c.co_name) for c in codes}
+    texts = {str(path.resolve()): path.read_text() for path in map(Path, paths)}
+    places = {file: lambda_places(text) for file, text in texts.items()}
+    entered = set()
+    for c in codes:
+        file = where[c.co_filename]
+        if c.co_name != "<lambda>":
+            entered.add((file, c.co_firstlineno, c.co_name))
+        elif file in places:
+            entered.add((file, *places[file][_code_identity(c)]))
     missed = []
     for path in map(Path, paths):
         file = str(path.resolve())
-        missed += [f"{path.stem}.{name}"
-                   for (line, short), name in definitions(path.read_text()).items()
-                   if (file, line, short) not in entered]
+        missed += [f"{path.stem}.{name}" for key, name in definitions(texts[file]).items()
+                   if (file, *key) not in entered]
     return missed
 
 
@@ -157,8 +197,9 @@ def _run_entry_points(tmp: Path) -> None:
     """Every way in: each golden case at its own replica count and at one
     above every `narrow_width`, so that both batch forms play; each CLI
     subcommand (`run` and `sweep` write every format, `selftest` runs every
-    property suite); an inline-losses and a csv config of each kind that
-    reads one; and each bad config and bad csv of the harness tests."""
+    property suite); an inline-losses config, a one-point osgd config of each
+    loss family, and a csv config of each kind that reads one; and each bad
+    config and bad csv of the harness tests."""
     from test_engine import CASES, _config as case_config, _ini
     from test_harness import _BAD_CSVS, _BAD_VALUES, _config
 
@@ -186,6 +227,12 @@ def _run_entry_points(tmp: Path) -> None:
     harness.run_experiment(_config(policy="exp3", policy_params={}, env_kind="oblivious",
                                    env_params={"losses": losses}, overlays=["exp3"],
                                    horizon=10, replicas=2))
+    # the golden cases run osgd on the linear and quadratic families, and
+    # the one-point mode alone reads a family's loss bound L
+    for family in convex.FAMILIES:
+        harness.run_experiment(_config(policy="osgd-1pt", policy_params={}, env_kind="convex",
+                                       env_params={"family": family, "d": "2"}, overlays=[],
+                                       horizon=20, replicas=2))
     csvs = [("exp3", {}, "oblivious", {}, "0.2,0.7\n" * 5),
             ("sexp3", {}, "contextual", {"k": "2"}, "a,0.1,0.9\nb,0.5,0.5\n" * 3),
             ("banditron", {"gamma": "0.2"}, "multiclass", {"k": "2", "d": "2"},
@@ -242,8 +289,9 @@ def test_every_stored_attribute_and_field_is_read():
     assert unread(checked, readers) == []
 
 
-# an uncalled method that shares a live one's name, an unread dataclass
-# field, and a stored round counter that nothing reads
+# an uncalled method that shares a live one's name, an uncalled lambda on
+# a called one's line, an unread dataclass field, and a stored round counter
+# that nothing reads
 SYNTHETIC = """
 from dataclasses import dataclass
 
@@ -270,9 +318,12 @@ class Dead:
         return x
 
 
+SCALE = (lambda x: 2.0 * x, lambda x: 3.0 * x)
+
+
 def run():
     spec = Spec(0.5, "half")
-    return Live().update(spec.rate)
+    return Live().update(SCALE[0](spec.rate) / 2.0)
 """
 
 
@@ -284,5 +335,5 @@ def test_the_gate_reports_each_kind_of_dead_code(tmp_path):
     spec.loader.exec_module(module)
     with entered_code() as entered:
         assert module.run() == 0.5
-    assert unentered([path], entered) == ["synthetic.Dead.update"]
+    assert unentered([path], entered) == ["synthetic.Dead.update", "synthetic.<lambda 27:28>"]
     assert unread({"synthetic": SYNTHETIC}, {}) == ["synthetic.Spec.label", "synthetic.Live.t"]

@@ -342,7 +342,7 @@ def test_exp3_update_refuses_a_zero_probability_before_writing():
     ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"},
      range(Exp3State.narrow_width(2) + 1)),
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(UcbState.narrow_width(2) + 1)),
-], ids=["stochastic-one-stream", "stochastic-lockstep", "grudge-one-at-a-time",
+], ids=["stochastic-one-stream", "stochastic-one-at-a-time", "grudge-one-at-a-time",
         "grudge-lockstep", "stochastic-above-the-narrow-width"])
 def test_finite_rounds_keep_two_curve_sized_arrays(kind, policy, params, ids):
     # stochastic: the arms played, then their gaps, summed in place; grudge:

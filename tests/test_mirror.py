@@ -290,6 +290,18 @@ def test_osmd_msets_full_set_degenerate():
     assert np.allclose(policy.x, 1.0)
 
 
+@pytest.mark.parametrize("variant", ["negent", "potential"])
+@pytest.mark.parametrize("eta", [-0.1, -math.inf, math.nan])
+def test_osmd_msets_refuses_a_rate_below_zero(eta, variant):
+    # these never learned, x staying at m/d with no error; the eta key's
+    # range is [0, inf), and eta = 0, the learning-off control, stays
+    with pytest.raises(ValueError, match="eta must be at least 0"):
+        OsmdMsets(6, 2, variant=variant, eta=eta)
+    policy = OsmdMsets(6, 2, variant=variant, eta=0.0)
+    policy.update(np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), np.full(6, 0.5))
+    assert (policy.x == 2 / 6).all()
+
+
 def test_ball_schedule_and_condition():
     gamma, eta = ball_schedule(4000, 3)
     assert gamma == pytest.approx(1 / math.sqrt(4000))
@@ -394,6 +406,21 @@ def test_pythagorean_inequality_both_geometries():
         y *= 0.7 * rng.random() / np.linalg.norm(y)
         assert ball.divergence(y, w) >= ball.divergence(y, z) \
             + ball.divergence(z, w) - 1e-9
+
+
+@pytest.mark.parametrize("potential", ["power", "exp"])
+def test_pythagorean_selftest_fails_under_a_wrong_potential_projection(monkeypatch, potential):
+    # the q = 3 power potential's projection, a feasible point that is not
+    # the Bregman projection, swapped in for one geometry's own
+    assert selftest.check_pythagorean()[0]
+    project, wrong = mirror.project_capped_simplex_potential, mirror.power_potential(3.0)
+
+    def swapped(w, m, psi):
+        return project(w, m, wrong if (psi.psi is np.exp) == (potential == "exp") else psi)
+
+    monkeypatch.setattr(mirror, "project_capped_simplex_potential", swapped)
+    passed, detail = selftest.check_pythagorean()
+    assert not passed, detail
 
 
 def test_potential_projection_in_osmd_keeps_duals_consistent():
