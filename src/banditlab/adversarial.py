@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 
-from .env import ZERO, any_true, flat_index, sample_categorical
+from .env import POSITIVE, ZERO, any_true, check_rate, flat_index, rates, sample_categorical
 
 
 def exp_weights(scores: np.ndarray) -> np.ndarray:
@@ -113,13 +113,10 @@ class Exp3State:
                  anytime: bool = False, replicas: int | None = None):
         if K < 2:
             raise ValueError(f"need at least 2 arms, got K = {K!r}")
-        if eta is None and not anytime:
-            if n is None:
-                raise ValueError("need a horizon, an explicit eta, or anytime=True")
-            eta = math.sqrt(2.0 * math.log(K) / (n * K))
-        # a nan fails too; the anytime rate sqrt(ln K / (t K)) is positive at K >= 2
-        if eta is not None and not eta > 0.0:
-            raise ValueError(f"eta must be positive, got {eta!r}")
+        # the anytime rate sqrt(ln K / (t K)) is positive at K >= 2
+        if eta is not None or not anytime:
+            eta, = rates(n, lambda n: (math.sqrt(2.0 * math.log(K) / (n * K)),),
+                         {"eta": POSITIVE}, eta=eta)
         self.K = K
         self.eta = eta
         if replicas is None:
@@ -143,7 +140,7 @@ class Exp3State:
         if cum.__class__ is list:
             w, total = self._row_weights()
             return np.array([x / total for x in w])
-        return exp3_probs(cum, self.current_eta())
+        return exp_weights(-self.current_eta() * cum)
 
     def _row_weights(self) -> tuple[list, float]:
         """A one-row state's weights exp(-eta L_i - top) and their `row_sum`,
@@ -164,7 +161,7 @@ class Exp3State:
     def select(self, rng):
         cum = self.cum_losses
         if cum.__class__ is not list:
-            self._drawn_from = exp3_probs(cum, self.current_eta())
+            self._drawn_from = exp_weights(-self.current_eta() * cum)
             return sample_categorical(self._drawn_from, rng)
         w, total = self._row_weights()
         # sample_categorical's rule: the first running sum above u, capped at the last arm
@@ -214,27 +211,29 @@ class Exp3State:
         self.t += 1
 
 
+# Exp3.P's rates where its bound holds
+_EXP3P = {"beta": (lambda beta: beta <= 1.0, "must be at most 1"), "eta": POSITIVE,
+          "gamma": (lambda gamma: 0.0 <= gamma <= 1.0, "must lie in [0, 1]")}
+
+
 def exp3p_params(n: int, K: int, delta: float | None = None) -> tuple[float, float, float]:
-    """Return (beta, eta, gamma); delta=None selects the confidence-free beta."""
-    if n < 1 or K < 2:
-        raise ValueError("need n >= 1 and K >= 2")
-    if delta is None:
-        beta = math.sqrt(math.log(K) / (n * K))
-    else:
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        beta = math.sqrt(math.log(K / delta) / (n * K))
-    eta = 0.95 * math.sqrt(math.log(K) / (n * K))
-    gamma = 1.05 * math.sqrt(K * math.log(K) / n)
-    return beta, eta, gamma
+    """Return (beta, eta, gamma); delta=None selects the confidence-free beta.
+    RateError for a delta outside (0, 1), or at a horizon too short for beta
+    and gamma to be at most 1."""
+    if K < 2:
+        raise ValueError(f"need at least 2 arms, got K = {K!r}")
+    if delta is not None:
+        check_rate("delta", delta, lambda delta: 0.0 < delta < 1.0, "must lie in (0, 1)")
+    return rates(n, lambda n: (math.sqrt(math.log(K if delta is None else K / delta) / (n * K)),
+                               0.95 * math.sqrt(math.log(K) / (n * K)),
+                               1.05 * math.sqrt(K * math.log(K) / n)),
+                 _EXP3P, beta=None, eta=None, gamma=None)
 
 
 def exp3p_gain_estimate(p: np.ndarray, chosen, gain, beta: float) -> np.ndarray:
     """(gain * 1{chosen=i} + beta) / p_i for every arm i; row by row for an
     (R, K) `p` with one chosen arm and one gain per row."""
     p = np.asarray(p, dtype=float)
-    if beta > 1.0:
-        raise ValueError("beta must be at most 1")
     if any_true(p <= ZERO):
         raise ZeroDivisionError("all arm probabilities must be positive")
     # the bits of (beta + gain * 1{chosen=i}) / p_i, without a dense sum
@@ -256,12 +255,8 @@ class Exp3PState:
 
     def __init__(self, K: int, beta: float, eta: float, gamma: float,
                  replicas: int | None = None):
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
         self.K = K
-        self.eta = eta
-        self.gamma = gamma
-        self.beta = beta
+        self.beta, self.eta, self.gamma = rates(None, None, _EXP3P, beta=beta, eta=eta, gamma=gamma)
         self.cum_gains = np.zeros(K if replicas is None else (replicas, K))
         self._drawn_from = None  # the distribution the last select() drew from
 

@@ -6,7 +6,13 @@ import math
 import numpy as np
 
 from .adversarial import Exp3State, exp3_probs, importance_loss_estimate
-from .env import sample_categorical
+from .env import POSITIVE, check_rate, rates, sample_categorical
+
+
+# the rules of the uniform share of Exp4's mixture (and of the composite
+# forecaster's) and of the Banditron's exploration rate
+_MIXING = (lambda gamma: 0.0 <= gamma <= 1.0, "must lie in [0, 1]")
+_EXPLORATION = (lambda gamma: 0.0 < gamma < 0.5, "must lie in (0, 1/2)")
 
 
 def exp4_arm_probs(q: np.ndarray, advice: np.ndarray, gamma: float = 0.0) -> np.ndarray:
@@ -40,23 +46,15 @@ class Exp4State:
     """Exponential weights over experts, with optional uniform mixing.
 
     Experts supply one probability vector over arms per round and may depend
-    on the realized history. With mixing gamma > 0 the learning rate defaults
-    to gamma / K.
+    on the realized history. The mixing rate gamma lies in [0, 1]; with
+    gamma > 0 the learning rate defaults to gamma / K.
     """
 
     def __init__(self, N: int, K: int, n: int | None = None, eta: float | None = None,
                  gamma: float = 0.0):
-        self.gamma = gamma
-        if eta is not None:
-            self.eta = eta
-        elif gamma > 0.0:
-            self.eta = gamma / K
-        elif n is not None:
-            self.eta = math.sqrt(2.0 * math.log(N) / (n * K))
-        else:
-            raise ValueError("need a horizon, an explicit eta, or gamma > 0")
-        if not self.eta > 0.0:  # a nan fails too
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        self.gamma = check_rate("gamma", gamma, *_MIXING)
+        self.eta, = rates(n, lambda n: (math.sqrt(2.0 * math.log(N) / (n * K)),), {"eta": POSITIVE},
+                          eta=gamma / K if eta is None and gamma > 0.0 else eta)
         self.cum_expert_losses = np.zeros(N)
         self._drawn_from = None  # the distribution the last select() drew from
 
@@ -129,8 +127,8 @@ class ThetaExp4:
             raise ValueError("Theta must be non-empty")
         self.thetas = list(thetas)
         self.K = K
-        self.gamma = theta_gamma(n, max_context_set_size, K, len(thetas)) \
-            if gamma is None else gamma
+        self.gamma, = rates(n, lambda n: (theta_gamma(n, max_context_set_size, K, len(thetas)),),
+                            {"gamma": _MIXING}, gamma=gamma)
         self.exp4 = Exp4State(len(self.thetas), K, gamma=self.gamma)
         self.experts = {theta: SExp3(K) for theta in self.thetas}
         self._advice = None  # the advice matrix of the last select()
@@ -161,8 +159,7 @@ class ThetaExp4:
 
 def banditron_probs(yhat: int, gamma: float, K: int) -> np.ndarray:
     """(1-gamma) on the predicted class plus gamma/K everywhere."""
-    if not 0.0 < gamma < 0.5:
-        raise ValueError("gamma must lie in (0, 1/2)")
+    check_rate("gamma", gamma, *_EXPLORATION)
     p = np.full(K, gamma / K)
     p[yhat] += 1.0 - gamma
     return p
@@ -184,14 +181,18 @@ def banditron_gamma(K: int, n: int) -> float:
     return (K / n) ** (1.0 / 3.0)
 
 
-class BanditronState:
-    """Bandit multiclass Perceptron with exploration rate gamma."""
+def banditron_rates(n: int | None, K: int, gamma: float | None = None) -> float:
+    """The Banditron's exploration rate on K classes: `gamma` as given, or
+    `banditron_gamma` at horizon n. RateError unless it lies in (0, 1/2)."""
+    return rates(n, lambda n: (banditron_gamma(K, n),), {"gamma": _EXPLORATION}, gamma=gamma)[0]
 
-    def __init__(self, K: int, d: int, gamma: float):
-        if not 0.0 < gamma < 0.5:
-            raise ValueError("gamma must lie in (0, 1/2)")
+
+class BanditronState:
+    """Bandit multiclass Perceptron with exploration rate gamma (`banditron_rates`)."""
+
+    def __init__(self, K: int, d: int, gamma: float | None = None, n: int | None = None):
         self.K = K
-        self.gamma = gamma
+        self.gamma = banditron_rates(n, K, gamma)
         self.W = np.zeros((K, d))
 
     def predict(self, x: np.ndarray) -> int:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .env import POSITIVE, rates
 from .geometry import norm, project_ball, sample_sphere
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -56,23 +58,40 @@ def osgd_one_point_schedule(n: int, d: int, R: float, r: float, G: float,
     return delta, eta
 
 
+def osgd_constants(family: LossFamily, d: int, R: float, mode: str) -> dict:
+    """The osgd theorem's constants for `mode` on `family`'s losses on the
+    centred ball of radius R in d dimensions: d, its outer and inner radii
+    R = r, and the family's G, and for one-point feedback its L, at R."""
+    k = {"d": d, "R": R, "r": R, "G": family.G(R)}
+    return k if mode == "two-point" else {**k, "L": family.L(R)}
+
+
+def osgd_rates(n: int | None, mode: str, eta: float | None = None,
+               delta: float | None = None, **k) -> tuple[float, float]:
+    """(eta, delta) of osgd in `mode`, each given or by the mode's schedule
+    at the constants `k` (`osgd_constants`): eta > 0, and delta in (0, R),
+    which keeps every query in the ball."""
+    schedule = (partial(osgd_two_point_schedule, **k) if mode == "two-point"
+                else lambda n: osgd_one_point_schedule(n, **k)[::-1])
+    return rates(n, schedule, {"eta": POSITIVE, "delta": (
+        lambda delta: 0.0 < delta < k["R"], "must lie between 0 and the ball's radius")},
+        eta=eta, delta=delta)
+
+
 class OsgdState:
     """Projected gradient descent driven by sphere-sampled value queries of
     one loss family's losses on the centred ball of `radius` in `dim`
     dimensions.
 
     The iterate lives on the ball shrunk by (1 - delta / radius) so that
-    every query point stays feasible.
+    every query point stays feasible; `osgd_rates` resolves eta and delta.
     """
 
-    def __init__(self, family: LossFamily, dim: int, radius: float, mode: str, eta: float,
-                 delta: float):
+    def __init__(self, family: LossFamily, dim: int, radius: float, mode: str,
+                 eta: float | None = None, delta: float | None = None, n: int | None = None):
         if mode not in ("two-point", "one-point"):
             raise ValueError(f"unknown feedback mode {mode!r}")
-        if not 0.0 < delta < radius:
-            raise ValueError("delta must lie between 0 and the ball's radius")
-        if not eta > 0.0:  # a nan fails too
-            raise ValueError(f"eta must be positive, got {eta!r}")
+        eta, delta = osgd_rates(n, mode, eta, delta, **osgd_constants(family, dim, radius, mode))
         self.loss = family.loss
         self.dim = dim
         self.radius = radius

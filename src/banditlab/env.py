@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -226,6 +226,39 @@ def any_true(mask) -> bool:
     """`mask.any()`: one replica's scalar as is; for many, argmax finds the
     first True entry, if there is one (and an empty mask has none)."""
     return bool(mask) if mask.ndim == 0 else bool(mask.size and largest(mask))
+
+
+class RateError(ValueError):
+    """A rate outside the domain its policy's theorem holds on: `key` names
+    it (`horizon` for a schedule's n), `value` is it, `rule` states the domain."""
+
+    def __init__(self, key: str, value, rule: str):
+        super().__init__(f"{key} {rule}, got {value!r}")
+        self.key, self.value, self.rule = key, value, rule
+
+
+POSITIVE = (lambda rate: 0.0 < rate < np.inf, "must be positive and finite")  # a `rates` rule
+
+
+def check_rate(key: str, value, test: Callable, rule: str):
+    """`value` if `test(value)`, false at nan, holds; else RateError."""
+    if not test(value):
+        raise RateError(key, value, rule)
+    return value
+
+
+def rates(n, schedule: Callable | None, rules: dict, **given) -> tuple:
+    """The values `given` maps each key to, where None takes the key's entry
+    of `schedule(n)`, each checked by its (test, rule) in `rules`: the given
+    first, then n, which a schedule needs to be at least 1, then the rest."""
+    for key, value in given.items():
+        if value is not None:
+            check_rate(key, value, *rules[key])
+    if None not in given.values():
+        return tuple(given.values())
+    check_rate("horizon", n, lambda n: n is not None and n >= 1, "must be at least 1 to schedule")
+    return tuple(check_rate(key, s, *rules[key]) if value is None else value
+                 for (key, value), s in zip(given.items(), schedule(n)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -25,6 +25,7 @@ from . import adversarial, contextual, convex, geometry, mirror, stochastic
 from .env import (
     ENV_STREAM_ID,
     NonObliviousAdversary,
+    RateError,
     ReplicaDraws,
     RowDraws,
     StochasticEnv,
@@ -600,11 +601,6 @@ def _per_context_best(K: int) -> Callable:
     return step
 
 
-def _exp3p_state(p: dict, env: dict, n: int) -> partial:
-    delta = None if p["delta_free"] else p["delta"]
-    return partial(adversarial.Exp3PState, env["K"], *adversarial.exp3p_params(n, env["K"], delta))
-
-
 def _expert_rounds(env: dict, n: int, stream) -> Iterator:
     """exp4's built-in experts, one dirac expert per arm plus the uniform
     expert, beside each round's arm losses."""
@@ -645,24 +641,10 @@ def _labelled(env: dict, n: int, stream) -> Iterator:
 
 
 def _convex(n: int, e: dict, mode: str) -> dict:
-    """The keywords of the osgd theorem of `mode` on a convex run of horizon
-    n: d, the ball's outer and inner radii R = r, and the Lipschitz constant
-    G, and for one-point feedback the loss bound L, that the run's loss
-    family declares at R. `e` is the run's environment or its [environment]
-    params, which share the keys read here."""
-    family, R = convex.FAMILIES[e["family"]], e["radius"]
-    k = {"n": n, "d": e["d"], "R": R, "r": R, "G": family.G(R)}
-    return k if mode == "two-point" else {**k, "L": family.L(R)}
-
-
-def _osgd_params(mode: str, p: dict, n: int, e: dict) -> tuple[float, float]:
-    """(eta, delta) of an osgd run: its own, or what its mode's theorem
-    prescribes; `e` as for `_convex`."""
-    if mode == "two-point":
-        eta, delta = convex.osgd_two_point_schedule(**_convex(n, e, mode))
-    else:
-        delta, eta = convex.osgd_one_point_schedule(**_convex(n, e, mode))
-    return (eta if p["eta"] is None else p["eta"]), (delta if p["delta"] is None else p["delta"])
+    """The horizon n and the `convex.osgd_constants` of a convex run; `e` is
+    its environment or its [environment] params, which share the keys read."""
+    family = convex.FAMILIES[e["family"]]
+    return {"n": n, **convex.osgd_constants(family, e["d"], e["radius"], mode)}
 
 
 def _osgd_best(env: dict) -> Callable:
@@ -687,13 +669,15 @@ def _osgd_best(env: dict) -> Callable:
     return step
 
 
-def _osgd(mode: str) -> Callable:
-    return partial(_rounds,
-                   lambda p, env, n: partial(convex.OsgdState, convex.FAMILIES[env["family"]],
-                                             env["d"], env["radius"], mode,
-                                             *_osgd_params(mode, p, n, env)),
-                   lambda env, n, stream: env["directions"][:n],
-                   _osgd_best)
+def _osgd(mode: str) -> Policy:
+    return Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
+                  ("convex",), partial(
+                      _rounds, lambda p, env, n: partial(
+                          convex.OsgdState, convex.FAMILIES[env["family"]], env["d"],
+                          env["radius"], mode, n=n, **p),
+                      lambda env, n, stream: env["directions"][:n], _osgd_best),
+                  check=partial(_check_rates, lambda p, e, n: convex.osgd_rates(
+                      mode=mode, **_convex(n, e, mode), **p), ("radius", "d")))
 
 
 def _sgs_c_l(p: dict, env: dict) -> float:
@@ -719,52 +703,29 @@ def _run_sgs(p: dict, env: dict, n: int, seed: int, ids) -> list:
 
 
 def _check_exp3p(p: dict, K: int, n: int) -> None:
-    _require(p["delta_free"] or 0 < p["delta"] < 1, f"policy.delta must lie in (0, 1) "
-             f"unless policy.delta_free = true, got {p['delta']!r}")
-    if n:
-        beta, _, gamma = adversarial.exp3p_params(n, K, None if p["delta_free"] else p["delta"])
-        _require(max(beta, gamma) <= 1, f"experiment.horizon = {n} is too short for exp3p "
-                 f"on {K} arms: its schedule gives gamma = {gamma:.4g} and beta = {beta:.4g} "
-                 f"(beta grows as policy.delta falls), and both must be at most 1")
+    try:
+        adversarial.exp3p_params(n, K, None if p["delta_free"] else p["delta"])
+    except RateError as why:
+        _require(why.key != "delta", f"policy.delta {why.rule} unless policy.delta_free = "
+                                     f"true, got {why.value!r}")
+        _require(why.key == "horizon", f"experiment.horizon = {n} is too short for exp3p on "
+                 f"{K} arms: its schedule gives {why.key} = {why.value:.4g}, and {why.key} "
+                 f"{why.rule} (beta grows as policy.delta falls)")
 
 
-def _check_schedule(p: dict, key: str, n: int, schedule: Callable, ok: Callable,
-                    rule: str) -> None:
-    """ConfigError unless policy.`key`, or when it is unset the value
-    `schedule(n)` its theorem prescribes, passes `ok`, which `rule` states."""
-    if p[key] is not None:
-        _require(ok(p[key]), f"policy.{key} {rule}, got {p[key]!r}")
-    elif n:  # nothing runs at horizon 0
-        value = schedule(n)
-        _require(ok(value), f"experiment.horizon = {n} is too short for the schedule of "
-                 f"policy.{key}: it gives {value:.4g}, and policy.{key} {rule}; set "
-                 f"policy.{key} or a longer horizon")
-
-
-def _check_banditron(p: dict, e: dict, n: int) -> None:
-    _check_schedule(p, "gamma", n, lambda n: contextual.banditron_gamma(e["k"], n),
-                    lambda gamma: gamma < 0.5, f"must lie below 1/2 (environment.k = {e['k']})")
-
-
-def _check_exp2(p: dict, e: dict, n: int) -> None:
-    _check_schedule(p, "gamma", n, lambda n: mirror.exp2_schedule(n, e["d"], e["n_points"])[1],
-                    lambda gamma: gamma <= 1, f"must be at most 1 (environment.d = {e['d']}, "
-                                              f"environment.n_points = {e['n_points']})")
-
-
-def _check_osmd_ball(p: dict, e: dict, n: int) -> None:
-    # at horizon 1 the schedules give gamma = 1 and eta = 0
-    _check_schedule(p, "gamma", n, lambda n: mirror.ball_schedule(n, e["d"])[0],
-                    lambda gamma: gamma < 1, "must lie below 1")
-    _check_schedule(p, "eta", n, lambda n: mirror.ball_schedule(n, e["d"])[1],
-                    lambda eta: eta > 0 and eta * e["d"] <= 0.5,
-                    f"must be positive, and times environment.d = {e['d']} at most 1/2")
-
-
-def _check_osgd(mode: str, p: dict, e: dict, n: int) -> None:
-    _check_schedule(p, "delta", n, lambda n: _osgd_params(mode, p, n, e)[1],
-                    lambda delta: delta < e["radius"], f"must lie below environment.radius "
-                    f"= {e['radius']!r} (environment.d = {e['d']})")
+def _check_rates(rates: Callable, env_keys: tuple, p: dict, e: dict, n: int) -> None:
+    """A policy's `check`: `rates(p, e, n)` calls its rates function as its
+    constructor does, and a RateError becomes a ConfigError naming the key,
+    the horizon if the rate was scheduled, and the environment's `env_keys`."""
+    try:
+        rates(p, e, n)
+    except RateError as why:  # at horizon 0, after the given rates, nothing is scheduled
+        where = ", ".join(f"environment.{k} = {e[k]!r}" for k in env_keys)
+        key, rule = f"policy.{why.key}", f"{why.rule} ({where})"
+        _require(why.key == "horizon" or p[why.key] is None, f"{key} {rule}, got {why.value!r}")
+        _require(why.key == "horizon", f"experiment.horizon = {n} is too short for the schedule "
+                 f"of {key}: it gives {why.value:.4g}, and {key} {rule}; set {key} or a longer "
+                 f"horizon")
 
 
 def _check_sgs(p: dict, e: dict, n: int) -> None:
@@ -795,49 +756,49 @@ _FINITE_KINDS = ("stochastic", "lower-bound", "oblivious", "nonoblivious")
 
 _POLICIES = {
     "ucb": Policy({"alpha": Key(float, 2.5, "(2, inf)")}, _FINITE_KINDS, partial(
-        _run_finite, lambda p, env, n: partial(stochastic.UcbState, env["K"], alpha=p["alpha"]))),
+        _run_finite, lambda p, env, n: partial(stochastic.UcbState, env["K"], **p))),
     "thompson": Policy({}, _FINITE_KINDS, partial(
         _run_finite, lambda p, env, n: partial(stochastic.ThompsonState, env["K"]))),
     "eps-greedy": Policy({"d_gap": Key(float, 0.1, "(0, 1)")}, _FINITE_KINDS, partial(
-        _run_finite, lambda p, env, n: partial(stochastic.EpsGreedyState, env["K"],
-                                               d_gap=p["d_gap"]))),
+        _run_finite, lambda p, env, n: partial(stochastic.EpsGreedyState, env["K"], **p))),
     "exp3": Policy({"eta": Key(float, None, "(0, inf)"), "anytime": Key(_flag, False)},
                    _FINITE_KINDS, partial(_run_finite, lambda p, env, n: partial(
-                       adversarial.Exp3State, env["K"], n=n, eta=p["eta"], anytime=p["anytime"]))),
+                       adversarial.Exp3State, env["K"], n=n, **p))),
     # delta is read only without delta_free, so its range is a rule across keys
     "exp3p": Policy({"delta": Key(float, 0.1, "(-inf, inf)"), "delta_free": Key(_flag, False)},
-                    _FINITE_KINDS, partial(_run_finite, _exp3p_state), check=_check_exp3p),
+                    _FINITE_KINDS, partial(_run_finite, lambda p, env, n: partial(
+                        adversarial.Exp3PState, env["K"], *adversarial.exp3p_params(
+                            n, env["K"], None if p["delta_free"] else p["delta"]))),
+                    check=_check_exp3p),
     "sexp3": Policy({}, ("contextual",), partial(
         _rounds, lambda p, env, n: partial(contextual.SExp3, env["K"]),
         lambda env, n, stream: zip(env["contexts"], env["losses"]),
         lambda env: _per_context_best(env["K"]))),
     "exp4": Policy({"gamma": Key(float, 0.0, "[0, 1]"), "eta": Key(float, None, "(0, inf)")},
-                   ("contextual",), partial(
-                       _rounds, lambda p, env, n: partial(
-                           contextual.Exp4State, env["K"] + 1, env["K"], n=n,
-                           gamma=p["gamma"], eta=p["eta"]),
-                       _expert_rounds,
+                   ("contextual",), partial(_rounds, lambda p, env, n: partial(
+                       contextual.Exp4State, env["K"] + 1, env["K"], n=n, **p), _expert_rounds,
                        lambda env: _hindsight(np.min, lambda x: x[0] @ x[1]))),
     "theta-exp4": Policy({"gamma": Key(float, None, "(0, 1]")}, ("contextual",), partial(
         _rounds, lambda p, env, n: partial(contextual.ThetaExp4, sorted(
-            env["theta_streams"]), env["K"], n, env["max_set_size"], gamma=p["gamma"]),
+            env["theta_streams"]), env["K"], n, env["max_set_size"], **p),
         _theta_rounds, _theta_best), check=lambda p, e, n: _require(_set_sizes(e), _NO_SETS)),
     "banditron": Policy({"gamma": Key(float, None, "(0, 0.5)")}, ("multiclass",), partial(
-        _rounds, lambda p, env, n: partial(contextual.BanditronState, env["K"], env["d"], (
-            contextual.banditron_gamma(env["K"], n) if p["gamma"] is None else p["gamma"])),
-        _labelled, None), check=_check_banditron),
+        _rounds, lambda p, env, n: partial(contextual.BanditronState, env["K"], env["d"], n=n, **p),
+        _labelled, None), check=partial(
+            _check_rates, lambda p, e, n: contextual.banditron_rates(n, e["k"], **p), ("k",))),
     "exp2-john": Policy({"eta": Key(float, None, "(0, inf)"), "gamma": Key(float, None, "(0, 1]")},
                         ("linear-points",), partial(
         _rounds, lambda p, env, n: partial(mirror.Exp2State, env["points"], env["design"], n=n,
-                                           eta=p["eta"], gamma=p["gamma"]),
+                                           **p),
         lambda env, n, rng: repeat(env["loss"], n),
-        lambda env: _hindsight(lambda c: (env["points"] @ c).min())), check=_check_exp2),
+        lambda env: _hindsight(lambda c: (env["points"] @ c).min())), check=partial(
+            _check_rates, lambda p, e, n: mirror.exp2_rates(n, e["d"], e["n_points"], **p),
+            ("d", "n_points"))),
     # q is read only by the potential variant, so its range is a rule across keys
     "osmd-msets": Policy({"variant": Key(_choice("potential", "negent"), "potential"),
                           "q": Key(float, 2.0, "(-inf, inf)"),
                           "eta": Key(float, None, "[0, inf)")}, ("semibandit",), partial(
-        _rounds, lambda p, env, n: partial(mirror.OsmdMsets, env["d"], env["m"], n=n,
-                                           variant=p["variant"], q=p["q"], eta=p["eta"]),
+        _rounds, lambda p, env, n: partial(mirror.OsmdMsets, env["d"], env["m"], n=n, **p),
         lambda env, n, rng: (rng.random(env["d"]) for _ in range(n)),
         # each replica draws its own losses, so each row has its own best m-set
         lambda env: _hindsight(lambda c: np.add.reduce(np.sort(c)[..., :env["m"]], -1))),
@@ -845,15 +806,13 @@ _POLICIES = {
                                        f"must exceed 1 for the potential variant, got {p['q']!r}")),
     "osmd-ball": Policy({"gamma": Key(float, None, "(0, 1)"), "eta": Key(float, None, "(0, 0.5]")},
                         ("linear-ball",), partial(
-                            _rounds, lambda p, env, n: partial(
-                                mirror.OsmdBall, env["d"], n=n, gamma=p["gamma"], eta=p["eta"]),
+                            _rounds, lambda p, env, n: partial(mirror.OsmdBall, env["d"], n=n, **p),
                             lambda env, n, stream: repeat(env["loss"], n),
                             lambda env: _hindsight(lambda c: -geometry.norm(c))),
-                        check=_check_osmd_ball),
-    "osgd-2pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
-                       ("convex",), _osgd("two-point"), check=partial(_check_osgd, "two-point")),
-    "osgd-1pt": Policy({"delta": Key(float, None, "(0, inf)"), "eta": Key(float, None, "(0, inf)")},
-                       ("convex",), _osgd("one-point"), check=partial(_check_osgd, "one-point")),
+                        check=partial(_check_rates, lambda p, e, n: mirror.ball_rates(
+                            n, e["d"], **p), ("d",))),
+    "osgd-2pt": _osgd("two-point"),
+    "osgd-1pt": _osgd("one-point"),
     "sgs": Policy({"c_l": Key(float, None, "(0, inf)")}, ("unimodal",), _run_sgs,
                   check=_check_sgs),
 }
@@ -1097,8 +1056,8 @@ BOUNDS = {
         **_msets(c, env, "potential"), "q": _policy_param(c, "q", 1.0)}),
     "osmd-ball": Bound(mirror.ball_bound, lambda c, env: {"n": c["horizon"], "d": env["d"]}),
     "osgd-2pt": Bound(convex.osgd_two_point_bound, lambda c, env: {
-        **_convex(c["horizon"], env, "two-point"),
-        "delta": _osgd_params("two-point", c["policy_params"], c["horizon"], env)[1]}),
+        **(k := _convex(c["horizon"], env, "two-point")),
+        "delta": convex.osgd_rates(mode="two-point", **k, **c["policy_params"])[1]}),
     "osgd-1pt": Bound(convex.osgd_one_point_bound,
                       lambda c, env: _convex(c["horizon"], env, "one-point")),
     "sgs": Bound(convex.sgs_bound, lambda c, env: {

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .adversarial import exp_weights
-from .env import ZERO, constant, largest, sample_categorical, smallest, within
+from .env import POSITIVE, ZERO, constant, largest, rates, sample_categorical, smallest, within
 from .geometry import (
     DesignWeights,
     madow_sample,
@@ -168,6 +169,14 @@ def exp2_schedule(n: int, d: int, N: int) -> tuple[float, float]:
     return eta, eta * d
 
 
+def exp2_rates(n: int | None, d: int, N: int, eta: float | None = None,
+               gamma: float | None = None) -> tuple[float, float]:
+    """(eta, gamma), each given or by `exp2_schedule`: eta > 0, and gamma in
+    (0, 1], where P(p) is invertible and the softmax's share is not negative."""
+    return rates(n, lambda n: exp2_schedule(n, d, N), {"eta": POSITIVE, "gamma": (
+        lambda gamma: 0.0 < gamma <= 1.0, "must lie in (0, 1]")}, eta=eta, gamma=gamma)
+
+
 class Exp2State:
     """Exponential weights over a finite point set with design-based exploration.
 
@@ -177,9 +186,7 @@ class Exp2State:
     replica, and `select`/`update` take and return one point and one scalar
     loss per row. Each row's products are taken one row at a time
     (`np.matmul` over a leading axis), so a row's bits do not depend on the
-    batch it runs in. `eta` and `gamma` are read once, at construction.
-    gamma lies in (0, 1]: the design's share keeps P(p) invertible, and the
-    softmax's share 1 - gamma is not negative.
+    batch it runs in. `exp2_rates` resolves `eta` and `gamma`, once.
     """
 
     draws_per_round = 1  # one double per round, the point's draw, so replicas run in lockstep
@@ -190,16 +197,7 @@ class Exp2State:
         self.points = np.asarray(points, dtype=float)
         self._points_t = self.points.T
         self.N, self.d = self.points.shape
-        if eta is None or gamma is None:
-            if n is None:
-                raise ValueError("need a horizon to derive eta and gamma")
-            eta_d, gamma_d = exp2_schedule(n, self.d, self.N)
-            eta = eta_d if eta is None else eta
-            gamma = gamma_d if gamma is None else gamma
-        if not 0.0 < gamma <= 1.0:  # a nan fails too
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
-        if not eta > 0.0:  # a nan fails too
-            raise ValueError(f"eta must be positive, got {eta!r}")
+        eta, gamma = exp2_rates(n, self.d, self.N, eta, gamma)
         # probs' constants, taken once: the negated rate and the softmax's
         # share as read-only 0-d arrays, and the design's share of each point
         self._neg_eta, self._soft_share = constant(-eta), constant(1.0 - gamma)
@@ -288,20 +286,14 @@ class OsmdMsets:
             raise ValueError("need 1 <= m <= d")
         self.m = m
         if variant == "negent":
-            self.spec = negentropy_capped_simplex(m)
-            default_eta = None if n is None else osmd_negent_eta(n, d, m)
+            self.spec, schedule = negentropy_capped_simplex(m), osmd_negent_eta
         elif variant == "potential":
             self.spec = potential_capped_simplex(power_potential(q), m)
-            default_eta = None if n is None else osmd_potential_eta(n, d, m, q)
+            schedule = partial(osmd_potential_eta, q=q)
         else:
             raise ValueError(f"unknown variant {variant!r}")
-        if eta is None:
-            if default_eta is None:
-                raise ValueError("need a horizon or an explicit eta")
-            eta = default_eta
-        if not eta >= 0.0:  # a nan fails too; eta = 0 switches learning off
-            raise ValueError(f"eta must be at least 0, got {eta!r}")
-        self.eta = eta
+        self.eta, = rates(n, lambda n: (schedule(n, d, m),), {"eta": (  # 0 switches learning off
+            lambda eta: 0.0 <= eta < np.inf, "must be at least 0 and finite")}, eta=eta)
         self.x = np.full(d if replicas is None else (replicas, d), m / d)
 
     def select(self, rng) -> np.ndarray:
@@ -329,28 +321,28 @@ def ball_schedule(n: int, d: int) -> tuple[float, float]:
     return gamma, eta
 
 
+def ball_rates(n: int | None, d: int, gamma: float | None = None,
+               eta: float | None = None) -> tuple[float, float]:
+    """(gamma, eta), each given or by `ball_schedule`, whose gamma = 1 and
+    eta = 0 at n = 1 fail: gamma in (0, 1), so that the iterate's ball of
+    radius 1 - gamma is not empty, and eta > 0 with eta d at most 1/2."""
+    return rates(n, lambda n: ball_schedule(n, d), {
+        "gamma": (lambda gamma: 0.0 < gamma < 1.0, "must lie in (0, 1)"),
+        "eta": (lambda eta: eta > 0.0 and eta * d <= 0.5, "must be positive, and times d at most "
+                "1/2")}, gamma=gamma, eta=eta)
+
+
 class OsmdBall:
     """Mirror descent on the shrunken unit ball with one-scalar bandit feedback.
 
     Plays either the radial boundary point or a random signed coordinate, with
     the Bernoulli(||x||) switch making the played point unbiased for x. The
-    iterate stays in the ball of radius 1 - gamma, so gamma lies in (0, 1).
+    iterate stays in the ball of radius 1 - gamma; `ball_rates` gives its rates.
     """
 
     def __init__(self, d: int, n: int | None = None, gamma: float | None = None,
                  eta: float | None = None):
-        if gamma is None or eta is None:
-            if n is None:
-                raise ValueError("need a horizon to derive gamma and eta")
-            gamma_d, eta_d = ball_schedule(n, d)
-            gamma = gamma_d if gamma is None else gamma
-            eta = eta_d if eta is None else eta
-        if not 0.0 < gamma < 1.0:  # a nan fails too
-            raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
-        if not eta > 0.0:  # a nan fails too
-            raise ValueError(f"eta must be positive, got {eta!r}")
-        if eta * d > 0.5:
-            raise ValueError(f"eta * d = {eta * d:.4f} violates the requirement eta*d <= 1/2")
+        gamma, eta = ball_rates(n, d, gamma, eta)
         self.d = d
         self.eta = eta
         self.spec = log_barrier_ball(1.0 - gamma)

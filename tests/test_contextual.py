@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_exp4_refuses_a_rate_at_or_below_zero(eta):
     with pytest.raises(ValueError, match="eta must be positive"):
         Exp4State(4, 3, eta=eta)
     assert Exp4State(4, 3, eta=1e-300).expert_probs().sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, -0.1, math.nan])
+def test_exp4_and_theta_exp4_refuse_a_mixing_rate_outside_0_1(gamma):
+    # at gamma = 1.5 Exp4 played 200 rounds on a negated mixture, which gave
+    # the arm the experts favour the least probability; the exp4 key's range
+    # is [0, 1] and theta-exp4's (0, 1]
+    with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, 1]")):
+        Exp4State(4, 3, gamma=gamma)
+    with pytest.raises(ValueError, match=re.escape("gamma must lie in [0, 1]")):
+        ThetaExp4(["s0", "s1"], K=2, n=200, max_context_set_size=1, gamma=gamma)
+    for edge in (0.0, 1.0):
+        assert Exp4State(4, 3, n=10, gamma=edge).arm_probs(np.eye(3)[[0, 1, 2, 0]]).min() >= 0.0
+    assert ThetaExp4(["s0", "s1"], K=2, n=200, max_context_set_size=1, gamma=1.0).gamma == 1.0
 
 
 def test_exp3_external_step():

@@ -197,8 +197,9 @@ def _run_entry_points(tmp: Path) -> None:
     """Every way in: each golden case at its own replica count and at one
     above every `narrow_width`, so that both batch forms play; each CLI
     subcommand (`run` and `sweep` write every format, `selftest` runs every
-    property suite); an inline-losses config, a one-point osgd config of each
-    loss family, and a csv config of each kind that reads one; and each bad
+    property suite); an inline-losses config, an exp4 config at its default
+    gamma = 0, whose eta is scheduled, a one-point osgd config of each loss
+    family, and a csv config of each kind that reads one; and each bad
     config and bad csv of the harness tests."""
     from test_engine import CASES, _config as case_config, _ini
     from test_harness import _BAD_CSVS, _BAD_VALUES, _config
@@ -227,6 +228,9 @@ def _run_entry_points(tmp: Path) -> None:
     harness.run_experiment(_config(policy="exp3", policy_params={}, env_kind="oblivious",
                                    env_params={"losses": losses}, overlays=["exp3"],
                                    horizon=10, replicas=2))
+    harness.run_experiment(_config(policy="exp4", policy_params={}, env_kind="contextual",
+                                   env_params={"k": "3"}, overlays=["exp4"], horizon=10,
+                                   replicas=2))
     # the golden cases run osgd on the linear and quadratic families, and
     # the one-point mode alone reads a family's loss bound L
     for family in convex.FAMILIES:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from banditlab import contextual, geometry, mirror
 from banditlab import env as env_module
 from banditlab import harness
 from banditlab.adversarial import Exp3State, exp_weights, importance_loss_estimate
@@ -315,3 +316,40 @@ def test_round_helpers_match_the_reductions_they_replace():
     with pytest.raises(ValueError):  # the cached row starts are read-only
         env_module._row_starts(4, 3)[0] = 1
     assert env_module.flat_index(np.zeros(3), 2) == 2
+
+
+_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]])
+
+# each constructor that schedules a rate from the horizon n, built at n
+_SCHEDULED = {
+    "Exp3State": lambda n: Exp3State(4, n=n),
+    "Exp4State": lambda n: contextual.Exp4State(4, 3, n=n),
+    "Exp2State": lambda n: mirror.Exp2State(_POINTS, geometry.doptimal_design(_POINTS), n=n),
+    "OsmdMsets": lambda n: mirror.OsmdMsets(4, 2, n=n),
+    "OsmdBall": lambda n: mirror.OsmdBall(3, n=n),
+    "ThetaExp4": lambda n: contextual.ThetaExp4(["s0", "s1"], 2, n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [0, -5, None])
+@pytest.mark.parametrize("name", _SCHEDULED)
+def test_a_schedule_refuses_a_horizon_below_1(name, n):
+    # at n = 0 each raised a bare ZeroDivisionError, and Exp3State at n = -5
+    # a "math domain error"; the harness never builds a state at horizon 0
+    with pytest.raises(env_module.RateError, match="horizon must be at least 1"):
+        _SCHEDULED[name](n)
+    _SCHEDULED[name](1 if name != "OsmdBall" else 100)
+
+
+def test_rates_checks_the_given_values_before_the_horizon():
+    rules = {"eta": env_module.POSITIVE, "gamma": (lambda gamma: gamma <= 1.0, "must be at most 1")}
+    with pytest.raises(env_module.RateError, match="eta must be positive and finite, got -1") as why:
+        env_module.rates(0, None, rules, eta=-1.0, gamma=None)
+    assert (why.value.key, why.value.value) == ("eta", -1.0)
+    with pytest.raises(env_module.RateError, match="horizon") as why:
+        env_module.rates(0, None, rules, eta=0.5, gamma=None)
+    assert why.value.key == "horizon"
+    with pytest.raises(env_module.RateError, match="gamma must be at most 1, got 2.0"):
+        env_module.rates(4, lambda n: (0.1, 8.0 / n), rules, eta=None, gamma=None)
+    assert env_module.rates(4, lambda n: (0.1, 2.0 / n), rules, eta=None, gamma=None) == (0.1, 0.5)
+    assert env_module.rates(None, None, rules, eta=0.2, gamma=0.3) == (0.2, 0.3)

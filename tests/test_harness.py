@@ -602,6 +602,66 @@ def test_bad_values_fail_before_any_replica(no_replicas, policy, params, kind, e
         run_experiment(cfg)
 
 
+# each scheduled policy, its environment, and the values of each rate key
+# to try: its interval's ends, a value inside, and for exp3p the ends of the
+# rule that spans delta and delta_free
+_SCHEDULED = [
+    ("exp2-john", "linear-points", {"d": "3", "n_points": "20"},
+     {"eta": [0.0, 0.1, math.inf], "gamma": [0.0, 0.5, 1.0]}),
+    ("osmd-ball", "linear-ball", {"d": "3"},
+     {"gamma": [0.0, 0.5, 1.0], "eta": [0.0, 0.1, 0.5]}),
+    ("banditron", "multiclass", {"k": "5", "d": "5"}, {"gamma": [0.0, 0.25, 0.5]}),
+    ("osgd-2pt", "convex", {"d": "3", "radius": "0.5"},
+     {"delta": [0.0, 0.25, 0.5, math.inf], "eta": [0.0, 0.1, math.inf]}),
+    ("osgd-1pt", "convex", {"d": "10"},
+     {"delta": [0.0, 0.5, 1.0, math.inf], "eta": [0.0, 0.1, math.inf]}),
+    ("exp3p", "oblivious", {"k": "3"}, {"delta": [0.0, 1e-300, 0.5, 1.0]}),
+]
+
+
+@pytest.mark.parametrize("policy, kind, env_params, values", _SCHEDULED,
+                         ids=[case[0] for case in _SCHEDULED])
+def test_the_check_refuses_exactly_the_rates_the_constructor_refuses(policy, kind, env_params,
+                                                                      values):
+    """At every horizon from 1 to 64, with every rate scheduled and with each
+    value of one rate key given: `check_config` raises a ConfigError, naming
+    a policy key or the horizon, exactly when building the run's state by
+    `_POLICIES`' own make raises. Among the horizons are osmd-ball's 1, whose
+    schedule gives gamma = 1 and eta = 0, and exp2-john's 2 and 3, between
+    which its scheduled gamma falls through 1."""
+    entry = harness._POLICIES[policy]
+    make = entry.run.args[0]
+    defaults = {key: spec.default for key, spec in entry.keys.items()}
+    cases = [{}] + [{key: value} for key, vals in values.items() for value in vals]
+    outcomes = set()
+    for n in range(1, 65):
+        env = build_environment(kind, env_params, n, 0)
+        for given in cases:
+            try:
+                harness.check_config({"policy": policy, "horizon": n, "env_kind": kind,
+                                      "env_params": env_params, "policy_params": given})
+                checked = None
+            except ConfigError as why:
+                checked = str(why)
+                names = [f"policy.{key}" for key in entry.keys] + ["experiment.horizon"]
+                assert any(name in checked for name in names), checked
+            try:
+                make({**defaults, **given}, env, n)()
+                built = True
+            except ValueError:
+                built = False
+            assert (checked is None) == built, (n, given, checked)
+            outcomes.add((n, tuple(given.items()), built))
+    assert {built for *_, built in outcomes} == {True, False}
+    scheduled = {n: built for n, given, built in outcomes if not given}
+    # osgd-2pt's scheduled delta, min(R / 2, 1 / n), always lies below R
+    assert set(scheduled.values()) == ({True} if policy == "osgd-2pt" else {True, False})
+    if policy == "osmd-ball":
+        assert not scheduled[1]
+    if policy == "exp2-john":
+        assert (scheduled[2], scheduled[3]) == (False, True)
+
+
 @pytest.mark.parametrize("policy, params, kind, env_params", [
     ("exp3p", {"delta": "1.5", "delta_free": "true"}, "oblivious", {"k": "3"}),
     ("osmd-msets", {"variant": "negent", "q": "0.5"}, "semibandit", _SEMIBANDIT),
