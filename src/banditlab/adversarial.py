@@ -21,12 +21,6 @@ def exp_weights(scores: np.ndarray) -> np.ndarray:
     return w
 
 
-def exp3_probs(cum_losses: np.ndarray, eta: float) -> np.ndarray:
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return exp_weights(-eta * np.asarray(cum_losses, dtype=float))
-
-
 def row_sum(values: list) -> float:
     """The sum of a row of Python floats as numpy's float64 `add.reduce`
     adds it: below 8 terms one running sum from 0.0; up to 128, eight
@@ -82,8 +76,8 @@ class Exp3State:
     per row. Without, `cum_losses` is one row of Python floats and a round
     is Python float operations, the correctly rounded IEEE-754 ones of
     numpy's float64 ufuncs, but for the exponentials and their sum, so a row
-    keeps the bits `exp3_probs` gives it in an array. `probs()` returns an
-    array either way.
+    keeps the bits that `exp_weights(-eta * L)` gives it in an array.
+    `probs()` returns an array either way.
 
     A one-row state builds every distribution from `_row_weights`: its K
     weights exp(-eta L_i - top), top = -eta min(L), cached under the key

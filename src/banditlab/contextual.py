@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .adversarial import Exp3State, exp3_probs, importance_loss_estimate
+from .adversarial import Exp3State, exp_weights, importance_loss_estimate
 from .env import POSITIVE, check_rate, rates, sample_categorical
 
 
@@ -59,7 +59,7 @@ class Exp4State:
         self._drawn_from = None  # the distribution the last select() drew from
 
     def expert_probs(self) -> np.ndarray:
-        return exp3_probs(self.cum_expert_losses, self.eta)
+        return exp_weights(-self.eta * self.cum_expert_losses)
 
     def arm_probs(self, advice: np.ndarray) -> np.ndarray:
         return exp4_arm_probs(self.expert_probs(), advice, self.gamma)
@@ -129,7 +129,7 @@ class ThetaExp4:
         self.K = K
         self.gamma, = rates(n, lambda n: (theta_gamma(n, max_context_set_size, K, len(thetas)),),
                             {"gamma": _MIXING}, gamma=gamma)
-        self.exp4 = Exp4State(len(self.thetas), K, gamma=self.gamma)
+        self.exp4 = Exp4State(len(self.thetas), K, n, gamma=self.gamma)
         self.experts = {theta: SExp3(K) for theta in self.thetas}
         self._advice = None  # the advice matrix of the last select()
 

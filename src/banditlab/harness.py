@@ -13,11 +13,11 @@ import numbers
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def _resolve(section: str, keys: dict, given: dict) -> dict:
 # configuration
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000, "[0, inf)"),
+_EXPERIMENT_KEYS = {"policy": Key(str, REQUIRED), "horizon": Key(int, 1000, "[1, inf)"),
                     "replicas": Key(int, 1, "[1, inf)"), "seed": Key(int, 0, "(-inf, inf)")}
 # the entries of a config dict that are not [experiment] keys; the [output]
 # keys, `_OUTPUT_KEYS`, sit with the renderers under emission
@@ -176,8 +176,6 @@ def check_config(config: dict) -> dict:
     overlays = _resolve("overlays", _OVERLAYS, {"names": config.get("overlays", ())})["names"]
     for name in overlays:
         _require(name in BOUNDS, f"unknown overlay {name!r}")
-    _require(not overlays or experiment["horizon"] >= 1,  # a theorem's cap needs a round
-             f"overlays need experiment.horizon of at least 1, got {experiment['horizon']!r}")
     p = _resolve("policy", _POLICIES[policy].keys, config.get("policy_params", {}))
     e = _resolve("environment", _ENV_KINDS[kind].keys, config.get("env_params", {}))
     n = experiment["horizon"]
@@ -310,7 +308,7 @@ def _convex_env(p: dict, n: int, rng) -> dict:
     """One unit direction per round; the family's loss and constants are its
     `convex.FAMILIES` entry at the radius."""
     d = p["d"]
-    dirs = rng.standard_normal((max(n, 1), d))
+    dirs = rng.standard_normal((n, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     return {"kind": "convex", "family": p["family"], "directions": dirs, "d": d,
             "radius": p["radius"]}
@@ -708,9 +706,9 @@ def _check_exp3p(p: dict, K: int, n: int) -> None:
     except RateError as why:
         _require(why.key != "delta", f"policy.delta {why.rule} unless policy.delta_free = "
                                      f"true, got {why.value!r}")
-        _require(why.key == "horizon", f"experiment.horizon = {n} is too short for exp3p on "
-                 f"{K} arms: its schedule gives {why.key} = {why.value:.4g}, and {why.key} "
-                 f"{why.rule} (beta grows as policy.delta falls)")
+        raise ConfigError(f"experiment.horizon = {n} is too short for exp3p on {K} arms: its "
+                          f"schedule gives {why.key} = {why.value:.4g}, and {why.key} {why.rule} "
+                          f"(beta grows as policy.delta falls)")
 
 
 def _check_rates(rates: Callable, env_keys: tuple, p: dict, e: dict, n: int) -> None:
@@ -719,13 +717,13 @@ def _check_rates(rates: Callable, env_keys: tuple, p: dict, e: dict, n: int) -> 
     the horizon if the rate was scheduled, and the environment's `env_keys`."""
     try:
         rates(p, e, n)
-    except RateError as why:  # at horizon 0, after the given rates, nothing is scheduled
+    except RateError as why:
         where = ", ".join(f"environment.{k} = {e[k]!r}" for k in env_keys)
         key, rule = f"policy.{why.key}", f"{why.rule} ({where})"
-        _require(why.key == "horizon" or p[why.key] is None, f"{key} {rule}, got {why.value!r}")
-        _require(why.key == "horizon", f"experiment.horizon = {n} is too short for the schedule "
-                 f"of {key}: it gives {why.value:.4g}, and {key} {rule}; set {key} or a longer "
-                 f"horizon")
+        _require(p[why.key] is None, f"{key} {rule}, got {why.value!r}")
+        raise ConfigError(f"experiment.horizon = {n} is too short for the schedule of {key}: it "
+                          f"gives {why.value:.4g}, and {key} {rule}; set {key} or a longer "
+                          f"horizon")
 
 
 def _check_sgs(p: dict, e: dict, n: int) -> None:
@@ -734,7 +732,7 @@ def _check_sgs(p: dict, e: dict, n: int) -> None:
     C_L = _UNIMODAL_SLOPES["C_L"]
     _require(p["c_l"] is None or p["c_l"] <= C_L, f"policy.c_l must be at most the loss's "
              f"lower slope C_L = {C_L!r}, got {p['c_l']!r}")
-    if p["c_l"] is not None and n:  # nothing runs at horizon 0
+    if p["c_l"] is not None:
         try:
             convex.sgs_stage_plan(1, p["c_l"], n)
         except (ZeroDivisionError, OverflowError):
@@ -831,11 +829,9 @@ def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     p, n = config["policy_params"], config["horizon"]
     single = isinstance(ids, numbers.Integral)
     ids = [ids] if single else ids
-    if n == 0:  # no round to play, so no policy to build
-        curves = np.empty((len(ids), 0))
-    else:  # made once the batches are done, so never a third curve-sized array
-        batches = _POLICIES[config["policy"]].run(p, env, n, seed, ids)
-        curves = np.concatenate([np.atleast_2d(c) for c in batches], out=np.empty((len(ids), n)))
+    batches = _POLICIES[config["policy"]].run(p, env, n, seed, ids)
+    # made once the batches are done, so never a third curve-sized array
+    curves = np.concatenate([np.atleast_2d(c) for c in batches], out=np.empty((len(ids), n)))
     return curves[0] if single else curves
 
 
@@ -872,6 +868,10 @@ class RegretReport:
     wall_clock_s: float
     schema: str = SCHEMA_VERSION
 
+    def __post_init__(self) -> None:
+        # its own copy: a column of the replicas' curves would keep all of them alive
+        self.terminal_values = np.array(self.terminal_values)
+
     @property
     def mean_terminal(self) -> float:
         return float(self.mean_curve[-1]) if self.mean_curve.size else 0.0
@@ -881,40 +881,22 @@ class RegretReport:
         return float(self.sem_curve[-1]) if self.sem_curve.size else 0.0
 
     def content_dict(self) -> dict:
-        """Everything except wall-clock, for determinism comparisons."""
-        return {
-            "schema": self.schema,
-            "policy": self.policy,
-            "env_kind": self.env_kind,
-            "horizon": self.horizon,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "mean_curve": self.mean_curve.tolist(),
-            "sem_curve": self.sem_curve.tolist(),
-            "terminal_values": self.terminal_values.tolist(),
-            "overlays": dict(self.overlays),
-        }
+        """Every field but the telemetry, `wall_clock_s`, arrays as lists and
+        the rest copied, for determinism comparisons."""
+        content = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock_s"}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else copy.copy(v)
+                for k, v in content.items()}
 
     def to_dict(self) -> dict:
-        out = self.content_dict()
-        out["wall_clock_s"] = self.wall_clock_s
-        return out
+        return {**self.content_dict(), "wall_clock_s": self.wall_clock_s}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegretReport":
-        return cls(
-            policy=d["policy"],
-            env_kind=d["env_kind"],
-            horizon=d["horizon"],
-            replicas=d["replicas"],
-            seed=d["seed"],
-            mean_curve=np.array(d["mean_curve"]),
-            sem_curve=np.array(d["sem_curve"]),
-            terminal_values=np.array(d["terminal_values"]),
-            overlays=dict(d["overlays"]),
-            wall_clock_s=d["wall_clock_s"],
-            schema=d["schema"],
-        )
+    def from_dict(cls, d: dict) -> RegretReport:
+        """The report whose `to_dict()` is `d`: each field's entry, as an
+        array where the field is one."""
+        types = get_type_hints(cls)
+        return cls(**{f.name: np.array(d[f.name]) if types[f.name] is np.ndarray
+                      else copy.copy(d[f.name]) for f in fields(cls)})
 
 
 def run_experiment(config: dict) -> RegretReport:
@@ -945,7 +927,6 @@ def _play(config: dict, env: dict, overlays: dict, prepared_s: float) -> RegretR
         sem_curve = stacked.std(axis=0, ddof=1) / math.sqrt(replicas)
     else:
         sem_curve = np.zeros(n)
-    terminal = stacked[:, -1] if n > 0 else np.zeros(replicas)
     return RegretReport(
         policy=config["policy"],
         env_kind=config["env_kind"],
@@ -954,7 +935,7 @@ def _play(config: dict, env: dict, overlays: dict, prepared_s: float) -> RegretR
         seed=seed,
         mean_curve=mean_curve,
         sem_curve=sem_curve,
-        terminal_values=np.asarray(terminal, dtype=float),
+        terminal_values=stacked[:, -1],
         overlays=overlays,
         wall_clock_s=prepared_s + time.perf_counter() - start,
     )

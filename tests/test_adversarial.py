@@ -10,11 +10,11 @@ from banditlab.adversarial import (
     Exp3State,
     exact_expectation_oracle,
     exp3_bound,
-    exp3_probs,
     exp3p_bound,
     exp3p_expected_bound,
     exp3p_gain_estimate,
     exp3p_params,
+    exp_weights,
     importance_loss_estimate,
     minimax_lower,
 )
@@ -22,18 +22,18 @@ from banditlab.contextual import Exp4State
 from banditlab.env import ReplicaDraws, derive_stream, flat_index
 
 
-def test_exp3_probs_hand_values():
-    assert np.allclose(exp3_probs(np.zeros(4), 1.0), 0.25)
-    p = exp3_probs(np.array([0.0, math.log(2)]), 1.0)
+def test_exp_weights_hand_values():
+    assert np.allclose(exp_weights(-1.0 * np.zeros(4)), 0.25)
+    p = exp_weights(-1.0 * np.array([0.0, math.log(2)]))
     assert np.allclose(p, [2 / 3, 1 / 3])
 
 
-def test_exp3_probs_shift_invariance():
+def test_exp_weights_shift_invariance():
     rng = derive_stream(1, 0)
     for _ in range(20):
         L = rng.random(5) * 10
-        p = exp3_probs(L, 0.3)
-        assert np.allclose(p, exp3_probs(L + 7.5, 0.3), atol=1e-12)
+        p = exp_weights(-0.3 * L)
+        assert np.allclose(p, exp_weights(-0.3 * (L + 7.5)), atol=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -213,6 +213,23 @@ def test_theta_experts_learn_from_shared_estimates():
     assert inner.probs()[1] > 0.6
 
 
+def test_theta_exp4_at_gamma_0_schedules_exp4s_rate_from_its_horizon():
+    # its Exp4State was built without n, so at gamma = 0, where eta has no
+    # gamma / K default, the schedule had no horizon and raised a RateError
+    rng = derive_stream(19, 0)
+    policy = ThetaExp4(["s0", "s1"], K=2, n=50, max_context_set_size=2, gamma=0.0)
+    assert policy.exp4.eta == Exp4State(2, 2, n=50).eta
+    for t in range(50):
+        contexts = {"s0": t % 2, "s1": 0}
+        arm = policy.select(contexts, rng)
+        policy.update(contexts, arm, float(arm == 0))
+    assert policy.experts["s0"].instances[0].t + policy.experts["s0"].instances[1].t == 50
+    # at gamma > 0 eta is gamma / K, whatever the horizon
+    for n in (1, 50, 10**6):
+        assert ThetaExp4(["s0", "s1"], K=2, n=n, max_context_set_size=2, gamma=0.3).exp4.eta \
+            == 0.3 / 2
+
+
 def test_banditron_probs():
     p = banditron_probs(1, 0.2, 4)
     assert np.allclose(p, [0.05, 0.85, 0.05, 0.05])
@@ -444,11 +461,11 @@ def _counting(monkeypatch, owner, name, counts):
 @pytest.mark.parametrize("policy, sets", [("exp4", 0), ("theta-exp4", 1),
                                           ("theta-exp4", 3)])
 def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
-    """exp3_probs is patched where contextual imports it
+    """exp_weights is patched where contextual imports it
     (Exp4State.expert_probs), and Exp3State._row_weights on its class (every
     one-row Exp3 distribution is built there)."""
     counts = {}
-    _counting(monkeypatch, contextual, "exp3_probs", counts)
+    _counting(monkeypatch, contextual, "exp_weights", counts)
     _counting(monkeypatch, Exp3State, "_row_weights", counts)
     _counting(monkeypatch, contextual, "exp4_arm_probs", counts)
     _counting(monkeypatch, ThetaExp4, "advice_matrix", counts)
@@ -466,9 +483,9 @@ def test_each_round_builds_its_distribution_once(monkeypatch, policy, sets):
         counts.clear()
         state.round(x, rng)
         assert counts.get("exp4_arm_probs") == 1
-        assert counts.get("exp3_probs", 0) <= 1
+        assert counts.get("exp_weights", 0) <= 1
         if policy != "exp4":
             assert counts.get("advice_matrix") == 1
             assert counts.get("_row_weights", 0) <= sets
-    assert counts.get("exp3_probs") == 1
+    assert counts.get("exp_weights") == 1
     assert counts.get("_row_weights", 0) == sets

@@ -108,7 +108,11 @@ def _edges(values, overlays):
 
 
 REPORTS = {
-    "horizon-0-R3": lambda: _ucb(0, 3, overlays=()),  # overlays need a round
+    # no config runs at horizon 0, but a report read from JSON may hold empty curves
+    "horizon-0-R3": lambda: RegretReport(
+        policy="ucb", env_kind="stochastic", horizon=0, replicas=3, seed=11,
+        mean_curve=np.zeros(0), sem_curve=np.zeros(0), terminal_values=np.zeros(3), overlays={},
+        wall_clock_s=0.25),
     "horizon-1": lambda: _ucb(1, 4),
     "R1-zero-sem": lambda: _ucb(300, 1),
     "no-overlays": lambda: _ucb(200, 4, overlays=()),

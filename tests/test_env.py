@@ -335,7 +335,7 @@ _SCHEDULED = {
 @pytest.mark.parametrize("name", _SCHEDULED)
 def test_a_schedule_refuses_a_horizon_below_1(name, n):
     # at n = 0 each raised a bare ZeroDivisionError, and Exp3State at n = -5
-    # a "math domain error"; the harness never builds a state at horizon 0
+    # a "math domain error"; the horizon key refuses 0
     with pytest.raises(env_module.RateError, match="horizon must be at least 1"):
         _SCHEDULED[name](n)
     _SCHEDULED[name](1 if name != "OsmdBall" else 100)

@@ -3,6 +3,7 @@ import math
 import re
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from banditlab.harness import (
     emit,
     parse_config,
     render_csv,
+    render_json,
     run_experiment,
     run_replica,
     sweep,
@@ -81,12 +83,17 @@ def test_parse_config_rejects_unknown_keys():
         parse_config(BASE_INI.format(out=".").replace("seed = 11", "seed = 11\nenv_kind = ucb"))
 
 
-def test_empty_horizon_report():
-    report = run_experiment(_config(horizon=0, replicas=1, overlays=[]))
-    assert report.mean_terminal == 0.0
-    assert report.mean_curve.size == 0
-    csv_text = render_csv(report)
-    assert csv_text.splitlines() == ["# banditlab-report-v1", "round,mean_regret,sem"]
+def test_horizon_0_is_refused_before_any_replica(no_replicas):
+    # no theorem's cap and no schedule has a value at n = 0; a sweep checks
+    # every cell before the first one plays
+    refused = re.escape("experiment.horizon must lie in [1, inf)")
+    with pytest.raises(ConfigError, match=refused):
+        harness.check_config(_config(horizon=0, overlays=[]))
+    ini = BASE_INI.format(out=".").replace("[overlays]\nnames = ucb\n", "")
+    with pytest.raises(ConfigError, match=refused):
+        parse_config(ini.replace("horizon = 500", "horizon = 0"))
+    with pytest.raises(ConfigError, match=refused):
+        sweep(_config(overlays=[]), "experiment.horizon", [10, 0])
 
 
 def test_same_config_gives_byte_identical_csv():
@@ -114,6 +121,32 @@ def test_report_json_roundtrip():
     report = run_experiment(_config())
     restored = RegretReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert restored.to_dict() == report.to_dict()
+
+
+@dataclass
+class _LabelledReport(RegretReport):
+    label: str = ""
+
+
+@dataclass
+class _CountedReport(RegretReport):
+    arm_counts: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+
+@pytest.mark.parametrize("cls, name, value", [(_LabelledReport, "label", "run-7"),
+                                              (_CountedReport, "arm_counts", [3, 0, 9])])
+def test_a_report_field_is_declared_once(cls, name, value):
+    # content_dict, to_dict and from_dict read the fields off the dataclass,
+    # so a subclass's extra field goes through all three
+    base = run_experiment(_config(horizon=20, replicas=2))
+    report = cls(**{**vars(base), name: value if isinstance(value, str) else np.array(value)})
+    assert report.content_dict() == {**base.content_dict(), name: value}
+    assert report.to_dict() == {**base.to_dict(), name: value}
+    assert "wall_clock_s" not in report.content_dict()
+    restored = cls.from_dict(json.loads(render_json(report)))
+    assert type(restored) is cls
+    assert restored.to_dict() == report.to_dict()
+    assert type(getattr(restored, name)) is type(getattr(report, name))
 
 
 def test_emit_formats(tmp_path):
@@ -518,8 +551,6 @@ _BAD_VALUES = [
     # a lower slope the loss does not have, which the theorem does not cover
     pytest.param("sgs", {"c_l": "4"}, "unimodal", {}, [], "policy.c_l", 20,
                  id="sgs-c_l-above-the-slope"),
-    pytest.param("sgs", {"c_l": "1.5"}, "unimodal", {}, [], "policy.c_l", 0,
-                 id="sgs-c_l-above-the-slope-at-horizon-0"),
     # stage 1 of the search asks for 2 / eps^2 plays; eps^2 underflows or overflows here
     pytest.param("sgs", {"c_l": "1e-200"}, "unimodal", {}, [], "policy.c_l", 20,
                  id="sgs-c_l-1e-200"),

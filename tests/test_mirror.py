@@ -71,8 +71,8 @@ def test_generic_omd_path_tracks_exponential_weights():
         g = rng.random(K)
         x = omd_step(x, g, eta, spec)
         cum += g
-        from banditlab.adversarial import exp3_probs
-        assert np.allclose(x, exp3_probs(cum, eta), atol=1e-12)
+        from banditlab.adversarial import exp_weights
+        assert np.allclose(x, exp_weights(-eta * cum), atol=1e-12)
 
 
 @pytest.mark.parametrize("side", ["exp3", "omd", "nan"])
