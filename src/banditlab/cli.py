@@ -49,6 +49,7 @@ def cmd_run(args) -> int:
     print(f"{config['policy']} on {config['env_kind']}: "
           f"mean terminal regret {report.mean_terminal:.4f} "
           f"(sem {report.sem_terminal:.4f}) -> {path}")
+    print(f"  content sha256 {report.content_digest()}")
     for name, value in sorted(report.overlays.items()):
         print(f"  overlay {name} = {value:.4f}")
     if args.assert_bounds:
@@ -68,6 +69,7 @@ def cmd_sweep(args) -> int:
         path = _emit_report(report, config, suffix=f"_{args.param.split('.')[-1]}_{value}")
         print(f"{args.param}={value}: mean terminal regret {report.mean_terminal:.4f} "
               f"-> {path}")
+        print(f"  content sha256 {report.content_digest()}")
         if args.assert_bounds and harness.assert_bounds(report):
             failed = True
     return 1 if failed else 0

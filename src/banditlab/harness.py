@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import copy
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -83,7 +84,8 @@ def _require(ok, message: str) -> None:
 def _resolve(section: str, keys: dict, given: dict) -> dict:
     """Every key of `keys` with its typed value: the given text parsed, or the
     key's default when absent. A value that is not text is taken as typed.
-    Either way a number must lie in its key's interval."""
+    Either way a number must lie in its key's interval, and an integer key's
+    value is a Python int: a bool is refused, and a numpy integer converted."""
     unknown = sorted(set(given) - set(keys))
     if unknown:
         raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
@@ -106,9 +108,12 @@ def _resolve(section: str, keys: dict, given: dict) -> dict:
             inside = (a > lo if spec.within[0] == "(" else a >= lo) \
                 & (a < hi if spec.within[-1] == ")" else a <= hi)
             integer = spec.parse is int
-            if not inside.all() or (integer and not isinstance(value, numbers.Integral)):
+            if not inside.all() or (integer and (isinstance(value, bool)
+                                                 or not isinstance(value, numbers.Integral))):
                 raise ConfigError(f"{section}.{key} must lie in {spec.within}"
                                   f"{' as an integer' if integer else ''}, got {value!r}")
+            if integer:
+                value = int(value)
         typed[key] = value
     return typed
 
@@ -819,20 +824,17 @@ _POLICIES = {
 def run_replica(config: dict, env: dict, seed: int, ids) -> np.ndarray:
     """Cumulative pseudo-regret (or mistake) curves of a config `check_config` returned.
 
-    `ids` is one replica's stream id, for its 1-D curve, or a sequence of
-    ids, for an (R, n) array in C order with one row per id; row r reads
-    only the stream `derive_stream(seed, ids[r])`, in whichever batch
+    `ids` is a sequence of stream ids, and the result an (R, n) array in C
+    order with one row per id; row r reads only the stream
+    `derive_stream(seed, ids[r])`, in whichever batch
     `_batches` plays it: all replicas in lockstep (exp3p, exp2-john,
     osmd-msets, and ucb and exp3 above their `narrow_width(K)`) or one at a
     time.
     """
     p, n = config["policy_params"], config["horizon"]
-    single = isinstance(ids, numbers.Integral)
-    ids = [ids] if single else ids
     batches = _POLICIES[config["policy"]].run(p, env, n, seed, ids)
     # made once the batches are done, so never a third curve-sized array
-    curves = np.concatenate([np.atleast_2d(c) for c in batches], out=np.empty((len(ids), n)))
-    return curves[0] if single else curves
+    return np.concatenate([np.atleast_2d(c) for c in batches], out=np.empty((len(ids), n)))
 
 
 def exp3_cumulative_losses(loss_matrix, seed: int, ids) -> np.ndarray:
@@ -854,8 +856,11 @@ def exp3_cumulative_losses(loss_matrix, seed: int, ids) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class RegretReport:
+    """One experiment's aggregated regret. `==` is identity: two reports hold
+    the same content when their `content_digest()`s are equal."""
+
     policy: str
     env_kind: str
     horizon: int
@@ -882,10 +887,16 @@ class RegretReport:
 
     def content_dict(self) -> dict:
         """Every field but the telemetry, `wall_clock_s`, arrays as lists and
-        the rest copied, for determinism comparisons."""
+        the rest copied: the content `content_digest()` hashes."""
         content = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock_s"}
         return {k: v.tolist() if isinstance(v, np.ndarray) else copy.copy(v)
                 for k, v in content.items()}
+
+    def content_digest(self) -> str:
+        """The SHA-256 hex of `json.dumps(self.content_dict(), sort_keys=True)`:
+        each float as its repr, so nan matches nan and -0.0 differs from 0.0."""
+        text = json.dumps(self.content_dict(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {**self.content_dict(), "wall_clock_s": self.wall_clock_s}

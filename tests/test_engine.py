@@ -1,9 +1,7 @@
 """The replica engine's contract: reports are fixed by (config, seed), whatever
 the batch a replica runs in, and replica r reads only derive_stream(seed, r)."""
-import hashlib
 import importlib
 import inspect
-import json
 import pkgutil
 import tracemalloc
 from functools import partial
@@ -13,7 +11,7 @@ import pytest
 
 import banditlab
 from banditlab import env as env_module
-from banditlab import geometry, harness
+from banditlab import cli, geometry, harness
 from banditlab.adversarial import (
     Exp3PState,
     Exp3State,
@@ -93,8 +91,8 @@ CASES = {
     "sgs-unimodal": ("sgs", {}, "unimodal", {}, 2000, 2, 34, ["sgs"]),
 }
 
-# sha256 of the sorted-key JSON of content_dict(), captured from the
-# one-replica-at-a-time engine that preceded the lockstep one
+# each case's content_digest(), captured from the one-replica-at-a-time
+# engine that preceded the lockstep one
 GOLDEN = {
     "ucb-stochastic": "3868475990a8a5fe36daf7cb3c4ac1ba2cdd86f4fef5709f6b3ec72803f7e63f",
     "ucb-lower-bound": "ff63a5ac5cb27d33ce6dfc7608be47e749cdf59558efb4cc2a9dba5baefff6ef",
@@ -166,14 +164,18 @@ def test_one_typed_form(name):
     assert harness.parse_config(_ini(config)) == typed
 
 
-def _digest(report) -> str:
-    text = json.dumps(report.content_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_content_digest(name):
-    assert _digest(harness.run_experiment(_config(*CASES[name]))) == GOLDEN[name]
+    assert harness.run_experiment(_config(*CASES[name])).content_digest() == GOLDEN[name]
+
+
+def test_run_prints_the_golden_content_digest(tmp_path, capsys):
+    config = _config(*CASES["exp3-oblivious"])
+    config["output"]["dir"] = str(tmp_path)
+    ini = tmp_path / "run.ini"
+    ini.write_text(_ini(config))
+    assert cli.main(["run", "--config", str(ini)]) == 0
+    assert f"content sha256 {GOLDEN['exp3-oblivious']}\n" in capsys.readouterr().out
 
 
 def test_every_policy_and_overlay_has_a_golden_case():
@@ -191,9 +193,9 @@ def test_rows_equal_single_stream_runs(name):
     batch = harness.run_replica(cfg, env, cfg["seed"], range(5))
     assert batch.shape == (5, cfg["horizon"])
     for r in range(5):
-        single = harness.run_replica(cfg, env, cfg["seed"], r)
-        assert single.shape == (cfg["horizon"],)
-        assert np.array_equal(batch[r], single)
+        single = harness.run_replica(cfg, env, cfg["seed"], [r])
+        assert single.shape == (1, cfg["horizon"])
+        assert np.array_equal(batch[r], single[0])
 
 
 @pytest.mark.parametrize("name", sorted(name for name, case in CASES.items()
@@ -214,7 +216,7 @@ def test_kernel_rows_equal_single_stream_runs(monkeypatch, name):
     batch = harness.run_replica(cfg, env, cfg["seed"], ids)
     assert derived == []
     for row, i in zip(batch, ids):
-        assert np.array_equal(row, harness.run_replica(cfg, env, cfg["seed"], i))
+        assert np.array_equal(row, harness.run_replica(cfg, env, cfg["seed"], [i])[0])
     assert len(derived) == KERNEL_MIN_STREAMS
 
 
@@ -267,7 +269,8 @@ def test_golden_content_digest_in_either_form_of_a_narrow_class(monkeypatch):
             continue
         for width in (case[5], 0):
             monkeypatch.setattr(narrow[case[0]], "narrow_width", staticmethod(lambda K: width))
-            assert _digest(harness.run_experiment(_config(*case))) == GOLDEN[name], (name, width)
+            digest = harness.run_experiment(_config(*case)).content_digest()
+            assert digest == GOLDEN[name], (name, width)
 
 
 def test_batches_follow_the_lockstep_declaration():
@@ -355,10 +358,10 @@ def test_replica_memory_holds_no_round_inputs():
         cfg = harness.check_config(_config("osmd-msets", {"variant": "negent"}, "semibandit",
                                            {"d": "6", "m": "2"}, n, 1, 3))
         env = harness.build_environment("semibandit", cfg["env_params"], n, 3)
-        harness.run_replica(cfg, env, 3, 0)  # warm every cache first
+        harness.run_replica(cfg, env, 3, [0])  # warm every cache first
         tracemalloc.start()
         try:
-            harness.run_replica(cfg, env, 3, 0)
+            harness.run_replica(cfg, env, 3, [0])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -25,6 +25,7 @@ from banditlab.harness import (
     run_replica,
     sweep,
 )
+from test_engine import CASES, GOLDEN, _config as case_config
 
 BASE_INI = """
 [experiment]
@@ -105,7 +106,7 @@ def test_same_config_gives_byte_identical_csv():
 def test_aggregation_is_exact_mean():
     cfg = harness.check_config(_config(replicas=5, overlays=[]))
     env = build_environment(cfg["env_kind"], cfg["env_params"], cfg["horizon"], cfg["seed"])
-    curves = [run_replica(cfg, env, cfg["seed"], i) for i in range(5)]
+    curves = [run_replica(cfg, env, cfg["seed"], [i])[0] for i in range(5)]
     report = run_experiment(cfg)
     assert np.allclose(report.mean_curve, np.mean(curves, axis=0), atol=1e-12)
     sem = np.std(curves, axis=0, ddof=1) / math.sqrt(5)
@@ -121,6 +122,44 @@ def test_report_json_roundtrip():
     report = run_experiment(_config())
     restored = RegretReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert restored.to_dict() == report.to_dict()
+
+
+def nan_report() -> RegretReport:
+    """A hand-built two-round report whose mean curve holds a nan."""
+    return RegretReport(policy="ucb", env_kind="stochastic", horizon=2, replicas=2, seed=0,
+                        mean_curve=np.array([0.5, np.nan]), sem_curve=np.zeros(2),
+                        terminal_values=np.array([0.0, 1.0]), overlays={}, wall_clock_s=0.25)
+
+
+def test_reports_compare_by_their_content_digest():
+    # `==` is identity, and answers; content is the digest, under which a
+    # nan read back from JSON matches the nan written, as no dict `==` does
+    a, b = (run_experiment(case_config(*CASES["ucb-stochastic"])) for _ in range(2))
+    assert a == a and a != b
+    assert a.content_digest() == b.content_digest() == GOLDEN["ucb-stochastic"]
+    report = nan_report()
+    restored = RegretReport.from_dict(json.loads(render_json(report)))
+    assert restored.content_digest() == report.content_digest()
+    assert restored.content_dict() != report.content_dict()
+
+
+@pytest.mark.parametrize("key, value, as_int", [
+    ("horizon", True, None), ("seed", False, None), ("replicas", True, None),
+    ("seed", np.int64(3), 3), ("replicas", np.int32(2), 2)])
+def test_an_integer_key_holds_a_python_int(request, key, value, as_int):
+    # a bool is refused before any replica runs, and a numpy integer runs to
+    # the report of the Python int of its value
+    config = _config(**{"horizon": 50, "replicas": 2, "overlays": [], key: value})
+    if as_int is None:
+        request.getfixturevalue("no_replicas")
+        with pytest.raises(ConfigError, match=rf"experiment\.{key} must lie in .* as an "
+                                              rf"integer, got {value!r}"):
+            run_experiment(config)
+        return
+    assert type(harness.check_config(config)[key]) is int
+    report = run_experiment(config)
+    assert json.loads(render_json(report))[key] == as_int
+    assert report.content_digest() == run_experiment({**config, key: as_int}).content_digest()
 
 
 @dataclass
@@ -298,8 +337,12 @@ def test_cli_sweep(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["report_horizon_100.csv",
                                                                "report_horizon_50.csv"]
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["experiment.horizon=50",
-                                                      "experiment.horizon=100"]
+    assert [line.split(":")[0] for line in lines[::2]] == ["experiment.horizon=50",
+                                                           "experiment.horizon=100"]
+    # each cell's line is followed by its report's content digest
+    config = {**parse_config(path), "replicas": 2}
+    assert lines[1::2] == [f"  content sha256 {report.content_digest()}"
+                           for report in sweep(config, "experiment.horizon", ["50", "100"])]
 
 
 @pytest.mark.parametrize("args, params, message", [
@@ -429,8 +472,7 @@ def test_typed_loss_list_runs_as_its_text():
                                       env_params={"losses": losses}, overlays=["exp3"],
                                       horizon=30, replicas=3))
                for losses in (text, rows)]
-    digests = [json.dumps(r.content_dict(), sort_keys=True) for r in reports]
-    assert digests[0] == digests[1]
+    assert reports[0].content_digest() == reports[1].content_digest()
 
 
 def test_replicas_below_one_fail_in_run_experiment_too():
@@ -955,20 +997,19 @@ def test_a_csv_run_reads_its_csv_three_times(monkeypatch, tmp_path):
 
 
 def test_a_dict_config_may_omit_every_entry_but_the_kind():
-    def digest(report):
-        return json.dumps(report.content_dict(), sort_keys=True)
+    def digest(config):
+        return run_experiment(config).content_digest()
 
     full = _config(horizon=100)
     for omitted in ("policy_params", "overlays", "output"):
         cut = {k: v for k, v in full.items() if k != omitted}
         whole = {**full, "overlays": []} if omitted == "overlays" else full
-        assert digest(run_experiment(cut)) == digest(run_experiment(whole))
+        assert digest(cut) == digest(whole)
     no_policy = {k: v for k, v in full.items() if k != "policy_params"}
-    assert digest(sweep(no_policy, "policy.alpha", ["2.5"])[0]) == digest(run_experiment(full))
+    assert sweep(no_policy, "policy.alpha", ["2.5"])[0].content_digest() == digest(full)
     sgs = {"policy": "sgs", "horizon": 100, "env_kind": "unimodal"}
-    assert digest(run_experiment(sgs)) == digest(run_experiment(
-        {**sgs, "replicas": 1, "seed": 0, "policy_params": {}, "env_params": {}, "overlays": [],
-         "output": {}}))
+    assert digest(sgs) == digest({**sgs, "replicas": 1, "seed": 0, "policy_params": {},
+                                  "env_params": {}, "overlays": [], "output": {}})
     with pytest.raises(ConfigError, match="environment.kind is required"):
         run_experiment({k: v for k, v in full.items() if k != "env_kind"})
 

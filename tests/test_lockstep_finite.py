@@ -336,7 +336,7 @@ def test_exp3_update_refuses_a_zero_probability_before_writing():
 
 
 @pytest.mark.parametrize("kind, policy, params, ids", [
-    ("stochastic", "ucb", {"means": [0.9, 0.5]}, 0),
+    ("stochastic", "ucb", {"means": [0.9, 0.5]}, [0]),
     ("stochastic", "ucb", {"means": [0.9, 0.5]}, range(3)),
     ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"}, range(Exp3State.narrow_width(2))),
     ("nonoblivious", "exp3", {"k": 2, "adversary": "grudge"},
@@ -348,7 +348,7 @@ def test_finite_rounds_keep_two_curve_sized_arrays(kind, policy, params, ids):
     # stochastic: the arms played, then their gaps, summed in place; grudge:
     # the losses played and the best arm's, then the curve. 16 B per
     # replica-round; past the first block of 4096 draws, those are a fixed cost
-    R = 1 if isinstance(ids, int) else len(ids)
+    R = len(ids)
 
     def peak(n: int) -> int:
         cfg = harness.check_config({"policy": policy, "horizon": n, "replicas": R, "seed": 3,
