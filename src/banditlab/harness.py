@@ -10,7 +10,6 @@ import hashlib
 import inspect
 import json
 import math
-import numbers
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -71,9 +70,20 @@ def _list(cast: Callable) -> Callable:
     return lambda text: [cast(s) for s in text.replace(";", ",").split(",") if s.strip()]
 
 
-def _matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[float(v) for v in r.split(",")] for r in rows])
+def _matrix(text) -> np.ndarray:
+    if not isinstance(text, np.ndarray):  # a 2-D array is taken as it is
+        text = [[float(v) for v in r.split(",")] for r in text.split(";") if r.strip()]
+    return np.asarray(text, dtype=float)
+
+
+def _text(value) -> str:
+    """The text a typed value is written as: `str` of each entry, joined by
+    ',', with rows joined by ';'. A float's `str` parses back to it."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(value, (list, tuple)):
+        return str(value)
+    rows = value if value and all(isinstance(r, (list, tuple)) for r in value) else [value]
+    return ";".join(",".join(map(str, row)) for row in rows)
 
 
 def _require(ok, message: str) -> None:
@@ -82,39 +92,31 @@ def _require(ok, message: str) -> None:
 
 
 def _resolve(section: str, keys: dict, given: dict) -> dict:
-    """Every key of `keys` with its typed value: the given text parsed, or the
-    key's default when absent. A value that is not text is taken as typed.
-    Either way a number must lie in its key's interval, and an integer key's
-    value is a Python int: a bool is refused, and a numpy integer converted."""
+    """Every key of `keys` with its typed value: the key's parser on the
+    `_text` of the value given, or of its default where that is absent or
+    None. A default of None stays None; a matrix key's 2-D array skips the
+    text (10^5 rows take seconds). A number must lie in its key's interval."""
     unknown = sorted(set(given) - set(keys))
     if unknown:
         raise ConfigError("unknown key " + ", ".join(f"{section}.{k}" for k in unknown))
     typed = {}
     for key, spec in keys.items():
-        value = given.get(key, spec.default)
+        value = typed[key] = spec.default if given.get(key) is None else given[key]
         if value is REQUIRED:
             raise ConfigError(f"{section}.{key} is required")
-        if isinstance(value, str):
-            try:
-                value = spec.parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from None
-        if value is not None and spec.within is not None:  # nan lies in no interval
+        if value is None:
+            continue
+        as_is = spec.parse is _matrix and isinstance(value, np.ndarray) and value.ndim == 2
+        try:
+            typed[key] = spec.parse(value if as_is else _text(value))
+            a = np.asarray(typed[key] if spec.within else (), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # an int past the doubles overflows
+            raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from None
+        if spec.within is not None:  # nan lies in no interval
             lo, hi = map(float, spec.within[1:-1].split(","))
-            try:
-                a = np.asarray(value, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                a = np.asarray(np.nan)
             inside = (a > lo if spec.within[0] == "(" else a >= lo) \
                 & (a < hi if spec.within[-1] == ")" else a <= hi)
-            integer = spec.parse is int
-            if not inside.all() or (integer and (isinstance(value, bool)
-                                                 or not isinstance(value, numbers.Integral))):
-                raise ConfigError(f"{section}.{key} must lie in {spec.within}"
-                                  f"{' as an integer' if integer else ''}, got {value!r}")
-            if integer:
-                value = int(value)
-        typed[key] = value
+            _require(inside.all(), f"{section}.{key} must lie in {spec.within}, got {value!r}")
     return typed
 
 
@@ -248,7 +250,7 @@ def _oblivious_env(p: dict, n: int, rng) -> dict:
     """The loss matrix, one row per round: the inline losses, else the csv's
     rows, else i.i.d. uniform losses on k arms (`_check_finite` requires one)."""
     if p["losses"] is not None:
-        key, matrix = "losses", np.array(p["losses"], dtype=float, ndmin=2)
+        key, matrix = "losses", p["losses"]
     elif p["csv"] is not None:
         with _csv_errors(p["csv"]):
             key, matrix = "csv", np.loadtxt(p["csv"], delimiter=",", ndmin=2)
@@ -331,8 +333,7 @@ def _unimodal_env(p: dict, n: int, rng) -> dict:
         """The loss at a point x, or at each point of an array."""
         return np.clip(floor + np.abs(x - xstar), 0.0, 1.0)
 
-    return {"kind": "unimodal", "mu": mu, "xstar": xstar, "mu_star": mu(xstar),
-            **_UNIMODAL_SLOPES}
+    return {"kind": "unimodal", "mu": mu, "mu_star": mu(xstar), **_UNIMODAL_SLOPES}
 
 
 def _multiclass_env(p: dict, n: int, rng) -> dict:
@@ -342,12 +343,10 @@ def _multiclass_env(p: dict, n: int, rng) -> dict:
         _require(xs.shape[1] == d, f"environment.d = {d} differs from the "
                                    f"{xs.shape[1]} feature columns of environment.csv")
         _check_rows("csv", len(ys), n)
-        return {"kind": "multiclass", "K": K, "d": d, "xs": xs[:n], "ys": ys[:n], "U": None}
+        return {"kind": "multiclass", "K": K, "d": d, "xs": xs[:n], "ys": ys[:n]}
     # orthonormal class prototypes give unit-norm streams with margin 1
     basis, _ = np.linalg.qr(rng.standard_normal((d, K)))
-    prototypes = basis.T
-    return {"kind": "multiclass", "K": K, "d": d, "prototypes": prototypes,
-            "U": prototypes, "U_norm": math.sqrt(K)}
+    return {"kind": "multiclass", "K": K, "d": d, "prototypes": basis.T, "U_norm": math.sqrt(K)}
 
 
 def _check_linear_ball(p: dict, e: dict, n: int) -> None:
@@ -355,6 +354,18 @@ def _check_linear_ball(p: dict, e: dict, n: int) -> None:
     _require(loss is None or (len(loss) == e["d"] and np.linalg.norm(loss) <= 1 + 1e-9),
              f"environment.loss must have environment.d = {e['d']} entries and norm at "
              f"most 1, got {loss!r}")
+
+
+def _check_convex(p: dict, e: dict, n: int) -> None:
+    """A radius at which the family's osgd constants G and L, and the
+    one-point schedule, which takes R**3, are finite."""
+    try:
+        k = _convex(n, e, "one-point")
+        finite = all(map(math.isfinite, [*k.values(), *convex.osgd_one_point_schedule(**k)]))
+    except OverflowError:
+        finite = False
+    _require(finite, f"environment.radius = {e['radius']!r} overflows the osgd constants or "
+                     f"schedule of the {e['family']} family")
 
 
 def _arms(e: dict) -> tuple[str, int | None]:
@@ -377,8 +388,6 @@ def _check_finite(e: dict) -> int:
     exp3p's rates take ln K = 0)."""
     key, K = _arms(e)
     _require(K is not None, "environment.k, environment.losses or environment.csv is required")
-    _require(np.ndim(e.get("losses")) <= 2, "environment.losses must be a matrix, one row "
-                                             "per round")
     _require(K >= 2, f"environment.{key} gives {K} arm(s), fewer than 2")
     return K
 
@@ -429,7 +438,7 @@ _ENV_KINDS = {
                            check=_check_linear_ball),
     "convex": EnvKind({"family": Key(_choice(*convex.FAMILIES), "absvalue"),
                        "d": Key(int, REQUIRED, "[1, inf)"),
-                       "radius": Key(float, 1.0, "(0, inf)")}, _convex_env),
+                       "radius": Key(float, 1.0, "(0, inf)")}, _convex_env, check=_check_convex),
     # a loss clipped flat at 1 somewhere has no lower slope C_L there
     "unimodal": EnvKind({"xstar": Key(float, 0.3, "[0, 1]"), "floor": Key(float, 0.3, "[0, 1]")},
                         _unimodal_env, check=lambda p, e, n: _require(
@@ -724,7 +733,7 @@ def _check_rates(rates: Callable, env_keys: tuple, p: dict, e: dict, n: int) -> 
         rates(p, e, n)
     except RateError as why:
         where = ", ".join(f"environment.{k} = {e[k]!r}" for k in env_keys)
-        key, rule = f"policy.{why.key}", f"{why.rule} ({where})"
+        key, rule = f"policy.{why.key}", f"{why.rule} ({where})" if where else why.rule
         _require(p[why.key] is None, f"{key} {rule}, got {why.value!r}")
         raise ConfigError(f"experiment.horizon = {n} is too short for the schedule of {key}: it "
                           f"gives {why.value:.4g}, and {key} {rule}; set {key} or a longer "
@@ -763,7 +772,8 @@ _POLICIES = {
     "thompson": Policy({}, _FINITE_KINDS, partial(
         _run_finite, lambda p, env, n: partial(stochastic.ThompsonState, env["K"]))),
     "eps-greedy": Policy({"d_gap": Key(float, 0.1, "(0, 1)")}, _FINITE_KINDS, partial(
-        _run_finite, lambda p, env, n: partial(stochastic.EpsGreedyState, env["K"], **p))),
+        _run_finite, lambda p, env, n: partial(stochastic.EpsGreedyState, env["K"], **p)),
+        check=partial(_check_rates, lambda p, K, n: stochastic.eps_greedy_gap(**p), ())),
     "exp3": Policy({"eta": Key(float, None, "(0, inf)"), "anytime": Key(_flag, False)},
                    _FINITE_KINDS, partial(_run_finite, lambda p, env, n: partial(
                        adversarial.Exp3State, env["K"], n=n, **p))),
@@ -967,11 +977,11 @@ def sweep(config: dict, param: str, values: list) -> list[RegretReport]:
         start = time.perf_counter()
         cell = copy.deepcopy(config)  # keeps seeds identical per cell
         if section == "experiment" and key in _EXPERIMENT_KEYS:
-            cell[key] = str(v)
+            cell[key] = v
         elif section == "policy":
-            cell.setdefault("policy_params", {})[key] = str(v)
+            cell.setdefault("policy_params", {})[key] = v
         elif section == "environment":
-            cell.setdefault("env_params", {})[key] = str(v)
+            cell.setdefault("env_params", {})[key] = v
         else:
             raise ConfigError(f"unknown key {param}")
         cell = check_config(cell)

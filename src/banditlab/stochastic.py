@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .env import INF, ONE, TWO, as_arm, flat_index, smallest
+from .env import INF, ONE, TWO, as_arm, flat_index, rates, smallest
 
 
 def hoeffding_psi_star_inv(x):
@@ -157,16 +157,21 @@ class ThompsonState:
             self.failures[arm] += 1.0
 
 
+def eps_greedy_gap(d_gap: float) -> float:
+    """d_gap, which must lie in (0, 1) with d_gap^2, the divisor of
+    `EpsGreedyState.epsilon`, above 0; else RateError."""
+    return rates(None, None, {"d_gap": (lambda g: 0.0 < g < 1.0 and g**2 > 0.0, "must lie in "
+                                        "(0, 1), with d_gap^2 above 0")}, d_gap=d_gap)[0]
+
+
 class EpsGreedyState:
     """Greedy play with exploration probability min(1, K / (d_gap^2 * t))."""
 
     feedback = "gain"
 
     def __init__(self, K: int, d_gap: float):
-        if not 0.0 < d_gap < 1.0:
-            raise ValueError("d_gap must lie in (0, 1)")
         self.K = K
-        self.d_gap = d_gap
+        self.d_gap = eps_greedy_gap(d_gap)
         self.counts = np.zeros(K, dtype=int)
         self.means = np.zeros(K)
         self.t = 0

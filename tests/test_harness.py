@@ -152,14 +152,86 @@ def test_an_integer_key_holds_a_python_int(request, key, value, as_int):
     config = _config(**{"horizon": 50, "replicas": 2, "overlays": [], key: value})
     if as_int is None:
         request.getfixturevalue("no_replicas")
-        with pytest.raises(ConfigError, match=rf"experiment\.{key} must lie in .* as an "
-                                              rf"integer, got {value!r}"):
+        with pytest.raises(ConfigError, match=rf"experiment\.{key} = {value!r}: invalid "
+                                              rf"literal for int\(\) with base 10: '{value!r}'"):
             run_experiment(config)
         return
     assert type(harness.check_config(config)[key]) is int
     report = run_experiment(config)
     assert json.loads(render_json(report))[key] == as_int
     assert report.content_digest() == run_experiment({**config, key: as_int}).content_digest()
+
+
+_OMITTED = object()  # a probe's key left out of its config
+
+
+def _probe(policy, kind, env_params, section, key, value):
+    """A two-replica, 50-round config of `policy` on `kind` with
+    `section.key` set to `value`, or left out if it is `_OMITTED`."""
+    cfg = _config(policy=policy, policy_params={}, env_kind=kind, env_params=dict(env_params),
+                  overlays=[], horizon=50, replicas=2)
+    entry = {"experiment": cfg, "policy": cfg["policy_params"], "environment": cfg["env_params"],
+             "output": cfg["output"]}[section]
+    entry.pop(key, None)
+    if value is not _OMITTED:
+        entry[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("policy, kind, env_params, section, key, value", [
+    ("osgd-2pt", "convex", {"d": "2"}, "environment", "family", 3),
+    ("ucb", "stochastic", {}, "environment", "means", None),
+    ("osgd-2pt", "convex", {}, "environment", "d", None),
+    ("osmd-msets", "semibandit", {"d": "4", "m": "2"}, "policy", "variant", 3),
+    ("exp3", "oblivious", {"k": "3"}, "policy", "anytime", 5),
+    ("exp3", "nonoblivious", {"k": "3"}, "environment", "adversary", 7),
+    ("ucb", "stochastic", {"means": "0.9,0.6"}, "output", "format", 5),
+    ("exp3", "oblivious", {"k": "3"}, "policy", "eta", True),
+    ("ucb", "stochastic", {}, "environment", "means", [True, 0.5]),
+    ("theta-exp4", "contextual", {"k": "3"}, "environment", "set_sizes", [True, np.int64(2)]),
+    # inside (0, inf), but the quadratic family's L = (R + 1)**2 overflows
+    ("osgd-1pt", "convex", {"d": "2", "family": "quadratic"}, "environment", "radius", 1e200),
+    # inside (0, 1), but epsilon divides by d_gap**2, which is 0
+    ("eps-greedy", "stochastic", {"means": "0.9,0.6"}, "policy", "d_gap", 1e-300),
+], ids=["family-3", "means-None", "d-None", "variant-3", "anytime-5", "adversary-7", "format-5",
+        "eta-True", "means-True", "set_sizes-True", "radius-1e200", "d_gap-1e-300"])
+def test_every_value_goes_through_its_keys_parser(no_replicas, policy, kind, env_params,
+                                                  section, key, value):
+    # text, typed or None: a value no replica can run is a ConfigError that
+    # names the key, never another exception, and never a run
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        run_experiment(_probe(policy, kind, env_params, section, key, value))
+
+
+@pytest.mark.parametrize("policy, kind, env_params, section, key, value", [
+    ("exp3", "oblivious", {}, "environment", "losses", np.full((50, 3, 1), 0.5)),
+    ("exp3", "oblivious", {}, "environment", "losses", [[[0.5, 0.5]]] * 50),
+    ("ucb", "stochastic", {"means": "0.9,0.6"}, "experiment", "horizon", 10**400),
+], ids=["losses-3d-array", "losses-3d-list", "horizon-past-the-doubles"])
+def test_a_value_of_no_parsed_shape_is_refused(no_replicas, policy, kind, env_params, section,
+                                               key, value):
+    # a matrix key takes at most two dimensions, and an integer a double can hold
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} = ")):
+        run_experiment(_probe(policy, kind, env_params, section, key, value))
+
+
+@pytest.mark.parametrize("policy, kind, env_params, section, key, typed, text", [
+    ("theta-exp4", "contextual", {"k": "3"}, "environment", "set_sizes", [np.int64(2), 3],
+     "2, 3"),
+    ("exp3", "oblivious", {"k": "3"}, "policy", "eta", np.float64(0.1), "0.1"),
+    ("ucb", "stochastic", {"means": "0.9,0.6"}, "experiment", "horizon", None, _OMITTED),
+    ("ucb", "stochastic", {"means": "0.9,0.6"}, "policy", "alpha", None, _OMITTED),
+], ids=["set_sizes-int64", "eta-float64", "horizon-None", "alpha-None"])
+def test_a_typed_value_runs_as_its_text(policy, kind, env_params, section, key, typed, text):
+    # a typed value is parsed from the text it is written as, and None is
+    # the key's absence
+    checked = harness.check_config(_probe(policy, kind, env_params, section, key, typed))
+    if key == "set_sizes":
+        assert checked["env_params"][key] == [2, 3]
+        assert all(type(size) is int for size in checked["env_params"][key])
+    digests = [run_experiment(_probe(policy, kind, env_params, section, key, value))
+               .content_digest() for value in (typed, text)]
+    assert digests[0] == digests[1]
 
 
 @dataclass
@@ -889,7 +961,7 @@ def test_unimodal_slopes_hold_on_the_built_loss(xstar, floor):
 @pytest.mark.parametrize("k, d", [(2, 2), (3, 5), (9, 20)])
 def test_multiclass_competitor_has_margin_1_and_its_declared_norm(k, d):
     cfg, env = _built("banditron", "multiclass", {"k": str(k), "d": str(d)}, horizon=10**5)
-    U = env["U"]
+    U = env["prototypes"]
     # each prototype scores its own label 1 and every other label 0
     assert np.allclose(U @ env["prototypes"].T, np.eye(k), rtol=0, atol=1e-12)
     U_norm = harness.BOUNDS["banditron"].params(cfg, env)["U_norm"]

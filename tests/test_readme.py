@@ -1,8 +1,11 @@
 """README names only code that exists: every snake_case or CamelCase word
 of an inline code span in README.md occurs as a word in `src/` or `tests/`,
-file names included, or stands in `NOT_CODE` with its reason."""
+file names included, or stands in `NOT_CODE` with its reason. Its range
+table states each config key's interval as `harness` declares it."""
 import re
 from pathlib import Path
+
+from banditlab import harness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +49,21 @@ def test_a_deleted_name_fails_the_check():
            "```python\nfenced_only = 1\n```\n"
     assert code_names(text) == {"exp3_row_probs", "ThetaExp4"}
     assert unresolved(code_names(text), "class ThetaExp4: ...") == ["exp3_row_probs"]
+
+
+def test_the_range_table_lists_each_keys_interval():
+    # README's `section | key: range` table states the `within` of every Key
+    # of the experiment, each policy and each environment kind, and no more
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("| section | key: range |"):]
+    listed = set()
+    for row in table[:table.index("\n\n")].splitlines()[2:]:
+        _, names, ranges, _ = row.split("|")
+        listed |= {(name, key, within) for name in re.findall(r"[\w-]+", names)
+                   for key, within in re.findall(r"`(\w+)` ([\[(][^\])]*[\])])", ranges)}
+    sections = {"experiment": harness._EXPERIMENT_KEYS,
+                **{name: entry.keys for name, entry in harness._POLICIES.items()},
+                **{name: entry.keys for name, entry in harness._ENV_KINDS.items()}}
+    declared = {(name, key, spec.within) for name, keys in sections.items()
+                for key, spec in keys.items() if spec.within is not None}
+    assert listed == declared

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,14 @@ def test_eps_greedy_schedule():
     state = EpsGreedyState(2, d_gap=0.1)
     assert state.epsilon(1) == 1.0  # clamped
     assert state.epsilon(10**4) == pytest.approx(0.02)
+
+
+def test_eps_greedy_refuses_a_gap_whose_square_is_0():
+    # epsilon divides by d_gap**2, which is 0 below about 1.5e-162
+    EpsGreedyState(2, d_gap=1e-150)
+    with pytest.raises(ValueError, match=re.escape("d_gap must lie in (0, 1), with d_gap^2 "
+                                                   "above 0")):
+        EpsGreedyState(2, d_gap=1e-300)
 
 
 def test_eps_greedy_exploit_argmax():
